@@ -17,7 +17,6 @@ from .cohomology import (
     betti,
     cochain_matrix,
     eigen_table,
-    induced_involution,
 )
 from .curvature import (
     CurvaturePair,
@@ -27,13 +26,7 @@ from .curvature import (
     enumerate_pairs,
     kernel_lower_bound,
 )
-from .linalg import (
-    QMatrix,
-    column_span_contains,
-    involution_eigen_dims,
-    kernel_basis,
-    rank,
-)
+from .linalg import QMatrix, rank
 from .models import (
     DgaModel,
     MinimalModel,
@@ -83,16 +76,12 @@ __all__ = [
     "borel_model",
     "check_differential",
     "cochain_matrix",
-    "column_span_contains",
     "eigen_condition_from_model",
     "eigen_table",
     "enumerate_pairs",
     "equals_expr",
     "expand",
-    "induced_involution",
-    "involution_eigen_dims",
     "k_theory_correction",
-    "kernel_basis",
     "kernel_lower_bound",
     "loop_model",
     "parse_expr",

@@ -10,7 +10,9 @@ Commands:
                    sphere manifolds with nontrivial metric-space homotopy
     series         expand a closed-form series expression
 
-Exit codes: 0 success, 1 input rejected by a validator, 2 usage error.
+Exit codes: 0 success, 1 input rejected by a validator, 2 usage error,
+3 internal error (reported as ``internal error[<category>]: <message>``;
+no traceback is printed).
 JSON output is stable and versioned via a top-level schema_version field;
 table and JSON outputs always encode the same numbers.
 """
@@ -26,14 +28,8 @@ from pathlib import Path
 from . import __version__
 from .cohomology import NoInvolutionError, eigen_table
 from .curvature import enumerate_pairs
-from .models import (
-    DgaModel,
-    ModelError,
-    base_dga,
-    borel_model,
-    loop_model,
-    parse_model,
-)
+from .linalg import DimensionMismatchError
+from .models import ModelError, base_dga, borel_model, loop_model, parse_model
 from .pseudoisotopy import NegativeDimensionError, pseudoisotopy_table
 from .series import SeriesExprError, parse_expr
 
@@ -124,16 +120,12 @@ def _load_model(path_str: str, out_err):
     return model
 
 
-def _space_model(model, space: str, with_involution: bool):
+def _space_model(model, space: str):
     if space == "base":
         return base_dga(model)
     if space == "loop":
         return loop_model(model)
-    borel = borel_model(model)
-    if not with_involution:
-        # betti-only queries need not reduce involution representatives
-        return DgaModel(borel.algebra, borel.differential, None)
-    return borel
+    return borel_model(model)
 
 
 def _cmd_validate(args, out, err) -> int:
@@ -173,7 +165,7 @@ def _cmd_degrees(args, out, err, want_eigen: bool) -> int:
     model = _load_model(args.model, err)
     if model is None:
         return 2
-    space = _space_model(model, args.space, with_involution=want_eigen)
+    space = _space_model(model, args.space)
     if want_eigen and space.involution is None:
         raise NoInvolutionError(
             f"space '{args.space}' carries no involution; use --space borel"
@@ -320,9 +312,16 @@ def main(argv=None) -> int:
         category = getattr(exc, "category", type(exc).__name__)
         print(f"{category}: {exc}", file=err)
         return 1
+    except DimensionMismatchError as exc:
+        print(f"internal error[{exc.category}]: {exc}", file=err)
+        return 3
     except ValueError as exc:
         print(f"usage error: {exc}", file=err)
         return 2
+    except Exception as exc:  # the CLI boundary: report, never a traceback
+        category = getattr(exc, "category", type(exc).__name__)
+        print(f"internal error[{category}]: {exc}", file=err)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
-"""Degree-by-degree cohomology of a DgaModel over Q and the induced
-involution eigenspace split.
+"""Degree-by-degree cohomology of a DgaModel over Q and its involution
+eigenspace split.
 
 Cochain spaces use the canonical monomial bases; the matrix of the
 differential in degree n sends coordinates at n to coordinates at n+1.
-Cohomology representatives are the first kernel vectors (in canonical
-order) that stay independent modulo the image of the previous
-differential, which makes every reported matrix deterministic.  Eigenspace
-dimensions are basis independent regardless.
+The construction gates of DgaModel make the differential preserve each
+monomial's block, its (weight, involution sign) pair, so the cochain
+complex is the direct sum of one subcomplex per block, and the involution
+acts on a block's cohomology by the block's sign.  Betti numbers and
+eigenspace dimensions are therefore sums of block betti numbers
+dim C^n_k - rank D^n_k - rank D^{n-1}_k, which need matrix ranks only.
+For the Borel model the weight is #bars - #alpha and the sign is
+(-1)^weight: the Hodge decomposition of cyclic homology.
 
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
@@ -19,20 +23,12 @@ from typing import Optional
 
 from . import linalg
 from .algebra import Monomial, Polynomial
-from .models import DgaModel
+from .models import Block, DgaModel
 from .series import TruncatedSeries
 
 
 class NoInvolutionError(ValueError):
     category = "NoInvolution"
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A cocycle failed to reduce modulo coboundaries, or an induced
-    involution failed to square to the identity.  Unreachable for models
-    that passed their construction gates."""
-
-    category = "InternalInconsistency"
 
 
 @dataclass(frozen=True)
@@ -100,21 +96,22 @@ def _coords(poly: Polynomial, index: dict[Monomial, int], dim: int):
     return v
 
 
-def cochain_matrix(model: DgaModel, n: int) -> linalg.QMatrix:
-    """Matrix of the differential from degree n to degree n+1; column j
-    holds the coordinates of D(basis_n[j])."""
+def cochain_matrix(model: DgaModel, n: int, block: Optional[Block] = None) -> linalg.QMatrix:
+    """Matrix of the differential from degree n to degree n+1, or of its
+    restriction to one block of ``model.blocks``; column j holds the
+    coordinates of D(source[j]), where the source is the degree-n basis
+    or the block's part of it."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     alg = model.algebra
-    basis_n = alg.monomial_basis(n)
-    basis_next = alg.monomial_basis(n + 1)
-    index = {mono: i for i, mono in enumerate(basis_next)}
+    if block is None:
+        source, target = alg.monomial_basis(n), alg.monomial_basis(n + 1)
+    else:
+        source, target = model.blocks(n).get(block, ()), model.blocks(n + 1).get(block, ())
+    index = {mono: i for i, mono in enumerate(target)}
     d = model.differential
-    cols = []
-    for mono in basis_n:
-        image = d(alg.poly({mono: 1}))
-        cols.append(_coords(image, index, len(basis_next)))
-    return linalg.QMatrix.from_columns(cols, rows=len(basis_next))
+    cols = [_coords(d(alg.poly({mono: 1})), index, len(target)) for mono in source]
+    return linalg.QMatrix.from_columns(cols, rows=len(target))
 
 
 def betti(model: DgaModel, n: int) -> int:
@@ -124,95 +121,22 @@ def betti(model: DgaModel, n: int) -> int:
     return (d_n.cols - linalg.rank(d_n)) - rank_prev
 
 
-def _involution_matrix(model: DgaModel, n: int) -> linalg.QMatrix:
-    alg = model.algebra
-    basis = alg.monomial_basis(n)
-    index = {mono: i for i, mono in enumerate(basis)}
-    t = model.involution
-    cols = [_coords(t(alg.poly({mono: 1})), index, len(basis)) for mono in basis]
-    return linalg.QMatrix.from_columns(cols, rows=len(basis))
-
-
-def _eigen_split(
-    model: DgaModel,
-    n: int,
-    kernel: list,
-    prev_matrix: Optional[linalg.QMatrix],
-    prev_pivots: tuple[int, ...],
-) -> tuple[linalg.QMatrix, int, int]:
-    """Induced involution matrix on H^n plus its eigenspace dimensions."""
-    dim_n = len(model.algebra.monomial_basis(n))
-    im_cols = (
-        [prev_matrix.column(c) for c in prev_pivots] if prev_matrix is not None else []
-    )
-    if kernel:
-        stacked = linalg.QMatrix.from_columns(im_cols + list(kernel), rows=dim_n)
-        pivots = linalg.pivot_columns(stacked)
-        reps = [kernel[p - len(im_cols)] for p in pivots if p >= len(im_cols)]
-    else:
-        reps = []
-    if not reps:
-        return linalg.QMatrix.zero(0, 0), 0, 0
-    t_matrix = _involution_matrix(model, n)
-    images = [t_matrix.matvec(r) for r in reps]
-    solved = linalg.solve_in_span(
-        linalg.QMatrix.from_columns(im_cols + reps, rows=dim_n), images
-    )
-    cols = []
-    for sol in solved:
-        if sol is None:
-            raise InternalInconsistencyError(
-                "involution image of a cocycle failed to reduce modulo coboundaries"
-            )
-        cols.append(sol[len(im_cols) :])
-    induced = linalg.QMatrix.from_columns(cols, rows=len(reps))
-    try:
-        plus, minus = linalg.involution_eigen_dims(induced)
-    except linalg.NotAnInvolutionError as exc:
-        raise InternalInconsistencyError(
-            f"induced involution is not an involution: {exc}"
-        ) from exc
-    return induced, plus, minus
-
-
-def induced_involution(model: DgaModel, n: int) -> linalg.QMatrix:
-    """Matrix of the involution on a deterministic basis of H^n."""
-    if model.involution is None:
-        raise NoInvolutionError("model has no involution")
-    kernel, _ = linalg.kernel_and_pivots(cochain_matrix(model, n))
-    if n > 0:
-        prev = cochain_matrix(model, n - 1)
-        prev_pivots = linalg.pivot_columns(prev)
-    else:
-        prev, prev_pivots = None, ()
-    induced, _, _ = _eigen_split(model, n, kernel, prev, prev_pivots)
-    return induced
-
-
 def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     """Per-degree cochain dimension, betti number and (when the model has
     an involution) the eigenspace split, for degrees 0..cap-1."""
     if cap < 2:
         raise ValueError("cap must be >= 2")
-    alg = model.algebra
     with_eigen = model.involution is not None
-    dims = [len(alg.monomial_basis(n)) for n in range(cap + 1)]
     slices = []
-    prev_matrix: Optional[linalg.QMatrix] = None
-    prev_pivots: tuple[int, ...] = ()
+    prev_ranks: dict[Block, int] = {}
     for n in range(cap):
-        matrix = cochain_matrix(model, n)
-        kernel, pivots = linalg.kernel_and_pivots(matrix)
-        rank_prev = len(prev_pivots)
-        b = len(kernel) - rank_prev
-        if with_eigen:
-            _, plus, minus = _eigen_split(model, n, kernel, prev_matrix, prev_pivots)
-            if plus + minus != b:
-                raise InternalInconsistencyError(
-                    f"eigen split {plus}+{minus} != betti {b} at degree {n}"
-                )
-            slices.append(DegreeSlice(n, dims[n], b, plus, minus))
-        else:
-            slices.append(DegreeSlice(n, dims[n], b))
-        prev_matrix, prev_pivots = matrix, pivots
+        blocks = model.blocks(n)
+        ranks = {key: linalg.rank(cochain_matrix(model, n, key)) for key in blocks}
+        split = {1: 0, -1: 0}
+        for key, monos in blocks.items():
+            split[key[1]] += len(monos) - ranks[key] - prev_ranks.get(key, 0)
+        eigen = (split[1], split[-1]) if with_eigen else (None, None)
+        dim = len(model.algebra.monomial_basis(n))
+        slices.append(DegreeSlice(n, dim, split[1] + split[-1], *eigen))
+        prev_ranks = ranks
     return EigenTable(cap, tuple(slices))

@@ -22,16 +22,6 @@ class DimensionMismatchError(ValueError):
     category = "DimensionMismatch"
 
 
-class NotAnInvolutionError(ValueError):
-    """A matrix passed as an involution does not square to the identity."""
-
-    category = "NotAnInvolution"
-
-
-def as_vector(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
-
-
 class QMatrix:
     """Dense rows-by-cols matrix over Q, row-major ``Fraction`` entries.
 
@@ -116,16 +106,6 @@ class QMatrix:
             for j in range(self.cols)
         )
 
-    def shifted_diagonal(self, scalar) -> "QMatrix":
-        """self + scalar * I (square matrices only)."""
-        if not self.is_square():
-            raise DimensionMismatchError("diagonal shift needs a square matrix")
-        s = Fraction(scalar)
-        entries = list(self.entries)
-        for i in range(self.rows):
-            entries[i * self.cols + i] += s
-        return QMatrix(self.rows, self.cols, entries)
-
     def matvec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatchError(
@@ -177,12 +157,11 @@ def _reduce_row(row: list[int]) -> list[int]:
     return row
 
 
-def _int_rows(m: QMatrix, extra_columns: Sequence[Sequence] = ()) -> list[list[int]]:
-    """Rows of [m | extra] scaled row-wise to integers (rank-preserving)."""
-    extra = [list(c) for c in extra_columns]
+def _int_rows(m: QMatrix) -> list[list[int]]:
+    """Rows of m scaled row-wise to integers (rank-preserving)."""
     out = []
     for r in range(m.rows):
-        row = list(m.row(r)) + [Fraction(c[r]) for c in extra]
+        row = m.row(r)
         den = 1
         for e in row:
             d = e.denominator
@@ -191,10 +170,8 @@ def _int_rows(m: QMatrix, extra_columns: Sequence[Sequence] = ()) -> list[list[i
     return out
 
 
-def _echelon(rows: list[list[int]], n_pivot_cols: int) -> tuple[list[list[int]], list[int]]:
-    """Forward elimination in place; pivots searched in the first
-    n_pivot_cols columns only (columns beyond are carried along, which is
-    how augmented solves reuse this routine).
+def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
+    """Forward elimination in place; returns the pivot columns.
 
     Pivot rows are chosen by largest absolute entry in the current column;
     columns are processed left to right so the pivot columns returned are
@@ -203,7 +180,7 @@ def _echelon(rows: list[list[int]], n_pivot_cols: int) -> tuple[list[list[int]],
     pivots: list[int] = []
     r = 0
     nrows = len(rows)
-    for c in range(n_pivot_cols):
+    for c in range(ncols):
         if r >= nrows:
             break
         best, best_val = -1, 0
@@ -223,123 +200,9 @@ def _echelon(rows: list[list[int]], n_pivot_cols: int) -> tuple[list[list[int]],
                 rows[k] = _reduce_row([pv * a - v * b for a, b in zip(rows[k], prow)])
         pivots.append(c)
         r += 1
-    return rows, pivots
-
-
-def kernel_and_pivots(m: QMatrix) -> tuple[list[Vector], tuple[int, ...]]:
-    """One elimination pass: (kernel basis, pivot column indices).
-
-    Kernel vectors are returned as primitive integer vectors (as
-    Fractions), one per free column, in ascending free-column order; they
-    are linearly independent and each satisfies m . v = 0.
-    """
-    n = m.cols
-    rows, pivots = _echelon(_int_rows(m), n)
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            row = rows[i]
-            s = sum((row[j] * x[j] for j in range(c + 1, n) if x[j]), Fraction(0))
-            x[c] = -s / row[c]
-        basis.append(_primitive(x))
-    return basis, tuple(pivots)
-
-
-def _primitive(x: list[Fraction]) -> Vector:
-    den = 1
-    for e in x:
-        d = e.denominator
-        den = den * d // gcd(den, d)
-    ints = [int(e * den) for e in x]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
+    return pivots
 
 
 def rank(m: QMatrix) -> int:
     """Rank over Q, computed exactly."""
-    _, pivots = _echelon(_int_rows(m), m.cols)
-    return len(pivots)
-
-
-def pivot_columns(m: QMatrix) -> tuple[int, ...]:
-    """Leftmost column indices forming a basis of the column span."""
-    _, pivots = _echelon(_int_rows(m), m.cols)
-    return tuple(pivots)
-
-
-def kernel_basis(m: QMatrix) -> list[Vector]:
-    """Basis of {v : m . v = 0}; len == cols - rank."""
-    basis, _ = kernel_and_pivots(m)
-    return basis
-
-
-def solve_in_span(basis: QMatrix, targets: Sequence[Sequence]) -> list[Optional[Vector]]:
-    """For each target vector, coefficients over the columns of `basis`
-    reproducing it exactly, or None when the target is outside the span.
-
-    A matrix with zero columns spans only the zero vector; its witness is
-    the empty tuple, so callers must test ``is not None`` rather than
-    truthiness.
-    """
-    k = basis.cols
-    targets = [as_vector(t) for t in targets]
-    for t in targets:
-        if len(t) != basis.rows:
-            raise DimensionMismatchError(
-                f"target length {len(t)} does not match {basis.rows} rows"
-            )
-    rows, pivots = _echelon(_int_rows(basis, extra_columns=targets), k)
-    tail = rows[len(pivots) :]
-    results: list[Optional[Vector]] = []
-    for ti in range(len(targets)):
-        col = k + ti
-        if any(row[col] for row in tail):
-            results.append(None)
-            continue
-        x = [Fraction(0)] * k
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            row = rows[i]
-            s = sum((row[j] * x[j] for j in range(c + 1, k) if x[j]), Fraction(0))
-            x[c] = (Fraction(row[col]) - s) / row[c]
-        results.append(tuple(x))
-    return results
-
-
-def column_span_contains(basis: QMatrix, v: Sequence) -> Optional[Vector]:
-    """Witness coefficients with basis . w == v, or None if v is outside
-    the column span."""
-    return solve_in_span(basis, [v])[0]
-
-
-def involution_eigen_dims(t: QMatrix) -> tuple[int, int]:
-    """(dim of the +1 eigenspace, dim of the -1 eigenspace) of an
-    involutive matrix; the two add up to the size.
-
-    Raises NotAnInvolutionError unless t is square with t . t == identity.
-    """
-    if not t.is_square():
-        raise NotAnInvolutionError(f"{t.rows}x{t.cols} matrix is not square")
-    if not (t * t).is_identity():
-        raise NotAnInvolutionError("matrix squared is not the identity")
-    n = t.cols
-    dim_plus = n - rank(t.shifted_diagonal(-1))
-    dim_minus = n - rank(t.shifted_diagonal(1))
-    return dim_plus, dim_minus
+    return len(_echelon(_int_rows(m), m.cols))

@@ -21,17 +21,19 @@ differential d) this module builds
   D = delta + alpha * s, together with the loop-reversal involution
   T(alpha) = -alpha, T(v) = v, T(v_bar) = -v_bar.
 
-Both constructions are gated: a model is only returned after the square-
-zero check and (for the Borel model) the involution compatibility checks
-pass on every generator, so a sign-convention mismatch surfaces as a hard
-error instead of a wrong table.
+Both carry generator weights (v 0, v_bar 1 and, in the Borel model,
+alpha -1) that their differentials preserve.  Both constructions are
+gated: a model is only returned after the square-zero check, the weight
+check and (for the Borel model) the involution checks pass on every
+generator, so a sign-convention mismatch surfaces as a hard error instead
+of a wrong table.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -39,9 +41,13 @@ from .algebra import (
     AlgebraMap,
     Derivation,
     GradedAlgebra,
+    Monomial,
     Polynomial,
     check_differential,
 )
+
+
+Block = tuple[int, int]  # (weight, involution sign) of a monomial
 
 
 class ModelError(Exception):
@@ -131,34 +137,85 @@ class MinimalModel:
 @dataclass(frozen=True)
 class DgaModel:
     """Free graded-commutative algebra with a square-zero degree +1
-    differential and, optionally, an involution commuting with it."""
+    differential, an integer weight per generator (all zero unless given)
+    and, optionally, an involution commuting with the differential.
+
+    The involution must send every generator to plus or minus itself, so
+    it acts on each monomial by a sign, and the differential must preserve
+    both the monomial weight (the exponent-weighted sum of generator
+    weights) and that sign.  The cochain complex is then the direct sum of
+    the subcomplexes spanned by the monomials of one block, keyed by
+    (weight, sign); see ``blocks``.
+    """
 
     algebra: GradedAlgebra
     differential: Derivation
     involution: Optional[AlgebraMap] = None
+    weights: tuple[int, ...] = ()
+    _signs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _blocks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.differential.algebra != self.algebra:
+        alg = self.algebra
+        if self.differential.algebra != alg:
             raise ValueError("differential belongs to a different algebra")
-        top = max((g.degree for g in self.algebra.generators), default=0)
+        width = len(alg.generators)
+        object.__setattr__(self, "weights", tuple(self.weights) or (0,) * width)
+        if len(self.weights) != width:
+            raise ValueError(f"need {width} generator weights, got {len(self.weights)}")
+        top = max((g.degree for g in alg.generators), default=0)
         violation = check_differential(self.differential, top + 2)
         if violation is not None:
             raise NotSquareZeroError(str(violation))
+        signs = [1] * width
         t = self.involution
         if t is not None:
-            if t.algebra != self.algebra:
+            if t.algebra != alg:
                 raise ValueError("involution belongs to a different algebra")
-            d = self.differential
-            for g in self.algebra.generators:
-                gen = self.algebra.gen(g.name)
-                if t(t(gen)) != gen:
+            for i, g in enumerate(alg.generators):
+                gen = alg.gen(g.name)
+                image = t.of_generator(g.name)
+                if image == -gen:
+                    signs[i] = -1
+                elif image != gen:
                     raise InvolutionIncompatibleError(
-                        f"involution squared is not the identity on {g.name}"
+                        f"involution sends {g.name} to {image}, not to plus or minus itself"
                     )
-                if t(d(gen)) != d(t(gen)):
+        object.__setattr__(self, "_signs", tuple(signs))
+        for g, weight, sign in zip(alg.generators, self.weights, self._signs):
+            for mono in self.differential.of_generator(g.name).terms:
+                w, s = self._block_of(mono)
+                if s != sign:
                     raise InvolutionIncompatibleError(
                         f"involution does not commute with the differential on {g.name}"
                     )
+                if w != weight:
+                    raise InvolutionIncompatibleError(
+                        f"differential of {g.name} (weight {weight}) has the term "
+                        f"{alg.monomial_str(mono)} of weight {w}"
+                    )
+
+    def _block_of(self, mono: Monomial) -> Block:
+        """(weight, involution sign) of a monomial."""
+        weight = 0
+        negative = 0
+        for e, w, s in zip(mono, self.weights, self._signs):
+            if e:
+                weight += e * w
+                if s < 0:
+                    negative += e
+        return weight, -1 if negative % 2 else 1
+
+    def blocks(self, degree: int) -> dict[Block, tuple[Monomial, ...]]:
+        """The degree-n monomial basis split by ``_block_of``, each block in
+        basis order, keys in order of first appearance."""
+        cached = self._blocks.get(degree)
+        if cached is None:
+            split: dict[Block, list[Monomial]] = {}
+            for mono in self.algebra.monomial_basis(degree):
+                split.setdefault(self._block_of(mono), []).append(mono)
+            cached = self._blocks[degree] = {k: tuple(v) for k, v in split.items()}
+        return cached
 
 
 # ---------------------------------------------------------------------
@@ -400,17 +457,19 @@ def loop_model(model: MinimalModel) -> DgaModel:
         values[g.name] = dv
         values[bars[g.name]] = -suspension(dv)
     delta = Derivation(algebra, 1, values)
-    return DgaModel(algebra, delta, None)
+    return DgaModel(algebra, delta, None, (0, 1) * len(model.algebra.generators))
 
 
 def borel_model(model: MinimalModel, cap: int = 2) -> DgaModel:
     """Circle-equivariant Borel model with its loop-reversal involution.
 
     Generators are {alpha} u {v} u {v_bar} with deg alpha = 2, and
-    D = delta + alpha * s.  The square-zero check runs on every generator
-    (at least up to `cap`) and the involution is verified to be a
-    differential-compatible involution; any failure raises instead of
-    returning a corrupt model.
+    D = delta + alpha * s, with weights -1 on alpha, 0 on v and +1 on
+    v_bar, so that D preserves the weight #bars - #alpha and the
+    involution acts on a monomial by (-1)^weight.  The construction gates
+    of DgaModel run on every generator, whatever `cap` is (it is only
+    validated); a failed square-zero check raises BorelSquareZeroError
+    instead of returning a corrupt model.
     """
     if cap < 2:
         raise ValueError("cap must be >= 2")
@@ -426,22 +485,19 @@ def borel_model(model: MinimalModel, cap: int = 2) -> DgaModel:
         algebra, -1, {g.name: algebra.gen(bars[g.name]) for g in model.algebra.generators}
     )
     values: dict[str, Polynomial] = {alpha: algebra.zero()}
+    t_values = {alpha: -alpha_poly}
     for g in model.algebra.generators:
         dv = _transport(model.differential.of_generator(g.name), algebra)
         values[g.name] = dv + alpha_poly * suspension(algebra.gen(g.name))
         values[bars[g.name]] = -suspension(dv)
-    differential = Derivation(algebra, 1, values)
-    violation = check_differential(differential, max(cap, max(d for _, d in gens) + 2))
-    if violation is not None:
-        raise BorelSquareZeroError(
-            f"Borel differential does not square to zero: {violation}"
-        )
-    t_values = {alpha: -alpha_poly}
-    for g in model.algebra.generators:
-        t_values[g.name] = algebra.gen(g.name)
         t_values[bars[g.name]] = -algebra.gen(bars[g.name])
-    involution = AlgebraMap(algebra, t_values)
-    return DgaModel(algebra, differential, involution)
+    weights = (-1,) + (0, 1) * len(model.algebra.generators)
+    try:
+        return DgaModel(
+            algebra, Derivation(algebra, 1, values), AlgebraMap(algebra, t_values), weights
+        )
+    except NotSquareZeroError as exc:
+        raise BorelSquareZeroError(f"Borel differential does not square to zero: {exc}") from exc
 
 
 def point_borel_model() -> DgaModel:

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+import loopinv.cli
 from loopinv.cli import main
+from loopinv.linalg import DimensionMismatchError
 from support import MODELS_DIR
 
 D2 = str(MODELS_DIR / "sphere-bundle-d2.model")
@@ -66,6 +70,22 @@ def test_eigen_rejects_space_without_involution(capsys):
     code, _, err = run(capsys, "eigen", D2, "--space", "loop")
     assert code == 1
     assert "NoInvolution" in err
+
+
+@pytest.mark.parametrize(
+    "exc, category",
+    [(RuntimeError("boom"), "RuntimeError"), (DimensionMismatchError("bad shape"), "DimensionMismatch")],
+)
+def test_internal_errors_exit_3_without_traceback(capsys, monkeypatch, exc, category):
+    def broken(model, cap):
+        raise exc
+
+    monkeypatch.setattr(loopinv.cli, "eigen_table", broken)
+    code, out, err = run(capsys, "eigen", D2, "--max-degree", "8")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"internal error[{category}]: ")
+    assert "Traceback" not in err
 
 
 def test_bfk_enumeration(capsys):

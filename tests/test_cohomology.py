@@ -1,16 +1,10 @@
 import pytest
 
-from loopinv.cohomology import (
-    NoInvolutionError,
-    betti,
-    cochain_matrix,
-    eigen_table,
-    induced_involution,
-)
-from loopinv.linalg import QMatrix, involution_eigen_dims
+from loopinv.cohomology import NoInvolutionError, betti, cochain_matrix, eigen_table
+from loopinv.linalg import QMatrix
 from loopinv.models import base_dga, borel_model, loop_model, point_borel_model
 from loopinv.series import RationalExpr, algebra_generating_function, equals_expr
-from support import load_model, oracle_betti
+from support import induced_involution, involution_eigen_dims, load_model, oracle_betti
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopinv.linalg import (
-    DimensionMismatchError,
+from loopinv.linalg import DimensionMismatchError, QMatrix, rank
+from support import (
     NotAnInvolutionError,
-    QMatrix,
     column_span_contains,
     involution_eigen_dims,
     kernel_basis,
-    rank,
     solve_in_span,
 )
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from loopinv.algebra import Derivation, GradedAlgebra
+from loopinv.algebra import Derivation, GradedAlgebra, check_differential
 from loopinv.models import (
+    BorelSquareZeroError,
     DegreeMismatchError,
     DgaModel,
     InvolutionIncompatibleError,
@@ -248,6 +249,62 @@ def test_dga_model_rejects_incompatible_involution():
     t = AlgebraMap(alg, {"b": -alg.gen("b")})
     with pytest.raises(InvolutionIncompatibleError):
         DgaModel(alg, d, t)
+
+
+def test_dga_model_rejects_non_diagonal_involution():
+    from loopinv.algebra import AlgebraMap
+
+    # swapping a and c is an involution commuting with D = 0, but it does
+    # not act on monomials by signs
+    alg = GradedAlgebra([("a", 2), ("c", 2)])
+    t = AlgebraMap(alg, {"a": alg.gen("c"), "c": alg.gen("a")})
+    with pytest.raises(InvolutionIncompatibleError, match="plus or minus"):
+        DgaModel(alg, Derivation(alg, 1, {}), t)
+
+
+def test_dga_model_rejects_weight_inhomogeneous_differential():
+    alg = GradedAlgebra([("a", 2), ("b", 3)])
+    d = Derivation(alg, 1, {"b": alg.gen("a") ** 2})
+    with pytest.raises(InvolutionIncompatibleError, match="weight"):
+        DgaModel(alg, d, None, (0, 1))
+    assert DgaModel(alg, d, None, (1, 2)).weights == (1, 2)
+    assert DgaModel(alg, d).weights == (0, 0)
+    with pytest.raises(ValueError):
+        DgaModel(alg, d, None, (0, 0, 0))
+
+
+def test_builders_set_generator_weights():
+    m = load_model("s2.model")
+    assert loop_model(m).weights == (0, 1, 0, 1)
+    assert borel_model(m).weights == (-1, 0, 1, 0, 1)
+    assert base_dga(m).weights == (0, 0)
+
+
+def test_borel_square_zero_gate_runs_once(monkeypatch):
+    import loopinv.models
+
+    calls = []
+
+    def counting(d, max_degree):
+        calls.append(max_degree)
+        return check_differential(d, max_degree)
+
+    m = load_model("s2.model")
+    monkeypatch.setattr(loopinv.models, "check_differential", counting)
+    borel_model(m)
+    assert len(calls) == 1
+
+
+def test_borel_square_zero_failure_category():
+    from types import SimpleNamespace
+
+    # d^2 c = a^3 != 0; MinimalModel would refuse it, so hand the builder
+    # the parts directly
+    alg = GradedAlgebra([("a", 2), ("b", 3), ("c", 4)])
+    a, b = alg.gen("a"), alg.gen("b")
+    d = Derivation(alg, 1, {"b": a**2, "c": a * b})
+    with pytest.raises(BorelSquareZeroError):
+        borel_model(SimpleNamespace(algebra=alg, differential=d))
 
 
 def test_minimal_model_warning_not_fatal_programmatically():
