@@ -14,7 +14,6 @@ from .algebra import (
 from .cohomology import (
     DegreeSlice,
     EigenTable,
-    betti,
     cochain_matrix,
     eigen_table,
 )
@@ -26,7 +25,7 @@ from .curvature import (
     enumerate_pairs,
     kernel_lower_bound,
 )
-from .linalg import QMatrix, rank
+from .linalg import rank
 from .models import (
     DgaModel,
     MinimalModel,
@@ -67,12 +66,10 @@ __all__ = [
     "Polynomial",
     "PseudoisotopyRow",
     "PseudoisotopyTable",
-    "QMatrix",
     "RationalExpr",
     "TruncatedSeries",
     "algebra_generating_function",
     "base_dga",
-    "betti",
     "borel_model",
     "check_differential",
     "cochain_matrix",

@@ -7,12 +7,16 @@ Reordering a product into canonical order accumulates the Koszul sign,
 one factor of -1 for every transposition of two odd generators, and that
 single rule is the source of truth for every sign in the package:
 derivations and algebra maps are extended from generator values through
-ordinary polynomial multiplication.
+ordinary polynomial multiplication.  ``Derivation.integral_columns``, the
+cochain assembly, applies the same rule to exponent tuples directly, with
+integer coefficients and no Polynomial per monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 Monomial = tuple[int, ...]
@@ -109,33 +113,32 @@ class GradedAlgebra:
     def monomial_basis(self, degree: int) -> tuple[Monomial, ...]:
         """All monomials of the given total degree, in ascending
         lexicographic order of exponent tuples.  Degree 0 is exactly the
-        unit monomial."""
+        unit monomial.  A cache miss enumerates every degree up to this
+        one in a single depth-first pass and caches them all."""
         if degree < 0:
             raise ValueError("degree must be >= 0")
         cached = self._basis_cache.get(degree)
         if cached is not None:
             return cached
         n = len(self.generators)
-        out: list[Monomial] = []
+        buckets: list[list[Monomial]] = [[] for _ in range(degree + 1)]
         mono = [0] * n
 
-        def rec(i: int, remaining: int) -> None:
-            if remaining == 0:
-                out.append(tuple(mono))
-                return
+        def rec(i: int, total: int) -> None:
             if i == n:
+                buckets[total].append(tuple(mono))
                 return
             d = self._degrees[i]
-            top = min(1, remaining // d) if self._odd[i] else remaining // d
-            for e in range(top + 1):
+            top = (degree - total) // d
+            for e in range(min(1, top) + 1 if self._odd[i] else top + 1):
                 mono[i] = e
-                rec(i + 1, remaining - e * d)
+                rec(i + 1, total + e * d)
             mono[i] = 0
 
-        rec(0, degree)
-        result = tuple(out)
-        self._basis_cache[degree] = result
-        return result
+        rec(0, 0)
+        for d, monos in enumerate(buckets):
+            self._basis_cache.setdefault(d, tuple(monos))
+        return self._basis_cache[degree]
 
     def monomial_str(self, mono: Monomial) -> str:
         parts = []
@@ -316,7 +319,7 @@ class Derivation:
     Generators missing from ``values`` map to zero.
     """
 
-    __slots__ = ("algebra", "degree_shift", "_values")
+    __slots__ = ("algebra", "degree_shift", "_values", "_integral")
 
     def __init__(self, algebra: GradedAlgebra, degree_shift: int, values: Mapping[str, Polynomial]):
         self.algebra = algebra
@@ -333,6 +336,7 @@ class Derivation:
             if poly:
                 clean[name] = poly
         self._values = clean
+        self._integral = None
 
     def of_generator(self, name: str) -> Polynomial:
         self.algebra.index(name)
@@ -370,6 +374,76 @@ class Derivation:
                     result = result + term
                 prefix_degree += e * g.degree
         return result
+
+    def _integral_terms(self):
+        """Per generator, one (step, coefficient, others, flips) per term t
+        of L * D(g_i), where L is the least common multiple of every
+        coefficient denominator of the generator values: step is the
+        exponent change t - g_i, others the odd generators of t other than
+        g_i, and flips the number of those after g_i when g_i is odd.
+        Computed once per derivation."""
+        if self._integral is None:
+            values = self._values
+            scale = lcm(*(c.denominator for p in values.values() for c in p.terms.values()))
+            odd = self.algebra._odd
+            table = []
+            for i, g in enumerate(self.algebra.generators):
+                terms = []
+                for t, c in (values[g.name].terms.items() if g.name in values else ()):
+                    others = tuple(j for j, b in enumerate(t) if b and odd[j] and j != i)
+                    step = tuple(b - (j == i) for j, b in enumerate(t))
+                    flips = sum(1 for j in others if j > i) if odd[i] else 0
+                    terms.append((step, int(c * scale), others, flips))
+                table.append(tuple(terms))
+            self._integral = tuple(table)
+        return self._integral
+
+    def integral_columns(
+        self, sources: Iterable[Monomial], index: Mapping[Monomial, int]
+    ) -> list[dict[int, int]]:
+        """For each source monomial m, L * D(m) as a sparse integer column
+        {index[monomial]: coefficient}, with L as in ``_integral_terms``.
+
+        This is ``_apply_monomial`` on exponent tuples.  With P[k] the
+        number of odd factors of m before generator k, the Leibniz sign of
+        the i-th term is (-1)^(shift * P[i]); reordering left * t * right
+        into canonical order moves each odd factor j of t past the odd
+        factors of m strictly between j and i, which is P[j] + P[i] (plus
+        one when j > i and g_i is odd) modulo 2, and the product vanishes
+        when t repeats an odd factor of m.
+        """
+        table = self._integral_terms()
+        odd = self.algebra._odd
+        odd_shift = self.degree_shift % 2
+        live = [i for i, terms in enumerate(table) if terms]
+        columns = []
+        for mono in sources:
+            prefix = []
+            p = 0
+            for e, o in zip(mono, odd):
+                prefix.append(p)
+                if e and o:
+                    p += 1
+            col: dict[int, int] = {}
+            for i in live:
+                e = mono[i]
+                if not e:
+                    continue
+                mult = 1 if odd[i] else e
+                for step, c, others, flips in table[i]:
+                    if any(mono[j] for j in others):
+                        continue
+                    parity = (odd_shift + len(others)) * prefix[i] + flips
+                    for j in others:
+                        parity += prefix[j]
+                    row = index[tuple(map(add, mono, step))]
+                    v = col.get(row, 0) + (-c if parity & 1 else c) * mult
+                    if v:
+                        col[row] = v
+                    else:
+                        del col[row]
+            columns.append(col)
+        return columns
 
 
 class AlgebraMap:

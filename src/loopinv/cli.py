@@ -20,6 +20,7 @@ table and JSON outputs always encode the same numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -36,7 +37,10 @@ from .series import SeriesExprError, parse_expr
 SCHEMA_VERSION = 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="loopinv",
         description="Exact involution eigenspace tables for free loop space "

@@ -12,6 +12,12 @@ dim C^n_k - rank D^n_k - rank D^{n-1}_k, which need matrix ranks only.
 For the Borel model the weight is #bars - #alpha and the sign is
 (-1)^weight: the Hodge decomposition of cyclic homology.
 
+Each block matrix is assembled as sparse integer columns straight from
+exponent tuples (``Derivation.integral_columns``), scaled by one common
+nonzero integer that clears every denominator of the differential, and
+ranked exactly by ``linalg.rank``; no polynomial or rational number is
+built per column.
+
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
 """
@@ -22,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .algebra import Monomial, Polynomial
 from .models import Block, DgaModel
 from .series import TruncatedSeries
 
@@ -89,36 +94,22 @@ class EigenTable:
         return TruncatedSeries(s.inv_minus for s in self.slices)
 
 
-def _coords(poly: Polynomial, index: dict[Monomial, int], dim: int):
-    v = [0] * dim
-    for mono, coeff in poly.terms.items():
-        v[index[mono]] = coeff
-    return v
-
-
-def cochain_matrix(model: DgaModel, n: int, block: Optional[Block] = None) -> linalg.QMatrix:
-    """Matrix of the differential from degree n to degree n+1, or of its
-    restriction to one block of ``model.blocks``; column j holds the
-    coordinates of D(source[j]), where the source is the degree-n basis
-    or the block's part of it."""
+def cochain_matrix(model: DgaModel, n: int, block: Optional[Block] = None) -> linalg.SparseMatrix:
+    """Matrix of L * D from degree n to degree n+1, or of its restriction
+    to one block of ``model.blocks``, as sparse integer columns: column j
+    holds the coordinates of L * D(source[j]), where the source is the
+    degree-n basis or the block's part of it and the nonzero integer L is
+    the common denominator of the differential's generator values (so the
+    rank is that of D)."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    alg = model.algebra
     if block is None:
-        source, target = alg.monomial_basis(n), alg.monomial_basis(n + 1)
+        source, target = model.algebra.monomial_basis(n), model.algebra.monomial_basis(n + 1)
     else:
         source, target = model.blocks(n).get(block, ()), model.blocks(n + 1).get(block, ())
     index = {mono: i for i, mono in enumerate(target)}
-    d = model.differential
-    cols = [_coords(d(alg.poly({mono: 1})), index, len(target)) for mono in source]
-    return linalg.QMatrix.from_columns(cols, rows=len(target))
-
-
-def betti(model: DgaModel, n: int) -> int:
-    """dim ker(D_n) - rank(D_{n-1})."""
-    d_n = cochain_matrix(model, n)
-    rank_prev = linalg.rank(cochain_matrix(model, n - 1)) if n > 0 else 0
-    return (d_n.cols - linalg.rank(d_n)) - rank_prev
+    columns = model.differential.integral_columns(source, index)
+    return linalg.SparseMatrix(len(target), tuple(columns))
 
 
 def eigen_table(model: DgaModel, cap: int) -> EigenTable:
@@ -127,6 +118,7 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     if cap < 2:
         raise ValueError("cap must be >= 2")
     with_eigen = model.involution is not None
+    model.algebra.monomial_basis(cap)  # caches degrees 0..cap in one pass
     slices = []
     prev_ranks: dict[Block, int] = {}
     for n in range(cap):

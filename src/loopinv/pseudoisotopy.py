@@ -15,7 +15,9 @@ with delta(i) = 1 exactly when i = 3 mod 4 (the rational K-theory of the
 integers contributes one class in those degrees).
 
 The reduced eigenspaces are obtained by subtracting the one-point table
-from the Borel-model table degree by degree, and homology dimensions are
+from the Borel-model table degree by degree; the one-point Borel model is
+Lambda(alpha) with zero differential and T(alpha) = -alpha, so its table
+is the closed form of ``_point_split``.  Homology dimensions are
 read off the cohomology of the corresponding model (finite-type duality
 over Q).  Everything is exact; a row is only reported when every input it
 needs lies inside the computed range, which caps the table at
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cohomology import eigen_table
-from .models import MinimalModel, base_dga, borel_model, point_borel_model
+from .models import MinimalModel, base_dga, borel_model
 from .series import TruncatedSeries
 
 
@@ -38,6 +40,12 @@ class NegativeDimensionError(ValueError):
     the minimal model of a simply-connected compact manifold."""
 
     category = "NegativeDimension"
+
+
+def _point_split(n: int) -> tuple[int, int]:
+    """(inv_plus, inv_minus) of the one-point Borel table in degree n: the
+    class alpha^(n/2) has sign (-1)^(n/2)."""
+    return int(n % 4 == 0), int(n % 4 == 2)
 
 
 def k_theory_correction(i: int) -> int:
@@ -115,20 +123,20 @@ def _assemble_rows(
 def pseudoisotopy_table(model: MinimalModel, cap: int) -> PseudoisotopyTable:
     """Eigenspace dimension table for degrees 0..cap-3.
 
-    Builds the Borel model and the one-point model, splits their
-    cohomology under the loop-reversal involution, forms the reduced
-    eigenspaces by degreewise subtraction, and applies the dimension
-    formulas together with the base model's betti numbers.
+    Builds the Borel model, splits its cohomology under the loop-reversal
+    involution, forms the reduced eigenspaces by subtracting the
+    one-point table degree by degree, and applies the dimension formulas
+    together with the base model's betti numbers.
     """
     if cap < 3:
         raise ValueError("cap must be >= 3 for at least one reliable row")
     absolute = eigen_table(borel_model(model, cap), cap)
-    point = eigen_table(point_borel_model(), cap)
     rel_plus = []
     rel_minus = []
     for n in range(cap):
-        p = absolute.slice(n).inv_plus - point.slice(n).inv_plus
-        q = absolute.slice(n).inv_minus - point.slice(n).inv_minus
+        point_plus, point_minus = _point_split(n)
+        p = absolute.slice(n).inv_plus - point_plus
+        q = absolute.slice(n).inv_minus - point_minus
         if p < 0 or q < 0:
             raise NegativeDimensionError(
                 f"reduced eigenspace dimension negative at degree {n}; the "

@@ -7,17 +7,18 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
-from loopinv import linalg
-from loopinv.algebra import Derivation, GradedAlgebra
-from loopinv.cohomology import NoInvolutionError, cochain_matrix
-from loopinv.models import DgaModel, MinimalModel, parse_model
+from loopinv.algebra import Derivation, GradedAlgebra, Monomial, Polynomial
+from loopinv.cohomology import NoInvolutionError
+from loopinv.linalg import DimensionMismatchError, SparseMatrix
+from loopinv.models import Block, DgaModel, MinimalModel, parse_model
 from loopinv.series import algebra_generating_function
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+Vector = tuple[Fraction, ...]
 
 
 def load_model(name: str) -> MinimalModel:
@@ -34,12 +35,243 @@ def sphere_bundle_model(d: int) -> MinimalModel:
 # ---------------------------------------------------------------------
 # independent oracles (used only by tests)
 #
-# The general eigen route: Gauss-Jordan elimination over Fractions (its
-# own code, sharing nothing with loopinv.linalg), kernel bases,
-# cohomology representatives, and the matrix of the induced involution on
-# them.  It assumes nothing about how the involution acts on monomials or
-# which grading the differential preserves, so the block-rank tables of
+# The general eigen route: dense matrices over Q assembled through
+# Derivation (Polynomial products with Fraction coefficients), Gauss-Jordan
+# elimination over Fractions, kernel bases, cohomology representatives,
+# and the matrix of the induced involution on them.  It shares neither
+# assembly nor elimination with loopinv.cohomology and loopinv.linalg, and
+# assumes nothing about how the involution acts on monomials or which
+# grading the differential preserves, so the block-rank tables of
 # loopinv.cohomology must agree with it.
+
+
+
+class QMatrix:
+    """Dense rows-by-cols matrix over Q, row-major ``Fraction`` entries.
+
+    Empty shapes (0 x n, n x 0) are legal; they occur for cochain degrees
+    with empty monomial bases.
+    """
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: Iterable):
+        entries = tuple(Fraction(e) for e in entries)
+        if rows < 0 or cols < 0 or len(entries) != rows * cols:
+            raise DimensionMismatchError(
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
+            )
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    @classmethod
+    def from_rows(cls, rows_data: Sequence[Sequence], cols: Optional[int] = None) -> "QMatrix":
+        rows_data = [list(r) for r in rows_data]
+        if cols is None:
+            cols = len(rows_data[0]) if rows_data else 0
+        for r in rows_data:
+            if len(r) != cols:
+                raise DimensionMismatchError("rows have varying lengths")
+        flat = [e for r in rows_data for e in r]
+        return cls(len(rows_data), cols, flat)
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence], rows: Optional[int] = None) -> "QMatrix":
+        columns = [list(c) for c in columns]
+        if rows is None:
+            if not columns:
+                raise DimensionMismatchError("row count required for a matrix with no columns")
+            rows = len(columns[0])
+        for c in columns:
+            if len(c) != rows:
+                raise DimensionMismatchError("columns have varying lengths")
+        flat = [columns[j][i] for i in range(rows) for j in range(len(columns))]
+        return cls(rows, len(columns), flat)
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> "QMatrix":
+        return cls(rows, cols, [0] * (rows * cols))
+
+    @classmethod
+    def identity(cls, n: int) -> "QMatrix":
+        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+
+    @classmethod
+    def diagonal(cls, values: Sequence) -> "QMatrix":
+        n = len(values)
+        return cls(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
+
+    def __getitem__(self, rc: tuple[int, int]) -> Fraction:
+        r, c = rc
+        return self.entries[r * self.cols + c]
+
+    def row(self, r: int) -> Vector:
+        return self.entries[r * self.cols : (r + 1) * self.cols]
+
+    def column(self, c: int) -> Vector:
+        return tuple(self.entries[r * self.cols + c] for r in range(self.rows))
+
+    def columns(self) -> list[Vector]:
+        return [self.column(c) for c in range(self.cols)]
+
+    def transpose(self) -> "QMatrix":
+        return QMatrix.from_columns([self.row(r) for r in range(self.rows)], rows=self.cols)
+
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+    def is_identity(self) -> bool:
+        if not self.is_square():
+            return False
+        return all(
+            self.entries[i * self.cols + j] == (1 if i == j else 0)
+            for i in range(self.rows)
+            for j in range(self.cols)
+        )
+
+    def matvec(self, v: Sequence) -> Vector:
+        if len(v) != self.cols:
+            raise DimensionMismatchError(
+                f"matvec: {self.rows}x{self.cols} matrix with length-{len(v)} vector"
+            )
+        v = [Fraction(x) for x in v]
+        out = []
+        for r in range(self.rows):
+            row = self.row(r)
+            out.append(sum((row[j] * v[j] for j in range(self.cols) if v[j]), Fraction(0)))
+        return tuple(out)
+
+    def __mul__(self, other: "QMatrix") -> "QMatrix":
+        if not isinstance(other, QMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise DimensionMismatchError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        cols = [self.matvec(other.column(c)) for c in range(other.cols)]
+        return QMatrix.from_columns(cols, rows=self.rows)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, QMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        body = "; ".join(
+            " ".join(str(e) for e in self.row(r)) for r in range(self.rows)
+        )
+        return f"QMatrix({self.rows}x{self.cols}: {body})"
+
+
+# Dense fraction-free integer elimination: the rank loopinv computed
+# before its sparse elimination, kept as a second reference.
+
+
+def _reduce_row(row: list[int]) -> list[int]:
+    g = 0
+    for x in row:
+        g = gcd(g, x)
+        if g == 1:
+            return row
+    if g > 1:
+        return [x // g for x in row]
+    return row
+
+
+def _int_rows(m: QMatrix) -> list[list[int]]:
+    """Rows of m scaled row-wise to integers (rank-preserving)."""
+    out = []
+    for r in range(m.rows):
+        row = m.row(r)
+        den = 1
+        for e in row:
+            d = e.denominator
+            den = den * d // gcd(den, d)
+        out.append(_reduce_row([int(e * den) for e in row]))
+    return out
+
+
+def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
+    """Forward elimination in place; returns the pivot columns.
+
+    Pivot rows are chosen by largest absolute entry in the current column;
+    columns are processed left to right so the pivot columns returned are
+    the leftmost independent set.
+    """
+    pivots: list[int] = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        best, best_val = -1, 0
+        for k in range(r, nrows):
+            v = abs(rows[k][c])
+            if v > best_val:
+                best, best_val = k, v
+        if best < 0:
+            continue
+        if best != r:
+            rows[r], rows[best] = rows[best], rows[r]
+        pv = rows[r][c]
+        prow = rows[r]
+        for k in range(r + 1, nrows):
+            v = rows[k][c]
+            if v:
+                rows[k] = _reduce_row([pv * a - v * b for a, b in zip(rows[k], prow)])
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def echelon_rank(m: QMatrix) -> int:
+    """Rank over Q, computed exactly."""
+    return len(_echelon(_int_rows(m), m.cols))
+
+
+def _coords(poly: Polynomial, index: dict[Monomial, int], dim: int) -> list:
+    v = [0] * dim
+    for mono, coeff in poly.terms.items():
+        v[index[mono]] = coeff
+    return v
+
+
+def cochain_matrix(model: DgaModel, n: int, block: Optional[Block] = None) -> QMatrix:
+    """Dense matrix of D from degree n to degree n+1 (or on one block),
+    column j holding the coordinates of D(source[j]) computed by
+    Derivation."""
+    alg = model.algebra
+    if block is None:
+        source, target = alg.monomial_basis(n), alg.monomial_basis(n + 1)
+    else:
+        source, target = model.blocks(n).get(block, ()), model.blocks(n + 1).get(block, ())
+    index = {mono: i for i, mono in enumerate(target)}
+    d = model.differential
+    cols = [_coords(d(alg.poly({mono: 1})), index, len(target)) for mono in source]
+    return QMatrix.from_columns(cols, rows=len(target))
+
+
+def dense(m: SparseMatrix) -> QMatrix:
+    """The sparse integer matrix m as a QMatrix."""
+    cols = [[col.get(r, 0) for r in range(m.rows)] for col in m.columns]
+    return QMatrix.from_columns(cols, rows=m.rows)
+
+
+def sparse(m: QMatrix) -> SparseMatrix:
+    """The columns of m, each scaled by the common denominator of its
+    entries (which keeps the rank), as a sparse integer matrix."""
+    columns = []
+    for col in m.columns():
+        den = lcm(*(e.denominator for e in col))
+        columns.append({r: int(e * den) for r, e in enumerate(col) if e})
+    return SparseMatrix(m.rows, tuple(columns))
 
 
 class NotAnInvolutionError(ValueError):
@@ -67,15 +299,15 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
     return pivots
 
 
-def _rows(m: linalg.QMatrix) -> list[list[Fraction]]:
+def _rows(m: QMatrix) -> list[list[Fraction]]:
     return [list(m.row(r)) for r in range(m.rows)]
 
 
-def rank(m: linalg.QMatrix) -> int:
+def rank(m: QMatrix) -> int:
     return len(_rref(_rows(m), m.cols))
 
 
-def pivot_columns(m: linalg.QMatrix) -> tuple[int, ...]:
+def pivot_columns(m: QMatrix) -> tuple[int, ...]:
     """Leftmost column indices forming a basis of the column span."""
     return tuple(_rref(_rows(m), m.cols))
 
@@ -97,7 +329,7 @@ def _primitive(x: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in ints)
 
 
-def kernel_basis(m: linalg.QMatrix) -> list[tuple[Fraction, ...]]:
+def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of {v : m . v = 0}: one primitive integer vector per free
     column, in ascending free-column order."""
     rows = _rows(m)
@@ -114,7 +346,7 @@ def kernel_basis(m: linalg.QMatrix) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def solve_in_span(basis: linalg.QMatrix, targets) -> list:
+def solve_in_span(basis: QMatrix, targets) -> list:
     """For each target vector, coefficients over the columns of `basis`
     reproducing it exactly, or None when the target is outside the span
     (a basis with no columns spans only 0, with the witness ())."""
@@ -122,7 +354,7 @@ def solve_in_span(basis: linalg.QMatrix, targets) -> list:
     targets = [[Fraction(v) for v in t] for t in targets]
     for t in targets:
         if len(t) != basis.rows:
-            raise linalg.DimensionMismatchError(
+            raise DimensionMismatchError(
                 f"target length {len(t)} does not match {basis.rows} rows"
             )
     rows = [list(basis.row(r)) + [t[r] for t in targets] for r in range(basis.rows)]
@@ -140,13 +372,13 @@ def solve_in_span(basis: linalg.QMatrix, targets) -> list:
     return results
 
 
-def column_span_contains(basis: linalg.QMatrix, v):
+def column_span_contains(basis: QMatrix, v):
     """Witness coefficients with basis . w == v, or None if v is outside
     the column span."""
     return solve_in_span(basis, [v])[0]
 
 
-def involution_eigen_dims(t: linalg.QMatrix) -> tuple[int, int]:
+def involution_eigen_dims(t: QMatrix) -> tuple[int, int]:
     """(dim of the +1 eigenspace, dim of the -1 eigenspace) of a matrix
     with t . t == identity."""
     if not t.is_square():
@@ -156,7 +388,7 @@ def involution_eigen_dims(t: linalg.QMatrix) -> tuple[int, int]:
     n = t.cols
 
     def shifted(s):
-        return linalg.QMatrix(
+        return QMatrix(
             n, n, [e + (s if i % (n + 1) == 0 else 0) for i, e in enumerate(t.entries)]
         )
 
@@ -175,12 +407,12 @@ def _representatives(model: DgaModel, n: int):
         image = [prev.column(c) for c in pivot_columns(prev)]
     else:
         image = []
-    stacked = linalg.QMatrix.from_columns(image + kernel, rows=dim_n)
+    stacked = QMatrix.from_columns(image + kernel, rows=dim_n)
     reps = [kernel[p - len(image)] for p in pivot_columns(stacked) if p >= len(image)]
     return image, reps
 
 
-def induced_involution(model: DgaModel, n: int) -> linalg.QMatrix:
+def induced_involution(model: DgaModel, n: int) -> QMatrix:
     """Matrix of the involution on the representative basis of H^n."""
     if model.involution is None:
         raise NoInvolutionError("model has no involution")
@@ -188,7 +420,7 @@ def induced_involution(model: DgaModel, n: int) -> linalg.QMatrix:
     basis = alg.monomial_basis(n)
     image, reps = _representatives(model, n)
     if not reps:
-        return linalg.QMatrix.zero(0, 0)
+        return QMatrix.zero(0, 0)
     index = {mono: i for i, mono in enumerate(basis)}
     t_cols = []
     for mono in basis:
@@ -196,12 +428,12 @@ def induced_involution(model: DgaModel, n: int) -> linalg.QMatrix:
         for m, c in model.involution(alg.poly({mono: 1})).terms.items():
             col[index[m]] = c
         t_cols.append(col)
-    t = linalg.QMatrix.from_columns(t_cols, rows=len(basis))
-    spanning = linalg.QMatrix.from_columns(image + reps, rows=len(basis))
+    t = QMatrix.from_columns(t_cols, rows=len(basis))
+    spanning = QMatrix.from_columns(image + reps, rows=len(basis))
     solved = solve_in_span(spanning, [t.matvec(r) for r in reps])
     if any(sol is None for sol in solved):
         raise AssertionError(f"an involution image left the cocycles in degree {n}")
-    return linalg.QMatrix.from_columns([sol[len(image) :] for sol in solved], rows=len(reps))
+    return QMatrix.from_columns([sol[len(image) :] for sol in solved], rows=len(reps))
 
 
 def oracle_split(model: DgaModel, n: int) -> tuple[int, Optional[int], Optional[int]]:
@@ -230,7 +462,7 @@ def oracle_betti(model: DgaModel, n: int) -> int:
         rank_prev = rank(prev)
     else:
         prev_cols, rank_prev = [], 0
-    stacked = linalg.QMatrix.from_columns(prev_cols + kernel, rows=d_n.cols)
+    stacked = QMatrix.from_columns(prev_cols + kernel, rows=d_n.cols)
     return rank(stacked) - rank_prev
 
 
@@ -246,6 +478,31 @@ def brute_force_monomial_count(algebra: GradedAlgebra, degree: int) -> int:
         if sum(e * g.degree for e, g in zip(expo, algebra.generators)) == degree:
             count += 1
     return count
+
+
+def per_degree_monomial_basis(algebra: GradedAlgebra, degree: int) -> tuple[Monomial, ...]:
+    """The degree-n monomials in ascending lexicographic order, by a
+    search of that one degree (how GradedAlgebra built each basis before
+    it enumerated all degrees in one pass)."""
+    n = len(algebra.generators)
+    out: list[Monomial] = []
+    mono = [0] * n
+
+    def rec(i: int, remaining: int) -> None:
+        if remaining == 0:
+            out.append(tuple(mono))
+            return
+        if i == n:
+            return
+        d = algebra.generators[i].degree
+        top = min(1, remaining // d) if d % 2 else remaining // d
+        for e in range(top + 1):
+            mono[i] = e
+            rec(i + 1, remaining - e * d)
+        mono[i] = 0
+
+    rec(0, degree)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------

@@ -11,7 +11,8 @@ from loopinv.algebra import (
     WrongDegreeShiftError,
     check_differential,
 )
-from support import brute_force_monomial_count
+from loopinv.series import algebra_generating_function
+from support import brute_force_monomial_count, per_degree_monomial_basis
 
 
 @pytest.fixture
@@ -41,6 +42,26 @@ def test_monomial_basis_matches_brute_force(borel_algebra, degree):
     assert len(borel_algebra.monomial_basis(degree)) == brute_force_monomial_count(
         borel_algebra, degree
     )
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [("alpha", 2), ("x", 7), ("x_bar", 6)],
+        [("alpha", 2), ("a", 2), ("a_bar", 1), ("b", 3), ("b_bar", 2)],
+        [("p", 3), ("q", 5), ("r", 4), ("s", 1), ("t", 6), ("u", 9)],
+    ],
+)
+def test_one_pass_bases_match_per_degree_search(gens):
+    cap = 24
+    gf = algebra_generating_function(GradedAlgebra(gens), cap + 1)
+    one_pass = GradedAlgebra(gens)
+    one_pass.monomial_basis(cap)  # fills degrees 0..cap at once
+    ascending = GradedAlgebra(gens)  # misses the cache at every degree
+    for n in range(cap + 1):
+        want = per_degree_monomial_basis(one_pass, n)
+        assert one_pass.monomial_basis(n) == want == ascending.monomial_basis(n), n
+        assert len(want) == gf[n]
 
 
 def test_polynomial_square_even_generator(borel_algebra):

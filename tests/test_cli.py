@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +222,25 @@ def test_repeated_runs_are_byte_identical(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_successive_calls_match_fresh_interpreters(capsys):
+    commands = [
+        ["eigen", S2, "--max-degree", "12"],
+        ["cohomology", D2, "--space", "loop", "--max-degree", "10", "--format", "json"],
+        ["pseudoisotopy", S2, "--max-degree", "12"],
+        ["eigen", D2, "--space", "base"],
+        ["series", "1/(1-t^4)", "--max-degree", "9"],
+        ["bfk", "--d", "2"],
+        ["eigen", S2, "--max-degree", "3"],
+        ["validate", S2, "--format", "json"],
+        ["frobnicate"],
+    ]
+    src = str(Path(loopinv.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = "import sys; from loopinv.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in commands:
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

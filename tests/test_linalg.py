@@ -4,14 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopinv.linalg import DimensionMismatchError, QMatrix, rank
+from loopinv import linalg
+from loopinv.linalg import DimensionMismatchError, SparseMatrix
 from support import (
     NotAnInvolutionError,
+    QMatrix,
     column_span_contains,
+    echelon_rank,
     involution_eigen_dims,
     kernel_basis,
     solve_in_span,
+    sparse,
 )
+from support import rank as oracle_rank
+
+
+def rank(m: QMatrix) -> int:
+    """loopinv's sparse rank of the columns of m (cleared of denominators)."""
+    return linalg.rank(sparse(m))
 
 
 def test_rank_identity():
@@ -31,6 +41,15 @@ def test_rank_proportional_rows():
 def test_rank_empty_shapes():
     assert rank(QMatrix.zero(0, 3)) == 0
     assert rank(QMatrix.zero(3, 0)) == 0
+    assert linalg.rank(SparseMatrix(0, ({}, {}, {}))) == 0
+    assert linalg.rank(SparseMatrix(3, ())) == 0
+
+
+def test_rank_leaves_columns_unchanged():
+    columns = ({0: 2, 1: 4}, {0: 3, 1: 6}, {1: 5, 2: -1})
+    copy = tuple(dict(c) for c in columns)
+    assert linalg.rank(SparseMatrix(3, columns)) == 2
+    assert columns == copy
 
 
 def test_rank_rational_entries():
@@ -130,6 +149,30 @@ def matrices(draw, max_dim=5):
         st.lists(small_entries, min_size=rows * cols, max_size=rows * cols)
     )
     return QMatrix(rows, cols, entries)
+
+
+rational_entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def rank_cases(draw, max_dim=6):
+    """Products of a rows x k and a k x cols matrix (so the rank is at
+    most k) with integer or rational entries, and some columns zeroed."""
+    entries = draw(st.sampled_from([small_entries, rational_entries]))
+    rows = draw(st.integers(min_value=0, max_value=max_dim))
+    cols = draw(st.integers(min_value=0, max_value=max_dim))
+    k = draw(st.integers(min_value=0, max_value=max_dim))
+    a = QMatrix(rows, k, draw(st.lists(entries, min_size=rows * k, max_size=rows * k)))
+    b = QMatrix(k, cols, draw(st.lists(entries, min_size=k * cols, max_size=k * cols)))
+    zeroed = draw(st.sets(st.integers(min_value=0, max_value=max(cols - 1, 0))))
+    columns = [c if j not in zeroed else (0,) * rows for j, c in enumerate((a * b).columns())]
+    return QMatrix.from_columns(columns, rows=rows)
+
+
+@settings(max_examples=300)
+@given(st.one_of(matrices(), rank_cases()))
+def test_sparse_rank_matches_oracles(m):
+    assert rank(m) == oracle_rank(m) == echelon_rank(m)
 
 
 @given(matrices())

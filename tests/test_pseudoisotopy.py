@@ -1,10 +1,12 @@
 import pytest
 
-from loopinv.models import parse_model
+from loopinv.cohomology import eigen_table
+from loopinv.models import parse_model, point_borel_model
 from loopinv.pseudoisotopy import (
     NegativeDimensionError,
     PseudoisotopyRow,
     _assemble_rows,
+    _point_split,
     k_theory_correction,
     pseudoisotopy_table,
     total_P_dimension,
@@ -20,6 +22,13 @@ def test_k_theory_correction_pattern():
     assert [k_theory_correction(i) for i in range(8)] == [0, 0, 0, 1, 0, 0, 0, 1]
     with pytest.raises(ValueError):
         k_theory_correction(-1)
+
+
+def test_point_split_is_the_computed_point_table():
+    for cap in range(2, 41):
+        table = eigen_table(point_borel_model(), cap)
+        split = [(s.inv_plus, s.inv_minus) for s in table.slices]
+        assert split == [_point_split(n) for n in range(cap)], f"cap {cap}"
 
 
 @pytest.fixture(scope="module")
