@@ -25,7 +25,6 @@ from .curvature import (
     enumerate_pairs,
     kernel_lower_bound,
 )
-from .linalg import rank
 from .models import (
     DgaModel,
     MinimalModel,
@@ -85,6 +84,5 @@ __all__ = [
     "parse_model",
     "point_borel_model",
     "pseudoisotopy_table",
-    "rank",
     "total_P_dimension",
 ]

@@ -9,7 +9,12 @@ single rule is the source of truth for every sign in the package:
 derivations and algebra maps are extended from generator values through
 ordinary polynomial multiplication.  ``Derivation.integral_columns``, the
 cochain assembly, applies the same rule to exponent tuples directly, with
-integer coefficients and no Polynomial per monomial.
+integer coefficients and no Polynomial per monomial.  It can leave out
+the coordinate of one even generator g with zero differential: then
+D(g^a y) = g^a D(y), so it assembles D on g-free monomials y only and
+keys each term g^c z of the result by its g-free part z, which is how the
+cohomology code reuses one block's pivots for the next block along
+multiplication by g.
 """
 
 from __future__ import annotations
@@ -336,7 +341,7 @@ class Derivation:
             if poly:
                 clean[name] = poly
         self._values = clean
-        self._integral = None
+        self._integral: dict = {}
 
     def of_generator(self, name: str) -> Polynomial:
         self.algebra.index(name)
@@ -375,34 +380,54 @@ class Derivation:
                 prefix_degree += e * g.degree
         return result
 
-    def _integral_terms(self):
-        """Per generator, one (step, coefficient, others, flips) per term t
-        of L * D(g_i), where L is the least common multiple of every
-        coefficient denominator of the generator values: step is the
+    def _integral_terms(self, drop: Optional[int]):
+        """(odd, table, live), with every index and exponent tuple
+        leaving out the coordinate of ``drop``: the parity of each
+        generator; per generator, one (step, coefficient, others, flips)
+        per term t of L * D(g_i), where L is the least common multiple of
+        every coefficient denominator of the generator values, step is the
         exponent change t - g_i, others the odd generators of t other than
-        g_i, and flips the number of those after g_i when g_i is odd.
-        Computed once per derivation."""
-        if self._integral is None:
+        g_i, and flips the number of those after g_i when g_i is odd; and
+        the generators with a nonzero value.  Computed once per derivation
+        and ``drop``."""
+        cached = self._integral.get(drop)
+        if cached is None:
+            gens = self.algebra.generators
             values = self._values
+            if drop is not None and (gens[drop].degree % 2 or gens[drop].name in values):
+                raise ValueError(f"cannot drop {gens[drop].name}: it is not even and closed")
             scale = lcm(*(c.denominator for p in values.values() for c in p.terms.values()))
-            odd = self.algebra._odd
+            keep = [j for j in range(len(gens)) if j != drop]
+            odd = [self.algebra._odd[j] for j in keep]
             table = []
-            for i, g in enumerate(self.algebra.generators):
+            for i, j in enumerate(keep):
                 terms = []
-                for t, c in (values[g.name].terms.items() if g.name in values else ()):
-                    others = tuple(j for j, b in enumerate(t) if b and odd[j] and j != i)
-                    step = tuple(b - (j == i) for j, b in enumerate(t))
-                    flips = sum(1 for j in others if j > i) if odd[i] else 0
+                for full, c in (values[gens[j].name].terms.items() if gens[j].name in values else ()):
+                    t = [full[k] for k in keep]
+                    others = tuple(k for k, b in enumerate(t) if b and odd[k] and k != i)
+                    step = tuple(b - (k == i) for k, b in enumerate(t))
+                    flips = sum(1 for k in others if k > i) if odd[i] else 0
                     terms.append((step, int(c * scale), others, flips))
                 table.append(tuple(terms))
-            self._integral = tuple(table)
-        return self._integral
+            live = tuple(i for i, terms in enumerate(table) if terms)
+            cached = self._integral[drop] = (tuple(odd), tuple(table), live)
+        return cached
 
     def integral_columns(
-        self, sources: Iterable[Monomial], index: Mapping[Monomial, int]
+        self,
+        sources: Iterable[Monomial],
+        index: Mapping[Monomial, int],
+        drop: Optional[int] = None,
     ) -> list[dict[int, int]]:
         """For each source monomial m, L * D(m) as a sparse integer column
         {index[monomial]: coefficient}, with L as in ``_integral_terms``.
+
+        With ``drop`` the index of an even generator g with zero
+        differential, sources and keys are exponent tuples without g's
+        coordinate: a source stands for the g-free monomial m, and the
+        term g^c * z of L * D(m) lands on the key z (within one degree, z
+        fixes c).  As g is even and closed it contributes no term and no
+        sign, so the coefficients are those of the full monomials.
 
         This is ``_apply_monomial`` on exponent tuples.  With P[k] the
         number of odd factors of m before generator k, the Leibniz sign of
@@ -412,10 +437,8 @@ class Derivation:
         one when j > i and g_i is odd) modulo 2, and the product vanishes
         when t repeats an odd factor of m.
         """
-        table = self._integral_terms()
-        odd = self.algebra._odd
+        odd, table, live = self._integral_terms(drop)
         odd_shift = self.degree_shift % 2
-        live = [i for i, terms in enumerate(table) if terms]
         columns = []
         for mono in sources:
             prefix = []
@@ -431,17 +454,18 @@ class Derivation:
                     continue
                 mult = 1 if odd[i] else e
                 for step, c, others, flips in table[i]:
-                    if any(mono[j] for j in others):
-                        continue
                     parity = (odd_shift + len(others)) * prefix[i] + flips
                     for j in others:
+                        if mono[j]:
+                            break  # t repeats an odd factor of m: no term
                         parity += prefix[j]
-                    row = index[tuple(map(add, mono, step))]
-                    v = col.get(row, 0) + (-c if parity & 1 else c) * mult
-                    if v:
-                        col[row] = v
                     else:
-                        del col[row]
+                        row = index[tuple(map(add, mono, step))]
+                        v = col.get(row, 0) + (-c if parity & 1 else c) * mult
+                        if v:
+                            col[row] = v
+                        else:
+                            del col[row]
             columns.append(col)
         return columns
 

@@ -1,8 +1,6 @@
 """Degree-by-degree cohomology of a DgaModel over Q and its involution
 eigenspace split.
 
-Cochain spaces use the canonical monomial bases; the matrix of the
-differential in degree n sends coordinates at n to coordinates at n+1.
 The construction gates of DgaModel make the differential preserve each
 monomial's block, its (weight, involution sign) pair, so the cochain
 complex is the direct sum of one subcomplex per block, and the involution
@@ -12,11 +10,27 @@ dim C^n_k - rank D^n_k - rank D^{n-1}_k, which need matrix ranks only.
 For the Borel model the weight is #bars - #alpha and the sign is
 (-1)^weight: the Hodge decomposition of cyclic homology.
 
-Each block matrix is assembled as sparse integer columns straight from
-exponent tuples (``Derivation.integral_columns``), scaled by one common
-nonzero integer that clears every denominator of the differential, and
-ranked exactly by ``linalg.rank``; no polynomial or rational number is
-built per column.
+The ranks are taken along multiplication by g, the model's closed even
+generator of lowest degree (alpha in a Borel model; see
+``DgaModel.chain_blocks``).  Since D(g m) = g D(m), multiplication by g
+is an injective chain map, and the columns of block k in degree n that
+carry a factor g are g times the columns of its predecessor, the block
+k - block(g) in degree n - deg g.  Rows are keyed by the g-free part z of
+their monomial g^c z, which fixes c within one degree, so those columns
+are, row for row, the predecessor's columns, and the pivots that ranked
+the predecessor are already an echelon basis of their span.
+``eigen_table`` therefore keeps one pivot dict per chain, assembles only
+the g-free columns of each block (``cochain_matrix``), reduces them into
+the carried pivots (rank D^n_k = carried pivots + new pivots), and takes
+dim C^n_k as the sum of the g-free block sizes along the chain; it never
+enumerates the full monomial basis.  A model without such a generator
+takes the same route with nothing carried.
+
+Each g-free column is assembled as sparse integer coordinates straight
+from exponent tuples (``Derivation.integral_columns``), scaled by one
+common nonzero integer that clears every denominator of the
+differential, and ranked exactly by ``linalg.rank``; no polynomial or
+rational number is built per column.
 
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
@@ -28,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .models import Block, DgaModel
+from .models import Block, ChainBlock, DgaModel
 from .series import TruncatedSeries
 
 
@@ -94,22 +108,22 @@ class EigenTable:
         return TruncatedSeries(s.inv_minus for s in self.slices)
 
 
-def cochain_matrix(model: DgaModel, n: int, block: Optional[Block] = None) -> linalg.SparseMatrix:
-    """Matrix of L * D from degree n to degree n+1, or of its restriction
-    to one block of ``model.blocks``, as sparse integer columns: column j
-    holds the coordinates of L * D(source[j]), where the source is the
-    degree-n basis or the block's part of it and the nonzero integer L is
-    the common denominator of the differential's generator values (so the
-    rank is that of D)."""
+def cochain_matrix(model: DgaModel, n: int, block: Block) -> linalg.SparseMatrix:
+    """Matrix of L * D on the g-free monomials of one block of degree n
+    (the block's entry in ``model.chain_blocks(n)``), as sparse integer
+    columns: column j holds the coordinates of L * D(free[j]) in the
+    block's basis of degree n+1, indexed by ``model.chain_index``, and the
+    nonzero integer L is the common denominator of the differential's
+    generator values (so ranks are those of D).  The block's other
+    columns, g^a times these for a >= 1, are the columns of its chain
+    predecessors, row for row."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if block is None:
-        source, target = model.algebra.monomial_basis(n), model.algebra.monomial_basis(n + 1)
-    else:
-        source, target = model.blocks(n).get(block, ()), model.blocks(n + 1).get(block, ())
-    index = {mono: i for i, mono in enumerate(target)}
-    columns = model.differential.integral_columns(source, index)
-    return linalg.SparseMatrix(len(target), tuple(columns))
+    empty = ChainBlock(0, ())
+    rows = model.chain_blocks(n + 1).get(block, empty).dim
+    source = model.chain_blocks(n).get(block, empty).free
+    columns = model.differential.integral_columns(source, model.chain_index, model.closed)
+    return linalg.SparseMatrix(rows, tuple(columns))
 
 
 def eigen_table(model: DgaModel, cap: int) -> EigenTable:
@@ -118,17 +132,26 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     if cap < 2:
         raise ValueError("cap must be >= 2")
     with_eigen = model.involution is not None
-    model.algebra.monomial_basis(cap)  # caches degrees 0..cap in one pass
+    model.chain_blocks(cap)  # one pass over the g-free bases through degree cap
+    # pivots of each block, kept under the (degree, block) that g maps it to
+    carried: dict[tuple[int, Block], dict] = {}
     slices = []
     prev_ranks: dict[Block, int] = {}
     for n in range(cap):
-        blocks = model.blocks(n)
-        ranks = {key: linalg.rank(cochain_matrix(model, n, key)) for key in blocks}
+        ranks = {}
         split = {1: 0, -1: 0}
-        for key, monos in blocks.items():
-            split[key[1]] += len(monos) - ranks[key] - prev_ranks.get(key, 0)
+        blocks = model.chain_blocks(n)
+        for key, block in blocks.items():
+            pivots = carried.pop((n, key), {})
+            if block.free:
+                linalg.rank(cochain_matrix(model, n, key), pivots)
+            ranks[key] = len(pivots)
+            successor = model.times_g(n, key)
+            if successor is not None:
+                carried[successor] = pivots
+            split[key[1]] += block.dim - ranks[key] - prev_ranks.get(key, 0)
         eigen = (split[1], split[-1]) if with_eigen else (None, None)
-        dim = len(model.algebra.monomial_basis(n))
+        dim = sum(block.dim for block in blocks.values())
         slices.append(DegreeSlice(n, dim, split[1] + split[-1], *eigen))
         prev_ranks = ranks
     return EigenTable(cap, tuple(slices))

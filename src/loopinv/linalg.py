@@ -6,14 +6,21 @@ Python int; cochain matrices are built this way (see
 has only a handful of terms.  ``rank`` eliminates fraction-free over the
 integers, keeping every vector divided by the gcd of its entries, so the
 result is exact; there is no floating-point or modular path anywhere in
-this module.  All operations are pure functions and safe to call
-concurrently.
+this module.  ``rank`` changes nothing but the pivot dict it is handed, so
+calls that do not share one are safe to run concurrently.
+
+``rank`` can extend an echelon basis it built earlier instead of starting
+from nothing.  The cohomology code uses this along multiplication by a
+closed even generator g: the columns of a block that carry a factor g are,
+row for row, the columns of an earlier block, so that block's pivots are
+already an echelon basis of their span and only the g-free columns are
+reduced (see ``cohomology``).
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 
 class DimensionMismatchError(ValueError):
@@ -44,15 +51,20 @@ def _primitive(v: dict[int, int]) -> dict[int, int]:
     return v if g == 1 else {k: x // g for k, x in v.items()}
 
 
-def rank(m: SparseMatrix) -> int:
-    """Rank over Q, computed exactly.
+def rank(m: SparseMatrix, pivots: Optional[dict[int, dict[int, int]]] = None) -> int:
+    """Rank over Q of the columns of m together with the vectors of
+    ``pivots``, computed exactly.
 
-    The columns are reduced one at a time against the pivot vectors kept
-    so far, each keyed by its smallest row index: a pivot clears that
-    index from the column by an integer combination, which introduces
-    only larger indices, until the column vanishes or becomes a pivot.
+    ``pivots`` maps a row index to a vector whose smallest row index it
+    is: an echelon basis, as a previous call left it (empty by default).
+    The columns are reduced one at a time against it: a pivot clears its
+    index from the column by an integer combination, which introduces only
+    larger indices, until the column vanishes or becomes a new pivot.  The
+    dict is extended in place and its size returned; the columns of m are
+    not changed.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    if pivots is None:
+        pivots = {}
     for v in m.columns:
         while v:
             lead = min(v)

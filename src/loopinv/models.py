@@ -35,7 +35,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import (
     AlgebraMap,
@@ -90,7 +90,8 @@ class NotMinimalWarning(UserWarning):
 @dataclass(frozen=True)
 class MinimalModel:
     """Free graded-commutative algebra on generators of degree >= 2 with a
-    degree +1 square-zero differential.
+    degree +1 square-zero differential, validated through the DgaModel
+    that ``base_dga`` returns.
 
     A differential with a linear term (a word-length-1 monomial) is
     accepted with a NotMinimalWarning; generator degrees below 2 are
@@ -99,6 +100,7 @@ class MinimalModel:
 
     algebra: GradedAlgebra
     differential: Derivation
+    _dga: "DgaModel" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.algebra.generators:
@@ -107,12 +109,8 @@ class MinimalModel:
                     f"generator {g.name} has degree {g.degree}; "
                     "a simply-connected model needs all degrees >= 2"
                 )
-        if self.differential.algebra != self.algebra:
-            raise ValueError("differential belongs to a different algebra")
-        top = max((g.degree for g in self.algebra.generators), default=0)
-        violation = check_differential(self.differential, top + 2)
-        if violation is not None:
-            raise NotSquareZeroError(str(violation))
+        # the square-zero gate runs here, once, and base_dga reuses the result
+        object.__setattr__(self, "_dga", DgaModel(self.algebra, self.differential))
         for g in self.algebra.generators:
             value = self.differential.of_generator(g.name)
             wl = value.min_word_length()
@@ -134,6 +132,26 @@ class MinimalModel:
         return self.algebra.names
 
 
+class ChainBlock(NamedTuple):
+    """One block of one degree: its dimension, and its g-free monomials
+    without g's coordinate, in basis order (see ``DgaModel.chain_blocks``)."""
+
+    dim: int
+    free: tuple[Monomial, ...]
+
+
+def _block(mono: Monomial, weights: tuple[int, ...], signs: tuple[int, ...]) -> Block:
+    """(weight, involution sign) of a monomial."""
+    weight = 0
+    negative = 0
+    for e, w, s in zip(mono, weights, signs):
+        if e:
+            weight += e * w
+            if s < 0:
+                negative += e
+    return weight, -1 if negative % 2 else 1
+
+
 @dataclass(frozen=True)
 class DgaModel:
     """Free graded-commutative algebra with a square-zero degree +1
@@ -145,15 +163,25 @@ class DgaModel:
     both the monomial weight (the exponent-weighted sum of generator
     weights) and that sign.  The cochain complex is then the direct sum of
     the subcomplexes spanned by the monomials of one block, keyed by
-    (weight, sign); see ``blocks``.
+    (weight, sign).
+
+    ``closed`` is the index of g, the even generator with zero
+    differential of lowest degree (the first one on ties), or None; in a
+    Borel model g is alpha.  ``chain_blocks`` lays each block's basis out
+    along multiplication by g.
     """
 
     algebra: GradedAlgebra
     differential: Derivation
     involution: Optional[AlgebraMap] = None
     weights: tuple[int, ...] = ()
-    _signs: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _blocks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    closed: Optional[int] = field(init=False, repr=False, compare=False, default=None)
+    chain_index: dict[Monomial, int] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _signs: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    _free: GradedAlgebra = field(init=False, repr=False, compare=False, default=None)
+    _chain: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
         alg = self.algebra
@@ -194,28 +222,73 @@ class DgaModel:
                         f"differential of {g.name} (weight {weight}) has the term "
                         f"{alg.monomial_str(mono)} of weight {w}"
                     )
+        even_closed = [
+            i
+            for i, g in enumerate(alg.generators)
+            if g.degree % 2 == 0 and not self.differential.of_generator(g.name)
+        ]
+        g = min(even_closed, key=lambda i: alg.generators[i].degree, default=None)
+        object.__setattr__(self, "closed", g)
+        object.__setattr__(
+            self, "_free", GradedAlgebra(x for i, x in enumerate(alg.generators) if i != g)
+        )
 
     def _block_of(self, mono: Monomial) -> Block:
         """(weight, involution sign) of a monomial."""
-        weight = 0
-        negative = 0
-        for e, w, s in zip(mono, self.weights, self._signs):
-            if e:
-                weight += e * w
-                if s < 0:
-                    negative += e
-        return weight, -1 if negative % 2 else 1
+        return _block(mono, self.weights, self._signs)
 
-    def blocks(self, degree: int) -> dict[Block, tuple[Monomial, ...]]:
-        """The degree-n monomial basis split by ``_block_of``, each block in
-        basis order, keys in order of first appearance."""
-        cached = self._blocks.get(degree)
-        if cached is None:
-            split: dict[Block, list[Monomial]] = {}
-            for mono in self.algebra.monomial_basis(degree):
-                split.setdefault(self._block_of(mono), []).append(mono)
-            cached = self._blocks[degree] = {k: tuple(v) for k, v in split.items()}
-        return cached
+    def times_g(self, degree: int, block: Block) -> Optional[tuple[int, Block]]:
+        """The (degree, block) that multiplication by g maps the given one
+        into, or None when the model has no closed even generator."""
+        g = self.closed
+        if g is None:
+            return None
+        weight, sign = block
+        return degree + self.algebra.generators[g].degree, (
+            weight + self.weights[g],
+            sign * self._signs[g],
+        )
+
+    def chain_blocks(self, degree: int) -> dict[Block, ChainBlock]:
+        """Every nonempty block of the given degree, with its dimension and
+        its g-free monomials.
+
+        Multiplication by g is injective and maps block k of degree n into
+        ``times_g(n, k)``, the block's successor, so a block's basis, in
+        order, is g times the basis of its predecessor, then its g-free
+        monomials.  Its dimension is the sum of the g-free block sizes
+        along the chain of predecessors, and the full basis is never
+        enumerated.  ``chain_index`` gives each g-free monomial z its
+        position in that order; g^c * z sits at the same position in every
+        block of the chain, which is what lets a block reuse its
+        predecessor's pivots (see ``cohomology``).  Without g every
+        monomial is g-free and nothing is chained."""
+        chain = self._chain
+        if degree >= len(chain):
+            g = self.closed
+            keep = [i for i in range(len(self.weights)) if i != g]
+            weights = tuple(self.weights[i] for i in keep)
+            signs = tuple(self._signs[i] for i in keep)
+            step = self.algebra.generators[g].degree if g is not None else None
+            index = self.chain_index
+            self._free.monomial_basis(degree)  # caches every degree up to this one
+            for n in range(len(chain), degree + 1):
+                dims: dict[Block, int] = {}
+                if step is not None and n >= step:
+                    for key, block in chain[n - step].items():
+                        dims[self.times_g(n - step, key)[1]] = block.dim
+                split: dict[Block, list[Monomial]] = {}
+                for mono in self._free.monomial_basis(n):
+                    split.setdefault(_block(mono, weights, signs), []).append(mono)
+                blocks = {key: ChainBlock(dim, ()) for key, dim in dims.items()}
+                for key, monos in split.items():
+                    base = dims.get(key, 0)
+                    for i, mono in enumerate(monos):
+                        index[mono] = base + i
+                    blocks[key] = ChainBlock(base + len(monos), tuple(monos))
+                if len(chain) == n:  # unless a concurrent call got there first
+                    chain.append(blocks)
+        return chain[degree]
 
 
 # ---------------------------------------------------------------------
@@ -328,9 +401,10 @@ class _PolyParser:
     def parse_factor(self) -> Polynomial:
         tok = self.take("name")
         try:
-            base = self.algebra.gen(tok[1])
+            i = self.algebra.index(tok[1])
         except KeyError:
             raise ModelSyntaxError(f"unknown generator {tok[1]!r}", self.line, tok[2]) from None
+        exp = 1
         nxt = self.peek()
         if nxt and nxt[0] == "op" and nxt[1] == "^":
             self.pos += 1
@@ -338,8 +412,9 @@ class _PolyParser:
             exp = int(exp_tok[1])
             if exp < 1:
                 raise ModelSyntaxError("exponent must be >= 1", self.line, exp_tok[2])
-            return base**exp
-        return base
+        # one monomial, whatever the exponent (an odd square is dropped)
+        width = len(self.algebra.generators)
+        return self.algebra.poly({tuple(exp if j == i else 0 for j in range(width)): 1})
 
 
 def parse_model(text: str) -> MinimalModel:
@@ -460,19 +535,16 @@ def loop_model(model: MinimalModel) -> DgaModel:
     return DgaModel(algebra, delta, None, (0, 1) * len(model.algebra.generators))
 
 
-def borel_model(model: MinimalModel, cap: int = 2) -> DgaModel:
+def borel_model(model: MinimalModel) -> DgaModel:
     """Circle-equivariant Borel model with its loop-reversal involution.
 
     Generators are {alpha} u {v} u {v_bar} with deg alpha = 2, and
     D = delta + alpha * s, with weights -1 on alpha, 0 on v and +1 on
     v_bar, so that D preserves the weight #bars - #alpha and the
     involution acts on a monomial by (-1)^weight.  The construction gates
-    of DgaModel run on every generator, whatever `cap` is (it is only
-    validated); a failed square-zero check raises BorelSquareZeroError
-    instead of returning a corrupt model.
+    of DgaModel run on every generator; a failed square-zero check raises
+    BorelSquareZeroError instead of returning a corrupt model.
     """
-    if cap < 2:
-        raise ValueError("cap must be >= 2")
     bars = _barred_names(model)
     alpha = _fresh_name("alpha", set(model.algebra.names) | set(bars.values()))
     gens: list[tuple[str, int]] = [(alpha, 2)]
@@ -507,5 +579,6 @@ def point_borel_model() -> DgaModel:
 
 
 def base_dga(model: MinimalModel) -> DgaModel:
-    """The minimal model itself, viewed as a DgaModel (no involution)."""
-    return DgaModel(model.algebra, model.differential, None)
+    """The minimal model itself, viewed as a DgaModel (no involution): the
+    one its construction gate built, so the gate does not run again."""
+    return model._dga

@@ -130,7 +130,7 @@ def pseudoisotopy_table(model: MinimalModel, cap: int) -> PseudoisotopyTable:
     """
     if cap < 3:
         raise ValueError("cap must be >= 3 for at least one reliable row")
-    absolute = eigen_table(borel_model(model, cap), cap)
+    absolute = eigen_table(borel_model(model), cap)
     rel_plus = []
     rel_minus = []
     for n in range(cap):

@@ -13,6 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 from loopinv.algebra import Derivation, GradedAlgebra, Monomial, Polynomial
 from loopinv.cohomology import NoInvolutionError
+from loopinv.cohomology import cochain_matrix as sparse_cochain_matrix
 from loopinv.linalg import DimensionMismatchError, SparseMatrix
 from loopinv.models import Block, DgaModel, MinimalModel, parse_model
 from loopinv.series import algebra_generating_function
@@ -243,6 +244,15 @@ def _coords(poly: Polynomial, index: dict[Monomial, int], dim: int) -> list:
     return v
 
 
+def blocks(model: DgaModel, n: int) -> dict[Block, tuple[Monomial, ...]]:
+    """The whole degree-n monomial basis split by (weight, involution
+    sign), each block in basis order."""
+    split: dict[Block, list[Monomial]] = {}
+    for mono in model.algebra.monomial_basis(n):
+        split.setdefault(model._block_of(mono), []).append(mono)
+    return {k: tuple(v) for k, v in split.items()}
+
+
 def cochain_matrix(model: DgaModel, n: int, block: Optional[Block] = None) -> QMatrix:
     """Dense matrix of D from degree n to degree n+1 (or on one block),
     column j holding the coordinates of D(source[j]) computed by
@@ -251,11 +261,64 @@ def cochain_matrix(model: DgaModel, n: int, block: Optional[Block] = None) -> QM
     if block is None:
         source, target = alg.monomial_basis(n), alg.monomial_basis(n + 1)
     else:
-        source, target = model.blocks(n).get(block, ()), model.blocks(n + 1).get(block, ())
+        source, target = blocks(model, n).get(block, ()), blocks(model, n + 1).get(block, ())
     index = {mono: i for i, mono in enumerate(target)}
     d = model.differential
     cols = [_coords(d(alg.poly({mono: 1})), index, len(target)) for mono in source]
     return QMatrix.from_columns(cols, rows=len(target))
+
+
+def _with_g(model: DgaModel, free: Monomial, power: int) -> Monomial:
+    """g^power times a g-free monomial given without g's coordinate."""
+    g = model.closed
+    return free if g is None else free[:g] + (power,) + free[g:]
+
+
+def _predecessor(model: DgaModel, n: int, block: Block) -> Optional[tuple[int, Block]]:
+    """The (degree, block) that multiplication by g maps onto (n, block),
+    or None."""
+    g = model.closed
+    m = n - model.algebra.generators[g].degree if g is not None else -1
+    for key in model.chain_blocks(m) if m >= 0 else ():
+        if model.times_g(m, key) == (n, block):
+            return m, key
+    return None
+
+
+def chain_basis(model: DgaModel, n: int, block: Block) -> tuple[Monomial, ...]:
+    """The basis of one block of degree n as full monomials, in the order
+    in which loopinv indexes it: g times the basis of the predecessor
+    block, then the block's own g-free monomials."""
+    entry = model.chain_blocks(n).get(block)
+    if entry is None:
+        return ()
+    head: tuple[Monomial, ...] = ()
+    prev = _predecessor(model, n, block)
+    if prev is not None:
+        g = model.closed
+        head = tuple(m[:g] + (m[g] + 1,) + m[g + 1 :] for m in chain_basis(model, *prev))
+    return head + tuple(_with_g(model, y, 0) for y in entry.free)
+
+
+def chain_block_entries(model: DgaModel, n: int, block: Block) -> dict:
+    """{(target monomial, source monomial): entry} of L * D on one whole
+    block of degree n, read off loopinv's cochain_matrix: the block's
+    g-free columns y, and as the column of each g^a * y the g-free column
+    y of the a-th predecessor along the chain, all with rows re-indexed
+    through chain_basis of degree n+1."""
+    rows = chain_basis(model, n + 1, block)
+    out = {}
+    at, power = (n, block), 0
+    while at is not None:
+        m = sparse_cochain_matrix(model, *at)
+        if m.rows != len(chain_basis(model, at[0] + 1, at[1])):
+            raise AssertionError(f"cochain_matrix{at} has {m.rows} rows")
+        entry = model.chain_blocks(at[0]).get(at[1])
+        for y, col in zip(entry.free if entry else (), m.columns, strict=True):
+            for r, v in col.items():
+                out[rows[r], _with_g(model, y, power)] = v
+        at, power = _predecessor(model, *at), power + 1
+    return out
 
 
 def dense(m: SparseMatrix) -> QMatrix:

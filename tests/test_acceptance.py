@@ -32,7 +32,7 @@ def _sphere_tables():
     for d in D_RANGE:
         cap = 12 * d + 12
         start = time.perf_counter()
-        table = eigen_table(borel_model(sphere_bundle_model(d), cap), cap)
+        table = eigen_table(borel_model(sphere_bundle_model(d)), cap)
         tables[d] = (table, time.perf_counter() - start)
     return tables
 
@@ -111,7 +111,7 @@ def test_criterion_6_property_suites():
     models.extend(random_models_within_budget(seed=1729, count=20, cap=cap))
     ok = True
     for model in models:
-        dga = borel_model(model, cap)
+        dga = borel_model(model)
         d, t = dga.differential, dga.involution
         for g in dga.algebra.generators:
             gen = dga.algebra.gen(g.name)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopinv.cli
 from loopinv.cli import main
@@ -244,3 +248,38 @@ def test_successive_calls_match_fresh_interpreters(capsys):
             [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
         )
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+# Model texts for the DSL fuzz: well-formed statements, shuffled DSL
+# tokens and arbitrary characters, a few lines of each.
+_NAMES = st.sampled_from(["a", "b", "c", "x", "alpha", "a_bar", "gen", "d", "q9"])
+_DEGREES = st.sampled_from(["2", "3", "4", "5", "7", "1", "0", "12", "99999999999"])
+_TERMS = st.sampled_from(
+    ["a", "b", "c", "x", "a^2", "b^3", "a*b", "2*a*c", "1/3*c", "-a*x", "0", "3", "a^99999999"]
+)
+_TOKENS = st.sampled_from(
+    ["gen", "d", "a", "b", "c", "=", "+", "-", "*", "^", "/", "2", "3", "0", "1/2", "#", "\t"]
+)
+_LINES = st.one_of(
+    st.builds("gen {} {}".format, _NAMES, _DEGREES),
+    st.builds(
+        "d {} = {}".format,
+        _NAMES,
+        st.lists(_TERMS, min_size=1, max_size=3).map(" + ".join),
+    ),
+    st.lists(_TOKENS, max_size=8).map(" ".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=16),
+)
+MODEL_TEXTS = st.lists(_LINES, max_size=6).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=MODEL_TEXTS)
+def test_model_dsl_fuzz_exits_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.model"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["cohomology", str(path), "--max-degree", "6"])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

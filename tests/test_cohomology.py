@@ -5,7 +5,8 @@ from loopinv.models import base_dga, borel_model, loop_model, point_borel_model
 from loopinv.series import RationalExpr, algebra_generating_function, equals_expr
 from support import (
     QMatrix,
-    dense,
+    chain_basis,
+    chain_block_entries,
     induced_involution,
     involution_eigen_dims,
     load_model,
@@ -15,29 +16,33 @@ from support import (
 
 @pytest.fixture(scope="module")
 def borel_d2():
-    return borel_model(load_model("sphere-bundle-d2.model"), 21)
+    return borel_model(load_model("sphere-bundle-d2.model"))
 
 
 def test_cochain_matrix_degree_seven(borel_d2):
-    # C^7 = {x}, C^8 = {alpha x_bar, alpha^4}; D(x) = alpha x_bar
-    m = cochain_matrix(borel_d2, 7)
-    assert (m.rows, m.cols) == (2, 1)
-    basis8 = borel_d2.algebra.monomial_basis(8)
-    col = dense(m).column(0)
-    assert col[basis8.index((1, 0, 1))] == 1
-    assert col[basis8.index((4, 0, 0))] == 0
+    # C^7 = {x} in block (0, +1), whose part of C^8 is {alpha x_bar}
+    # (alpha^4 sits in block (-4, +1)); D(x) = alpha x_bar
+    m = cochain_matrix(borel_d2, 7, (0, 1))
+    assert (m.rows, m.cols) == (1, 1)
+    assert chain_basis(borel_d2, 8, (0, 1)) == ((1, 0, 1),)
+    assert m.columns == ({0: 1},)
+    assert chain_basis(borel_d2, 8, (-4, 1)) == ((4, 0, 0),)
+    assert cochain_matrix(borel_d2, 7, (-4, 1)).cols == 0
 
 
 def test_cochain_matrix_zero_differential():
+    # g = x_bar here, so the g-free columns of degree 6 are none, and each
+    # whole block, put together along the chain, is zero
     loop = loop_model(load_model("sphere-bundle-d2.model"))
-    m = cochain_matrix(loop, 6)
-    assert dense(m) == QMatrix.zero(m.rows, m.cols)
-    assert m.cols == len(loop.algebra.monomial_basis(6))
+    blocks = loop.chain_blocks(6)
+    assert all(not cochain_matrix(loop, 6, key).cols for key in blocks)
+    assert all(not chain_block_entries(loop, 6, key) for key in blocks)
+    assert sum(b.dim for b in blocks.values()) == len(loop.algebra.monomial_basis(6))
 
 
 def test_cochain_matrix_empty_degree(borel_d2):
-    # degree 1 has no monomials
-    m = cochain_matrix(borel_d2, 1)
+    # degree 1 has no monomials; alpha spans block (-1, -1) of degree 2
+    m = cochain_matrix(borel_d2, 1, (-1, -1))
     assert m.cols == 0
     assert m.rows == 1
 
@@ -61,7 +66,7 @@ def test_betti_two_sphere_base():
 
 
 def test_betti_matches_oracle_on_two_sphere_borel():
-    borel = borel_model(load_model("s2.model"), 12)
+    borel = borel_model(load_model("s2.model"))
     table = eigen_table(borel, 11)
     for n in range(11):
         assert table.slice(n).betti == oracle_betti(borel, n)

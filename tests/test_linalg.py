@@ -175,6 +175,22 @@ def test_sparse_rank_matches_oracles(m):
     assert rank(m) == oracle_rank(m) == echelon_rank(m)
 
 
+@settings(max_examples=200)
+@given(st.one_of(matrices(), rank_cases()), st.data())
+def test_rank_extends_the_pivots_of_earlier_columns(m, data):
+    # ranking the first k columns, then the rest into the pivots that
+    # left, is the rank of all of them, and neither call changes the
+    # pivots handed over except by adding to them
+    k = data.draw(st.integers(min_value=0, max_value=m.cols))
+    columns = sparse(m).columns
+    pivots = {}
+    first = linalg.rank(SparseMatrix(m.rows, columns[:k]), pivots)
+    assert first == len(pivots) == oracle_rank(QMatrix.from_columns(m.columns()[:k], rows=m.rows))
+    kept = dict(pivots)
+    assert linalg.rank(SparseMatrix(m.rows, columns[k:]), pivots) == oracle_rank(m)
+    assert all(pivots[lead] == vector for lead, vector in kept.items())
+
+
 @given(matrices())
 def test_rank_nullity(m):
     assert rank(m) + len(kernel_basis(m)) == m.cols

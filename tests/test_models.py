@@ -156,7 +156,7 @@ def test_loop_model_preserves_word_length():
 
 
 def test_borel_model_sphere_bundle():
-    borel = borel_model(load_model("sphere-bundle-d2.model"), 20)
+    borel = borel_model(load_model("sphere-bundle-d2.model"))
     alg = borel.algebra
     assert alg.names == ("alpha", "x", "x_bar")
     assert alg.degree_of("alpha") == 2
@@ -171,7 +171,7 @@ def test_borel_model_sphere_bundle():
 
 
 def test_borel_model_two_sphere():
-    borel = borel_model(load_model("s2.model"), 12)
+    borel = borel_model(load_model("s2.model"))
     alg = borel.algebra
     d = borel.differential
     assert d.of_generator("a") == alg.gen("alpha") * alg.gen("a_bar")
@@ -182,7 +182,7 @@ def test_borel_model_two_sphere():
 def test_borel_alpha_to_zero_recovers_loop_differential():
     m = load_model("s2.model")
     loop = loop_model(m)
-    borel = borel_model(m, 12)
+    borel = borel_model(m)
     alpha_idx = borel.algebra.index("alpha")
     for name in loop.algebra.names:
         value = borel.differential.of_generator(name)
@@ -195,7 +195,7 @@ def test_borel_alpha_to_zero_recovers_loop_differential():
 
 
 def test_borel_gates_hold_on_all_generators():
-    borel = borel_model(parse_model("gen a 2\ngen b 2\ngen c 3\nd c = a*b\n"), 24)
+    borel = borel_model(parse_model("gen a 2\ngen b 2\ngen c 3\nd c = a*b\n"))
     d, t = borel.differential, borel.involution
     for g in borel.algebra.generators:
         gen = borel.algebra.gen(g.name)
@@ -204,14 +204,14 @@ def test_borel_gates_hold_on_all_generators():
         assert t(d(gen)) == d(t(gen))
 
 
-def test_borel_cap_validation():
-    with pytest.raises(ValueError):
+def test_borel_model_has_no_cap():
+    with pytest.raises(TypeError):
         borel_model(load_model("sphere-bundle-d2.model"), 1)
 
 
 def test_borel_avoids_name_collisions():
     m = parse_model("gen alpha 2\ngen x_bar 3\ngen x 4\n")
-    borel = borel_model(m, 8)
+    borel = borel_model(m)
     names = borel.algebra.names
     assert len(set(names)) == len(names) == 7
 
@@ -280,19 +280,45 @@ def test_builders_set_generator_weights():
     assert base_dga(m).weights == (0, 0)
 
 
-def test_borel_square_zero_gate_runs_once(monkeypatch):
+def _count_gate_calls(monkeypatch):
+    """The derivations that the square-zero gate checks from now on."""
     import loopinv.models
 
     calls = []
 
     def counting(d, max_degree):
-        calls.append(max_degree)
+        calls.append(d)
         return check_differential(d, max_degree)
 
-    m = load_model("s2.model")
     monkeypatch.setattr(loopinv.models, "check_differential", counting)
+    return calls
+
+
+def test_borel_square_zero_gate_runs_once(monkeypatch):
+    m = load_model("s2.model")
+    calls = _count_gate_calls(monkeypatch)
     borel_model(m)
     assert len(calls) == 1
+
+
+def test_base_dga_reuses_the_minimal_model_gate(monkeypatch):
+    calls = _count_gate_calls(monkeypatch)
+    m = load_model("s2.model")
+    assert len(calls) == 1
+    assert base_dga(m) is base_dga(m)
+    assert base_dga(m).differential is m.differential
+    assert len(calls) == 1
+
+
+def test_pseudoisotopy_table_runs_one_square_zero_gate(monkeypatch):
+    from loopinv.pseudoisotopy import pseudoisotopy_table
+
+    m = load_model("s2.model")
+    calls = _count_gate_calls(monkeypatch)
+    pseudoisotopy_table(m, 8)
+    # the Borel model's gate; the base model reuses the one parse_model ran
+    assert len(calls) == 1
+    assert calls[0] is not m.differential
 
 
 def test_borel_square_zero_failure_category():
@@ -319,7 +345,7 @@ def test_minimal_model_warning_not_fatal_programmatically():
 def test_empty_model():
     m = MinimalModel.empty()
     assert m.algebra.names == ()
-    borel = borel_model(m, 6)
+    borel = borel_model(m)
     assert borel.algebra.names == ("alpha",)
 
 
@@ -328,7 +354,7 @@ def test_borel_of_non_minimal_model_passes_gates():
     # gates must still hold
     with pytest.warns(NotMinimalWarning):
         m = parse_model("gen a 3\ngen b 2\nd b = a\n")
-    borel = borel_model(m, 10)
+    borel = borel_model(m)
     d, t = borel.differential, borel.involution
     assert d.of_generator("b_bar") == -borel.algebra.gen("a_bar")
     for g in borel.algebra.generators:

@@ -1,19 +1,27 @@
 """The block-rank tables of eigen_table against the general route of
 support.py (kernel representatives and the induced involution on them),
 slice by slice, and the sparse integer block matrices against the dense
-matrices that support.py assembles through Derivation, entry by entry."""
+matrices that support.py assembles through Derivation, entry by entry.
+
+Every block is ranked along multiplication by the closed even generator
+g, so the models here also cover the shapes of that chain: g = alpha in
+every Borel model, g a generator of the minimal model or a barred one
+in its base and loop models, no g at all, a lowest closed even generator that is not the
+first generator, ties, and two closed even generators of different
+degrees."""
 
 from math import lcm
 
 import pytest
 
 import support
-from loopinv.cohomology import cochain_matrix, eigen_table
-from loopinv.models import borel_model, loop_model, parse_model
+from loopinv.cohomology import eigen_table
+from loopinv.models import base_dga, borel_model, loop_model, parse_model
+from loopinv.series import algebra_generating_function
 from support import (
     MODELS_DIR,
-    QMatrix,
-    dense,
+    chain_basis,
+    chain_block_entries,
     load_model,
     oracle_split,
     random_models_within_budget,
@@ -28,6 +36,15 @@ RATIONAL = [
     ("gen a 2\ngen b 5\nd b = 2/3*a^3\n", CAP),
     ("gen a 2\ngen c 2\ngen b 3\nd b = 1/2*a^2 - 1/3*a*c + 5/4*c^2\ngen e 5\n", 10),
     ("gen y 3\ngen x 5\ngen z 3\nd x = 1/2*y*z\n", 14),
+    ("gen c 4\ngen a 2\ngen b 5\nd b = 2/3*a*c - 1/5*a^3\n", 16),
+]
+# (model, index of g in its base model, cap): no closed even generator;
+# the lowest one not first, with a second closed even generator of higher
+# degree; a tie between two of degree 2, where g is the first declared
+CHAIN_SHAPES = [
+    ("gen x 3\ngen y 5\ngen z 7\nd z = x*y\n", None, 16),
+    ("gen c 4\ngen a 2\ngen b 5\nd b = a*c\n", 1, 16),
+    ("gen x 3\ngen a 2\ngen c 2\ngen b 3\nd b = a*c\n", 1, 10),
 ]
 
 
@@ -58,15 +75,28 @@ def test_random_loop_betti_numbers_match_oracle(index):
 
 
 def _assert_blocks_are_scaled_derivation(dga, cap):
+    """Each whole block, put together from the g-free columns of the block
+    and of its chain predecessors, equals L times the dense Derivation
+    block, and the chain order is a permutation of the block's basis."""
     d = dga.differential
     scale = lcm(
         *(c.denominator for g in dga.algebra.generators for c in d.of_generator(g.name).terms.values())
     )
     for n in range(cap):
-        for block in dga.blocks(n):
+        full, full_next = support.blocks(dga, n), support.blocks(dga, n + 1)
+        assert set(dga.chain_blocks(n)) == set(full), f"degree {n}"
+        for block, source in full.items():
+            assert dga.chain_blocks(n)[block].dim == len(source)
+            assert sorted(chain_basis(dga, n, block)) == sorted(source)
             want = support.cochain_matrix(dga, n, block)
-            scaled = QMatrix(want.rows, want.cols, [scale * e for e in want.entries])
-            assert dense(cochain_matrix(dga, n, block)) == scaled, f"degree {n}, block {block}"
+            target = full_next.get(block, ())
+            entries = {
+                (target[r], source[c]): scale * want[r, c]
+                for r in range(want.rows)
+                for c in range(want.cols)
+                if want[r, c]
+            }
+            assert chain_block_entries(dga, n, block) == entries, f"degree {n}, block {block}"
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
@@ -82,6 +112,36 @@ def test_random_sparse_blocks_are_scaled_derivation(index):
 @pytest.mark.parametrize("text, cap", RATIONAL)
 def test_rational_sparse_blocks_are_scaled_derivation(text, cap):
     model = parse_model(text)
-    _assert_blocks_are_scaled_derivation(borel_model(model), cap)
-    _assert_blocks_are_scaled_derivation(loop_model(model), cap)
+    for dga in (borel_model(model), loop_model(model), base_dga(model)):
+        _assert_blocks_are_scaled_derivation(dga, cap)
     _assert_matches_oracle(borel_model(model), cap)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
+def test_bundled_base_tables_match_oracle(name):
+    _assert_matches_oracle(base_dga(load_model(name)), CAP)
+
+
+@pytest.mark.parametrize("index", range(len(RANDOM)))
+def test_random_base_tables_match_oracle(index):
+    _assert_matches_oracle(base_dga(RANDOM[index]), CAP)
+
+
+@pytest.mark.parametrize("text, g, cap", CHAIN_SHAPES)
+def test_chain_shapes_match_oracle(text, g, cap):
+    model = parse_model(text)
+    base, loop, borel = base_dga(model), loop_model(model), borel_model(model)
+    assert base.closed == g
+    assert borel.closed == 0
+    for dga in (base, loop, borel):
+        _assert_matches_oracle(dga, cap)
+        _assert_blocks_are_scaled_derivation(dga, cap)
+
+
+@pytest.mark.parametrize("text", [shape[0] for shape in CHAIN_SHAPES + RATIONAL] + [S2_X_S2])
+def test_cochain_dims_are_generating_function(text):
+    model = parse_model(text)
+    for dga in (base_dga(model), loop_model(model), borel_model(model)):
+        table = eigen_table(dga, CAP)
+        series = algebra_generating_function(dga.algebra, CAP)
+        assert [s.cochain_dim for s in table.slices] == [series[n] for n in range(CAP)]

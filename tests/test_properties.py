@@ -43,13 +43,13 @@ def _table_properties(dga, cap):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_sphere_bundle_properties(d):
-    dga = borel_model(sphere_bundle_model(d), CAP)
+    dga = borel_model(sphere_bundle_model(d))
     _structural_gates(dga)
     _table_properties(dga, CAP)
 
 
 def test_two_sphere_properties():
-    dga = borel_model(load_model("s2.model"), CAP)
+    dga = borel_model(load_model("s2.model"))
     _structural_gates(dga)
     _table_properties(dga, CAP)
 
@@ -57,7 +57,7 @@ def test_two_sphere_properties():
 @pytest.mark.parametrize("index", range(6))
 def test_random_model_properties(index):
     model = random_models_within_budget(seed=20240, count=6, cap=CAP)[index]
-    dga = borel_model(model, CAP)
+    dga = borel_model(model)
     _structural_gates(dga)
     _table_properties(dga, CAP)
 
