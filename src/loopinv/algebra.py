@@ -7,10 +7,17 @@ Reordering a product into canonical order accumulates the Koszul sign,
 one factor of -1 for every transposition of two odd generators, and that
 single rule is the source of truth for every sign in the package:
 derivations and algebra maps are extended from generator values through
-ordinary polynomial multiplication.  ``Derivation.integral_columns``, the
-cochain assembly, applies the same rule to exponent tuples directly, with
-integer coefficients and no Polynomial per monomial.  It can leave out
-the coordinate of one even generator g with zero differential: then
+ordinary polynomial multiplication.
+
+``Derivation.integral_columns``, the cochain assembly, applies the same
+rule to packed monomial codes, with integer coefficients and no
+Polynomial or tuple per monomial.  A code holds generator i's exponent in
+a fixed bit field (bits fields[i] .. fields[i + 1] - 1) wide enough that
+no exponent carries into the next field, so multiplying by a monomial is
+adding its code, an exponent is one shift and mask, and, as an odd
+generator's field is one bit, counting the odd factors of a monomial
+below a generator is one bit count.  An empty field leaves out the
+coordinate of one even generator g with zero differential: then
 D(g^a y) = g^a D(y), so it assembles D on g-free monomials y only and
 keys each term g^c z of the result by its g-free part z, which is how the
 cohomology code reuses one block's pivots for the next block along
@@ -21,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 Monomial = tuple[int, ...]
@@ -380,92 +386,85 @@ class Derivation:
                 prefix_degree += e * g.degree
         return result
 
-    def _integral_terms(self, drop: Optional[int]):
-        """(odd, table, live), with every index and exponent tuple
-        leaving out the coordinate of ``drop``: the parity of each
-        generator; per generator, one (step, coefficient, others, flips)
-        per term t of L * D(g_i), where L is the least common multiple of
-        every coefficient denominator of the generator values, step is the
-        exponent change t - g_i, others the odd generators of t other than
-        g_i, and flips the number of those after g_i when g_i is odd; and
-        the generators with a nonzero value.  Computed once per derivation
-        and ``drop``."""
-        cached = self._integral.get(drop)
+    def _packed_terms(self, fields: tuple[int, ...]):
+        """For each generator g_i with a nonzero value and a nonempty
+        field: (shift, mask, terms) with one (step, coefficient, others,
+        signs) per term t of L * D(g_i), where L is the least common
+        multiple of every coefficient denominator of the generator values,
+        step is the code of t - g_i, others the bits of the odd generators
+        of t other than g_i, and signs the odd bits whose count in a
+        source fixes the term's sign.  Computed once per field layout."""
+        cached = self._integral.get(fields)
         if cached is None:
             gens = self.algebra.generators
+            odd = self.algebra._odd
             values = self._values
-            if drop is not None and (gens[drop].degree % 2 or gens[drop].name in values):
-                raise ValueError(f"cannot drop {gens[drop].name}: it is not even and closed")
+            width = [fields[i + 1] - fields[i] for i in range(len(gens))]
+            for g, w in zip(gens, width):
+                if not w and (g.degree % 2 or g.name in values):
+                    raise ValueError(f"cannot drop {g.name}: it is not even and closed")
             scale = lcm(*(c.denominator for p in values.values() for c in p.terms.values()))
-            keep = [j for j in range(len(gens)) if j != drop]
-            odd = [self.algebra._odd[j] for j in keep]
-            table = []
-            for i, j in enumerate(keep):
+            odd_bits = sum(1 << fields[k] for k in range(len(gens)) if odd[k])
+            below = [(1 << f) - 1 for f in fields]  # the bits of the generators before each
+            cached = []
+            for i, g in enumerate(gens):
+                if g.name not in values or not width[i]:
+                    continue
                 terms = []
-                for full, c in (values[gens[j].name].terms.items() if gens[j].name in values else ()):
-                    t = [full[k] for k in keep]
-                    others = tuple(k for k, b in enumerate(t) if b and odd[k] and k != i)
-                    step = tuple(b - (k == i) for k, b in enumerate(t))
-                    flips = sum(1 for k in others if k > i) if odd[i] else 0
-                    terms.append((step, int(c * scale), others, flips))
-                table.append(tuple(terms))
-            live = tuple(i for i, terms in enumerate(table) if terms)
-            cached = self._integral[drop] = (tuple(odd), tuple(table), live)
+                for t, c in values[g.name].terms.items():
+                    others = [k for k, b in enumerate(t) if b and odd[k] and k != i]
+                    step = sum(b << fields[k] for k, b in enumerate(t) if width[k])
+                    step -= 1 << fields[i]
+                    signs = below[i] if (self.degree_shift + len(others)) % 2 else 0
+                    for k in others:
+                        signs ^= below[k]
+                    c = int(c * scale) * (-1 if odd[i] and sum(k > i for k in others) % 2 else 1)
+                    terms.append((step, c, sum(1 << fields[k] for k in others), signs & odd_bits))
+                cached.append((fields[i], (1 << width[i]) - 1, tuple(terms)))
+            cached = self._integral[fields] = tuple(cached)
         return cached
 
     def integral_columns(
-        self,
-        sources: Iterable[Monomial],
-        index: Mapping[Monomial, int],
-        drop: Optional[int] = None,
+        self, sources: Iterable[int], index: Mapping[int, int], fields: tuple[int, ...]
     ) -> list[dict[int, int]]:
         """For each source monomial m, L * D(m) as a sparse integer column
-        {index[monomial]: coefficient}, with L as in ``_integral_terms``.
+        {index[code]: coefficient}, with L as in ``_packed_terms``.
 
-        With ``drop`` the index of an even generator g with zero
-        differential, sources and keys are exponent tuples without g's
-        coordinate: a source stands for the g-free monomial m, and the
-        term g^c * z of L * D(m) lands on the key z (within one degree, z
-        fixes c).  As g is even and closed it contributes no term and no
-        sign, so the coefficients are those of the full monomials.
+        Sources and keys are packed codes with the given fields (see the
+        module docstring).  The empty field of g makes a source stand for
+        the g-free monomial m, and the term g^c * z of L * D(m) land on
+        the code of z (within one degree, z fixes c).  As g is even and
+        closed it contributes no term and no sign, so the coefficients are
+        those of the full monomials.
 
-        This is ``_apply_monomial`` on exponent tuples.  With P[k] the
-        number of odd factors of m before generator k, the Leibniz sign of
-        the i-th term is (-1)^(shift * P[i]); reordering left * t * right
-        into canonical order moves each odd factor j of t past the odd
-        factors of m strictly between j and i, which is P[j] + P[i] (plus
-        one when j > i and g_i is odd) modulo 2, and the product vanishes
-        when t repeats an odd factor of m.
+        This is ``_apply_monomial`` on codes.  With P[k] the number of odd
+        factors of m before generator k, the Leibniz sign of the i-th term
+        is (-1)^(shift * P[i]); reordering left * t * right into canonical
+        order moves each odd factor j of t past the odd factors of m
+        strictly between j and i, which is P[j] + P[i] (plus one when
+        j > i and g_i is odd) modulo 2, and the product vanishes when t
+        repeats an odd factor of m.  Each P is the bit count of m's odd
+        bits below a field, and a sum of bit counts of m under several
+        masks has the parity of the bit count under their exclusive or,
+        so one bit count gives the sign.
         """
-        odd, table, live = self._integral_terms(drop)
-        odd_shift = self.degree_shift % 2
+        table = self._packed_terms(fields)
         columns = []
-        for mono in sources:
-            prefix = []
-            p = 0
-            for e, o in zip(mono, odd):
-                prefix.append(p)
-                if e and o:
-                    p += 1
+        for code in sources:
             col: dict[int, int] = {}
-            for i in live:
-                e = mono[i]
+            for shift, mask, terms in table:
+                e = code >> shift & mask
                 if not e:
                     continue
-                mult = 1 if odd[i] else e
-                for step, c, others, flips in table[i]:
-                    parity = (odd_shift + len(others)) * prefix[i] + flips
-                    for j in others:
-                        if mono[j]:
-                            break  # t repeats an odd factor of m: no term
-                        parity += prefix[j]
+                for step, c, others, signs in terms:
+                    if code & others:
+                        continue  # t repeats an odd factor of m: no term
+                    row = index[code + step]
+                    v = col.get(row, 0) + (-c if (code & signs).bit_count() & 1 else c) * e
+                    if v:
+                        col[row] = v
                     else:
-                        row = index[tuple(map(add, mono, step))]
-                        v = col.get(row, 0) + (-c if parity & 1 else c) * mult
-                        if v:
-                            col[row] = v
-                        else:
-                            del col[row]
+                        del col[row]
             columns.append(col)
         return columns
 

@@ -12,25 +12,29 @@ For the Borel model the weight is #bars - #alpha and the sign is
 
 The ranks are taken along multiplication by g, the model's closed even
 generator of lowest degree (alpha in a Borel model; see
-``DgaModel.chain_blocks``).  Since D(g m) = g D(m), multiplication by g
-is an injective chain map, and the columns of block k in degree n that
-carry a factor g are g times the columns of its predecessor, the block
+``DgaModel.layout``).  Since D(g m) = g D(m), multiplication by g is an
+injective chain map, and the columns of block k in degree n that carry a
+factor g are g times the columns of its predecessor, the block
 k - block(g) in degree n - deg g.  Rows are keyed by the g-free part z of
 their monomial g^c z, which fixes c within one degree, so those columns
 are, row for row, the predecessor's columns, and the pivots that ranked
 the predecessor are already an echelon basis of their span.
 ``eigen_table`` therefore keeps one pivot dict per chain, assembles only
-the g-free columns of each block (``cochain_matrix``), reduces them into
-the carried pivots (rank D^n_k = carried pivots + new pivots), and takes
-dim C^n_k as the sum of the g-free block sizes along the chain; it never
-enumerates the full monomial basis.  A model without such a generator
-takes the same route with nothing carried.
+the g-free columns of each block (``cochain_matrix``) and reduces them
+into the chain's pivots (rank D^n_k = carried pivots + new pivots).  As
+every block of degree n - deg g continues into degree n, the summed
+dimension and rank of the blocks of one sign in degree n are those of
+the blocks of degree n - deg g (with the sign of g applied) plus what the
+g-free monomials and columns of degree n add, so only blocks with g-free
+monomials are visited, and the full monomial basis is never enumerated.
+A model without such a generator takes the same route with nothing
+carried.
 
 Each g-free column is assembled as sparse integer coordinates straight
-from exponent tuples (``Derivation.integral_columns``), scaled by one
-common nonzero integer that clears every denominator of the
-differential, and ranked exactly by ``linalg.rank``; no polynomial or
-rational number is built per column.
+from packed monomial codes (``Derivation.integral_columns``), scaled by
+one common nonzero integer that clears every denominator of the
+differential, and ranked exactly by ``linalg.rank``; no polynomial,
+exponent tuple or rational number is built per column.
 
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .models import Block, ChainBlock, DgaModel
+from .models import Block, DgaModel
 from .series import TruncatedSeries
 
 
@@ -110,19 +114,19 @@ class EigenTable:
 
 def cochain_matrix(model: DgaModel, n: int, block: Block) -> linalg.SparseMatrix:
     """Matrix of L * D on the g-free monomials of one block of degree n
-    (the block's entry in ``model.chain_blocks(n)``), as sparse integer
-    columns: column j holds the coordinates of L * D(free[j]) in the
-    block's basis of degree n+1, indexed by ``model.chain_index``, and the
-    nonzero integer L is the common denominator of the differential's
-    generator values (so ranks are those of D).  The block's other
+    (the block's entry in ``model.layout(n + 1).free[n]``), as sparse
+    integer columns: column j holds the coordinates of L * D(free[j]) in
+    the block's basis of degree n+1, indexed by the layout's ``index``,
+    and the nonzero integer L is the common denominator of the
+    differential's generator values (so ranks are those of D).  The block's other
     columns, g^a times these for a >= 1, are the columns of its chain
     predecessors, row for row."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    empty = ChainBlock(0, ())
-    rows = model.chain_blocks(n + 1).get(block, empty).dim
-    source = model.chain_blocks(n).get(block, empty).free
-    columns = model.differential.integral_columns(source, model.chain_index, model.closed)
+    layout = model.layout(n + 1)
+    rows = layout.dims[n + 1].get(block, 0)
+    source = layout.free[n].get(block, ())
+    columns = model.differential.integral_columns(source, layout.index, layout.fields)
     return linalg.SparseMatrix(rows, tuple(columns))
 
 
@@ -132,26 +136,31 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     if cap < 2:
         raise ValueError("cap must be >= 2")
     with_eigen = model.involution is not None
-    model.chain_blocks(cap)  # one pass over the g-free bases through degree cap
-    # pivots of each block, kept under the (degree, block) that g maps it to
-    carried: dict[tuple[int, Block], dict] = {}
+    layout = model.layout(cap)  # one pass over the g-free bases through degree cap
+    step, dw, ds = layout.g_step
+    # the echelon basis of each chain's columns so far, keyed by the chain's
+    # (degree, block) with g divided out as often as the degree allows
+    pivots: dict[tuple[int, int, int], dict] = {}
+    # per degree, the summed rank of D on the blocks of each sign: every
+    # block of degree n - deg g continues into degree n with its pivots
+    ranks: list[dict[int, int]] = []
     slices = []
-    prev_ranks: dict[Block, int] = {}
     for n in range(cap):
-        ranks = {}
-        split = {1: 0, -1: 0}
-        blocks = model.chain_blocks(n)
-        for key, block in blocks.items():
-            pivots = carried.pop((n, key), {})
-            if block.free:
-                linalg.rank(cochain_matrix(model, n, key), pivots)
-            ranks[key] = len(pivots)
-            successor = model.times_g(n, key)
-            if successor is not None:
-                carried[successor] = pivots
-            split[key[1]] += block.dim - ranks[key] - prev_ranks.get(key, 0)
-        eigen = (split[1], split[-1]) if with_eigen else (None, None)
-        dim = sum(block.dim for block in blocks.values())
-        slices.append(DegreeSlice(n, dim, split[1] + split[-1], *eigen))
-        prev_ranks = ranks
+        rank = {1: 0, -1: 0}
+        if step and n >= step:
+            for s in (1, -1):
+                rank[s * ds] = ranks[n - step][s]
+        for (w, s), codes in layout.free[n].items():
+            j = n // step if step else 0
+            chain = pivots.setdefault((n - j * step, w - j * dw, s * ds**j), {})
+            before = len(chain)
+            rank[s] += linalg.rank(cochain_matrix(model, n, (w, s)), chain) - before
+        dim = {1: 0, -1: 0}
+        for (w, s), size in layout.dims[n].items():
+            dim[s] += size
+        prev = ranks[n - 1] if n else {1: 0, -1: 0}
+        plus, minus = (dim[s] - rank[s] - prev[s] for s in (1, -1))
+        eigen = (plus, minus) if with_eigen else (None, None)
+        slices.append(DegreeSlice(n, dim[1] + dim[-1], plus + minus, *eigen))
+        ranks.append(rank)
     return EigenTable(cap, tuple(slices))

@@ -27,6 +27,9 @@ gated: a model is only returned after the square-zero check, the weight
 check and (for the Borel model) the involution checks pass on every
 generator, so a sign-convention mismatch surfaces as a hard error instead
 of a wrong table.
+
+``DgaModel.layout`` packs the monomials free of the closed even generator
+g into integer codes, one bit field per generator, once per model.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .algebra import (
@@ -132,24 +136,24 @@ class MinimalModel:
         return self.algebra.names
 
 
-class ChainBlock(NamedTuple):
-    """One block of one degree: its dimension, and its g-free monomials
-    without g's coordinate, in basis order (see ``DgaModel.chain_blocks``)."""
+class Layout(NamedTuple):
+    """The g-free monomials of a DgaModel through degree ``top`` as packed
+    integer codes, and the block dimensions along multiplication by g.
 
-    dim: int
-    free: tuple[Monomial, ...]
+    Generator i's exponent sits in bits fields[i] .. fields[i + 1] - 1,
+    wide enough for every exponent up to degree ``top`` (one bit for an
+    odd generator); g's field is empty.  ``free[n]`` maps each block of
+    degree n that has g-free monomials to their codes in basis order,
+    ``dims[n]`` maps every nonempty block of degree n to its dimension,
+    and ``index`` maps each code to its row in the basis of its block.
+    ``g_step`` is g's (degree, weight, sign), or (0, 0, 1) without g."""
 
-
-def _block(mono: Monomial, weights: tuple[int, ...], signs: tuple[int, ...]) -> Block:
-    """(weight, involution sign) of a monomial."""
-    weight = 0
-    negative = 0
-    for e, w, s in zip(mono, weights, signs):
-        if e:
-            weight += e * w
-            if s < 0:
-                negative += e
-    return weight, -1 if negative % 2 else 1
+    top: int
+    fields: tuple[int, ...]
+    g_step: tuple[int, int, int]
+    dims: tuple[dict[Block, int], ...]
+    free: tuple[dict[Block, tuple[int, ...]], ...]
+    index: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -167,8 +171,9 @@ class DgaModel:
 
     ``closed`` is the index of g, the even generator with zero
     differential of lowest degree (the first one on ties), or None; in a
-    Borel model g is alpha.  ``chain_blocks`` lays each block's basis out
-    along multiplication by g.
+    Borel model g is alpha.  ``layout`` packs the g-free monomials into
+    integer codes and lays each block's basis out along multiplication
+    by g.
     """
 
     algebra: GradedAlgebra
@@ -176,12 +181,8 @@ class DgaModel:
     involution: Optional[AlgebraMap] = None
     weights: tuple[int, ...] = ()
     closed: Optional[int] = field(init=False, repr=False, compare=False, default=None)
-    chain_index: dict[Monomial, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
     _signs: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
-    _free: GradedAlgebra = field(init=False, repr=False, compare=False, default=None)
-    _chain: list = field(init=False, repr=False, compare=False, default_factory=list)
+    _layout: Optional[Layout] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         alg = self.algebra
@@ -229,66 +230,71 @@ class DgaModel:
         ]
         g = min(even_closed, key=lambda i: alg.generators[i].degree, default=None)
         object.__setattr__(self, "closed", g)
-        object.__setattr__(
-            self, "_free", GradedAlgebra(x for i, x in enumerate(alg.generators) if i != g)
-        )
 
     def _block_of(self, mono: Monomial) -> Block:
         """(weight, involution sign) of a monomial."""
-        return _block(mono, self.weights, self._signs)
+        weight = sum(e * w for e, w in zip(mono, self.weights))
+        negative = sum(e for e, s in zip(mono, self._signs) if s < 0)
+        return weight, -1 if negative % 2 else 1
 
-    def times_g(self, degree: int, block: Block) -> Optional[tuple[int, Block]]:
-        """The (degree, block) that multiplication by g maps the given one
-        into, or None when the model has no closed even generator."""
+    def layout(self, top: int) -> Layout:
+        """The g-free layout through at least the given degree, built once
+        and cached (a higher degree builds it again, with wider fields).
+
+        One pass over the generators other than g yields the g-free
+        monomials of every degree in ascending lexicographic order, each
+        as a packed code with its block.  Multiplication by g is injective
+        and maps block (w, s) of degree n into block (w + w_g, s * s_g) of
+        degree n + deg g, so a block's basis, in order, is g times the
+        basis of its predecessor, then its g-free monomials.  Its
+        dimension is the sum of the g-free block sizes along the chain of
+        predecessors; the full basis is never enumerated.  ``index``
+        gives each g-free monomial z its position in that order; g^c * z
+        sits at the same position in every block of the chain, which lets
+        a block reuse its predecessor's pivots (see ``cohomology``).
+        Without g every monomial is g-free and nothing is chained."""
+        cached = self._layout
+        if cached is not None and cached.top >= top:
+            return cached
+        gens = self.algebra.generators
         g = self.closed
-        if g is None:
-            return None
-        weight, sign = block
-        return degree + self.algebra.generators[g].degree, (
-            weight + self.weights[g],
-            sign * self._signs[g],
-        )
-
-    def chain_blocks(self, degree: int) -> dict[Block, ChainBlock]:
-        """Every nonempty block of the given degree, with its dimension and
-        its g-free monomials.
-
-        Multiplication by g is injective and maps block k of degree n into
-        ``times_g(n, k)``, the block's successor, so a block's basis, in
-        order, is g times the basis of its predecessor, then its g-free
-        monomials.  Its dimension is the sum of the g-free block sizes
-        along the chain of predecessors, and the full basis is never
-        enumerated.  ``chain_index`` gives each g-free monomial z its
-        position in that order; g^c * z sits at the same position in every
-        block of the chain, which is what lets a block reuse its
-        predecessor's pivots (see ``cohomology``).  Without g every
-        monomial is g-free and nothing is chained."""
-        chain = self._chain
-        if degree >= len(chain):
-            g = self.closed
-            keep = [i for i in range(len(self.weights)) if i != g]
-            weights = tuple(self.weights[i] for i in keep)
-            signs = tuple(self._signs[i] for i in keep)
-            step = self.algebra.generators[g].degree if g is not None else None
-            index = self.chain_index
-            self._free.monomial_basis(degree)  # caches every degree up to this one
-            for n in range(len(chain), degree + 1):
-                dims: dict[Block, int] = {}
-                if step is not None and n >= step:
-                    for key, block in chain[n - step].items():
-                        dims[self.times_g(n - step, key)[1]] = block.dim
-                split: dict[Block, list[Monomial]] = {}
-                for mono in self._free.monomial_basis(n):
-                    split.setdefault(_block(mono, weights, signs), []).append(mono)
-                blocks = {key: ChainBlock(dim, ()) for key, dim in dims.items()}
-                for key, monos in split.items():
-                    base = dims.get(key, 0)
-                    for i, mono in enumerate(monos):
-                        index[mono] = base + i
-                    blocks[key] = ChainBlock(base + len(monos), tuple(monos))
-                if len(chain) == n:  # unless a concurrent call got there first
-                    chain.append(blocks)
-        return chain[degree]
+        free = [i for i in range(len(gens)) if i != g]
+        width = [
+            0 if i == g else 1 if d % 2 else max(1, (top // d).bit_length())
+            for i, (_, d) in enumerate(gens)
+        ]
+        fields = tuple(accumulate(width, initial=0))
+        # (code, degree, weight, sign) of every g-free monomial through
+        # degree top; the first generator varies slowest
+        monos = [(0, 0, 0, 1)]
+        for i in reversed(free):
+            d, w, s, shift = gens[i].degree, self.weights[i], self._signs[i], fields[i]
+            monos = [
+                (code + (e << shift), n + e * d, weight + e * w, sign * s**e)
+                for e in range(2 if d % 2 else top // d + 1)
+                for code, n, weight, sign in monos
+                if n + e * d <= top
+            ]
+        found: list[dict[Block, list[int]]] = [{} for _ in range(top + 1)]
+        for code, n, weight, sign in monos:
+            found[n].setdefault((weight, sign), []).append(code)
+        g_step = (gens[g].degree, self.weights[g], self._signs[g]) if g is not None else (0, 0, 1)
+        step, dw, ds = g_step
+        dims: list[dict[Block, int]] = []
+        index: dict[int, int] = {}
+        for n, split in enumerate(found):
+            level = {}
+            if step and n >= step:
+                level = {(w + dw, s * ds): dim for (w, s), dim in dims[n - step].items()}
+            for key, codes in split.items():
+                base = level.get(key, 0)
+                index.update(zip(codes, range(base, base + len(codes))))
+                level[key] = base + len(codes)
+            dims.append(level)
+        free_codes = tuple({key: tuple(codes) for key, codes in split.items()} for split in found)
+        layout = Layout(top, fields, g_step, tuple(dims), free_codes, index)
+        object.__setattr__(self, "_layout", layout)
+        return layout
 
 
 # ---------------------------------------------------------------------
@@ -311,6 +317,17 @@ def _tokenize(body: str, line_no: int) -> list[tuple[str, str, int]]:
             raise ModelSyntaxError(f"unexpected character {m.group()!r}", line_no, m.start() + 1)
         tokens.append((kind, m.group(), m.start() + 1))
     return tokens
+
+
+def _int(token: tuple[str, str, int], line_no: int) -> int:
+    """The value of an integer token.  A number longer than Python converts
+    (4300 digits by default) is a syntax error at its column."""
+    try:
+        return int(token[1])
+    except ValueError:
+        raise ModelSyntaxError(
+            f"number with {len(token[1])} digits is too long", line_no, token[2]
+        ) from None
 
 
 class _PolyParser:
@@ -368,13 +385,13 @@ class _PolyParser:
             tok = self.peek()
         if tok is not None and tok[0] == "int":
             saw_coeff = True
-            num = int(self.take("int")[1])
+            num = _int(self.take("int"), self.line)
             den = 1
             nxt = self.peek()
             if nxt and nxt[0] == "op" and nxt[1] == "/":
                 self.pos += 1
                 den_tok = self.take("int")
-                den = int(den_tok[1])
+                den = _int(den_tok, self.line)
                 if den == 0:
                     raise ModelSyntaxError("zero denominator", self.line, den_tok[2])
             coeff *= Fraction(num, den)
@@ -409,7 +426,7 @@ class _PolyParser:
         if nxt and nxt[0] == "op" and nxt[1] == "^":
             self.pos += 1
             exp_tok = self.take("int")
-            exp = int(exp_tok[1])
+            exp = _int(exp_tok, self.line)
             if exp < 1:
                 raise ModelSyntaxError("exponent must be >= 1", self.line, exp_tok[2])
         # one monomial, whatever the exponent (an odd square is dropped)
@@ -431,7 +448,7 @@ def parse_model(text: str) -> MinimalModel:
         if kind == "name" and value == "gen":
             if len(tokens) != 3 or tokens[1][0] != "name" or tokens[2][0] != "int":
                 raise ModelSyntaxError("expected: gen <name> <degree>", line_no, col)
-            name, degree = tokens[1][1], int(tokens[2][1])
+            name, degree = tokens[1][1], _int(tokens[2], line_no)
             if name in seen:
                 raise ModelSyntaxError(
                     f"generator {name!r} already declared on line {seen[name]}",

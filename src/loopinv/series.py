@@ -140,6 +140,20 @@ class RationalExpr:
         return out
 
 
+# A coefficient is a sum of fewer than 10^300 parsed numbers, so with at
+# most this many digits each it stays below the 4300 digits that Python
+# converts to and from strings by default.
+_MAX_DIGITS = 4000
+
+
+def _int(digits: str) -> int:
+    if len(digits) > _MAX_DIGITS:
+        raise SeriesExprError(
+            f"number with {len(digits)} digits is too long (at most {_MAX_DIGITS})"
+        )
+    return int(digits)
+
+
 _TERM_RE = re.compile(
     r"^(?:(?P<coeff>\d+)\*?)?"
     r"(?:t(?:\^(?P<power>\d+))?)?"
@@ -180,9 +194,9 @@ def parse_expr(text: str) -> RationalExpr:
         has_t = "t" in chunk.split("/(", 1)[0]
         if coeff_s is None and not has_t:
             raise SeriesExprError(f"cannot parse series term {chunk!r}")
-        coeff = int(coeff_s) if coeff_s is not None else 1
-        power = int(power_s) if power_s is not None else (1 if has_t else 0)
-        period = int(period_s) if period_s is not None else None
+        coeff = _int(coeff_s) if coeff_s is not None else 1
+        power = _int(power_s) if power_s is not None else (1 if has_t else 0)
+        period = _int(period_s) if period_s is not None else None
         terms.append(ExprTerm(sgn * coeff, power, period))
     return RationalExpr(terms)
 

@@ -268,36 +268,40 @@ def cochain_matrix(model: DgaModel, n: int, block: Optional[Block] = None) -> QM
     return QMatrix.from_columns(cols, rows=len(target))
 
 
-def _with_g(model: DgaModel, free: Monomial, power: int) -> Monomial:
-    """g^power times a g-free monomial given without g's coordinate."""
-    g = model.closed
-    return free if g is None else free[:g] + (power,) + free[g:]
+def decode(model: DgaModel, code: int, power: int = 0) -> Monomial:
+    """g^power times the g-free monomial with the given packed code, as a
+    full exponent tuple, read through the fields of the model's cached
+    layout (the one that made the code)."""
+    fields = model.layout(0).fields
+    mono = [code >> lo & ((1 << (hi - lo)) - 1) for lo, hi in zip(fields, fields[1:])]
+    if model.closed is not None:
+        mono[model.closed] = power
+    return tuple(mono)
 
 
 def _predecessor(model: DgaModel, n: int, block: Block) -> Optional[tuple[int, Block]]:
     """The (degree, block) that multiplication by g maps onto (n, block),
     or None."""
     g = model.closed
-    m = n - model.algebra.generators[g].degree if g is not None else -1
-    for key in model.chain_blocks(m) if m >= 0 else ():
-        if model.times_g(m, key) == (n, block):
-            return m, key
-    return None
+    if g is None or n < model.algebra.generators[g].degree:
+        return None
+    m = n - model.algebra.generators[g].degree
+    key = (block[0] - model.weights[g], block[1] * model._signs[g])
+    return (m, key) if key in model.layout(m).dims[m] else None
 
 
 def chain_basis(model: DgaModel, n: int, block: Block) -> tuple[Monomial, ...]:
     """The basis of one block of degree n as full monomials, in the order
     in which loopinv indexes it: g times the basis of the predecessor
     block, then the block's own g-free monomials."""
-    entry = model.chain_blocks(n).get(block)
-    if entry is None:
+    if block not in model.layout(n).dims[n]:
         return ()
     head: tuple[Monomial, ...] = ()
     prev = _predecessor(model, n, block)
     if prev is not None:
         g = model.closed
         head = tuple(m[:g] + (m[g] + 1,) + m[g + 1 :] for m in chain_basis(model, *prev))
-    return head + tuple(_with_g(model, y, 0) for y in entry.free)
+    return head + tuple(decode(model, z) for z in model.layout(n).free[n].get(block, ()))
 
 
 def chain_block_entries(model: DgaModel, n: int, block: Block) -> dict:
@@ -313,12 +317,92 @@ def chain_block_entries(model: DgaModel, n: int, block: Block) -> dict:
         m = sparse_cochain_matrix(model, *at)
         if m.rows != len(chain_basis(model, at[0] + 1, at[1])):
             raise AssertionError(f"cochain_matrix{at} has {m.rows} rows")
-        entry = model.chain_blocks(at[0]).get(at[1])
-        for y, col in zip(entry.free if entry else (), m.columns, strict=True):
+        free = model.layout(at[0]).free[at[0]].get(at[1], ())
+        for y, col in zip(free, m.columns, strict=True):
             for r, v in col.items():
-                out[rows[r], _with_g(model, y, power)] = v
+                out[rows[r], decode(model, y, power)] = v
         at, power = _predecessor(model, *at), power + 1
     return out
+
+
+def _tuple_terms(d: Derivation, drop: Optional[int]):
+    """(odd, table, live), with every index and exponent tuple leaving out
+    the coordinate of ``drop``: the parity of each generator; per
+    generator, one (step, coefficient, others, flips) per term t of
+    L * D(g_i), where L is the least common multiple of every coefficient
+    denominator of the generator values, step is the exponent change
+    t - g_i, others the odd generators of t other than g_i, and flips the
+    number of those after g_i when g_i is odd; and the generators with a
+    nonzero value."""
+    gens = d.algebra.generators
+    values = {g.name: d.of_generator(g.name) for g in gens}
+    values = {name: p for name, p in values.items() if p}
+    if drop is not None and (gens[drop].degree % 2 or gens[drop].name in values):
+        raise ValueError(f"cannot drop {gens[drop].name}: it is not even and closed")
+    scale = lcm(*(c.denominator for p in values.values() for c in p.terms.values()))
+    keep = [j for j in range(len(gens)) if j != drop]
+    odd = [gens[j].degree % 2 == 1 for j in keep]
+    table = []
+    for i, j in enumerate(keep):
+        terms = []
+        for full, c in (values[gens[j].name].terms.items() if gens[j].name in values else ()):
+            t = [full[k] for k in keep]
+            others = tuple(k for k, b in enumerate(t) if b and odd[k] and k != i)
+            step = tuple(b - (k == i) for k, b in enumerate(t))
+            flips = sum(1 for k in others if k > i) if odd[i] else 0
+            terms.append((step, int(c * scale), others, flips))
+        table.append(tuple(terms))
+    live = tuple(i for i, terms in enumerate(table) if terms)
+    return tuple(odd), tuple(table), live
+
+
+def tuple_columns(
+    d: Derivation, sources: Iterable[Monomial], index: dict[Monomial, int], drop: Optional[int]
+) -> list[dict[int, int]]:
+    """The exponent-tuple route of cochain assembly, the oracle of
+    ``Derivation.integral_columns``: for each source monomial m, L * D(m)
+    as a sparse integer column {index[monomial]: coefficient}.
+
+    With ``drop`` the index of an even generator g with zero differential,
+    sources and keys are exponent tuples without g's coordinate, and the
+    term g^c * z of L * D(m) lands on the key z.  With P[k] the number of
+    odd factors of m before generator k, the Leibniz sign of the i-th term
+    is (-1)^(shift * P[i]); reordering left * t * right into canonical
+    order moves each odd factor j of t past the odd factors of m strictly
+    between j and i, which is P[j] + P[i] (plus one when j > i and g_i is
+    odd) modulo 2, and the product vanishes when t repeats an odd factor
+    of m."""
+    odd, table, live = _tuple_terms(d, drop)
+    odd_shift = d.degree_shift % 2
+    columns = []
+    for mono in sources:
+        prefix = []
+        p = 0
+        for e, o in zip(mono, odd):
+            prefix.append(p)
+            if e and o:
+                p += 1
+        col: dict[int, int] = {}
+        for i in live:
+            e = mono[i]
+            if not e:
+                continue
+            mult = 1 if odd[i] else e
+            for step, c, others, flips in table[i]:
+                parity = (odd_shift + len(others)) * prefix[i] + flips
+                for j in others:
+                    if mono[j]:
+                        break  # t repeats an odd factor of m: no term
+                    parity += prefix[j]
+                else:
+                    row = index[tuple(a + b for a, b in zip(mono, step))]
+                    v = col.get(row, 0) + (-c if parity & 1 else c) * mult
+                    if v:
+                        col[row] = v
+                    else:
+                        del col[row]
+        columns.append(col)
+    return columns
 
 
 def dense(m: SparseMatrix) -> QMatrix:

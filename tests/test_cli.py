@@ -283,3 +283,56 @@ def test_model_dsl_fuzz_exits_cleanly(tmp_path_factory, text):
         code = main(["cohomology", str(path), "--max-degree", "6"])
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+LONG = "9" * 4301  # one digit more than Python converts to an int by default
+
+
+@pytest.mark.parametrize(
+    "body, line, column",
+    [
+        (f"gen a {LONG}", 1, 7),
+        (f"gen a 2\ngen b 3\nd b = {LONG}*a^2", 3, 7),
+        (f"gen a 2\ngen b 3\nd b = 1/{LONG}*a^2", 3, 9),
+        (f"gen a 2\ngen b 3\nd b = a^{LONG}*a", 3, 9),
+    ],
+    ids=["degree", "coefficient", "denominator", "exponent"],
+)
+def test_overlong_model_number_is_a_syntax_error(capsys, tmp_path, body, line, column):
+    path = tmp_path / "long.model"
+    path.write_text(body + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "cohomology", str(path))
+    assert (code, out) == (1, "")
+    where = f"line {line}, column {column}"
+    assert err == f"SyntaxError: {where}: number with 4301 digits is too long\n"
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [f"1/(1-t^{LONG})", f"{LONG}*t", f"t^{LONG}", "9" * 4300 + " + " + "9" * 4300],
+    ids=["period", "coefficient", "power", "sum"],
+)
+def test_overlong_series_number_is_a_series_syntax_error(capsys, expr):
+    code, out, err = run(capsys, "series", expr, "--max-degree", "8")
+    assert (code, out) == (1, "")
+    assert err.startswith("SeriesSyntax: number with 43")
+    assert err.endswith("digits is too long (at most 4000)\n")
+
+
+_SERIES_PARTS = st.one_of(
+    st.sampled_from(["t", "^", "/", "(", ")", "+", "-", "*", "1-t^", "/(1-t^", " ", "0"]),
+    st.integers(0, 10**12).map(str),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+)
+SERIES_EXPRS = st.lists(_SERIES_PARTS, max_size=12).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=SERIES_EXPRS)
+def test_series_parser_fuzz_exits_cleanly(expr):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["series", expr, "--max-degree", "8"])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert "sys.set_int_max_str_digits" not in err.getvalue()

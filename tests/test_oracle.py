@@ -15,12 +15,13 @@ from math import lcm
 import pytest
 
 import support
-from loopinv.cohomology import eigen_table
+from loopinv.cohomology import cochain_matrix, eigen_table
 from loopinv.models import base_dga, borel_model, loop_model, parse_model
 from loopinv.series import algebra_generating_function
 from support import (
     MODELS_DIR,
     chain_basis,
+    decode,
     chain_block_entries,
     load_model,
     oracle_split,
@@ -82,11 +83,12 @@ def _assert_blocks_are_scaled_derivation(dga, cap):
     scale = lcm(
         *(c.denominator for g in dga.algebra.generators for c in d.of_generator(g.name).terms.values())
     )
+    dims = dga.layout(cap).dims
     for n in range(cap):
         full, full_next = support.blocks(dga, n), support.blocks(dga, n + 1)
-        assert set(dga.chain_blocks(n)) == set(full), f"degree {n}"
+        assert set(dims[n]) == set(full), f"degree {n}"
         for block, source in full.items():
-            assert dga.chain_blocks(n)[block].dim == len(source)
+            assert dims[n][block] == len(source)
             assert sorted(chain_basis(dga, n, block)) == sorted(source)
             want = support.cochain_matrix(dga, n, block)
             target = full_next.get(block, ())
@@ -145,3 +147,80 @@ def test_cochain_dims_are_generating_function(text):
         table = eigen_table(dga, CAP)
         series = algebra_generating_function(dga.algebra, CAP)
         assert [s.cochain_dim for s in table.slices] == [series[n] for n in range(CAP)]
+
+
+def _assert_packed_columns_are_tuple_columns(dga, cap):
+    """Every g-free column that cochain_matrix assembles from packed codes
+    equals, entry for entry, the column the exponent-tuple route of
+    support.tuple_columns assembles for the same monomial and row index."""
+    layout = dga.layout(cap)
+    g = dga.closed
+
+    def g_free(code):
+        mono = decode(dga, code)
+        return mono if g is None else mono[:g] + mono[g + 1 :]
+
+    # no two monomials share a code, and decoding is one to one
+    every = [code for level in layout.free for block in level.values() for code in block]
+    assert len(every) == len(layout.index)
+    index = {g_free(code): row for code, row in layout.index.items()}
+    assert len(index) == len(layout.index)
+    for n in range(cap):
+        for block, codes in layout.free[n].items():
+            want = support.tuple_columns(dga.differential, map(g_free, codes), index, g)
+            m = cochain_matrix(dga, n, block)
+            assert m.rows == layout.dims[n + 1].get(block, 0), (n, block)
+            assert list(m.columns) == want, (n, block)
+
+
+def _spaces(model):
+    return borel_model(model), loop_model(model), base_dga(model)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
+def test_bundled_packed_columns_are_tuple_columns(name):
+    for dga in _spaces(load_model(name)):
+        _assert_packed_columns_are_tuple_columns(dga, CAP)
+
+
+@pytest.mark.parametrize("index", range(len(RANDOM)))
+def test_random_packed_columns_are_tuple_columns(index):
+    for dga in _spaces(RANDOM[index]):
+        _assert_packed_columns_are_tuple_columns(dga, CAP)
+
+
+@pytest.mark.parametrize("text, cap", RATIONAL + [(shape[0], shape[2]) for shape in CHAIN_SHAPES])
+def test_rational_and_chain_shape_packed_columns_are_tuple_columns(text, cap):
+    for dga in _spaces(parse_model(text)):
+        _assert_packed_columns_are_tuple_columns(dga, cap)
+
+
+# Caps at which the top exponent of a degree-2 generator, cap // 2, is
+# 2^k - 1, 2^k or 2^k + 1, so that its bit field is exactly full, one bit
+# wider than at the cap before, or one past a power of two.
+FIELD_EDGES = [14, 15, 16, 17, 18, 126, 127, 128, 129, 130]
+
+
+@pytest.mark.parametrize("cap", FIELD_EDGES)
+def test_polynomial_generator_at_field_edges(cap):
+    # Borel model of Q[a], |a| = 2: D a = alpha a_bar and D a_bar = 0, so
+    # cohomology is spanned by alpha^i (sign (-1)^i) and a^j a_bar (sign -1)
+    dga = borel_model(parse_model("gen a 2\n"))
+    table = eigen_table(dga, cap)
+    a = dga.algebra.index("a")
+    assert dga.layout(0).fields[a + 1] - dga.layout(0).fields[a] == (cap // 2).bit_length()
+    for n, s in enumerate(table.slices):
+        assert (s.betti, s.inv_plus, s.inv_minus) == (1, *((1, 0) if n % 4 == 0 else (0, 1))), n
+    _assert_packed_columns_are_tuple_columns(dga, cap)
+
+
+@pytest.mark.parametrize("cap", [14, 16, 30])
+def test_steps_that_fill_another_generators_field(cap):
+    # S^2: D b = a^2 + alpha b_bar, so the column of a^j b reaches a^(cap/2),
+    # the largest exponent a's field holds, by a step of the generator b
+    dga = borel_model(load_model("s2.model"))
+    _assert_packed_columns_are_tuple_columns(dga, cap)
+    table = eigen_table(dga, cap)
+    for n in (cap - 2, cap - 1):
+        s = table.slice(n)
+        assert (s.betti, s.inv_plus, s.inv_minus) == oracle_split(dga, n), n
