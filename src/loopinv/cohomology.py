@@ -150,8 +150,8 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
         if step and n >= step:
             for s in (1, -1):
                 rank[s * ds] = ranks[n - step][s]
-        for (w, s), codes in layout.free[n].items():
-            j = n // step if step else 0
+        j = n // step if step else 0
+        for w, s in layout.free[n]:
             chain = pivots.setdefault((n - j * step, w - j * dw, s * ds**j), {})
             before = len(chain)
             rank[s] += linalg.rank(cochain_matrix(model, n, (w, s)), chain) - before

@@ -258,7 +258,6 @@ class DgaModel:
             return cached
         gens = self.algebra.generators
         g = self.closed
-        free = [i for i in range(len(gens)) if i != g]
         width = [
             0 if i == g else 1 if d % 2 else max(1, (top // d).bit_length())
             for i, (_, d) in enumerate(gens)
@@ -267,7 +266,7 @@ class DgaModel:
         # (code, degree, weight, sign) of every g-free monomial through
         # degree top; the first generator varies slowest
         monos = [(0, 0, 0, 1)]
-        for i in reversed(free):
+        for i in reversed([i for i in range(len(gens)) if i != g]):
             d, w, s, shift = gens[i].degree, self.weights[i], self._signs[i], fields[i]
             monos = [
                 (code + (e << shift), n + e * d, weight + e * w, sign * s**e)
