@@ -4,7 +4,6 @@ cohomology, with stable pseudoisotopy and A-theory dimension tables."""
 __version__ = "0.1.0"
 
 from .algebra import (
-    AlgebraMap,
     Derivation,
     Generator,
     GradedAlgebra,
@@ -39,7 +38,6 @@ from .pseudoisotopy import (
     PseudoisotopyTable,
     k_theory_correction,
     pseudoisotopy_table,
-    total_P_dimension,
 )
 from .series import (
     RationalExpr,
@@ -51,7 +49,6 @@ from .series import (
 )
 
 __all__ = [
-    "AlgebraMap",
     "CurvaturePair",
     "Derivation",
     "DegreeSlice",
@@ -84,5 +81,4 @@ __all__ = [
     "parse_model",
     "point_borel_model",
     "pseudoisotopy_table",
-    "total_P_dimension",
 ]

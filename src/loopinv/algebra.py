@@ -6,8 +6,9 @@ exterior: their exponents never exceed one and their squares vanish.
 Reordering a product into canonical order accumulates the Koszul sign,
 one factor of -1 for every transposition of two odd generators, and that
 single rule is the source of truth for every sign in the package:
-derivations and algebra maps are extended from generator values through
-ordinary polynomial multiplication.
+a derivation is extended from its generator values through monomial
+multiplication (``Derivation.__call__`` sums each Leibniz term's signed
+coefficient into one dictionary and builds one Polynomial at the end).
 
 ``Derivation.integral_columns``, the cochain assembly, applies the same
 rule to packed monomial codes, with integer coefficients and no
@@ -49,7 +50,7 @@ class GradedAlgebra:
     """Lambda(g_1, ..., g_l): polynomial on even generators tensor
     exterior on odd generators."""
 
-    __slots__ = ("generators", "_index", "_degrees", "_odd", "_basis_cache")
+    __slots__ = ("generators", "_index", "_degrees", "_odd")
 
     def __init__(self, generators: Iterable):
         gens = []
@@ -66,7 +67,6 @@ class GradedAlgebra:
             raise ValueError("generator names must be unique")
         self._degrees = tuple(g.degree for g in self.generators)
         self._odd = tuple(g.degree % 2 == 1 for g in self.generators)
-        self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedAlgebra) and self.generators == other.generators
@@ -120,36 +120,6 @@ class GradedAlgebra:
                 sign_exp += suffix[j + 1]
         prod = tuple(a + b for a, b in zip(m1, m2))
         return (-1 if sign_exp % 2 else 1, prod)
-
-    def monomial_basis(self, degree: int) -> tuple[Monomial, ...]:
-        """All monomials of the given total degree, in ascending
-        lexicographic order of exponent tuples.  Degree 0 is exactly the
-        unit monomial.  A cache miss enumerates every degree up to this
-        one in a single depth-first pass and caches them all."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        cached = self._basis_cache.get(degree)
-        if cached is not None:
-            return cached
-        n = len(self.generators)
-        buckets: list[list[Monomial]] = [[] for _ in range(degree + 1)]
-        mono = [0] * n
-
-        def rec(i: int, total: int) -> None:
-            if i == n:
-                buckets[total].append(tuple(mono))
-                return
-            d = self._degrees[i]
-            top = (degree - total) // d
-            for e in range(min(1, top) + 1 if self._odd[i] else top + 1):
-                mono[i] = e
-                rec(i + 1, total + e * d)
-            mono[i] = 0
-
-        rec(0, 0)
-        for d, monos in enumerate(buckets):
-            self._basis_cache.setdefault(d, tuple(monos))
-        return self._basis_cache[degree]
 
     def monomial_str(self, mono: Monomial) -> str:
         parts = []
@@ -351,7 +321,8 @@ class Derivation:
 
     def of_generator(self, name: str) -> Polynomial:
         self.algebra.index(name)
-        return self._values.get(name, self.algebra.zero())
+        value = self._values.get(name)
+        return value if value is not None else self.algebra.zero()
 
     def value_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._values))
@@ -359,32 +330,46 @@ class Derivation:
     def __call__(self, p: Polynomial) -> Polynomial:
         if p.algebra != self.algebra:
             raise ValueError("polynomial lives in a different algebra")
-        out = self.algebra.zero()
+        acc: dict[Monomial, Fraction] = {}
         for mono, coeff in p.terms.items():
-            out = out + self._apply_monomial(mono).scale(coeff)
-        return out
+            self._apply_monomial(mono, coeff, acc)
+        return Polynomial(self.algebra, acc)
 
-    def _apply_monomial(self, mono: Monomial) -> Polynomial:
-        alg = self.algebra
-        gens = alg.generators
+    def _apply_monomial(self, mono: Monomial, coeff: Fraction, acc: dict) -> None:
+        """Add coeff * D(mono) into acc, term by term: the i-th Leibniz term
+        is sign * mult * left * D(g_i) * right, where left is mono up to
+        and including g_i^(e-1), right the rest of mono, sign
+        (-1)^(shift * degree of the factors before g_i) and mult the
+        exponent e of an even g_i (1 for an odd one).  The two products
+        are monomial products with their Koszul signs; no Polynomial is
+        built per term, and zero sums are dropped by the caller's
+        Polynomial."""
+        gens = self.algebra.generators
+        mult_monos = self.algebra.multiply_monomials
         odd_shift = self.degree_shift % 2 == 1
-        result = alg.zero()
+        width = len(mono)
         prefix_degree = 0
         for i, e in enumerate(mono):
-            if e:
-                g = gens[i]
-                dg = self._values.get(g.name)
-                if dg is not None:
-                    sign = -1 if odd_shift and prefix_degree % 2 else 1
-                    mult = e if g.degree % 2 == 0 else 1
-                    left = tuple(
-                        (mono[j] if j < i else e - 1 if j == i else 0) for j in range(len(mono))
-                    )
-                    right = tuple((mono[j] if j > i else 0) for j in range(len(mono)))
-                    term = alg.poly({left: sign * mult}) * dg * alg.poly({right: 1})
-                    result = result + term
-                prefix_degree += e * g.degree
-        return result
+            if not e:
+                continue
+            g = gens[i]
+            dg = self._values.get(g.name)
+            if dg is not None:
+                sign = -1 if odd_shift and prefix_degree % 2 else 1
+                scale = sign * (e if g.degree % 2 == 0 else 1) * coeff
+                left = mono[:i] + (e - 1,) + (0,) * (width - i - 1)
+                right = (0,) * (i + 1) + mono[i + 1 :]
+                for t, c in dg.terms.items():
+                    hit = mult_monos(left, t)
+                    if hit is None:
+                        continue
+                    s1, lt = hit
+                    hit = mult_monos(lt, right)
+                    if hit is None:
+                        continue
+                    s2, prod = hit
+                    acc[prod] = acc.get(prod, 0) + s1 * s2 * scale * c
+            prefix_degree += e * g.degree
 
     def _packed_terms(self, fields: tuple[int, ...]):
         """For each generator g_i with a nonzero value and a nonempty
@@ -469,56 +454,15 @@ class Derivation:
         return columns
 
 
-class AlgebraMap:
-    """Degree-preserving algebra endomorphism, determined by generator
-    values and extended multiplicatively.  Generators missing from
-    ``values`` are fixed."""
-
-    __slots__ = ("algebra", "_values")
-
-    def __init__(self, algebra: GradedAlgebra, values: Mapping[str, Polynomial]):
-        self.algebra = algebra
-        clean: dict[str, Polynomial] = {}
-        for name, poly in values.items():
-            target = algebra.degree_of(name)
-            if poly.algebra != algebra:
-                raise ValueError(f"value for {name} lives in a different algebra")
-            if not poly.is_homogeneous_of(target):
-                raise ValueError(
-                    f"value for {name} must be homogeneous of degree {target}, got {poly}"
-                )
-            clean[name] = poly
-        self._values = clean
-
-    def of_generator(self, name: str) -> Polynomial:
-        self.algebra.index(name)
-        value = self._values.get(name)
-        return value if value is not None else self.algebra.gen(name)
-
-    def __call__(self, p: Polynomial) -> Polynomial:
-        if p.algebra != self.algebra:
-            raise ValueError("polynomial lives in a different algebra")
-        alg = self.algebra
-        out = alg.zero()
-        for mono, coeff in p.terms.items():
-            term = alg.unit()
-            for i, e in enumerate(mono):
-                if e:
-                    img = self.of_generator(alg.generators[i].name)
-                    for _ in range(e):
-                        term = term * img
-                    if not term:
-                        break
-            out = out + term.scale(coeff)
-        return out
-
-
 class DifferentialViolation(NamedTuple):
     generator: str
     residual: Polynomial
 
     def __str__(self) -> str:
-        return f"d^2({self.generator}) = {self.residual} != 0"
+        try:
+            return f"d^2({self.generator}) = {self.residual} != 0"
+        except ValueError:  # a coefficient with more digits than Python prints
+            return f"d^2({self.generator}) != 0, with a coefficient too long to print"
 
 
 def check_differential(d: Derivation, max_degree: int) -> Optional[DifferentialViolation]:

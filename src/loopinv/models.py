@@ -12,7 +12,7 @@ term ::= [rational '*'] factor ('*' factor)*, factor ::= name ['^' posint],
 rational ::= int ['/' posint].
 
 From a minimal model (all generator degrees >= 2, square-zero decomposable
-differential d) this module builds
+differential d) this module builds, with one builder,
 
 * the free loop model on generators {v} u {v_bar}, deg v_bar = deg v - 1,
   with differential delta(v) = d(v), delta(v_bar) = -s(d(v)), where s is
@@ -22,11 +22,12 @@ differential d) this module builds
   T(alpha) = -alpha, T(v) = v, T(v_bar) = -v_bar.
 
 Both carry generator weights (v 0, v_bar 1 and, in the Borel model,
-alpha -1) that their differentials preserve.  Both constructions are
-gated: a model is only returned after the square-zero check, the weight
-check and (for the Borel model) the involution checks pass on every
-generator, so a sign-convention mismatch surfaces as a hard error instead
-of a wrong table.
+alpha -1) that their differentials preserve.  The involution is a tuple
+of generator signs, so it is diagonal by construction.  A model is only
+returned after the square-zero check, the weight check and the check
+that the differential commutes with the signs pass on every generator,
+so a sign-convention mismatch surfaces as a hard error instead of a
+wrong table.
 
 ``DgaModel.layout`` packs the monomials free of the closed even generator
 g into integer codes, one bit field per generator, once per model.
@@ -42,7 +43,6 @@ from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .algebra import (
-    AlgebraMap,
     Derivation,
     GradedAlgebra,
     Monomial,
@@ -160,13 +160,15 @@ class Layout(NamedTuple):
 class DgaModel:
     """Free graded-commutative algebra with a square-zero degree +1
     differential, an integer weight per generator (all zero unless given)
-    and, optionally, an involution commuting with the differential.
+    and, optionally, an involution given by one sign per generator.
 
-    The involution must send every generator to plus or minus itself, so
-    it acts on each monomial by a sign, and the differential must preserve
+    The involution sends generator i to ``involution[i]`` times itself,
+    so it is diagonal by construction and acts on each monomial by the
+    product of the signs of its factors.  The differential must preserve
     both the monomial weight (the exponent-weighted sum of generator
-    weights) and that sign.  The cochain complex is then the direct sum of
-    the subcomplexes spanned by the monomials of one block, keyed by
+    weights) and that sign, which is to say it commutes with the
+    involution.  The cochain complex is then the direct sum of the
+    subcomplexes spanned by the monomials of one block, keyed by
     (weight, sign).
 
     ``closed`` is the index of g, the even generator with zero
@@ -178,7 +180,7 @@ class DgaModel:
 
     algebra: GradedAlgebra
     differential: Derivation
-    involution: Optional[AlgebraMap] = None
+    involution: Optional[tuple[int, ...]] = None
     weights: tuple[int, ...] = ()
     closed: Optional[int] = field(init=False, repr=False, compare=False, default=None)
     _signs: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
@@ -196,21 +198,17 @@ class DgaModel:
         violation = check_differential(self.differential, top + 2)
         if violation is not None:
             raise NotSquareZeroError(str(violation))
-        signs = [1] * width
-        t = self.involution
-        if t is not None:
-            if t.algebra != alg:
-                raise ValueError("involution belongs to a different algebra")
-            for i, g in enumerate(alg.generators):
-                gen = alg.gen(g.name)
-                image = t.of_generator(g.name)
-                if image == -gen:
-                    signs[i] = -1
-                elif image != gen:
-                    raise InvolutionIncompatibleError(
-                        f"involution sends {g.name} to {image}, not to plus or minus itself"
-                    )
-        object.__setattr__(self, "_signs", tuple(signs))
+        if self.involution is not None:
+            object.__setattr__(self, "involution", tuple(self.involution))
+        signs = self.involution or (1,) * width
+        if len(signs) != width:
+            raise ValueError(f"need {width} involution signs, got {len(signs)}")
+        for g, sign in zip(alg.generators, signs):
+            if sign not in (1, -1):
+                raise InvolutionIncompatibleError(
+                    f"involution sign {sign} of {g.name} is not plus or minus one"
+                )
+        object.__setattr__(self, "_signs", signs)
         for g, weight, sign in zip(alg.generators, self.weights, self._signs):
             for mono in self.differential.of_generator(g.name).terms:
                 w, s = self._block_of(mono)
@@ -480,6 +478,16 @@ def parse_model(text: str) -> MinimalModel:
                 f"d {name} already given on line {diff_lines[name]}", line_no, 1
             )
         poly = _PolyParser(algebra, tokens, line_no).parse()
+        for mono, c in poly.terms.items():
+            try:
+                str(c)  # terms that each parsed can sum past what Python prints
+            except ValueError:
+                raise ModelSyntaxError(
+                    f"the terms of {algebra.monomial_str(mono)} sum to a coefficient "
+                    "with too many digits",
+                    line_no,
+                    tokens[0][2],
+                ) from None
         target = algebra.degree_of(name) + 1
         if not poly.is_homogeneous_of(target):
             raise DegreeMismatchError(
@@ -513,42 +521,57 @@ def _barred_names(model: MinimalModel) -> dict[str, str]:
     return bars
 
 
-def _transport(poly: Polynomial, target: GradedAlgebra) -> Polynomial:
-    """Rebuild a polynomial in a larger algebra, matching generators by
-    name.  The relative order of shared generators must be preserved so
-    no Koszul sign can arise; this holds for the loop and Borel algebras
-    built here."""
-    src = poly.algebra
-    idx = [target.index(g.name) for g in src.generators]
-    width = len(target.generators)
-    terms = {}
-    for mono, coeff in poly.terms.items():
-        new = [0] * width
-        for i, e in enumerate(mono):
-            new[idx[i]] = e
-        terms[tuple(new)] = coeff
-    return Polynomial(target, terms)
+def _free_loop(model: MinimalModel, equivariant: bool) -> DgaModel:
+    """The loop model, or with ``equivariant`` the Borel model, of a
+    minimal model: generators [alpha,] v_1, v_1_bar, v_2, v_2_bar, ...
+    with D(v) = d(v) [+ alpha * v_bar] and D(v_bar) = -s(d(v)), where s
+    is the degree -1 derivation sending v to v_bar and v_bar to 0.
+
+    alpha comes first and is even, so alpha * v_bar is one monomial with
+    coefficient +1, and each v_bar sits right after its v, so a monomial
+    of the minimal model lifts by putting a zero after each exponent (and
+    one before them all for alpha).  The
+    weights are -1 on alpha, 0 on v and +1 on v_bar; the Borel
+    involution has sign -1 on alpha and on every v_bar."""
+    base = model.algebra.generators
+    bars = _barred_names(model)
+    head = []
+    if equivariant:
+        head = [(_fresh_name("alpha", set(model.algebra.names) | set(bars.values())), 2)]
+    gens = head + [p for g in base for p in ((g.name, g.degree), (bars[g.name], g.degree - 1))]
+    algebra = GradedAlgebra(gens)
+    pad = (0,) * len(head)
+    suspension = Derivation(algebra, -1, {g.name: algebra.gen(bars[g.name]) for g in base})
+    values: dict[str, Polynomial] = {}
+    for k, g in enumerate(base):
+        dv = Polynomial(
+            algebra,
+            {
+                pad + tuple(x for e in mono for x in (e, 0)): c
+                for mono, c in model.differential.of_generator(g.name).terms.items()
+            },
+        )
+        if dv:
+            values[bars[g.name]] = -suspension(dv)
+        if equivariant:  # + alpha * v_bar, with v_bar at position 2k + 2
+            alpha_bar = tuple(int(j in (0, 2 * k + 2)) for j in range(len(gens)))
+            dv = Polynomial(algebra, {**dv.terms, alpha_bar: 1})
+        values[g.name] = dv
+    differential = Derivation(algebra, 1, values)
+    if not equivariant:
+        return DgaModel(algebra, differential, None, (0, 1) * len(base))
+    try:
+        return DgaModel(
+            algebra, differential, (-1,) + (1, -1) * len(base), (-1,) + (0, 1) * len(base)
+        )
+    except NotSquareZeroError as exc:
+        raise BorelSquareZeroError(f"Borel differential does not square to zero: {exc}") from exc
 
 
 def loop_model(model: MinimalModel) -> DgaModel:
     """Free loop model: generators {v} u {v_bar} with deg v_bar =
     deg v - 1, differential delta(v) = d(v), delta(v_bar) = -s(d(v))."""
-    bars = _barred_names(model)
-    gens = []
-    for g in model.algebra.generators:
-        gens.append((g.name, g.degree))
-        gens.append((bars[g.name], g.degree - 1))
-    algebra = GradedAlgebra(gens)
-    suspension = Derivation(
-        algebra, -1, {g.name: algebra.gen(bars[g.name]) for g in model.algebra.generators}
-    )
-    values: dict[str, Polynomial] = {}
-    for g in model.algebra.generators:
-        dv = _transport(model.differential.of_generator(g.name), algebra)
-        values[g.name] = dv
-        values[bars[g.name]] = -suspension(dv)
-    delta = Derivation(algebra, 1, values)
-    return DgaModel(algebra, delta, None, (0, 1) * len(model.algebra.generators))
+    return _free_loop(model, False)
 
 
 def borel_model(model: MinimalModel) -> DgaModel:
@@ -557,35 +580,12 @@ def borel_model(model: MinimalModel) -> DgaModel:
     Generators are {alpha} u {v} u {v_bar} with deg alpha = 2, and
     D = delta + alpha * s, with weights -1 on alpha, 0 on v and +1 on
     v_bar, so that D preserves the weight #bars - #alpha and the
-    involution acts on a monomial by (-1)^weight.  The construction gates
-    of DgaModel run on every generator; a failed square-zero check raises
-    BorelSquareZeroError instead of returning a corrupt model.
+    involution (signs -1 on alpha and v_bar, +1 on v) acts on a monomial
+    by (-1)^weight.  The construction gates of DgaModel run on every
+    generator; a failed square-zero check raises BorelSquareZeroError
+    instead of returning a corrupt model.
     """
-    bars = _barred_names(model)
-    alpha = _fresh_name("alpha", set(model.algebra.names) | set(bars.values()))
-    gens: list[tuple[str, int]] = [(alpha, 2)]
-    for g in model.algebra.generators:
-        gens.append((g.name, g.degree))
-        gens.append((bars[g.name], g.degree - 1))
-    algebra = GradedAlgebra(gens)
-    alpha_poly = algebra.gen(alpha)
-    suspension = Derivation(
-        algebra, -1, {g.name: algebra.gen(bars[g.name]) for g in model.algebra.generators}
-    )
-    values: dict[str, Polynomial] = {alpha: algebra.zero()}
-    t_values = {alpha: -alpha_poly}
-    for g in model.algebra.generators:
-        dv = _transport(model.differential.of_generator(g.name), algebra)
-        values[g.name] = dv + alpha_poly * suspension(algebra.gen(g.name))
-        values[bars[g.name]] = -suspension(dv)
-        t_values[bars[g.name]] = -algebra.gen(bars[g.name])
-    weights = (-1,) + (0, 1) * len(model.algebra.generators)
-    try:
-        return DgaModel(
-            algebra, Derivation(algebra, 1, values), AlgebraMap(algebra, t_values), weights
-        )
-    except NotSquareZeroError as exc:
-        raise BorelSquareZeroError(f"Borel differential does not square to zero: {exc}") from exc
+    return _free_loop(model, True)
 
 
 def point_borel_model() -> DgaModel:

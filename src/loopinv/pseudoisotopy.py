@@ -147,8 +147,3 @@ def pseudoisotopy_table(model: MinimalModel, cap: int) -> PseudoisotopyTable:
     betti_base = [s.betti for s in eigen_table(base_dga(model), cap).slices]
     return PseudoisotopyTable(cap, _assemble_rows(rel_plus, rel_minus, betti_base, cap))
 
-
-def total_P_dimension(table: PseudoisotopyTable, i: int) -> int:
-    """dim of the full rational homotopy of the stable pseudoisotopy
-    space in degree i (both eigenspaces together)."""
-    return table.total_dimension(i)

@@ -4,12 +4,13 @@ library must agree with."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from loopinv.algebra import Derivation, GradedAlgebra, Monomial, Polynomial
 from loopinv.cohomology import NoInvolutionError
@@ -35,7 +36,93 @@ def sphere_bundle_model(d: int) -> MinimalModel:
 
 # ---------------------------------------------------------------------
 # independent oracles (used only by tests)
-#
+
+
+class AlgebraMap:
+    """Degree-preserving algebra endomorphism, determined by generator
+    values and extended multiplicatively through Polynomial products.
+    Generators missing from ``values`` are fixed.  The general form of
+    the involution, which loopinv keeps as one sign per generator."""
+
+    __slots__ = ("algebra", "_values")
+
+    def __init__(self, algebra: GradedAlgebra, values: Mapping[str, Polynomial]):
+        self.algebra = algebra
+        clean: dict[str, Polynomial] = {}
+        for name, poly in values.items():
+            target = algebra.degree_of(name)
+            if poly.algebra != algebra:
+                raise ValueError(f"value for {name} lives in a different algebra")
+            if not poly.is_homogeneous_of(target):
+                raise ValueError(
+                    f"value for {name} must be homogeneous of degree {target}, got {poly}"
+                )
+            clean[name] = poly
+        self._values = clean
+
+    def of_generator(self, name: str) -> Polynomial:
+        self.algebra.index(name)
+        value = self._values.get(name)
+        return value if value is not None else self.algebra.gen(name)
+
+    def __call__(self, p: Polynomial) -> Polynomial:
+        if p.algebra != self.algebra:
+            raise ValueError("polynomial lives in a different algebra")
+        alg = self.algebra
+        out = alg.zero()
+        for mono, coeff in p.terms.items():
+            term = alg.unit()
+            for i, e in enumerate(mono):
+                if e:
+                    img = self.of_generator(alg.generators[i].name)
+                    for _ in range(e):
+                        term = term * img
+                    if not term:
+                        break
+            out = out + term.scale(coeff)
+        return out
+
+
+def involution_map(model: DgaModel) -> Optional[AlgebraMap]:
+    """The model's involution as an algebra map built from its generator
+    signs (each generator with sign -1 goes to minus itself), or None."""
+    if model.involution is None:
+        return None
+    alg = model.algebra
+    return AlgebraMap(
+        alg,
+        {g.name: -alg.gen(g.name) for g, s in zip(alg.generators, model.involution) if s < 0},
+    )
+
+
+def product_derivation(d: Derivation, p: Polynomial) -> Polynomial:
+    """d(p) by the Polynomial-product route, the oracle of
+    ``Derivation.__call__``: each Leibniz term of each monomial is the
+    product of three Polynomials, sign * mult * left, d(g_i) and right,
+    and the terms are added as Polynomials."""
+    alg = d.algebra
+    gens = alg.generators
+    odd_shift = d.degree_shift % 2 == 1
+    out = alg.zero()
+    for mono, coeff in p.terms.items():
+        prefix_degree = 0
+        for i, e in enumerate(mono):
+            if e:
+                g = gens[i]
+                dg = d.of_generator(g.name)
+                if dg:
+                    sign = -1 if odd_shift and prefix_degree % 2 else 1
+                    mult = e if g.degree % 2 == 0 else 1
+                    left = tuple(
+                        (mono[j] if j < i else e - 1 if j == i else 0) for j in range(len(mono))
+                    )
+                    right = tuple((mono[j] if j > i else 0) for j in range(len(mono)))
+                    term = alg.poly({left: sign * mult}) * dg * alg.poly({right: 1})
+                    out = out + term.scale(coeff)
+                prefix_degree += e * g.degree
+    return out
+
+
 # The general eigen route: dense matrices over Q assembled through
 # Derivation (Polynomial products with Fraction coefficients), Gauss-Jordan
 # elimination over Fractions, kernel bases, cohomology representatives,
@@ -248,7 +335,7 @@ def blocks(model: DgaModel, n: int) -> dict[Block, tuple[Monomial, ...]]:
     """The whole degree-n monomial basis split by (weight, involution
     sign), each block in basis order."""
     split: dict[Block, list[Monomial]] = {}
-    for mono in model.algebra.monomial_basis(n):
+    for mono in per_degree_monomial_basis(model.algebra, n):
         split.setdefault(model._block_of(mono), []).append(mono)
     return {k: tuple(v) for k, v in split.items()}
 
@@ -259,7 +346,8 @@ def cochain_matrix(model: DgaModel, n: int, block: Optional[Block] = None) -> QM
     Derivation."""
     alg = model.algebra
     if block is None:
-        source, target = alg.monomial_basis(n), alg.monomial_basis(n + 1)
+        source = per_degree_monomial_basis(alg, n)
+        target = per_degree_monomial_basis(alg, n + 1)
     else:
         source, target = blocks(model, n).get(block, ()), blocks(model, n + 1).get(block, ())
     index = {mono: i for i, mono in enumerate(target)}
@@ -547,7 +635,7 @@ def _representatives(model: DgaModel, n: int):
     classes form a basis of H^n): the pivot columns of D_{n-1}, and the
     kernel vectors of D_n, in canonical order, that stay independent
     modulo them."""
-    dim_n = len(model.algebra.monomial_basis(n))
+    dim_n = len(per_degree_monomial_basis(model.algebra, n))
     kernel = kernel_basis(cochain_matrix(model, n))
     if n > 0:
         prev = cochain_matrix(model, n - 1)
@@ -561,10 +649,11 @@ def _representatives(model: DgaModel, n: int):
 
 def induced_involution(model: DgaModel, n: int) -> QMatrix:
     """Matrix of the involution on the representative basis of H^n."""
-    if model.involution is None:
+    involution = involution_map(model)
+    if involution is None:
         raise NoInvolutionError("model has no involution")
     alg = model.algebra
-    basis = alg.monomial_basis(n)
+    basis = per_degree_monomial_basis(alg, n)
     image, reps = _representatives(model, n)
     if not reps:
         return QMatrix.zero(0, 0)
@@ -572,7 +661,7 @@ def induced_involution(model: DgaModel, n: int) -> QMatrix:
     t_cols = []
     for mono in basis:
         col = [Fraction(0)] * len(basis)
-        for m, c in model.involution(alg.poly({mono: 1})).terms.items():
+        for m, c in involution(alg.poly({mono: 1})).terms.items():
             col[index[m]] = c
         t_cols.append(col)
     t = QMatrix.from_columns(t_cols, rows=len(basis))
@@ -627,10 +716,11 @@ def brute_force_monomial_count(algebra: GradedAlgebra, degree: int) -> int:
     return count
 
 
+@functools.cache
 def per_degree_monomial_basis(algebra: GradedAlgebra, degree: int) -> tuple[Monomial, ...]:
     """The degree-n monomials in ascending lexicographic order, by a
-    search of that one degree (how GradedAlgebra built each basis before
-    it enumerated all degrees in one pass)."""
+    search of that one degree, cached per algebra and degree.  loopinv
+    itself never enumerates a whole degree (see ``DgaModel.layout``)."""
     n = len(algebra.generators)
     out: list[Monomial] = []
     mono = [0] * n
@@ -671,7 +761,7 @@ def random_minimal_model(rng: random.Random, max_generators: int = 4) -> Minimal
         candidates = []
         if closed and rng.random() < 0.7:
             sub = GradedAlgebra([(names[j], degrees[j]) for j in closed])
-            for mono in sub.monomial_basis(target):
+            for mono in per_degree_monomial_basis(sub, target):
                 if sum(mono) >= 2:
                     full = [0] * n
                     for pos, j in enumerate(closed):

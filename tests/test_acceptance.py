@@ -13,8 +13,10 @@ from loopinv.models import borel_model, point_borel_model
 from loopinv.pseudoisotopy import pseudoisotopy_table
 from loopinv.series import RationalExpr, algebra_generating_function, equals_expr
 from support import (
+    involution_map,
     load_model,
     oracle_betti,
+    per_degree_monomial_basis,
     random_models_within_budget,
     sphere_bundle_model,
 )
@@ -112,7 +114,7 @@ def test_criterion_6_property_suites():
     ok = True
     for model in models:
         dga = borel_model(model)
-        d, t = dga.differential, dga.involution
+        d, t = dga.differential, involution_map(dga)
         for g in dga.algebra.generators:
             gen = dga.algebra.gen(g.name)
             ok = ok and not d(d(gen))
@@ -124,7 +126,7 @@ def test_criterion_6_property_suites():
             s = table.slice(n)
             ok = ok and s.inv_plus + s.inv_minus == s.betti
             ok = ok and s.betti == oracle_betti(dga, n)
-            ok = ok and s.cochain_dim == gf[n] == len(dga.algebra.monomial_basis(n))
+            ok = ok and s.cochain_dim == gf[n] == len(per_degree_monomial_basis(dga.algebra, n))
         if not ok:
             break
     _report(6, "structural properties on 24 models at cap 24", ok)

@@ -1,18 +1,24 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopinv.algebra import (
-    AlgebraMap,
     Derivation,
     GradedAlgebra,
     WrongDegreeShiftError,
     check_differential,
 )
+from loopinv.models import DgaModel
 from loopinv.series import algebra_generating_function
-from support import brute_force_monomial_count, per_degree_monomial_basis
+from support import (
+    AlgebraMap,
+    brute_force_monomial_count,
+    chain_basis,
+    per_degree_monomial_basis,
+    product_derivation,
+)
 
 
 @pytest.fixture
@@ -23,23 +29,23 @@ def borel_algebra():
 
 def test_monomial_basis_degree_six(borel_algebra):
     # brute force enumeration gives {alpha^3, x_bar}
-    basis = borel_algebra.monomial_basis(6)
+    basis = per_degree_monomial_basis(borel_algebra, 6)
     assert set(basis) == {(3, 0, 0), (0, 0, 1)}
     assert list(basis) == sorted(basis)  # lexicographic order
 
 
 def test_monomial_basis_degree_zero(borel_algebra):
-    assert borel_algebra.monomial_basis(0) == ((0, 0, 0),)
+    assert per_degree_monomial_basis(borel_algebra, 0) == ((0, 0, 0),)
 
 
 def test_monomial_basis_exterior_square_vanishes():
     alg = GradedAlgebra([("y", 3)])
-    assert alg.monomial_basis(6) == ()
+    assert per_degree_monomial_basis(alg, 6) == ()
 
 
 @pytest.mark.parametrize("degree", range(0, 16))
 def test_monomial_basis_matches_brute_force(borel_algebra, degree):
-    assert len(borel_algebra.monomial_basis(degree)) == brute_force_monomial_count(
+    assert len(per_degree_monomial_basis(borel_algebra, degree)) == brute_force_monomial_count(
         borel_algebra, degree
     )
 
@@ -53,14 +59,17 @@ def test_monomial_basis_matches_brute_force(borel_algebra, degree):
     ],
 )
 def test_one_pass_bases_match_per_degree_search(gens):
+    # DgaModel.layout enumerates every degree in one pass; its block bases
+    # together are the whole monomial basis of each degree
     cap = 24
-    gf = algebra_generating_function(GradedAlgebra(gens), cap + 1)
-    one_pass = GradedAlgebra(gens)
-    one_pass.monomial_basis(cap)  # fills degrees 0..cap at once
-    ascending = GradedAlgebra(gens)  # misses the cache at every degree
+    alg = GradedAlgebra(gens)
+    gf = algebra_generating_function(alg, cap + 1)
+    dga = DgaModel(alg, Derivation(alg, 1, {}))
+    dims = dga.layout(cap).dims
     for n in range(cap + 1):
-        want = per_degree_monomial_basis(one_pass, n)
-        assert one_pass.monomial_basis(n) == want == ascending.monomial_basis(n), n
+        want = per_degree_monomial_basis(alg, n)
+        one_pass = sorted(m for block in dims[n] for m in chain_basis(dga, n, block))
+        assert one_pass == list(want), n
         assert len(want) == gf[n]
 
 
@@ -218,7 +227,7 @@ _T = AlgebraMap(_ALG, {"y": -_ALG.gen("y"), "b": -_ALG.gen("b")})
 @st.composite
 def homogeneous_polys(draw, max_degree=12):
     degree = draw(st.integers(min_value=0, max_value=max_degree))
-    basis = _ALG.monomial_basis(degree)
+    basis = per_degree_monomial_basis(_ALG, degree)
     if not basis:
         return degree, _ALG.zero()
     picked = draw(st.lists(st.sampled_from(basis), max_size=3, unique=True))
@@ -269,3 +278,49 @@ def test_leibniz_shift_minus_one(pq1, pq2):
 def test_algebra_map_multiplicative(pq1, pq2):
     (_, p), (_, q) = pq1, pq2
     assert _T(p * q) == _T(p) * _T(q)
+
+
+# ---------------------------------------------------------------------
+# Derivation.__call__ against the Polynomial-product route
+
+_FRACTIONS = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9).filter(bool), st.integers(1, 5)
+)
+
+
+@st.composite
+def derivations_with_polys(draw):
+    """A random derivation of shift +1 or -1 (square-zero or not) on a
+    random algebra with odd and even generators, and a random polynomial
+    with rational coefficients, not necessarily homogeneous."""
+    degrees = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    alg = GradedAlgebra([(f"g{i}", d) for i, d in enumerate(degrees)])
+    shift = draw(st.sampled_from([1, -1]))
+    values = {}
+    for g in alg.generators:
+        basis = per_degree_monomial_basis(alg, g.degree + shift)
+        picked = draw(st.lists(st.sampled_from(basis), max_size=4, unique=True)) if basis else []
+        values[g.name] = alg.poly({m: draw(_FRACTIONS) for m in picked})
+    terms = {}
+    for degree in draw(st.lists(st.integers(0, 12), max_size=6)):
+        basis = per_degree_monomial_basis(alg, degree)
+        if basis:
+            terms[draw(st.sampled_from(basis))] = draw(_FRACTIONS)
+    return Derivation(alg, shift, values), alg.poly(terms)
+
+
+# D(y * a) with D(a) = x: the term y * x of the left product reorders to
+# -x * y, a Koszul sign that random draws reach only now and then
+_KOSZUL_ALG = GradedAlgebra([("x", 3), ("y", 3), ("a", 2)])
+_KOSZUL_CASE = (
+    Derivation(_KOSZUL_ALG, 1, {"a": _KOSZUL_ALG.gen("x")}),
+    _KOSZUL_ALG.gen("y") * _KOSZUL_ALG.gen("a"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(derivations_with_polys())
+@example(_KOSZUL_CASE)
+def test_derivation_matches_polynomial_product_route(dp):
+    d, p = dp
+    assert d(p) == product_derivation(d, p)

@@ -307,6 +307,37 @@ def test_overlong_model_number_is_a_syntax_error(capsys, tmp_path, body, line, c
     assert err == f"SyntaxError: {where}: number with 4301 digits is too long\n"
 
 
+TOP = "9" * 4300  # the longest number Python converts to text by default
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+def test_summed_coefficient_with_too_many_digits_is_a_syntax_error(capsys, tmp_path, command):
+    # each term parses, but their sum has 4301 digits
+    path = tmp_path / "sum.model"
+    path.write_text(f"gen a 2\ngen b 3\nd b = {TOP}*a^2 + {TOP}*a^2\n", encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert "set_int_max_str_digits" not in err
+    assert err == (
+        "SyntaxError: line 3, column 7: the terms of a^2 sum to a coefficient "
+        "with too many digits\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+def test_unprintable_square_zero_residual_is_a_model_error(capsys, tmp_path, command):
+    # d^2(c) = N^2 a^3, and N^2 has 4400 digits
+    half = "9" * 2200
+    path = tmp_path / "residual.model"
+    path.write_text(
+        f"gen a 2\ngen b 3\ngen c 4\nd b = {half}*a^2\nd c = {half}*a*b\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert "set_int_max_str_digits" not in err
+    assert err == "NotSquareZero: d^2(c) != 0, with a coefficient too long to print\n"
+
+
 @pytest.mark.parametrize(
     "expr",
     [f"1/(1-t^{LONG})", f"{LONG}*t", f"t^{LONG}", "9" * 4300 + " + " + "9" * 4300],

@@ -11,6 +11,7 @@ from support import (
     involution_eigen_dims,
     load_model,
     oracle_betti,
+    per_degree_monomial_basis,
 )
 
 
@@ -37,7 +38,7 @@ def test_cochain_matrix_zero_differential():
     dims = loop.layout(7).dims[6]
     assert all(not cochain_matrix(loop, 6, key).cols for key in dims)
     assert all(not chain_block_entries(loop, 6, key) for key in dims)
-    assert sum(dims.values()) == len(loop.algebra.monomial_basis(6))
+    assert sum(dims.values()) == len(per_degree_monomial_basis(loop.algebra, 6))
 
 
 def test_cochain_matrix_empty_degree(borel_d2):

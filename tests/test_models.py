@@ -20,7 +20,7 @@ from loopinv.models import (
     parse_model,
     point_borel_model,
 )
-from support import load_model
+from support import involution_map, load_model
 
 
 def test_parse_single_generator():
@@ -164,7 +164,8 @@ def test_borel_model_sphere_bundle():
     assert d.of_generator("x") == alg.gen("alpha") * alg.gen("x_bar")
     assert not d.of_generator("alpha")
     assert not d.of_generator("x_bar")
-    t = borel.involution
+    assert borel.involution == (-1, 1, -1)
+    t = involution_map(borel)
     assert t.of_generator("alpha") == -alg.gen("alpha")
     assert t.of_generator("x") == alg.gen("x")
     assert t.of_generator("x_bar") == -alg.gen("x_bar")
@@ -196,7 +197,7 @@ def test_borel_alpha_to_zero_recovers_loop_differential():
 
 def test_borel_gates_hold_on_all_generators():
     borel = borel_model(parse_model("gen a 2\ngen b 2\ngen c 3\nd c = a*b\n"))
-    d, t = borel.differential, borel.involution
+    d, t = borel.differential, involution_map(borel)
     for g in borel.algebra.generators:
         gen = borel.algebra.gen(g.name)
         assert not d(d(gen))
@@ -220,7 +221,8 @@ def test_point_borel_model():
     point = point_borel_model()
     assert point.algebra.names == ("alpha",)
     assert not point.differential.of_generator("alpha")
-    assert point.involution.of_generator("alpha") == -point.algebra.gen("alpha")
+    assert point.involution == (-1,)
+    assert involution_map(point).of_generator("alpha") == -point.algebra.gen("alpha")
 
 
 def test_base_dga_has_no_involution():
@@ -241,25 +243,23 @@ def test_dga_model_rejects_broken_differential():
 
 
 def test_dga_model_rejects_incompatible_involution():
-    from loopinv.algebra import AlgebraMap
-
     alg = GradedAlgebra([("a", 2), ("b", 3)])
     d = Derivation(alg, 1, {"b": alg.gen("a") ** 2})
-    # t(d b) = a^2 but d(t b) = -a^2
-    t = AlgebraMap(alg, {"b": -alg.gen("b")})
-    with pytest.raises(InvolutionIncompatibleError):
-        DgaModel(alg, d, t)
+    # the signs (1, -1) send b to -b: t(d b) = a^2 but d(t b) = -a^2
+    with pytest.raises(InvolutionIncompatibleError, match="does not commute"):
+        DgaModel(alg, d, (1, -1))
+    assert DgaModel(alg, d, (-1, 1)).involution == (-1, 1)  # a^2 has sign +1
 
 
 def test_dga_model_rejects_non_diagonal_involution():
-    from loopinv.algebra import AlgebraMap
-
-    # swapping a and c is an involution commuting with D = 0, but it does
-    # not act on monomials by signs
+    # an involution is one sign per generator; any other entry is refused
     alg = GradedAlgebra([("a", 2), ("c", 2)])
-    t = AlgebraMap(alg, {"a": alg.gen("c"), "c": alg.gen("a")})
-    with pytest.raises(InvolutionIncompatibleError, match="plus or minus"):
-        DgaModel(alg, Derivation(alg, 1, {}), t)
+    d = Derivation(alg, 1, {})
+    for signs in [(1, 0), (2, 1), (1, -2)]:
+        with pytest.raises(InvolutionIncompatibleError, match="plus or minus"):
+            DgaModel(alg, d, signs)
+    with pytest.raises(ValueError):
+        DgaModel(alg, d, (1, -1, 1))
 
 
 def test_dga_model_rejects_weight_inhomogeneous_differential():
@@ -355,7 +355,7 @@ def test_borel_of_non_minimal_model_passes_gates():
     with pytest.warns(NotMinimalWarning):
         m = parse_model("gen a 3\ngen b 2\nd b = a\n")
     borel = borel_model(m)
-    d, t = borel.differential, borel.involution
+    d, t = borel.differential, involution_map(borel)
     assert d.of_generator("b_bar") == -borel.algebra.gen("a_bar")
     for g in borel.algebra.generators:
         gen = borel.algebra.gen(g.name)

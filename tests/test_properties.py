@@ -11,8 +11,10 @@ from loopinv.cohomology import eigen_table
 from loopinv.models import borel_model, loop_model
 from loopinv.series import algebra_generating_function
 from support import (
+    involution_map,
     load_model,
     oracle_betti,
+    per_degree_monomial_basis,
     random_models_within_budget,
     sphere_bundle_model,
 )
@@ -22,7 +24,7 @@ CAP = 16
 
 def _structural_gates(dga):
     d = dga.differential
-    t = dga.involution
+    t = involution_map(dga)
     for g in dga.algebra.generators:
         gen = dga.algebra.gen(g.name)
         assert not d(d(gen)), f"d^2 != 0 on {g.name}"
@@ -36,7 +38,7 @@ def _table_properties(dga, cap):
     gf = algebra_generating_function(dga.algebra, cap)
     for n in range(cap):
         s = table.slice(n)
-        assert s.cochain_dim == gf[n] == len(dga.algebra.monomial_basis(n))
+        assert s.cochain_dim == gf[n] == len(per_degree_monomial_basis(dga.algebra, n))
         assert s.inv_plus + s.inv_minus == s.betti
         assert s.betti == oracle_betti(dga, n)
 

@@ -9,7 +9,6 @@ from loopinv.pseudoisotopy import (
     _point_split,
     k_theory_correction,
     pseudoisotopy_table,
-    total_P_dimension,
 )
 from loopinv.series import RationalExpr, equals_expr
 from support import load_model, sphere_bundle_model
@@ -65,9 +64,9 @@ def test_d2_closed_forms(table_d2):
 
 
 def test_total_dimension(table_d2):
-    assert total_P_dimension(table_d2, 17) == 1  # 0 plus + 1 minus
-    assert total_P_dimension(table_d2, 3) == 1
-    assert total_P_dimension(table_d2, 0) == 0
+    assert table_d2.total_dimension(17) == 1  # 0 plus + 1 minus
+    assert table_d2.total_dimension(3) == 1
+    assert table_d2.total_dimension(0) == 0
 
 
 def test_internal_identities(table_d2):
