@@ -94,10 +94,6 @@ class GradedAlgebra:
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(e * d for e, d in zip(mono, self._degrees))
 
-    @staticmethod
-    def word_length(mono: Monomial) -> int:
-        return sum(mono)
-
     def unit_monomial(self) -> Monomial:
         return (0,) * len(self.generators)
 
@@ -235,14 +231,6 @@ class Polynomial:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        out = self.algebra.unit()
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def scale(self, scalar: Scalar) -> "Polynomial":
         c = Fraction(scalar)
         if not c:
@@ -323,9 +311,6 @@ class Derivation:
         self.algebra.index(name)
         value = self._values.get(name)
         return value if value is not None else self.algebra.zero()
-
-    def value_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._values))
 
     def __call__(self, p: Polynomial) -> Polynomial:
         if p.algebra != self.algebra:

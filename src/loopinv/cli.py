@@ -35,6 +35,8 @@ from .pseudoisotopy import NegativeDimensionError, pseudoisotopy_table
 from .series import SeriesExprError, parse_expr
 
 SCHEMA_VERSION = 1
+# bfk builds one row per odd j up to --j-max, so larger values are refused.
+J_MAX_LIMIT = 10_000
 
 
 @functools.cache
@@ -84,29 +86,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bfk", help="enumerate nontrivial metric-space degrees")
     p.add_argument("--d", type=int, required=True, help="half the sphere dimension, d >= 2")
-    p.add_argument("--j-max", type=int, default=5, help="largest odd index to enumerate")
+    j_help = f"largest odd index to enumerate (default 5, at most {J_MAX_LIMIT})"
+    p.add_argument("--j-max", type=int, default=5, help=j_help)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("series", help="expand a closed-form series expression")
     p.add_argument("expr", help="e.g. '1/(1-t^4) + t^12/(1-t^12)'")
     add_common(p)
     return parser
-
-
-def _render_table(headers: list[str], rows: list[list]) -> str:
-    cells = [[("-" if v is None else str(v)) for v in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in cells:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
-
-
-def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _load_model(path_str: str, out_err):
@@ -124,87 +111,62 @@ def _load_model(path_str: str, out_err):
     return model
 
 
-def _space_model(model, space: str):
-    if space == "base":
-        return base_dga(model)
-    if space == "loop":
-        return loop_model(model)
-    return borel_model(model)
+def _write(args, out, payload: dict, rows: list[dict], headers: list[str], err=None, note=""):
+    """Write ``payload`` as versioned JSON, or ``note`` (if any) on ``err``
+    and ``rows`` as a right-aligned table with one column per header
+    (``-`` for a missing value)."""
+    if args.format == "json":
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
+        out.write(json.dumps(payload, indent=2) + "\n")
+        return 0
+    if note:
+        err.write(note)
+    cells = [["-" if row[h] is None else str(row[h]) for h in headers] for row in rows]
+    widths = [max([len(h)] + [len(row[i]) for row in cells]) for i, h in enumerate(headers)]
+    for row in [headers, *cells]:
+        out.write("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n")
+    return 0
 
 
 def _cmd_validate(args, out, err) -> int:
     model = _load_model(args.model, err)
     if model is None:
         return 2
-    gens = [
-        {"name": g.name, "degree": g.degree}
-        for g in model.algebra.generators
-    ]
-    diffs = {
-        g.name: str(model.differential.of_generator(g.name))
-        for g in model.algebra.generators
-    }
-    if args.format == "json":
-        out.write(
-            _emit_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "validate",
-                    "ok": True,
-                    "generators": gens,
-                    "differential": diffs,
-                }
-            )
-        )
-    else:
+    gens = model.algebra.generators
+    diffs = {g.name: str(model.differential.of_generator(g.name)) for g in gens}
+    if args.format == "table":
         out.write(f"ok: {len(gens)} generator(s), differential verified (d^2 = 0)\n")
-        for g in model.algebra.generators:
+        for g in gens:
             out.write(f"  gen {g.name} {g.degree}\n")
-        for g in model.algebra.generators:
+        for g in gens:
             out.write(f"  d {g.name} = {diffs[g.name]}\n")
-    return 0
+        return 0
+    generators = [{"name": g.name, "degree": g.degree} for g in gens]
+    return _write(args, out, {"ok": True, "generators": generators, "differential": diffs}, [], [])
 
 
-def _cmd_degrees(args, out, err, want_eigen: bool) -> int:
+def _cmd_degrees(args, out, err) -> int:
     model = _load_model(args.model, err)
     if model is None:
         return 2
-    space = _space_model(model, args.space)
+    # Looked up per call, so that a wrapper bound to one of these names is seen.
+    space = {"base": base_dga, "loop": loop_model, "borel": borel_model}[args.space](model)
+    want_eigen = args.command == "eigen"
     if want_eigen and space.involution is None:
-        raise NoInvolutionError(
-            f"space '{args.space}' carries no involution; use --space borel"
-        )
+        raise NoInvolutionError(f"space '{args.space}' carries no involution; use --space borel")
     cap = args.max_degree
-    table = eigen_table(space, cap)
-    degrees = []
-    for s in table.slices:
-        degrees.append(
-            {
-                "n": s.degree,
-                "dim": s.cochain_dim,
-                "betti": s.betti,
-                "inv_plus": s.inv_plus if want_eigen else None,
-                "inv_minus": s.inv_minus if want_eigen else None,
-            }
-        )
-    if args.format == "json":
-        out.write(
-            _emit_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "eigen" if want_eigen else "cohomology",
-                    "model": args.model,
-                    "space": args.space,
-                    "max_degree": cap,
-                    "degrees": degrees,
-                }
-            )
-        )
-    else:
-        headers = ["n", "dim", "betti", "inv_plus", "inv_minus"]
-        rows = [[d["n"], d["dim"], d["betti"], d["inv_plus"], d["inv_minus"]] for d in degrees]
-        out.write(_render_table(headers, rows))
-    return 0
+    degrees = [
+        {
+            "n": s.degree,
+            "dim": s.cochain_dim,
+            "betti": s.betti,
+            "inv_plus": s.inv_plus if want_eigen else None,
+            "inv_minus": s.inv_minus if want_eigen else None,
+        }
+        for s in eigen_table(space, cap).slices
+    ]
+    payload = {"model": args.model, "space": args.space, "max_degree": cap, "degrees": degrees}
+    return _write(args, out, payload, degrees, ["n", "dim", "betti", "inv_plus", "inv_minus"])
 
 
 def _cmd_pseudoisotopy(args, out, err) -> int:
@@ -212,84 +174,34 @@ def _cmd_pseudoisotopy(args, out, err) -> int:
     if model is None:
         return 2
     table = pseudoisotopy_table(model, args.max_degree)
-    rows = [
-        {
-            "i": r.i,
-            "invP_plus": r.invP_plus,
-            "invP_minus": r.invP_minus,
-            "invA_plus": r.invA_plus,
-            "invA_minus": r.invA_minus,
-        }
-        for r in table.rows
-    ]
-    if args.format == "json":
-        out.write(
-            _emit_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "pseudoisotopy",
-                    "model": args.model,
-                    "max_degree": args.max_degree,
-                    "reliable_max_i": table.reliable_max_i,
-                    "compact_attested": bool(args.assume_compact),
-                    "rows": rows,
-                }
-            )
-        )
-    else:
-        if not args.assume_compact:
-            err.write(
-                "note: results assume the model comes from a simply-connected "
-                "compact manifold (pass --assume-compact to silence)\n"
-            )
-        headers = ["i", "invP_plus", "invP_minus", "invA_plus", "invA_minus"]
-        out.write(
-            _render_table(
-                headers,
-                [[r["i"], r["invP_plus"], r["invP_minus"], r["invA_plus"], r["invA_minus"]] for r in rows],
-            )
-        )
-    return 0
+    headers = ["i", "invP_plus", "invP_minus", "invA_plus", "invA_minus"]
+    rows = [{h: getattr(r, h) for h in headers} for r in table.rows]
+    payload = {
+        "model": args.model,
+        "max_degree": args.max_degree,
+        "reliable_max_i": table.reliable_max_i,
+        "compact_attested": bool(args.assume_compact),
+        "rows": rows,
+    }
+    note = "" if args.assume_compact else (
+        "note: results assume the model comes from a simply-connected "
+        "compact manifold (pass --assume-compact to silence)\n"
+    )
+    return _write(args, out, payload, rows, headers, err, note)
 
 
 def _cmd_bfk(args, out, err) -> int:
-    pairs = enumerate_pairs(args.d, args.j_max)
-    rows = [{"j": p.j, "i": p.i, "m_min": p.m_min} for p in pairs]
-    if args.format == "json":
-        out.write(
-            _emit_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "bfk",
-                    "d": args.d,
-                    "j_max": args.j_max,
-                    "rows": rows,
-                }
-            )
-        )
-    else:
-        out.write(_render_table(["j", "i", "m_min"], [[r["j"], r["i"], r["m_min"]] for r in rows]))
-    return 0
+    rows = [{"j": p.j, "i": p.i, "m_min": p.m_min} for p in enumerate_pairs(args.d, args.j_max)]
+    payload = {"d": args.d, "j_max": args.j_max, "rows": rows}
+    return _write(args, out, payload, rows, ["j", "i", "m_min"])
 
 
 def _cmd_series(args, out, err) -> int:
     expr = parse_expr(args.expr)
     coeffs = expr.expand(args.max_degree).coeffs
-    if args.format == "json":
-        out.write(
-            _emit_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "series",
-                    "expr": str(expr),
-                    "max_degree": args.max_degree,
-                    "coeffs": list(coeffs),
-                }
-            )
-        )
-    else:
-        out.write(_render_table(["n", "coeff"], [[n, c] for n, c in enumerate(coeffs)]))
-    return 0
+    payload = {"expr": str(expr), "max_degree": args.max_degree, "coeffs": list(coeffs)}
+    rows = [{"n": n, "coeff": c} for n, c in enumerate(coeffs)]
+    return _write(args, out, payload, rows, ["n", "coeff"])
 
 
 def main(argv=None) -> int:
@@ -302,10 +214,13 @@ def main(argv=None) -> int:
     if getattr(args, "max_degree", None) is not None and args.max_degree < 4:
         print("usage error: --max-degree must be >= 4", file=err)
         return 2
+    if getattr(args, "j_max", 0) > J_MAX_LIMIT:
+        print(f"usage error: --j-max must be <= {J_MAX_LIMIT}", file=err)
+        return 2
     handlers = {
         "validate": _cmd_validate,
-        "cohomology": lambda a, o, e: _cmd_degrees(a, o, e, want_eigen=False),
-        "eigen": lambda a, o, e: _cmd_degrees(a, o, e, want_eigen=True),
+        "cohomology": _cmd_degrees,
+        "eigen": _cmd_degrees,
         "pseudoisotopy": _cmd_pseudoisotopy,
         "bfk": _cmd_bfk,
         "series": _cmd_series,

@@ -98,9 +98,6 @@ class EigenTable:
     def betti_series(self) -> TruncatedSeries:
         return TruncatedSeries(s.betti for s in self.slices)
 
-    def cochain_series(self) -> TruncatedSeries:
-        return TruncatedSeries(s.cochain_dim for s in self.slices)
-
     def inv_plus_series(self) -> TruncatedSeries:
         if not self.has_eigen_data:
             raise NoInvolutionError("table has no eigenspace data")

@@ -132,9 +132,6 @@ class MinimalModel:
         alg = GradedAlgebra(())
         return cls(alg, Derivation(alg, 1, {}))
 
-    def generator_names(self) -> tuple[str, ...]:
-        return self.algebra.names
-
 
 class Layout(NamedTuple):
     """The g-free monomials of a DgaModel through degree ``top`` as packed

@@ -40,11 +40,6 @@ class TruncatedSeries:
             )
         return self.coeffs[degree]
 
-    def truncate(self, cap: int) -> "TruncatedSeries":
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        return TruncatedSeries(self.coeffs[:cap])
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(len(self.coeffs), len(other.coeffs))
         return TruncatedSeries(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n]))
@@ -59,9 +54,6 @@ class TruncatedSeries:
         if k >= 0:
             return TruncatedSeries((0,) * k + self.coeffs)
         return TruncatedSeries(self.coeffs[-k:])
-
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
@@ -199,10 +191,6 @@ def parse_expr(text: str) -> RationalExpr:
         period = _int(period_s) if period_s is not None else None
         terms.append(ExprTerm(sgn * coeff, power, period))
     return RationalExpr(terms)
-
-
-def expand(expr: RationalExpr, cap: int) -> TruncatedSeries:
-    return expr.expand(cap)
 
 
 def equals_expr(s: TruncatedSeries, e: RationalExpr) -> bool:

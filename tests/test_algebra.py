@@ -133,7 +133,8 @@ def test_suspension_on_square():
 def test_derivation_leibniz_with_y_squared_absorbed():
     # d(y*z) for odd y, z picks up the Koszul sign on the second term
     alg = GradedAlgebra([("a", 2), ("y", 3), ("z", 5)])
-    d = Derivation(alg, 1, {"y": alg.gen("a") ** 2, "z": alg.gen("a") ** 3})
+    a = alg.gen("a")
+    d = Derivation(alg, 1, {"y": a * a, "z": a * a * a})
     y, z = alg.gen("y"), alg.gen("z")
     lhs = d(y * z)
     rhs = d(y) * z - y * d(z)  # (-1)^{deg y} = -1
@@ -143,7 +144,7 @@ def test_derivation_leibniz_with_y_squared_absorbed():
 def test_derivation_rejects_inhomogeneous_value():
     alg = GradedAlgebra([("a", 2), ("b", 3)])
     with pytest.raises(ValueError):
-        Derivation(alg, 1, {"b": alg.gen("a") + alg.gen("a") ** 2})
+        Derivation(alg, 1, {"b": alg.gen("a") + alg.gen("a") * alg.gen("a")})
 
 
 def test_derivation_rejects_wrong_degree_value():
@@ -161,7 +162,7 @@ def test_apply_map_sign_rule(borel_algebra):
         },
     )
     alpha, xbar = borel_algebra.gen("alpha"), borel_algebra.gen("x_bar")
-    assert t(alpha**3) == -(alpha**3)
+    assert t(alpha * alpha * alpha) == -(alpha * alpha * alpha)
     assert t(borel_algebra.unit()) == borel_algebra.unit()
     assert t(alpha * xbar) == alpha * xbar  # two sign flips cancel
     assert t(borel_algebra.gen("x")) == borel_algebra.gen("x")  # default: fixed
@@ -180,16 +181,16 @@ def test_check_differential_zero_ok():
 def test_check_differential_violation():
     # da = b, db = a^2  =>  d^2(a) = a^2 != 0, reported at generator a
     alg = GradedAlgebra([("a", 2), ("b", 3)])
-    d = Derivation(alg, 1, {"a": alg.gen("b"), "b": alg.gen("a") ** 2})
+    d = Derivation(alg, 1, {"a": alg.gen("b"), "b": alg.gen("a") * alg.gen("a")})
     violation = check_differential(d, 10)
     assert violation is not None
     assert violation.generator == "a"
-    assert violation.residual == alg.gen("a") ** 2
+    assert violation.residual == alg.gen("a") * alg.gen("a")
 
 
 def test_check_differential_respects_degree_window():
     alg = GradedAlgebra([("a", 2), ("b", 3)])
-    d = Derivation(alg, 1, {"a": alg.gen("b"), "b": alg.gen("a") ** 2})
+    d = Derivation(alg, 1, {"a": alg.gen("b"), "b": alg.gen("a") * alg.gen("a")})
     # neither generator satisfies degree + 2 <= 3, so nothing is checked
     assert check_differential(d, 3) is None
 
@@ -211,7 +212,8 @@ def test_duplicate_names_rejected():
 
 
 def test_polynomial_str_is_deterministic(borel_algebra):
-    p = borel_algebra.gen("alpha") ** 4 - 2 * (borel_algebra.gen("alpha") * borel_algebra.gen("x_bar"))
+    alpha = borel_algebra.gen("alpha")
+    p = alpha * alpha * alpha * alpha - 2 * (alpha * borel_algebra.gen("x_bar"))
     assert str(p) == "-2*alpha*x_bar + alpha^4"
 
 
@@ -219,7 +221,8 @@ def test_polynomial_str_is_deterministic(borel_algebra):
 # property tests on a fixed mixed-parity algebra
 
 _ALG = GradedAlgebra([("a", 2), ("y", 3), ("b", 4), ("z", 5)])
-_D = Derivation(_ALG, 1, {"y": _ALG.gen("a") ** 2, "z": _ALG.gen("a") ** 3})
+_A = _ALG.gen("a")
+_D = Derivation(_ALG, 1, {"y": _A * _A, "z": _A * _A * _A})
 _S = Derivation(_ALG, -1, {"b": _ALG.gen("y"), "z": _ALG.gen("b")})
 _T = AlgebraMap(_ALG, {"y": -_ALG.gen("y"), "b": -_ALG.gen("b")})
 

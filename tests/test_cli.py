@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopinv.cli
-from loopinv.cli import main
+from loopinv.cli import J_MAX_LIMIT, main
 from loopinv.linalg import DimensionMismatchError
 from support import MODELS_DIR
 
@@ -114,6 +114,24 @@ def test_bfk_rejects_d1(capsys):
     code, _, err = run(capsys, "bfk", "--d", "1", "--j-max", "5")
     assert code == 2
     assert "usage error" in err
+
+
+def test_bfk_j_max_at_the_bound(capsys):
+    code, out, err = run(capsys, "bfk", "--d", "2", "--j-max", str(J_MAX_LIMIT))
+    assert (code, err) == (0, "")
+    rows = [l.split() for l in out.splitlines()[1:]]
+    assert len(rows) == J_MAX_LIMIT // 2
+    assert rows[-1] == ["9999", "60005", "180020"]
+    code, out, _ = run(capsys, "bfk", "--help")
+    assert code == 0
+    assert f"at most {J_MAX_LIMIT}" in " ".join(out.split())
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_bfk_j_max_above_the_bound_is_a_usage_error(capsys, fmt):
+    code, out, err = run(capsys, "bfk", "--d", "2", "--j-max", str(J_MAX_LIMIT + 1), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --j-max must be <= {J_MAX_LIMIT}\n"
 
 
 def test_pseudoisotopy_rows(capsys):
@@ -248,6 +266,85 @@ def test_successive_calls_match_fresh_interpreters(capsys):
             [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
         )
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+
+# Golden bytes: (case, argv, exit code, stderr), with stdout in
+# tests/golden/<case>.out (empty when there is no such file).  Paths are
+# relative to the repository root, as the JSON payloads echo them.
+REPO_ROOT = MODELS_DIR.parent
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+_COMPACT_NOTE = (
+    "note: results assume the model comes from a simply-connected compact "
+    "manifold (pass --assume-compact to silence)\n"
+)
+GOLDEN = [
+    ("validate-table", ["validate", "models/s2.model"], 0, ""),
+    ("validate-json", ["validate", "models/s2.model", "--format", "json"], 0, ""),
+    ("cohomology-table", ["cohomology", "models/s2.model", "--space", "base", "--max-degree", "8"], 0, ""),
+    (
+        "cohomology-json",
+        ["cohomology", "models/s2.model", "--space", "base", "--max-degree", "8", "--format", "json"],
+        0,
+        "",
+    ),
+    ("eigen-table", ["eigen", "models/sphere-bundle-d2.model", "--max-degree", "12"], 0, ""),
+    (
+        "eigen-json",
+        ["eigen", "models/sphere-bundle-d2.model", "--max-degree", "12", "--format", "json"],
+        0,
+        "",
+    ),
+    (
+        "pseudoisotopy-table",
+        ["pseudoisotopy", "models/sphere-bundle-d2.model", "--max-degree", "12"],
+        0,
+        _COMPACT_NOTE,
+    ),
+    (
+        "pseudoisotopy-compact-table",
+        ["pseudoisotopy", "models/sphere-bundle-d2.model", "--max-degree", "12", "--assume-compact"],
+        0,
+        "",
+    ),
+    (
+        "pseudoisotopy-json",
+        ["pseudoisotopy", "models/sphere-bundle-d2.model", "--max-degree", "12", "--format", "json"],
+        0,
+        "",
+    ),
+    ("bfk-table", ["bfk", "--d", "2", "--j-max", "5"], 0, ""),
+    ("bfk-json", ["bfk", "--d", "2", "--j-max", "5", "--format", "json"], 0, ""),
+    ("bfk-empty-table", ["bfk", "--d", "2", "--j-max", "0"], 0, ""),
+    ("bfk-empty-json", ["bfk", "--d", "2", "--j-max", "0", "--format", "json"], 0, ""),
+    ("series-table", ["series", "1/(1-t^4) + t^12/(1-t^12)", "--max-degree", "14"], 0, ""),
+    (
+        "series-json",
+        ["series", "1/(1-t^4) + t^12/(1-t^12)", "--max-degree", "14", "--format", "json"],
+        0,
+        "",
+    ),
+    (
+        "usage-error",
+        ["eigen", "models/s2.model", "--max-degree", "3"],
+        2,
+        "usage error: --max-degree must be >= 4\n",
+    ),
+    (
+        "no-involution",
+        ["eigen", "models/s2.model", "--space", "loop", "--format", "json"],
+        1,
+        "NoInvolution: space 'loop' carries no involution; use --space borel\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("case, argv, code, err", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_bytes(capsys, monkeypatch, case, argv, code, err):
+    monkeypatch.chdir(REPO_ROOT)
+    path = GOLDEN_DIR / f"{case}.out"
+    out = path.read_text(encoding="utf-8") if path.exists() else ""
+    assert run(capsys, *argv) == (code, out, err)
 
 
 # Model texts for the DSL fuzz: well-formed statements, shuffled DSL
