@@ -22,7 +22,8 @@ coordinate of one even generator g with zero differential: then
 D(g^a y) = g^a D(y), so it assembles D on g-free monomials y only and
 keys each term g^c z of the result by its g-free part z, which is how the
 cohomology code reuses one block's pivots for the next block along
-multiplication by g.
+multiplication by g.  The bits from fields[-1] up hold deg z, so within
+one degree a key with a higher power of g (a lower deg z) is smaller.
 """
 
 from __future__ import annotations
@@ -361,9 +362,11 @@ class Derivation:
         field: (shift, mask, terms) with one (step, coefficient, others,
         signs) per term t of L * D(g_i), where L is the least common
         multiple of every coefficient denominator of the generator values,
-        step is the code of t - g_i, others the bits of the odd generators
-        of t other than g_i, and signs the odd bits whose count in a
-        source fixes the term's sign.  Computed once per field layout."""
+        step is the code of t - g_i with the change of the g-free degree
+        (the shift less the degree of the empty fields' factors of t) in
+        the degree field, others the bits of the odd generators of t other
+        than g_i, and signs the odd bits whose count in a source fixes the
+        term's sign.  Computed once per field layout."""
         cached = self._integral.get(fields)
         if cached is None:
             gens = self.algebra.generators
@@ -384,7 +387,8 @@ class Derivation:
                 for t, c in values[g.name].terms.items():
                     others = [k for k, b in enumerate(t) if b and odd[k] and k != i]
                     step = sum(b << fields[k] for k, b in enumerate(t) if width[k])
-                    step -= 1 << fields[i]
+                    dropped = sum(b * gens[k].degree for k, b in enumerate(t) if not width[k])
+                    step += ((self.degree_shift - dropped) << fields[-1]) - (1 << fields[i])
                     signs = below[i] if (self.degree_shift + len(others)) % 2 else 0
                     for k in others:
                         signs ^= below[k]
@@ -395,17 +399,17 @@ class Derivation:
         return cached
 
     def integral_columns(
-        self, sources: Iterable[int], index: Mapping[int, int], fields: tuple[int, ...]
+        self, sources: Iterable[int], fields: tuple[int, ...]
     ) -> list[dict[int, int]]:
         """For each source monomial m, L * D(m) as a sparse integer column
-        {index[code]: coefficient}, with L as in ``_packed_terms``.
+        {code: coefficient}, with L as in ``_packed_terms``.
 
-        Sources and keys are packed codes with the given fields (see the
-        module docstring).  The empty field of g makes a source stand for
-        the g-free monomial m, and the term g^c * z of L * D(m) land on
-        the code of z (within one degree, z fixes c).  As g is even and
-        closed it contributes no term and no sign, so the coefficients are
-        those of the full monomials.
+        Sources and keys are packed codes with the given fields and the
+        degree field above them (see the module docstring).  The empty
+        field of g makes a source stand for the g-free monomial m, and the
+        term g^c * z of L * D(m) land on the code of z (within one degree,
+        z fixes c).  As g is even and closed it contributes no term and no
+        sign, so the coefficients are those of the full monomials.
 
         This is ``_apply_monomial`` on codes.  With P[k] the number of odd
         factors of m before generator k, the Leibniz sign of the i-th term
@@ -429,7 +433,7 @@ class Derivation:
                 for step, c, others, signs in terms:
                     if code & others:
                         continue  # t repeats an odd factor of m: no term
-                    row = index[code + step]
+                    row = code + step
                     v = col.get(row, 0) + (-c if (code & signs).bit_count() & 1 else c) * e
                     if v:
                         col[row] = v

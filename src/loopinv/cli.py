@@ -35,8 +35,10 @@ from .pseudoisotopy import NegativeDimensionError, pseudoisotopy_table
 from .series import SeriesExprError, parse_expr
 
 SCHEMA_VERSION = 1
-# bfk builds one row per odd j up to --j-max, so larger values are refused.
+# bfk builds one row per odd j up to --j-max, and series one row per
+# degree below --max-degree, so larger values are refused.
 J_MAX_LIMIT = 10_000
+SERIES_MAX_DEGREE = 100_000
 
 
 @functools.cache
@@ -51,12 +53,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_space=False):
+    def add_common(p, with_space=False, limit=""):
         p.add_argument(
             "--max-degree",
             type=int,
             default=40,
-            help="truncation cap; degrees below this are computed (default 40, minimum 4)",
+            help=f"truncation cap; degrees below this are computed (default 40, minimum 4{limit})",
         )
         p.add_argument("--format", choices=("table", "json"), default="table")
         if with_space:
@@ -92,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="expand a closed-form series expression")
     p.add_argument("expr", help="e.g. '1/(1-t^4) + t^12/(1-t^12)'")
-    add_common(p)
+    add_common(p, limit=f", at most {SERIES_MAX_DEGREE}")
     return parser
 
 
@@ -152,7 +154,7 @@ def _cmd_degrees(args, out, err) -> int:
     # Looked up per call, so that a wrapper bound to one of these names is seen.
     space = {"base": base_dga, "loop": loop_model, "borel": borel_model}[args.space](model)
     want_eigen = args.command == "eigen"
-    if want_eigen and space.involution is None:
+    if want_eigen and not space.involution:
         raise NoInvolutionError(f"space '{args.space}' carries no involution; use --space borel")
     cap = args.max_degree
     degrees = [
@@ -213,6 +215,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if getattr(args, "max_degree", None) is not None and args.max_degree < 4:
         print("usage error: --max-degree must be >= 4", file=err)
+        return 2
+    if args.command == "series" and args.max_degree > SERIES_MAX_DEGREE:
+        print(f"usage error: --max-degree must be <= {SERIES_MAX_DEGREE}", file=err)
         return 2
     if getattr(args, "j_max", 0) > J_MAX_LIMIT:
         print(f"usage error: --j-max must be <= {J_MAX_LIMIT}", file=err)

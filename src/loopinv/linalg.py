@@ -1,6 +1,6 @@
 """Exact rank of sparse integer matrices.
 
-A matrix is stored by columns, each a dict from row index to a nonzero
+A matrix is stored by columns, each a dict from row key to a nonzero
 Python int; cochain matrices are built this way (see
 ``cohomology.cochain_matrix``), because the differential of a monomial
 has only a handful of terms.  ``rank`` eliminates fraction-free over the
@@ -30,9 +30,10 @@ class DimensionMismatchError(ValueError):
 
 
 class SparseMatrix(NamedTuple):
-    """rows x len(columns) integer matrix; columns[j] maps a row index to
-    the nonzero entry there.  Empty shapes (0 x n, n x 0) are legal; they
-    occur for cochain degrees with empty monomial bases."""
+    """rows x len(columns) integer matrix; columns[j] maps a row key, any
+    int that names the row (not necessarily in [0, rows)), to the nonzero
+    entry there.  Empty shapes (0 x n, n x 0) are legal; they occur for
+    cochain degrees with empty monomial bases."""
 
     rows: int
     columns: tuple[dict[int, int], ...]
@@ -55,11 +56,11 @@ def rank(m: SparseMatrix, pivots: Optional[dict[int, dict[int, int]]] = None) ->
     """Rank over Q of the columns of m together with the vectors of
     ``pivots``, computed exactly.
 
-    ``pivots`` maps a row index to a vector whose smallest row index it
+    ``pivots`` maps a row key to a vector whose smallest row key it
     is: an echelon basis, as a previous call left it (empty by default).
     The columns are reduced one at a time against it: a pivot clears its
-    index from the column by an integer combination, which introduces only
-    larger indices, until the column vanishes or becomes a new pivot.  The
+    key from the column by an integer combination, which introduces only
+    larger keys, until the column vanishes or becomes a new pivot.  The
     dict is extended in place and its size returned; the columns of m are
     not changed.
     """

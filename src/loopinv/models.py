@@ -22,15 +22,16 @@ differential d) this module builds, with one builder,
   T(alpha) = -alpha, T(v) = v, T(v_bar) = -v_bar.
 
 Both carry generator weights (v 0, v_bar 1 and, in the Borel model,
-alpha -1) that their differentials preserve.  The involution is a tuple
-of generator signs, so it is diagonal by construction.  A model is only
-returned after the square-zero check, the weight check and the check
-that the differential commutes with the signs pass on every generator,
-so a sign-convention mismatch surfaces as a hard error instead of a
-wrong table.
+alpha -1) that their differentials preserve.  The involution acts on a
+monomial by (-1)^weight, so it is diagonal by construction and commutes
+with any differential that preserves the weight.  A model is only
+returned after the square-zero check and the weight check pass on every
+generator, so a sign-convention mismatch surfaces as a hard error
+instead of a wrong table.
 
 ``DgaModel.layout`` packs the monomials free of the closed even generator
-g into integer codes, one bit field per generator, once per model.
+g into integer codes, one bit field per generator and a degree field on
+top, once per model.
 """
 
 from __future__ import annotations
@@ -45,13 +46,12 @@ from typing import NamedTuple, Optional
 from .algebra import (
     Derivation,
     GradedAlgebra,
-    Monomial,
     Polynomial,
     check_differential,
 )
 
 
-Block = tuple[int, int]  # (weight, involution sign) of a monomial
+Block = int  # the weight of a monomial
 
 
 class ModelError(Exception):
@@ -139,34 +139,31 @@ class Layout(NamedTuple):
 
     Generator i's exponent sits in bits fields[i] .. fields[i + 1] - 1,
     wide enough for every exponent up to degree ``top`` (one bit for an
-    odd generator); g's field is empty.  ``free[n]`` maps each block of
-    degree n that has g-free monomials to their codes in basis order,
-    ``dims[n]`` maps every nonempty block of degree n to its dimension,
-    and ``index`` maps each code to its row in the basis of its block.
-    ``g_step`` is g's (degree, weight, sign), or (0, 0, 1) without g."""
+    odd generator); g's field is empty.  The monomial's degree sits in the
+    bits from fields[-1] up, so codes of one degree are contiguous and a
+    lower degree comes first.  ``free[n]`` maps each block (weight) of
+    degree n that has g-free monomials to their codes in basis order, and
+    ``dims[n]`` maps every nonempty block of degree n to its dimension.
+    ``g_step`` is g's (degree, weight), or (0, 0) without g."""
 
     top: int
     fields: tuple[int, ...]
-    g_step: tuple[int, int, int]
+    g_step: tuple[int, int]
     dims: tuple[dict[Block, int], ...]
     free: tuple[dict[Block, tuple[int, ...]], ...]
-    index: dict[int, int]
 
 
 @dataclass(frozen=True)
 class DgaModel:
     """Free graded-commutative algebra with a square-zero degree +1
     differential, an integer weight per generator (all zero unless given)
-    and, optionally, an involution given by one sign per generator.
+    and, when ``involution`` is true, the involution that acts on each
+    monomial by (-1)^weight, where the weight of a monomial is the
+    exponent-weighted sum of generator weights.
 
-    The involution sends generator i to ``involution[i]`` times itself,
-    so it is diagonal by construction and acts on each monomial by the
-    product of the signs of its factors.  The differential must preserve
-    both the monomial weight (the exponent-weighted sum of generator
-    weights) and that sign, which is to say it commutes with the
-    involution.  The cochain complex is then the direct sum of the
-    subcomplexes spanned by the monomials of one block, keyed by
-    (weight, sign).
+    The differential must preserve the weight, so it commutes with the
+    involution, and the cochain complex is the direct sum of the
+    subcomplexes spanned by the monomials of one block, keyed by weight.
 
     ``closed`` is the index of g, the even generator with zero
     differential of lowest degree (the first one on ties), or None; in a
@@ -177,10 +174,9 @@ class DgaModel:
 
     algebra: GradedAlgebra
     differential: Derivation
-    involution: Optional[tuple[int, ...]] = None
+    involution: bool = False
     weights: tuple[int, ...] = ()
     closed: Optional[int] = field(init=False, repr=False, compare=False, default=None)
-    _signs: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
     _layout: Optional[Layout] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -195,24 +191,9 @@ class DgaModel:
         violation = check_differential(self.differential, top + 2)
         if violation is not None:
             raise NotSquareZeroError(str(violation))
-        if self.involution is not None:
-            object.__setattr__(self, "involution", tuple(self.involution))
-        signs = self.involution or (1,) * width
-        if len(signs) != width:
-            raise ValueError(f"need {width} involution signs, got {len(signs)}")
-        for g, sign in zip(alg.generators, signs):
-            if sign not in (1, -1):
-                raise InvolutionIncompatibleError(
-                    f"involution sign {sign} of {g.name} is not plus or minus one"
-                )
-        object.__setattr__(self, "_signs", signs)
-        for g, weight, sign in zip(alg.generators, self.weights, self._signs):
+        for g, weight in zip(alg.generators, self.weights):
             for mono in self.differential.of_generator(g.name).terms:
-                w, s = self._block_of(mono)
-                if s != sign:
-                    raise InvolutionIncompatibleError(
-                        f"involution does not commute with the differential on {g.name}"
-                    )
+                w = sum(e * x for e, x in zip(mono, self.weights))
                 if w != weight:
                     raise InvolutionIncompatibleError(
                         f"differential of {g.name} (weight {weight}) has the term "
@@ -226,28 +207,22 @@ class DgaModel:
         g = min(even_closed, key=lambda i: alg.generators[i].degree, default=None)
         object.__setattr__(self, "closed", g)
 
-    def _block_of(self, mono: Monomial) -> Block:
-        """(weight, involution sign) of a monomial."""
-        weight = sum(e * w for e, w in zip(mono, self.weights))
-        negative = sum(e for e, s in zip(mono, self._signs) if s < 0)
-        return weight, -1 if negative % 2 else 1
-
     def layout(self, top: int) -> Layout:
         """The g-free layout through at least the given degree, built once
         and cached (a higher degree builds it again, with wider fields).
 
         One pass over the generators other than g yields the g-free
         monomials of every degree in ascending lexicographic order, each
-        as a packed code with its block.  Multiplication by g is injective
-        and maps block (w, s) of degree n into block (w + w_g, s * s_g) of
-        degree n + deg g, so a block's basis, in order, is g times the
-        basis of its predecessor, then its g-free monomials.  Its
-        dimension is the sum of the g-free block sizes along the chain of
-        predecessors; the full basis is never enumerated.  ``index``
-        gives each g-free monomial z its position in that order; g^c * z
-        sits at the same position in every block of the chain, which lets
-        a block reuse its predecessor's pivots (see ``cohomology``).
-        Without g every monomial is g-free and nothing is chained."""
+        as a packed code with its weight.  Multiplication by g is
+        injective and maps block w of degree n into block w + w_g of
+        degree n + deg g, so a block's basis is g times the basis of its
+        predecessor together with its g-free monomials.  Its dimension is
+        the sum of the g-free block sizes along the chain of predecessors;
+        the full basis is never enumerated.  The cohomology code keys the
+        row of g^c * z by the code of z, which is the same in every block
+        of the chain and lets a block reuse its predecessor's pivots (see
+        ``cohomology``).  Without g every monomial is g-free and nothing
+        is chained."""
         cached = self._layout
         if cached is not None and cached.top >= top:
             return cached
@@ -258,35 +233,34 @@ class DgaModel:
             for i, (_, d) in enumerate(gens)
         ]
         fields = tuple(accumulate(width, initial=0))
-        # (code, degree, weight, sign) of every g-free monomial through
-        # degree top; the first generator varies slowest
-        monos = [(0, 0, 0, 1)]
+        deg = fields[-1]
+        # (code, weight) of every g-free monomial through degree top, the
+        # code with its degree field; the first generator varies slowest
+        monos = [(0, 0)]
         for i in reversed([i for i in range(len(gens)) if i != g]):
-            d, w, s, shift = gens[i].degree, self.weights[i], self._signs[i], fields[i]
+            d, w = gens[i].degree, self.weights[i]
+            unit = (1 << fields[i]) + (d << deg)
             monos = [
-                (code + (e << shift), n + e * d, weight + e * w, sign * s**e)
+                (code + e * unit, weight + e * w)
                 for e in range(2 if d % 2 else top // d + 1)
-                for code, n, weight, sign in monos
-                if n + e * d <= top
+                for code, weight in monos
+                if (code >> deg) + e * d <= top
             ]
         found: list[dict[Block, list[int]]] = [{} for _ in range(top + 1)]
-        for code, n, weight, sign in monos:
-            found[n].setdefault((weight, sign), []).append(code)
-        g_step = (gens[g].degree, self.weights[g], self._signs[g]) if g is not None else (0, 0, 1)
-        step, dw, ds = g_step
+        for code, weight in monos:
+            found[code >> deg].setdefault(weight, []).append(code)
+        g_step = (gens[g].degree, self.weights[g]) if g is not None else (0, 0)
+        step, dw = g_step
         dims: list[dict[Block, int]] = []
-        index: dict[int, int] = {}
         for n, split in enumerate(found):
             level = {}
             if step and n >= step:
-                level = {(w + dw, s * ds): dim for (w, s), dim in dims[n - step].items()}
-            for key, codes in split.items():
-                base = level.get(key, 0)
-                index.update(zip(codes, range(base, base + len(codes))))
-                level[key] = base + len(codes)
+                level = {w + dw: dim for w, dim in dims[n - step].items()}
+            for w, codes in split.items():
+                level[w] = level.get(w, 0) + len(codes)
             dims.append(level)
-        free_codes = tuple({key: tuple(codes) for key, codes in split.items()} for split in found)
-        layout = Layout(top, fields, g_step, tuple(dims), free_codes, index)
+        free_codes = tuple({w: tuple(codes) for w, codes in split.items()} for split in found)
+        layout = Layout(top, fields, g_step, tuple(dims), free_codes)
         object.__setattr__(self, "_layout", layout)
         return layout
 
@@ -529,7 +503,8 @@ def _free_loop(model: MinimalModel, equivariant: bool) -> DgaModel:
     of the minimal model lifts by putting a zero after each exponent (and
     one before them all for alpha).  The
     weights are -1 on alpha, 0 on v and +1 on v_bar; the Borel
-    involution has sign -1 on alpha and on every v_bar."""
+    involution acts by (-1)^weight, which is -1 on alpha and on every
+    v_bar."""
     base = model.algebra.generators
     bars = _barred_names(model)
     head = []
@@ -556,11 +531,9 @@ def _free_loop(model: MinimalModel, equivariant: bool) -> DgaModel:
         values[g.name] = dv
     differential = Derivation(algebra, 1, values)
     if not equivariant:
-        return DgaModel(algebra, differential, None, (0, 1) * len(base))
+        return DgaModel(algebra, differential, False, (0, 1) * len(base))
     try:
-        return DgaModel(
-            algebra, differential, (-1,) + (1, -1) * len(base), (-1,) + (0, 1) * len(base)
-        )
+        return DgaModel(algebra, differential, True, (-1,) + (0, 1) * len(base))
     except NotSquareZeroError as exc:
         raise BorelSquareZeroError(f"Borel differential does not square to zero: {exc}") from exc
 
@@ -576,9 +549,9 @@ def borel_model(model: MinimalModel) -> DgaModel:
 
     Generators are {alpha} u {v} u {v_bar} with deg alpha = 2, and
     D = delta + alpha * s, with weights -1 on alpha, 0 on v and +1 on
-    v_bar, so that D preserves the weight #bars - #alpha and the
-    involution (signs -1 on alpha and v_bar, +1 on v) acts on a monomial
-    by (-1)^weight.  The construction gates of DgaModel run on every
+    v_bar, so that D preserves the weight #bars - #alpha, and the
+    involution acts on a monomial by (-1)^weight (-1 on alpha and v_bar,
+    +1 on v).  The construction gates of DgaModel run on every
     generator; a failed square-zero check raises BorelSquareZeroError
     instead of returning a corrupt model.
     """

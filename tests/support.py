@@ -42,7 +42,7 @@ class AlgebraMap:
     """Degree-preserving algebra endomorphism, determined by generator
     values and extended multiplicatively through Polynomial products.
     Generators missing from ``values`` are fixed.  The general form of
-    the involution, which loopinv keeps as one sign per generator."""
+    the involution, which loopinv keeps as the sign (-1)^weight."""
 
     __slots__ = ("algebra", "_values")
 
@@ -85,13 +85,13 @@ class AlgebraMap:
 
 def involution_map(model: DgaModel) -> Optional[AlgebraMap]:
     """The model's involution as an algebra map built from its generator
-    signs (each generator with sign -1 goes to minus itself), or None."""
-    if model.involution is None:
+    weights (each generator of odd weight goes to minus itself), or None."""
+    if not model.involution:
         return None
     alg = model.algebra
     return AlgebraMap(
         alg,
-        {g.name: -alg.gen(g.name) for g, s in zip(alg.generators, model.involution) if s < 0},
+        {g.name: -alg.gen(g.name) for g, w in zip(alg.generators, model.weights) if w % 2},
     )
 
 
@@ -331,12 +331,17 @@ def _coords(poly: Polynomial, index: dict[Monomial, int], dim: int) -> list:
     return v
 
 
+def weight(model: DgaModel, mono: Monomial) -> int:
+    """The exponent-weighted sum of the generator weights of a monomial."""
+    return sum(e * w for e, w in zip(mono, model.weights))
+
+
 def blocks(model: DgaModel, n: int) -> dict[Block, tuple[Monomial, ...]]:
-    """The whole degree-n monomial basis split by (weight, involution
-    sign), each block in basis order."""
+    """The whole degree-n monomial basis split by weight, each block in
+    basis order."""
     split: dict[Block, list[Monomial]] = {}
     for mono in per_degree_monomial_basis(model.algebra, n):
-        split.setdefault(model._block_of(mono), []).append(mono)
+        split.setdefault(weight(model, mono), []).append(mono)
     return {k: tuple(v) for k, v in split.items()}
 
 
@@ -356,14 +361,19 @@ def cochain_matrix(model: DgaModel, n: int, block: Optional[Block] = None) -> QM
     return QMatrix.from_columns(cols, rows=len(target))
 
 
-def decode(model: DgaModel, code: int, power: int = 0) -> Monomial:
-    """g^power times the g-free monomial with the given packed code, as a
-    full exponent tuple, read through the fields of the model's cached
-    layout (the one that made the code)."""
+def decode(model: DgaModel, code: int, degree: Optional[int] = None) -> Monomial:
+    """The g-free monomial z with the given packed code, as a full
+    exponent tuple read through the fields of the model's cached layout
+    (the one that made the code), or with a degree, g^c * z for the c that
+    makes up the difference to the degree of z in the code's top field."""
     fields = model.layout(0).fields
     mono = [code >> lo & ((1 << (hi - lo)) - 1) for lo, hi in zip(fields, fields[1:])]
-    if model.closed is not None:
-        mono[model.closed] = power
+    if degree is not None and model.closed is not None:
+        step = model.algebra.generators[model.closed].degree
+        c, rest = divmod(degree - (code >> fields[-1]), step)
+        if c < 0 or rest:
+            raise AssertionError(f"code {code} has no g-power of degree {degree}")
+        mono[model.closed] = c
     return tuple(mono)
 
 
@@ -374,14 +384,14 @@ def _predecessor(model: DgaModel, n: int, block: Block) -> Optional[tuple[int, B
     if g is None or n < model.algebra.generators[g].degree:
         return None
     m = n - model.algebra.generators[g].degree
-    key = (block[0] - model.weights[g], block[1] * model._signs[g])
+    key = block - model.weights[g]
     return (m, key) if key in model.layout(m).dims[m] else None
 
 
 def chain_basis(model: DgaModel, n: int, block: Block) -> tuple[Monomial, ...]:
-    """The basis of one block of degree n as full monomials, in the order
-    in which loopinv indexes it: g times the basis of the predecessor
-    block, then the block's own g-free monomials."""
+    """The basis of one block of degree n as full monomials, as loopinv
+    lays it out along g: g times the basis of the predecessor block, then
+    the block's own g-free monomials."""
     if block not in model.layout(n).dims[n]:
         return ()
     head: tuple[Monomial, ...] = ()
@@ -396,20 +406,24 @@ def chain_block_entries(model: DgaModel, n: int, block: Block) -> dict:
     """{(target monomial, source monomial): entry} of L * D on one whole
     block of degree n, read off loopinv's cochain_matrix: the block's
     g-free columns y, and as the column of each g^a * y the g-free column
-    y of the a-th predecessor along the chain, all with rows re-indexed
-    through chain_basis of degree n+1."""
-    rows = chain_basis(model, n + 1, block)
+    y of the a-th predecessor along the chain, all with each row key
+    decoded into the monomial of degree n+1 that it names, which must lie
+    in chain_basis of degree n+1."""
+    rows = set(chain_basis(model, n + 1, block))
     out = {}
-    at, power = (n, block), 0
+    at = (n, block)
     while at is not None:
         m = sparse_cochain_matrix(model, *at)
         if m.rows != len(chain_basis(model, at[0] + 1, at[1])):
             raise AssertionError(f"cochain_matrix{at} has {m.rows} rows")
         free = model.layout(at[0]).free[at[0]].get(at[1], ())
         for y, col in zip(free, m.columns, strict=True):
-            for r, v in col.items():
-                out[rows[r], decode(model, y, power)] = v
-        at, power = _predecessor(model, *at), power + 1
+            for key, v in col.items():
+                target = decode(model, key, n + 1)
+                if target not in rows:
+                    raise AssertionError(f"row key {key} of {at} leaves the block")
+                out[target, decode(model, y, n)] = v
+        at = _predecessor(model, *at)
     return out
 
 
@@ -675,7 +689,7 @@ def induced_involution(model: DgaModel, n: int) -> QMatrix:
 def oracle_split(model: DgaModel, n: int) -> tuple[int, Optional[int], Optional[int]]:
     """(betti, inv_plus, inv_minus) in degree n by the general route; the
     split is (None, None) for a model without an involution."""
-    if model.involution is None:
+    if not model.involution:
         return len(_representatives(model, n)[1]), None, None
     induced = induced_involution(model, n)
     return (induced.cols, *involution_eigen_dims(induced))

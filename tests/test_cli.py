@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopinv.cli
-from loopinv.cli import J_MAX_LIMIT, main
+from loopinv.cli import J_MAX_LIMIT, SERIES_MAX_DEGREE, main
 from loopinv.linalg import DimensionMismatchError
 from support import MODELS_DIR
 
@@ -180,6 +180,25 @@ def test_series_rejects_bad_expression(capsys):
     code, _, err = run(capsys, "series", "1/(1-q^4)")
     assert code == 1
     assert "SeriesSyntax" in err
+
+
+def test_series_max_degree_at_the_bound(capsys):
+    code, out, err = run(capsys, "series", "1/(1-t^1)", "--max-degree", str(SERIES_MAX_DEGREE))
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == SERIES_MAX_DEGREE
+    assert rows[-1].split() == [str(SERIES_MAX_DEGREE - 1), "1"]
+    code, out, _ = run(capsys, "series", "--help")
+    assert code == 0
+    assert f"at most {SERIES_MAX_DEGREE}" in " ".join(out.split())
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_series_max_degree_above_the_bound_is_a_usage_error(capsys, fmt):
+    argv = ["series", "1/(1-t^1)", "--max-degree", str(SERIES_MAX_DEGREE + 1), "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --max-degree must be <= {SERIES_MAX_DEGREE}\n"
 
 
 def test_validate_good_model(capsys):

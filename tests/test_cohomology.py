@@ -21,14 +21,16 @@ def borel_d2():
 
 
 def test_cochain_matrix_degree_seven(borel_d2):
-    # C^7 = {x} in block (0, +1), whose part of C^8 is {alpha x_bar}
-    # (alpha^4 sits in block (-4, +1)); D(x) = alpha x_bar
-    m = cochain_matrix(borel_d2, 7, (0, 1))
+    # C^7 = {x} in block (weight) 0, whose part of C^8 is {alpha x_bar}
+    # (alpha^4 sits in block -4); D(x) = alpha x_bar, keyed by the code
+    # of x_bar with its degree 6 in the top field
+    m = cochain_matrix(borel_d2, 7, 0)
     assert (m.rows, m.cols) == (1, 1)
-    assert chain_basis(borel_d2, 8, (0, 1)) == ((1, 0, 1),)
-    assert m.columns == ({0: 1},)
-    assert chain_basis(borel_d2, 8, (-4, 1)) == ((4, 0, 0),)
-    assert cochain_matrix(borel_d2, 7, (-4, 1)).cols == 0
+    assert chain_basis(borel_d2, 8, 0) == ((1, 0, 1),)
+    fields = borel_d2.layout(8).fields
+    assert m.columns == ({(1 << fields[2]) + (6 << fields[-1]): 1},)
+    assert chain_basis(borel_d2, 8, -4) == ((4, 0, 0),)
+    assert cochain_matrix(borel_d2, 7, -4).cols == 0
 
 
 def test_cochain_matrix_zero_differential():
@@ -42,8 +44,8 @@ def test_cochain_matrix_zero_differential():
 
 
 def test_cochain_matrix_empty_degree(borel_d2):
-    # degree 1 has no monomials; alpha spans block (-1, -1) of degree 2
-    m = cochain_matrix(borel_d2, 1, (-1, -1))
+    # degree 1 has no monomials; alpha spans block -1 of degree 2
+    m = cochain_matrix(borel_d2, 1, -1)
     assert m.cols == 0
     assert m.rows == 1
 

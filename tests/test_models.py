@@ -121,7 +121,7 @@ def test_loop_model_doubles_generators():
     loop = loop_model(load_model("sphere-bundle-d2.model"))
     assert loop.algebra.names == ("x", "x_bar")
     assert loop.algebra.degree_of("x_bar") == 6
-    assert loop.involution is None
+    assert loop.involution is False
     for name in loop.algebra.names:
         assert not loop.differential.of_generator(name)
 
@@ -164,7 +164,8 @@ def test_borel_model_sphere_bundle():
     assert d.of_generator("x") == alg.gen("alpha") * alg.gen("x_bar")
     assert not d.of_generator("alpha")
     assert not d.of_generator("x_bar")
-    assert borel.involution == (-1, 1, -1)
+    assert borel.involution is True
+    assert tuple((-1) ** w for w in borel.weights) == (-1, 1, -1)
     t = involution_map(borel)
     assert t.of_generator("alpha") == -alg.gen("alpha")
     assert t.of_generator("x") == alg.gen("x")
@@ -221,13 +222,14 @@ def test_point_borel_model():
     point = point_borel_model()
     assert point.algebra.names == ("alpha",)
     assert not point.differential.of_generator("alpha")
-    assert point.involution == (-1,)
+    assert point.involution is True
+    assert tuple((-1) ** w for w in point.weights) == (-1,)
     assert involution_map(point).of_generator("alpha") == -point.algebra.gen("alpha")
 
 
 def test_base_dga_has_no_involution():
     base = base_dga(load_model("s2.model"))
-    assert base.involution is None
+    assert base.involution is False
     assert base.algebra.names == ("a", "b")
 
 
@@ -239,38 +241,28 @@ def test_dga_model_rejects_broken_differential():
     alg = GradedAlgebra([("a", 2), ("b", 3)])
     d = Derivation(alg, 1, {"a": alg.gen("b"), "b": alg.gen("a") * alg.gen("a")})
     with pytest.raises(NotSquareZeroError):
-        DgaModel(alg, d, None)
+        DgaModel(alg, d)
 
 
 def test_dga_model_rejects_incompatible_involution():
     alg = GradedAlgebra([("a", 2), ("b", 3)])
     d = Derivation(alg, 1, {"b": alg.gen("a") * alg.gen("a")})
-    # the signs (1, -1) send b to -b: t(d b) = a^2 but d(t b) = -a^2
-    with pytest.raises(InvolutionIncompatibleError, match="does not commute"):
-        DgaModel(alg, d, (1, -1))
-    assert DgaModel(alg, d, (-1, 1)).involution == (-1, 1)  # a^2 has sign +1
-
-
-def test_dga_model_rejects_non_diagonal_involution():
-    # an involution is one sign per generator; any other entry is refused
-    alg = GradedAlgebra([("a", 2), ("c", 2)])
-    d = Derivation(alg, 1, {})
-    for signs in [(1, 0), (2, 1), (1, -2)]:
-        with pytest.raises(InvolutionIncompatibleError, match="plus or minus"):
-            DgaModel(alg, d, signs)
-    with pytest.raises(ValueError):
-        DgaModel(alg, d, (1, -1, 1))
+    # the weights (0, 1) send b to -b: t(d b) = a^2 but d(t b) = -a^2
+    with pytest.raises(InvolutionIncompatibleError, match="weight"):
+        DgaModel(alg, d, True, (0, 1))
+    # a^2 has the weight 2 of b, whose sign is +1
+    assert DgaModel(alg, d, True, (1, 2)).involution is True
 
 
 def test_dga_model_rejects_weight_inhomogeneous_differential():
     alg = GradedAlgebra([("a", 2), ("b", 3)])
     d = Derivation(alg, 1, {"b": alg.gen("a") * alg.gen("a")})
     with pytest.raises(InvolutionIncompatibleError, match="weight"):
-        DgaModel(alg, d, None, (0, 1))
-    assert DgaModel(alg, d, None, (1, 2)).weights == (1, 2)
+        DgaModel(alg, d, False, (0, 1))
+    assert DgaModel(alg, d, False, (1, 2)).weights == (1, 2)
     assert DgaModel(alg, d).weights == (0, 0)
     with pytest.raises(ValueError):
-        DgaModel(alg, d, None, (0, 0, 0))
+        DgaModel(alg, d, False, (0, 0, 0))
 
 
 def test_builders_set_generator_weights():

@@ -152,7 +152,8 @@ def test_cochain_dims_are_generating_function(text):
 def _assert_packed_columns_are_tuple_columns(dga, cap):
     """Every g-free column that cochain_matrix assembles from packed codes
     equals, entry for entry, the column the exponent-tuple route of
-    support.tuple_columns assembles for the same monomial and row index."""
+    support.tuple_columns assembles for the same monomial, with each row
+    keyed by the layout code of its g-free part."""
     layout = dga.layout(cap)
     g = dga.closed
 
@@ -162,9 +163,8 @@ def _assert_packed_columns_are_tuple_columns(dga, cap):
 
     # no two monomials share a code, and decoding is one to one
     every = [code for level in layout.free for block in level.values() for code in block]
-    assert len(every) == len(layout.index)
-    index = {g_free(code): row for code, row in layout.index.items()}
-    assert len(index) == len(layout.index)
+    index = {g_free(code): code for code in every}
+    assert len(index) == len(set(every)) == len(every)
     for n in range(cap):
         for block, codes in layout.free[n].items():
             want = support.tuple_columns(dga.differential, map(g_free, codes), index, g)
@@ -224,3 +224,63 @@ def test_steps_that_fill_another_generators_field(cap):
     for n in (cap - 2, cap - 1):
         s = table.slice(n)
         assert (s.betti, s.inv_plus, s.inv_minus) == oracle_split(dga, n), n
+
+
+def _assert_row_keys_are_codes_with_degree(dga, cap):
+    """Every row key of cochain_matrix is the packed code of the g-free
+    part z of its monomial g^c * z plus deg z in the top field, z lies in
+    the target block, and a key names rows of one chain of blocks only:
+    blocks that differ by a power of g, which is what lets eigen_table
+    share one pivot dict between all blocks."""
+    layout = dga.layout(cap)
+    fields, (step, dw) = layout.fields, layout.g_step
+    alg, g = dga.algebra, dga.closed
+    owner = {}
+    for n in range(cap):
+        for block in layout.free[n]:
+            want = set()
+            for mono in support.blocks(dga, n + 1).get(block, ()):
+                z = tuple(0 if k == g else e for k, e in enumerate(mono))
+                code = sum(e << f for e, f in zip(z, fields))
+                want.add(code + (alg.monomial_degree(z) << fields[-1]))
+            for col in cochain_matrix(dga, n, block).columns:
+                assert set(col) <= want, (n, block)
+            for key in want:
+                m, w = owner.setdefault(key, (n + 1, block))
+                c = (n + 1 - m) // step if step else 0
+                assert (n + 1 - m, block - w) == (c * step, c * dw), (key, n, block)
+
+
+@pytest.mark.parametrize("text", [S2_X_S2] + [shape[0] for shape in CHAIN_SHAPES + RATIONAL])
+def test_row_keys_are_codes_with_degree(text):
+    for dga in _spaces(parse_model(text)):
+        _assert_row_keys_are_codes_with_degree(dga, 12)
+
+
+def _loop_betti(text, cap):
+    return eigen_table(loop_model(parse_model(text)), cap).betti_series()
+
+
+@pytest.mark.parametrize("factors, cap", [(2, 50), (3, 24)])
+def test_loop_betti_series_of_a_product_is_the_product(factors, cap):
+    # Kunneth: L(X x Y) = LX x LY, and the loop model of a product is the
+    # tensor product of the loop models, so betti series multiply
+    s2 = "gen a 2\ngen b 3\nd b = a^2\n"
+    one = _loop_betti(s2, cap)
+    want = [1] + [0] * (cap - 1)
+    for _ in range(factors):
+        want = [sum(want[k] * one[n - k] for k in range(n + 1)) for n in range(cap)]
+    text = "".join(s2.replace("a", f"a{i}").replace("b", f"b{i}") for i in range(factors))
+    product = _loop_betti(text, cap)
+    assert [product[n] for n in range(cap)] == want
+
+
+def test_borel_betti_numbers_obey_the_gysin_bound():
+    # the Gysin sequence H^{n-2}_{S^1} -> H^n_{S^1} -> H^n(LX) is exact in
+    # the middle, so dim H^n_{S^1} <= dim H^{n-2}_{S^1} + dim H^n(LX)
+    cap = 30
+    model = parse_model(S2_X_S2)
+    borel = eigen_table(borel_model(model), cap).betti_series()
+    loop = eigen_table(loop_model(model), cap).betti_series()
+    for n in range(cap):
+        assert borel[n] <= (borel[n - 2] if n >= 2 else 0) + loop[n], n
