@@ -9,27 +9,11 @@ single rule is the source of truth for every sign in the package:
 a derivation is extended from its generator values through monomial
 multiplication (``Derivation.__call__`` sums each Leibniz term's signed
 coefficient into one dictionary and builds one Polynomial at the end).
-
-``Derivation.integral_columns``, the cochain assembly, applies the same
-rule to packed monomial codes, with integer coefficients and no
-Polynomial or tuple per monomial.  A code holds generator i's exponent in
-a fixed bit field (bits fields[i] .. fields[i + 1] - 1) wide enough that
-no exponent carries into the next field, so multiplying by a monomial is
-adding its code, an exponent is one shift and mask, and, as an odd
-generator's field is one bit, counting the odd factors of a monomial
-below a generator is one bit count.  An empty field leaves out the
-coordinate of one even generator g with zero differential: then
-D(g^a y) = g^a D(y), so it assembles D on g-free monomials y only and
-keys each term g^c z of the result by its g-free part z, which is how the
-cohomology code reuses one block's pivots for the next block along
-multiplication by g.  The bits from fields[-1] up hold deg z, so within
-one degree a key with a higher power of g (a lower deg z) is smaller.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 Monomial = tuple[int, ...]
@@ -289,7 +273,7 @@ class Derivation:
     Generators missing from ``values`` map to zero.
     """
 
-    __slots__ = ("algebra", "degree_shift", "_values", "_integral")
+    __slots__ = ("algebra", "degree_shift", "_values")
 
     def __init__(self, algebra: GradedAlgebra, degree_shift: int, values: Mapping[str, Polynomial]):
         self.algebra = algebra
@@ -306,7 +290,6 @@ class Derivation:
             if poly:
                 clean[name] = poly
         self._values = clean
-        self._integral: dict = {}
 
     def of_generator(self, name: str) -> Polynomial:
         self.algebra.index(name)
@@ -357,91 +340,6 @@ class Derivation:
                     acc[prod] = acc.get(prod, 0) + s1 * s2 * scale * c
             prefix_degree += e * g.degree
 
-    def _packed_terms(self, fields: tuple[int, ...]):
-        """For each generator g_i with a nonzero value and a nonempty
-        field: (shift, mask, terms) with one (step, coefficient, others,
-        signs) per term t of L * D(g_i), where L is the least common
-        multiple of every coefficient denominator of the generator values,
-        step is the code of t - g_i with the change of the g-free degree
-        (the shift less the degree of the empty fields' factors of t) in
-        the degree field, others the bits of the odd generators of t other
-        than g_i, and signs the odd bits whose count in a source fixes the
-        term's sign.  Computed once per field layout."""
-        cached = self._integral.get(fields)
-        if cached is None:
-            gens = self.algebra.generators
-            odd = self.algebra._odd
-            values = self._values
-            width = [fields[i + 1] - fields[i] for i in range(len(gens))]
-            for g, w in zip(gens, width):
-                if not w and (g.degree % 2 or g.name in values):
-                    raise ValueError(f"cannot drop {g.name}: it is not even and closed")
-            scale = lcm(*(c.denominator for p in values.values() for c in p.terms.values()))
-            odd_bits = sum(1 << fields[k] for k in range(len(gens)) if odd[k])
-            below = [(1 << f) - 1 for f in fields]  # the bits of the generators before each
-            cached = []
-            for i, g in enumerate(gens):
-                if g.name not in values or not width[i]:
-                    continue
-                terms = []
-                for t, c in values[g.name].terms.items():
-                    others = [k for k, b in enumerate(t) if b and odd[k] and k != i]
-                    step = sum(b << fields[k] for k, b in enumerate(t) if width[k])
-                    dropped = sum(b * gens[k].degree for k, b in enumerate(t) if not width[k])
-                    step += ((self.degree_shift - dropped) << fields[-1]) - (1 << fields[i])
-                    signs = below[i] if (self.degree_shift + len(others)) % 2 else 0
-                    for k in others:
-                        signs ^= below[k]
-                    c = int(c * scale) * (-1 if odd[i] and sum(k > i for k in others) % 2 else 1)
-                    terms.append((step, c, sum(1 << fields[k] for k in others), signs & odd_bits))
-                cached.append((fields[i], (1 << width[i]) - 1, tuple(terms)))
-            cached = self._integral[fields] = tuple(cached)
-        return cached
-
-    def integral_columns(
-        self, sources: Iterable[int], fields: tuple[int, ...]
-    ) -> list[dict[int, int]]:
-        """For each source monomial m, L * D(m) as a sparse integer column
-        {code: coefficient}, with L as in ``_packed_terms``.
-
-        Sources and keys are packed codes with the given fields and the
-        degree field above them (see the module docstring).  The empty
-        field of g makes a source stand for the g-free monomial m, and the
-        term g^c * z of L * D(m) land on the code of z (within one degree,
-        z fixes c).  As g is even and closed it contributes no term and no
-        sign, so the coefficients are those of the full monomials.
-
-        This is ``_apply_monomial`` on codes.  With P[k] the number of odd
-        factors of m before generator k, the Leibniz sign of the i-th term
-        is (-1)^(shift * P[i]); reordering left * t * right into canonical
-        order moves each odd factor j of t past the odd factors of m
-        strictly between j and i, which is P[j] + P[i] (plus one when
-        j > i and g_i is odd) modulo 2, and the product vanishes when t
-        repeats an odd factor of m.  Each P is the bit count of m's odd
-        bits below a field, and a sum of bit counts of m under several
-        masks has the parity of the bit count under their exclusive or,
-        so one bit count gives the sign.
-        """
-        table = self._packed_terms(fields)
-        columns = []
-        for code in sources:
-            col: dict[int, int] = {}
-            for shift, mask, terms in table:
-                e = code >> shift & mask
-                if not e:
-                    continue
-                for step, c, others, signs in terms:
-                    if code & others:
-                        continue  # t repeats an odd factor of m: no term
-                    row = code + step
-                    v = col.get(row, 0) + (-c if (code & signs).bit_count() & 1 else c) * e
-                    if v:
-                        col[row] = v
-                    else:
-                        del col[row]
-            columns.append(col)
-        return columns
-
 
 class DifferentialViolation(NamedTuple):
     generator: str
@@ -454,9 +352,9 @@ class DifferentialViolation(NamedTuple):
             return f"d^2({self.generator}) != 0, with a coefficient too long to print"
 
 
-def check_differential(d: Derivation, max_degree: int) -> Optional[DifferentialViolation]:
-    """Verify d(d(g)) == 0 for every generator g with degree(g) + 2 <=
-    max_degree; returns the first violation in generator order, or None.
+def check_differential(d: Derivation) -> Optional[DifferentialViolation]:
+    """Verify d(d(g)) == 0 for every generator g; returns the first
+    violation in generator order, or None.
 
     Since d∘d is itself a derivation, vanishing on generators is
     equivalent to vanishing everywhere.
@@ -467,8 +365,7 @@ def check_differential(d: Derivation, max_degree: int) -> Optional[DifferentialV
         )
     alg = d.algebra
     for g in alg.generators:
-        if g.degree + 2 <= max_degree:
-            residual = d(d.of_generator(g.name))
-            if residual:
-                return DifferentialViolation(g.name, residual)
+        residual = d(d.of_generator(g.name))
+        if residual:
+            return DifferentialViolation(g.name, residual)
     return None

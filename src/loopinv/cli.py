@@ -29,7 +29,6 @@ from pathlib import Path
 from . import __version__
 from .cohomology import NoInvolutionError, eigen_table
 from .curvature import enumerate_pairs
-from .linalg import DimensionMismatchError
 from .models import ModelError, base_dga, borel_model, loop_model, parse_model
 from .pseudoisotopy import NegativeDimensionError, pseudoisotopy_table
 from .series import SeriesExprError, parse_expr
@@ -236,9 +235,6 @@ def main(argv=None) -> int:
         category = getattr(exc, "category", type(exc).__name__)
         print(f"{category}: {exc}", file=err)
         return 1
-    except DimensionMismatchError as exc:
-        print(f"internal error[{exc.category}]: {exc}", file=err)
-        return 3
     except ValueError as exc:
         print(f"usage error: {exc}", file=err)
         return 2

@@ -11,8 +11,8 @@ ranks only.  For the Borel model the weight is #bars - #alpha: the Hodge
 decomposition of cyclic homology.
 
 The ranks are taken along multiplication by g, the model's closed even
-generator of lowest degree (alpha in a Borel model; see
-``DgaModel.layout``).  Since D(g m) = g D(m), multiplication by g is an
+generator of lowest degree (``DgaModel.closed``; alpha in a Borel
+model).  Since D(g m) = g D(m), multiplication by g is an
 injective chain map, and the columns of block k in degree n that carry a
 factor g are g times the columns of its predecessor, the block
 k - weight(g) in degree n - deg g.  Rows are keyed by the packed code of
@@ -32,11 +32,14 @@ with g-free monomials are visited, and the full monomial basis is never
 enumerated.  A model without such a generator takes the same route with
 nothing carried.
 
-Each g-free column is assembled as sparse integer coordinates straight
-from packed monomial codes (``Derivation.integral_columns``), scaled by
-one common nonzero integer that clears every denominator of the
-differential, and ranked exactly by ``linalg.rank``; no polynomial,
-exponent tuple or rational number is built per column.
+This module owns the packed code format (``Layout``).  ``build_layout``
+lays out the g-free monomials once per table, as integer codes with one
+bit field per generator and the degree on top, and packs the
+differential for those codes, so ``integral_columns`` assembles each
+g-free column as sparse integer coordinates by shifts, masks and bit
+counts, scaled by one common nonzero integer that clears every
+denominator of the differential, for ``linalg.rank`` to rank exactly; no
+polynomial, exponent tuple or rational number is built per column.
 
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
@@ -45,7 +48,9 @@ with cap N answers for degrees 0..N-1 only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from math import lcm
+from typing import Iterable, NamedTuple, Optional
 
 from . import linalg
 from .models import Block, DgaModel
@@ -91,6 +96,8 @@ class EigenTable:
                 raise ValueError("slices must be contiguous from degree 0")
 
     def slice(self, degree: int) -> DegreeSlice:
+        if not 0 <= degree < self.cap:
+            raise IndexError(f"degree {degree} outside the table's range 0..{self.cap - 1}")
         return self.slices[degree]
 
     @property
@@ -111,23 +118,173 @@ class EigenTable:
         return TruncatedSeries(s.inv_minus for s in self.slices)
 
 
-def cochain_matrix(model: DgaModel, n: int, block: Block) -> linalg.SparseMatrix:
+class Layout(NamedTuple):
+    """The g-free monomials of a DgaModel through degree ``top`` as packed
+    integer codes, the block dimensions along multiplication by g, and
+    the differential packed for those codes.
+
+    Generator i's exponent sits in bits fields[i] .. fields[i + 1] - 1,
+    wide enough for every exponent up to degree ``top`` (one bit for an
+    odd generator); g's field is empty.  The monomial's degree sits in the
+    bits from fields[-1] up, so codes of one degree are contiguous and a
+    lower degree comes first.  ``free[n]`` maps each block (weight) of
+    degree n that has g-free monomials to their codes in basis order, and
+    ``dims[n]`` maps every nonempty block of degree n to its dimension.
+    ``g_step`` is g's (degree, weight), or (0, 0) without g.  ``terms`` is
+    the differential as ``integral_columns`` reads it: for each generator
+    g_i with a nonzero value, (fields[i], the mask of its field, one
+    (step, coefficient, others, signs) per term t of L * D(g_i)), where L
+    is the least common multiple of every coefficient denominator of the
+    generator values, step is the code of t - g_i with the change of the
+    g-free degree (1 less the degree of t's power of g) in the degree
+    field, others the bits of the odd generators of t other than g_i, and
+    signs the odd bits whose count in a source fixes the term's sign."""
+
+    top: int
+    fields: tuple[int, ...]
+    g_step: tuple[int, int]
+    dims: tuple[dict[Block, int], ...]
+    free: tuple[dict[Block, tuple[int, ...]], ...]
+    terms: tuple[tuple[int, int, tuple[tuple[int, int, int, int], ...]], ...]
+
+
+def build_layout(model: DgaModel, top: int) -> Layout:
+    """The g-free layout of a model through degree ``top``, with g =
+    ``model.closed``, and its packed differential.
+
+    One pass over the generators other than g yields the g-free
+    monomials of every degree in ascending lexicographic order, each
+    as a packed code with its weight.  Multiplication by g is
+    injective and maps block w of degree n into block w + w_g of
+    degree n + deg g, so a block's basis is g times the basis of its
+    predecessor together with its g-free monomials.  Its dimension is
+    the sum of the g-free block sizes along the chain of predecessors;
+    the full basis is never enumerated.  Without g every monomial is
+    g-free and nothing is chained."""
+    gens = model.algebra.generators
+    g = model.closed
+    width = [
+        0 if i == g else 1 if d % 2 else max(1, (top // d).bit_length())
+        for i, (_, d) in enumerate(gens)
+    ]
+    fields = tuple(accumulate(width, initial=0))
+    deg = fields[-1]
+    # (code, weight) of every g-free monomial through degree top, the
+    # code with its degree field; the first generator varies slowest
+    monos = [(0, 0)]
+    for i in reversed([i for i in range(len(gens)) if i != g]):
+        d, w = gens[i].degree, model.weights[i]
+        unit = (1 << fields[i]) + (d << deg)
+        monos = [
+            (code + e * unit, weight + e * w)
+            for e in range(2 if d % 2 else top // d + 1)
+            for code, weight in monos
+            if (code >> deg) + e * d <= top
+        ]
+    found: list[dict[Block, list[int]]] = [{} for _ in range(top + 1)]
+    for code, weight in monos:
+        found[code >> deg].setdefault(weight, []).append(code)
+    g_step = (gens[g].degree, model.weights[g]) if g is not None else (0, 0)
+    step, dw = g_step
+    dims: list[dict[Block, int]] = []
+    for n, split in enumerate(found):
+        level = {}
+        if step and n >= step:
+            level = {w + dw: dim for w, dim in dims[n - step].items()}
+        for w, codes in split.items():
+            level[w] = level.get(w, 0) + len(codes)
+        dims.append(level)
+    free_codes = tuple({w: tuple(codes) for w, codes in split.items()} for split in found)
+    return Layout(top, fields, g_step, tuple(dims), free_codes, _packed_terms(model, fields))
+
+
+def _packed_terms(model: DgaModel, fields: tuple[int, ...]):
+    """``Layout.terms`` for the given fields.  g, even and closed, has no
+    entry, and its factors in a term change the g-free degree, not the code."""
+    gens = model.algebra.generators
+    g = model.closed
+    values = [model.differential.of_generator(x.name).terms for x in gens]
+    odd = [x.degree % 2 == 1 for x in gens]
+    scale = lcm(*(c.denominator for value in values for c in value.values()))
+    odd_bits = sum(1 << fields[k] for k in range(len(gens)) if odd[k])
+    below = [(1 << f) - 1 for f in fields]  # the bits of the generators before each
+    table = []
+    for i, value in enumerate(values):
+        if not value:
+            continue
+        terms = []
+        for t, c in value.items():
+            others = [k for k, b in enumerate(t) if b and odd[k] and k != i]
+            step = sum(b << fields[k] for k, b in enumerate(t) if k != g)
+            dropped = t[g] * gens[g].degree if g is not None else 0
+            step += ((1 - dropped) << fields[-1]) - (1 << fields[i])
+            # 1 is D's degree shift in the Leibniz sign (-1)^(shift * P[i])
+            signs = below[i] if (1 + len(others)) % 2 else 0
+            for k in others:
+                signs ^= below[k]
+            c = int(c * scale) * (-1 if odd[i] and sum(k > i for k in others) % 2 else 1)
+            terms.append((step, c, sum(1 << fields[k] for k in others), signs & odd_bits))
+        table.append((fields[i], (1 << (fields[i + 1] - fields[i])) - 1, tuple(terms)))
+    return tuple(table)
+
+
+def integral_columns(table, sources: Iterable[int]) -> list[dict[int, int]]:
+    """For each source code m, L * D(m) as a sparse integer column
+    {code: coefficient}, with ``table`` and L as in ``Layout.terms``.
+
+    The empty field of g makes a source stand for the g-free monomial m,
+    and the term g^c * z of L * D(m) land on the code of z with its degree
+    (within one degree, z fixes c).  As g is even and closed it
+    contributes no term and no sign, so the coefficients are those of the
+    full monomials.
+
+    This is ``Derivation.__call__`` on codes.  With P[k] the number of
+    odd factors of m before generator k, the Leibniz sign of the i-th
+    term is (-1)^(shift * P[i]); reordering left * t * right into
+    canonical order moves each odd factor j of t past the odd factors of
+    m strictly between j and i, which is P[j] + P[i] (plus one when j > i
+    and g_i is odd) modulo 2, and the product vanishes when t repeats an
+    odd factor of m.  Each P is the bit count of m's odd bits below a
+    field, and a sum of bit counts of m under several masks has the
+    parity of the bit count under their exclusive or, so one bit count
+    gives the sign.
+    """
+    columns = []
+    for code in sources:
+        col: dict[int, int] = {}
+        for shift, mask, terms in table:
+            e = code >> shift & mask
+            if not e:
+                continue
+            for step, c, others, signs in terms:
+                if code & others:
+                    continue  # t repeats an odd factor of m: no term
+                row = code + step
+                v = col.get(row, 0) + (-c if (code & signs).bit_count() & 1 else c) * e
+                if v:
+                    col[row] = v
+                else:
+                    del col[row]
+        columns.append(col)
+    return columns
+
+
+def cochain_matrix(layout: Layout, n: int, block: Block) -> linalg.SparseMatrix:
     """Matrix of L * D on the g-free monomials of one block (weight) of
-    degree n (the block's entry in ``model.layout(n + 1).free[n]``), as
-    sparse integer columns: column j holds the coordinates of
-    L * D(free[j]) in the block's basis of degree n+1, each row keyed by
-    the layout code of the g-free part of its monomial (not a position in
-    [0, rows)), and the nonzero integer L is the common denominator of the
-    differential's generator values (so ranks are those of D).  The
-    block's other columns, g^a times these for a >= 1, are the columns of
-    its chain predecessors, row for row."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    layout = model.layout(n + 1)
+    degree n (the block's entry in ``layout.free[n]``), as sparse integer
+    columns: column j holds the coordinates of L * D(free[j]) in the
+    block's basis of degree n+1, each row keyed by the layout code of the
+    g-free part of its monomial (not a position in [0, rows)), and the
+    nonzero integer L is the common denominator of the differential's
+    generator values (so ranks are those of D).  The block's other
+    columns, g^a times these for a >= 1, are the columns of its chain
+    predecessors, row for row.  Degree n + 1 must lie within the
+    layout."""
+    if not 0 <= n < layout.top:
+        raise ValueError(f"degree {n} outside the layout's range 0..{layout.top - 1}")
     rows = layout.dims[n + 1].get(block, 0)
     source = layout.free[n].get(block, ())
-    columns = model.differential.integral_columns(source, layout.fields)
-    return linalg.SparseMatrix(rows, tuple(columns))
+    return linalg.SparseMatrix(rows, tuple(integral_columns(layout.terms, source)))
 
 
 def eigen_table(model: DgaModel, cap: int) -> EigenTable:
@@ -135,7 +292,7 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     an involution) the eigenspace split, for degrees 0..cap-1."""
     if cap < 2:
         raise ValueError("cap must be >= 2")
-    layout = model.layout(cap)  # one pass over the g-free bases through degree cap
+    layout = build_layout(model, cap)  # one pass over the g-free bases through degree cap
     step, dw = layout.g_step
     # the echelon basis of every block's columns so far; a row key names
     # the g-free part of its monomial, which lies in one chain of blocks
@@ -151,7 +308,7 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
                 rank[(p + dw) % 2] = ranks[n - step][p]
         for w in layout.free[n]:
             before = len(pivots)
-            rank[w % 2] += linalg.rank(cochain_matrix(model, n, w), pivots) - before
+            rank[w % 2] += linalg.rank(cochain_matrix(layout, n, w), pivots) - before
         dim = [0, 0]
         for w, size in layout.dims[n].items():
             dim[w % 2] += size

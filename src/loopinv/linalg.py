@@ -23,12 +23,6 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 
-class DimensionMismatchError(ValueError):
-    """Operand shapes are incompatible."""
-
-    category = "DimensionMismatch"
-
-
 class SparseMatrix(NamedTuple):
     """rows x len(columns) integer matrix; columns[j] maps a row key, any
     int that names the row (not necessarily in [0, rows)), to the nonzero

@@ -28,10 +28,6 @@ with any differential that preserves the weight.  A model is only
 returned after the square-zero check and the weight check pass on every
 generator, so a sign-convention mismatch surfaces as a hard error
 instead of a wrong table.
-
-``DgaModel.layout`` packs the monomials free of the closed even generator
-g into integer codes, one bit field per generator and a degree field on
-top, once per model.
 """
 
 from __future__ import annotations
@@ -40,8 +36,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .algebra import (
     Derivation,
@@ -133,26 +128,6 @@ class MinimalModel:
         return cls(alg, Derivation(alg, 1, {}))
 
 
-class Layout(NamedTuple):
-    """The g-free monomials of a DgaModel through degree ``top`` as packed
-    integer codes, and the block dimensions along multiplication by g.
-
-    Generator i's exponent sits in bits fields[i] .. fields[i + 1] - 1,
-    wide enough for every exponent up to degree ``top`` (one bit for an
-    odd generator); g's field is empty.  The monomial's degree sits in the
-    bits from fields[-1] up, so codes of one degree are contiguous and a
-    lower degree comes first.  ``free[n]`` maps each block (weight) of
-    degree n that has g-free monomials to their codes in basis order, and
-    ``dims[n]`` maps every nonempty block of degree n to its dimension.
-    ``g_step`` is g's (degree, weight), or (0, 0) without g."""
-
-    top: int
-    fields: tuple[int, ...]
-    g_step: tuple[int, int]
-    dims: tuple[dict[Block, int], ...]
-    free: tuple[dict[Block, tuple[int, ...]], ...]
-
-
 @dataclass(frozen=True)
 class DgaModel:
     """Free graded-commutative algebra with a square-zero degree +1
@@ -167,9 +142,9 @@ class DgaModel:
 
     ``closed`` is the index of g, the even generator with zero
     differential of lowest degree (the first one on ties), or None; in a
-    Borel model g is alpha.  ``layout`` packs the g-free monomials into
-    integer codes and lays each block's basis out along multiplication
-    by g.
+    Borel model g is alpha.  ``cohomology.build_layout`` packs the
+    g-free monomials into integer codes and lays each block's basis out
+    along multiplication by g.
     """
 
     algebra: GradedAlgebra
@@ -177,7 +152,6 @@ class DgaModel:
     involution: bool = False
     weights: tuple[int, ...] = ()
     closed: Optional[int] = field(init=False, repr=False, compare=False, default=None)
-    _layout: Optional[Layout] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         alg = self.algebra
@@ -187,8 +161,7 @@ class DgaModel:
         object.__setattr__(self, "weights", tuple(self.weights) or (0,) * width)
         if len(self.weights) != width:
             raise ValueError(f"need {width} generator weights, got {len(self.weights)}")
-        top = max((g.degree for g in alg.generators), default=0)
-        violation = check_differential(self.differential, top + 2)
+        violation = check_differential(self.differential)
         if violation is not None:
             raise NotSquareZeroError(str(violation))
         for g, weight in zip(alg.generators, self.weights):
@@ -206,63 +179,6 @@ class DgaModel:
         ]
         g = min(even_closed, key=lambda i: alg.generators[i].degree, default=None)
         object.__setattr__(self, "closed", g)
-
-    def layout(self, top: int) -> Layout:
-        """The g-free layout through at least the given degree, built once
-        and cached (a higher degree builds it again, with wider fields).
-
-        One pass over the generators other than g yields the g-free
-        monomials of every degree in ascending lexicographic order, each
-        as a packed code with its weight.  Multiplication by g is
-        injective and maps block w of degree n into block w + w_g of
-        degree n + deg g, so a block's basis is g times the basis of its
-        predecessor together with its g-free monomials.  Its dimension is
-        the sum of the g-free block sizes along the chain of predecessors;
-        the full basis is never enumerated.  The cohomology code keys the
-        row of g^c * z by the code of z, which is the same in every block
-        of the chain and lets a block reuse its predecessor's pivots (see
-        ``cohomology``).  Without g every monomial is g-free and nothing
-        is chained."""
-        cached = self._layout
-        if cached is not None and cached.top >= top:
-            return cached
-        gens = self.algebra.generators
-        g = self.closed
-        width = [
-            0 if i == g else 1 if d % 2 else max(1, (top // d).bit_length())
-            for i, (_, d) in enumerate(gens)
-        ]
-        fields = tuple(accumulate(width, initial=0))
-        deg = fields[-1]
-        # (code, weight) of every g-free monomial through degree top, the
-        # code with its degree field; the first generator varies slowest
-        monos = [(0, 0)]
-        for i in reversed([i for i in range(len(gens)) if i != g]):
-            d, w = gens[i].degree, self.weights[i]
-            unit = (1 << fields[i]) + (d << deg)
-            monos = [
-                (code + e * unit, weight + e * w)
-                for e in range(2 if d % 2 else top // d + 1)
-                for code, weight in monos
-                if (code >> deg) + e * d <= top
-            ]
-        found: list[dict[Block, list[int]]] = [{} for _ in range(top + 1)]
-        for code, weight in monos:
-            found[code >> deg].setdefault(weight, []).append(code)
-        g_step = (gens[g].degree, self.weights[g]) if g is not None else (0, 0)
-        step, dw = g_step
-        dims: list[dict[Block, int]] = []
-        for n, split in enumerate(found):
-            level = {}
-            if step and n >= step:
-                level = {w + dw: dim for w, dim in dims[n - step].items()}
-            for w, codes in split.items():
-                level[w] = level.get(w, 0) + len(codes)
-            dims.append(level)
-        free_codes = tuple({w: tuple(codes) for w, codes in split.items()} for split in found)
-        layout = Layout(top, fields, g_step, tuple(dims), free_codes)
-        object.__setattr__(self, "_layout", layout)
-        return layout
 
 
 # ---------------------------------------------------------------------

@@ -13,9 +13,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from loopinv.algebra import Derivation, GradedAlgebra, Monomial, Polynomial
-from loopinv.cohomology import NoInvolutionError
+from loopinv.cohomology import Layout, NoInvolutionError
 from loopinv.cohomology import cochain_matrix as sparse_cochain_matrix
-from loopinv.linalg import DimensionMismatchError, SparseMatrix
+from loopinv.linalg import SparseMatrix
 from loopinv.models import Block, DgaModel, MinimalModel, parse_model
 from loopinv.series import algebra_generating_function
 
@@ -132,6 +132,11 @@ def product_derivation(d: Derivation, p: Polynomial) -> Polynomial:
 # grading the differential preserves, so the block-rank tables of
 # loopinv.cohomology must agree with it.
 
+
+class DimensionMismatchError(ValueError):
+    """Operand shapes are incompatible."""
+
+    category = "DimensionMismatch"
 
 
 class QMatrix:
@@ -361,69 +366,74 @@ def cochain_matrix(model: DgaModel, n: int, block: Optional[Block] = None) -> QM
     return QMatrix.from_columns(cols, rows=len(target))
 
 
-def decode(model: DgaModel, code: int, degree: Optional[int] = None) -> Monomial:
+def closed_index(layout: Layout) -> Optional[int]:
+    """The index of g, the one generator whose field in the layout is
+    empty, or None."""
+    widths = [hi - lo for lo, hi in zip(layout.fields, layout.fields[1:])]
+    return widths.index(0) if 0 in widths else None
+
+
+def decode(layout: Layout, code: int, degree: Optional[int] = None) -> Monomial:
     """The g-free monomial z with the given packed code, as a full
-    exponent tuple read through the fields of the model's cached layout
-    (the one that made the code), or with a degree, g^c * z for the c that
-    makes up the difference to the degree of z in the code's top field."""
-    fields = model.layout(0).fields
+    exponent tuple read through the fields of the layout that made the
+    code, or with a degree, g^c * z for the c that makes up the
+    difference to the degree of z in the code's top field."""
+    fields = layout.fields
     mono = [code >> lo & ((1 << (hi - lo)) - 1) for lo, hi in zip(fields, fields[1:])]
-    if degree is not None and model.closed is not None:
-        step = model.algebra.generators[model.closed].degree
-        c, rest = divmod(degree - (code >> fields[-1]), step)
+    g = closed_index(layout)
+    if degree is not None and g is not None:
+        c, rest = divmod(degree - (code >> fields[-1]), layout.g_step[0])
         if c < 0 or rest:
             raise AssertionError(f"code {code} has no g-power of degree {degree}")
-        mono[model.closed] = c
+        mono[g] = c
     return tuple(mono)
 
 
-def _predecessor(model: DgaModel, n: int, block: Block) -> Optional[tuple[int, Block]]:
+def _predecessor(layout: Layout, n: int, block: Block) -> Optional[tuple[int, Block]]:
     """The (degree, block) that multiplication by g maps onto (n, block),
     or None."""
-    g = model.closed
-    if g is None or n < model.algebra.generators[g].degree:
+    step, dw = layout.g_step
+    if not step or n < step:
         return None
-    m = n - model.algebra.generators[g].degree
-    key = block - model.weights[g]
-    return (m, key) if key in model.layout(m).dims[m] else None
+    return (n - step, block - dw) if block - dw in layout.dims[n - step] else None
 
 
-def chain_basis(model: DgaModel, n: int, block: Block) -> tuple[Monomial, ...]:
+def chain_basis(layout: Layout, n: int, block: Block) -> tuple[Monomial, ...]:
     """The basis of one block of degree n as full monomials, as loopinv
     lays it out along g: g times the basis of the predecessor block, then
     the block's own g-free monomials."""
-    if block not in model.layout(n).dims[n]:
+    if block not in layout.dims[n]:
         return ()
     head: tuple[Monomial, ...] = ()
-    prev = _predecessor(model, n, block)
+    prev = _predecessor(layout, n, block)
     if prev is not None:
-        g = model.closed
-        head = tuple(m[:g] + (m[g] + 1,) + m[g + 1 :] for m in chain_basis(model, *prev))
-    return head + tuple(decode(model, z) for z in model.layout(n).free[n].get(block, ()))
+        g = closed_index(layout)
+        head = tuple(m[:g] + (m[g] + 1,) + m[g + 1 :] for m in chain_basis(layout, *prev))
+    return head + tuple(decode(layout, z) for z in layout.free[n].get(block, ()))
 
 
-def chain_block_entries(model: DgaModel, n: int, block: Block) -> dict:
+def chain_block_entries(layout: Layout, n: int, block: Block) -> dict:
     """{(target monomial, source monomial): entry} of L * D on one whole
     block of degree n, read off loopinv's cochain_matrix: the block's
     g-free columns y, and as the column of each g^a * y the g-free column
     y of the a-th predecessor along the chain, all with each row key
     decoded into the monomial of degree n+1 that it names, which must lie
     in chain_basis of degree n+1."""
-    rows = set(chain_basis(model, n + 1, block))
+    rows = set(chain_basis(layout, n + 1, block))
     out = {}
     at = (n, block)
     while at is not None:
-        m = sparse_cochain_matrix(model, *at)
-        if m.rows != len(chain_basis(model, at[0] + 1, at[1])):
+        m = sparse_cochain_matrix(layout, *at)
+        if m.rows != len(chain_basis(layout, at[0] + 1, at[1])):
             raise AssertionError(f"cochain_matrix{at} has {m.rows} rows")
-        free = model.layout(at[0]).free[at[0]].get(at[1], ())
+        free = layout.free[at[0]].get(at[1], ())
         for y, col in zip(free, m.columns, strict=True):
             for key, v in col.items():
-                target = decode(model, key, n + 1)
+                target = decode(layout, key, n + 1)
                 if target not in rows:
                     raise AssertionError(f"row key {key} of {at} leaves the block")
-                out[target, decode(model, y, n)] = v
-        at = _predecessor(model, *at)
+                out[target, decode(layout, y, n)] = v
+        at = _predecessor(layout, *at)
     return out
 
 
@@ -462,7 +472,7 @@ def tuple_columns(
     d: Derivation, sources: Iterable[Monomial], index: dict[Monomial, int], drop: Optional[int]
 ) -> list[dict[int, int]]:
     """The exponent-tuple route of cochain assembly, the oracle of
-    ``Derivation.integral_columns``: for each source monomial m, L * D(m)
+    ``cohomology.integral_columns``: for each source monomial m, L * D(m)
     as a sparse integer column {index[monomial]: coefficient}.
 
     With ``drop`` the index of an even generator g with zero differential,
@@ -734,7 +744,7 @@ def brute_force_monomial_count(algebra: GradedAlgebra, degree: int) -> int:
 def per_degree_monomial_basis(algebra: GradedAlgebra, degree: int) -> tuple[Monomial, ...]:
     """The degree-n monomials in ascending lexicographic order, by a
     search of that one degree, cached per algebra and degree.  loopinv
-    itself never enumerates a whole degree (see ``DgaModel.layout``)."""
+    itself never enumerates a whole degree (see ``cohomology.build_layout``)."""
     n = len(algebra.generators)
     out: list[Monomial] = []
     mono = [0] * n

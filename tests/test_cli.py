@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import loopinv.cli
 from loopinv.cli import J_MAX_LIMIT, SERIES_MAX_DEGREE, main
-from loopinv.linalg import DimensionMismatchError
 from support import MODELS_DIR
 
 D2 = str(MODELS_DIR / "sphere-bundle-d2.model")
@@ -80,10 +79,7 @@ def test_eigen_rejects_space_without_involution(capsys):
     assert "NoInvolution" in err
 
 
-@pytest.mark.parametrize(
-    "exc, category",
-    [(RuntimeError("boom"), "RuntimeError"), (DimensionMismatchError("bad shape"), "DimensionMismatch")],
-)
+@pytest.mark.parametrize("exc, category", [(RuntimeError("boom"), "RuntimeError")])
 def test_internal_errors_exit_3_without_traceback(capsys, monkeypatch, exc, category):
     def broken(model, cap):
         raise exc

@@ -1,6 +1,7 @@
 import pytest
 
-from loopinv.cohomology import NoInvolutionError, cochain_matrix, eigen_table
+import loopinv.cohomology
+from loopinv.cohomology import NoInvolutionError, build_layout, cochain_matrix, eigen_table
 from loopinv.models import base_dga, borel_model, loop_model, point_borel_model
 from loopinv.series import RationalExpr, algebra_generating_function, equals_expr
 from support import (
@@ -24,30 +25,65 @@ def test_cochain_matrix_degree_seven(borel_d2):
     # C^7 = {x} in block (weight) 0, whose part of C^8 is {alpha x_bar}
     # (alpha^4 sits in block -4); D(x) = alpha x_bar, keyed by the code
     # of x_bar with its degree 6 in the top field
-    m = cochain_matrix(borel_d2, 7, 0)
+    layout = build_layout(borel_d2, 8)
+    m = cochain_matrix(layout, 7, 0)
     assert (m.rows, m.cols) == (1, 1)
-    assert chain_basis(borel_d2, 8, 0) == ((1, 0, 1),)
-    fields = borel_d2.layout(8).fields
+    assert chain_basis(layout, 8, 0) == ((1, 0, 1),)
+    fields = layout.fields
     assert m.columns == ({(1 << fields[2]) + (6 << fields[-1]): 1},)
-    assert chain_basis(borel_d2, 8, -4) == ((4, 0, 0),)
-    assert cochain_matrix(borel_d2, 7, -4).cols == 0
+    assert chain_basis(layout, 8, -4) == ((4, 0, 0),)
+    assert cochain_matrix(layout, 7, -4).cols == 0
 
 
 def test_cochain_matrix_zero_differential():
     # g = x_bar here, so the g-free columns of degree 6 are none, and each
     # whole block, put together along the chain, is zero
     loop = loop_model(load_model("sphere-bundle-d2.model"))
-    dims = loop.layout(7).dims[6]
-    assert all(not cochain_matrix(loop, 6, key).cols for key in dims)
-    assert all(not chain_block_entries(loop, 6, key) for key in dims)
+    layout = build_layout(loop, 7)
+    dims = layout.dims[6]
+    assert all(not cochain_matrix(layout, 6, key).cols for key in dims)
+    assert all(not chain_block_entries(layout, 6, key) for key in dims)
     assert sum(dims.values()) == len(per_degree_monomial_basis(loop.algebra, 6))
 
 
 def test_cochain_matrix_empty_degree(borel_d2):
     # degree 1 has no monomials; alpha spans block -1 of degree 2
-    m = cochain_matrix(borel_d2, 1, -1)
+    m = cochain_matrix(build_layout(borel_d2, 2), 1, -1)
     assert m.cols == 0
     assert m.rows == 1
+
+
+@pytest.mark.parametrize("n", [-1, 8, 9])
+def test_cochain_matrix_refuses_degrees_outside_its_layout(borel_d2, n):
+    # a layout through degree 8 holds the columns of degrees 0..7 only:
+    # a negative or larger index would read another degree's codes
+    layout = build_layout(borel_d2, 8)
+    with pytest.raises(ValueError, match=r"outside the layout's range 0\.\.7"):
+        cochain_matrix(layout, n, 0)
+
+
+def test_eigen_table_builds_one_layout(borel_d2, monkeypatch):
+    # the layout and the packed differential are built once per table,
+    # whatever the number of degrees and blocks
+    calls = []
+    for name in ("build_layout", "_packed_terms"):
+        real = getattr(loopinv.cohomology, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(loopinv.cohomology, name, counting)
+    eigen_table(borel_d2, 20)
+    assert sorted(calls) == ["_packed_terms", "build_layout"]
+
+
+@pytest.mark.parametrize("degree", [-1, 20, 21])
+def test_slice_outside_the_table_is_an_index_error(borel_d2, degree):
+    table = eigen_table(borel_d2, 20)
+    assert table.slice(0).degree == 0 and table.slice(19).degree == 19
+    with pytest.raises(IndexError, match=r"range 0\.\.19"):
+        table.slice(degree)
 
 
 def test_betti_borel_d2(borel_d2):

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopinv import linalg
-from loopinv.linalg import DimensionMismatchError, SparseMatrix
+from loopinv.linalg import SparseMatrix
 from support import (
+    DimensionMismatchError,
     NotAnInvolutionError,
     QMatrix,
     column_span_contains,

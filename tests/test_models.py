@@ -278,9 +278,9 @@ def _count_gate_calls(monkeypatch):
 
     calls = []
 
-    def counting(d, max_degree):
+    def counting(d):
         calls.append(d)
-        return check_differential(d, max_degree)
+        return check_differential(d)
 
     monkeypatch.setattr(loopinv.models, "check_differential", counting)
     return calls

@@ -15,7 +15,7 @@ from math import lcm
 import pytest
 
 import support
-from loopinv.cohomology import cochain_matrix, eigen_table
+from loopinv.cohomology import build_layout, cochain_matrix, eigen_table
 from loopinv.models import base_dga, borel_model, loop_model, parse_model
 from loopinv.series import algebra_generating_function
 from support import (
@@ -83,13 +83,14 @@ def _assert_blocks_are_scaled_derivation(dga, cap):
     scale = lcm(
         *(c.denominator for g in dga.algebra.generators for c in d.of_generator(g.name).terms.values())
     )
-    dims = dga.layout(cap).dims
+    layout = build_layout(dga, cap)
+    dims = layout.dims
     for n in range(cap):
         full, full_next = support.blocks(dga, n), support.blocks(dga, n + 1)
         assert set(dims[n]) == set(full), f"degree {n}"
         for block, source in full.items():
             assert dims[n][block] == len(source)
-            assert sorted(chain_basis(dga, n, block)) == sorted(source)
+            assert sorted(chain_basis(layout, n, block)) == sorted(source)
             want = support.cochain_matrix(dga, n, block)
             target = full_next.get(block, ())
             entries = {
@@ -98,7 +99,7 @@ def _assert_blocks_are_scaled_derivation(dga, cap):
                 for c in range(want.cols)
                 if want[r, c]
             }
-            assert chain_block_entries(dga, n, block) == entries, f"degree {n}, block {block}"
+            assert chain_block_entries(layout, n, block) == entries, f"degree {n}, block {block}"
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
@@ -154,11 +155,11 @@ def _assert_packed_columns_are_tuple_columns(dga, cap):
     equals, entry for entry, the column the exponent-tuple route of
     support.tuple_columns assembles for the same monomial, with each row
     keyed by the layout code of its g-free part."""
-    layout = dga.layout(cap)
+    layout = build_layout(dga, cap)
     g = dga.closed
 
     def g_free(code):
-        mono = decode(dga, code)
+        mono = decode(layout, code)
         return mono if g is None else mono[:g] + mono[g + 1 :]
 
     # no two monomials share a code, and decoding is one to one
@@ -168,7 +169,7 @@ def _assert_packed_columns_are_tuple_columns(dga, cap):
     for n in range(cap):
         for block, codes in layout.free[n].items():
             want = support.tuple_columns(dga.differential, map(g_free, codes), index, g)
-            m = cochain_matrix(dga, n, block)
+            m = cochain_matrix(layout, n, block)
             assert m.rows == layout.dims[n + 1].get(block, 0), (n, block)
             assert list(m.columns) == want, (n, block)
 
@@ -208,7 +209,8 @@ def test_polynomial_generator_at_field_edges(cap):
     dga = borel_model(parse_model("gen a 2\n"))
     table = eigen_table(dga, cap)
     a = dga.algebra.index("a")
-    assert dga.layout(0).fields[a + 1] - dga.layout(0).fields[a] == (cap // 2).bit_length()
+    fields = build_layout(dga, cap).fields
+    assert fields[a + 1] - fields[a] == (cap // 2).bit_length()
     for n, s in enumerate(table.slices):
         assert (s.betti, s.inv_plus, s.inv_minus) == (1, *((1, 0) if n % 4 == 0 else (0, 1))), n
     _assert_packed_columns_are_tuple_columns(dga, cap)
@@ -232,7 +234,7 @@ def _assert_row_keys_are_codes_with_degree(dga, cap):
     the target block, and a key names rows of one chain of blocks only:
     blocks that differ by a power of g, which is what lets eigen_table
     share one pivot dict between all blocks."""
-    layout = dga.layout(cap)
+    layout = build_layout(dga, cap)
     fields, (step, dw) = layout.fields, layout.g_step
     alg, g = dga.algebra, dga.closed
     owner = {}
@@ -243,7 +245,7 @@ def _assert_row_keys_are_codes_with_degree(dga, cap):
                 z = tuple(0 if k == g else e for k, e in enumerate(mono))
                 code = sum(e << f for e, f in zip(z, fields))
                 want.add(code + (alg.monomial_degree(z) << fields[-1]))
-            for col in cochain_matrix(dga, n, block).columns:
+            for col in cochain_matrix(layout, n, block).columns:
                 assert set(col) <= want, (n, block)
             for key in want:
                 m, w = owner.setdefault(key, (n + 1, block))
