@@ -2,35 +2,42 @@
 eigenspace split.
 
 The construction gate of DgaModel makes the differential preserve each
-monomial's weight, so the cochain complex is the direct sum of one
-subcomplex per weight (a block), and the involution, which acts on a
-monomial by (-1)^weight, acts on a block's cohomology by that sign.
-Betti numbers and eigenspace dimensions are therefore sums of block
-betti numbers dim C^n_k - rank D^n_k - rank D^{n-1}_k, which need matrix
-ranks only.  For the Borel model the weight is #bars - #alpha: the Hodge
-decomposition of cyclic homology.
+monomial's weight, and the involution acts on a monomial by (-1)^weight,
+so the cochain complex is the direct sum of two subcomplexes (blocks),
+one per weight parity p, on which the involution acts by +1 (p = 0) and
+by -1 (p = 1).  Betti numbers and eigenspace dimensions are therefore
+sums of block betti numbers dim C^n_p - rank D^n_p - rank D^{n-1}_p,
+which need matrix ranks only.  For the Borel model the weight is
+#bars - #alpha: the Hodge decomposition of cyclic homology.  Sparse
+elimination never mixes columns of different weights, whose rows are
+disjoint, so ranking a block whole costs no more than weight by weight.
 
 The ranks are taken along multiplication by g, the model's closed even
 generator of lowest degree (``DgaModel.closed``; alpha in a Borel
-model).  Since D(g m) = g D(m), multiplication by g is an
-injective chain map, and the columns of block k in degree n that carry a
-factor g are g times the columns of its predecessor, the block
-k - weight(g) in degree n - deg g.  Rows are keyed by the packed code of
-the g-free part z of their monomial g^c z, with the degree of z in the
-top field, which fixes c within one degree, so those columns are, row
-for row, the predecessor's columns, and the pivots that ranked the
-predecessor are already an echelon basis of their span.  Each z lies in
-exactly one chain of blocks, so the chains' rows never meet and
-``eigen_table`` keeps one pivot dict for them all.  It assembles only the
-g-free columns of each block (``cochain_matrix``) and reduces them into
-those pivots (rank D^n_k = carried pivots + new pivots).  As every block
-of degree n - deg g continues into degree n, the summed dimension and
-rank of the blocks of one weight parity in degree n are those of the
-blocks of degree n - deg g (with the parity of g's weight added) plus
-what the g-free monomials and columns of degree n add, so only blocks
-with g-free monomials are visited, and the full monomial basis is never
-enumerated.  A model without such a generator takes the same route with
-nothing carried.
+model).  Since D(g m) = g D(m), multiplication by g is an injective
+chain map, and the columns of block p in degree n that carry a factor g
+are g times the columns of its predecessor, the block p - weight(g)
+(mod 2) in degree n - deg g.  Rows are keyed by the packed code of the
+g-free part z of their monomial g^c z, with top - deg z in the top field
+(top is the layout's last degree), which fixes c within one degree, so
+those columns are, row for row, the predecessor's columns, and the
+pivots that ranked the predecessor are already an echelon basis of
+their span.  Each z lies in exactly one chain of blocks, so
+``eigen_table`` keeps one pivot dict for them all.  It assembles only
+the g-free columns of each block (``cochain_matrix``) and reduces them
+into those pivots (rank D^n_p = carried pivots + new pivots), and the
+full monomial basis is never enumerated.  A model without such a
+generator takes the same route with nothing carried.
+
+The descending degree field puts the g-free cells of highest degree
+first, so a pivot R of D^{n-1} leads on a g-free cell c of degree n
+whenever its vector has one.  R is c plus later rows and D^n R = 0, so
+the column D^n(c) lies in the span of the columns of the later rows, and
+``eigen_table`` skips it (the "clearing" of Chen and Kerber, Persistent
+homology computation with a twist, 2011) without changing the rank or
+the span of the pivots.  A g-multiple g^c z of degree n is a row only
+from degree n - 1 + c deg g on, so the keys of degree n's g-free cells
+in the pivot dict are exactly those leads: the dict is the clearing set.
 
 This module owns the packed code format (``Layout``).  ``build_layout``
 lays out the g-free monomials once per table, as integer codes with one
@@ -50,10 +57,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, NamedTuple, Optional
+from typing import Container, Iterable, NamedTuple, Optional
 
 from . import linalg
-from .models import Block, DgaModel
+from .models import DgaModel
 from .series import TruncatedSeries
 
 
@@ -125,26 +132,27 @@ class Layout(NamedTuple):
 
     Generator i's exponent sits in bits fields[i] .. fields[i + 1] - 1,
     wide enough for every exponent up to degree ``top`` (one bit for an
-    odd generator); g's field is empty.  The monomial's degree sits in the
-    bits from fields[-1] up, so codes of one degree are contiguous and a
-    lower degree comes first.  ``free[n]`` maps each block (weight) of
-    degree n that has g-free monomials to their codes in basis order, and
-    ``dims[n]`` maps every nonempty block of degree n to its dimension.
-    ``g_step`` is g's (degree, weight), or (0, 0) without g.  ``terms`` is
-    the differential as ``integral_columns`` reads it: for each generator
-    g_i with a nonzero value, (fields[i], the mask of its field, one
-    (step, coefficient, others, signs) per term t of L * D(g_i)), where L
-    is the least common multiple of every coefficient denominator of the
-    generator values, step is the code of t - g_i with the change of the
-    g-free degree (1 less the degree of t's power of g) in the degree
-    field, others the bits of the odd generators of t other than g_i, and
-    signs the odd bits whose count in a source fixes the term's sign."""
+    odd generator); g's field is empty.  The bits from fields[-1] up hold
+    top less the monomial's degree, so codes of one degree are contiguous
+    and a higher degree comes first.  ``free[n]`` maps each block (weight
+    parity) of degree n that has g-free monomials to their codes in basis
+    order, and ``dims[n]`` maps every nonempty block of degree n to its
+    dimension.  ``g_step`` is g's (degree, weight), or (0, 0) without g.
+    ``terms`` is the differential as ``integral_columns`` reads it: for
+    each generator g_i with a nonzero value, (fields[i], the mask of its
+    field, one (step, coefficient, others, signs) per term t of
+    L * D(g_i)), where L is the least common multiple of every
+    coefficient denominator of the generator values, step is the code of
+    t - g_i with the degree of t's power of g, less 1, in the degree field
+    (the change of top less the g-free degree), others the bits of the
+    odd generators of t other than g_i, and signs the odd bits whose
+    count in a source fixes the term's sign."""
 
     top: int
     fields: tuple[int, ...]
     g_step: tuple[int, int]
-    dims: tuple[dict[Block, int], ...]
-    free: tuple[dict[Block, tuple[int, ...]], ...]
+    dims: tuple[dict[int, int], ...]
+    free: tuple[dict[int, tuple[int, ...]], ...]
     terms: tuple[tuple[int, int, tuple[tuple[int, int, int, int], ...]], ...]
 
 
@@ -153,14 +161,12 @@ def build_layout(model: DgaModel, top: int) -> Layout:
     ``model.closed``, and its packed differential.
 
     One pass over the generators other than g yields the g-free
-    monomials of every degree in ascending lexicographic order, each
-    as a packed code with its weight.  Multiplication by g is
-    injective and maps block w of degree n into block w + w_g of
-    degree n + deg g, so a block's basis is g times the basis of its
-    predecessor together with its g-free monomials.  Its dimension is
-    the sum of the g-free block sizes along the chain of predecessors;
-    the full basis is never enumerated.  Without g every monomial is
-    g-free and nothing is chained."""
+    monomials of every degree in ascending lexicographic order, each as
+    a packed code with its weight parity.  Multiplication by g is
+    injective and maps block p of degree n into block p + weight(g)
+    (mod 2) of degree n + deg g, so a block's dimension is its
+    predecessor's plus its number of g-free monomials.  Without g every
+    monomial is g-free and nothing is chained."""
     gens = model.algebra.generators
     g = model.closed
     width = [
@@ -169,32 +175,32 @@ def build_layout(model: DgaModel, top: int) -> Layout:
     ]
     fields = tuple(accumulate(width, initial=0))
     deg = fields[-1]
-    # (code, weight) of every g-free monomial through degree top, the
-    # code with its degree field; the first generator varies slowest
-    monos = [(0, 0)]
+    # (code, parity) of every g-free monomial through degree top, with top
+    # less its degree in the degree field; the first generator varies slowest
+    monos = [(top << deg, 0)]
     for i in reversed([i for i in range(len(gens)) if i != g]):
         d, w = gens[i].degree, model.weights[i]
-        unit = (1 << fields[i]) + (d << deg)
+        unit = (1 << fields[i]) - (d << deg)
         monos = [
-            (code + e * unit, weight + e * w)
+            (code + e * unit, (parity + e * w) % 2)
             for e in range(2 if d % 2 else top // d + 1)
-            for code, weight in monos
-            if (code >> deg) + e * d <= top
+            for code, parity in monos
+            if e * d <= code >> deg
         ]
-    found: list[dict[Block, list[int]]] = [{} for _ in range(top + 1)]
-    for code, weight in monos:
-        found[code >> deg].setdefault(weight, []).append(code)
+    found: list[dict[int, list[int]]] = [{} for _ in range(top + 1)]
+    for code, parity in monos:
+        found[top - (code >> deg)].setdefault(parity, []).append(code)
     g_step = (gens[g].degree, model.weights[g]) if g is not None else (0, 0)
     step, dw = g_step
-    dims: list[dict[Block, int]] = []
+    dims: list[dict[int, int]] = []
     for n, split in enumerate(found):
         level = {}
         if step and n >= step:
-            level = {w + dw: dim for w, dim in dims[n - step].items()}
-        for w, codes in split.items():
-            level[w] = level.get(w, 0) + len(codes)
+            level = {(p + dw) % 2: dim for p, dim in dims[n - step].items()}
+        for p, codes in split.items():
+            level[p] = level.get(p, 0) + len(codes)
         dims.append(level)
-    free_codes = tuple({w: tuple(codes) for w, codes in split.items()} for split in found)
+    free_codes = tuple({p: tuple(codes) for p, codes in split.items()} for split in found)
     return Layout(top, fields, g_step, tuple(dims), free_codes, _packed_terms(model, fields))
 
 
@@ -217,7 +223,7 @@ def _packed_terms(model: DgaModel, fields: tuple[int, ...]):
             others = [k for k, b in enumerate(t) if b and odd[k] and k != i]
             step = sum(b << fields[k] for k, b in enumerate(t) if k != g)
             dropped = t[g] * gens[g].degree if g is not None else 0
-            step += ((1 - dropped) << fields[-1]) - (1 << fields[i])
+            step += ((dropped - 1) << fields[-1]) - (1 << fields[i])
             # 1 is D's degree shift in the Leibniz sign (-1)^(shift * P[i])
             signs = below[i] if (1 + len(others)) % 2 else 0
             for k in others:
@@ -269,21 +275,23 @@ def integral_columns(table, sources: Iterable[int]) -> list[dict[int, int]]:
     return columns
 
 
-def cochain_matrix(layout: Layout, n: int, block: Block) -> linalg.SparseMatrix:
-    """Matrix of L * D on the g-free monomials of one block (weight) of
-    degree n (the block's entry in ``layout.free[n]``), as sparse integer
-    columns: column j holds the coordinates of L * D(free[j]) in the
-    block's basis of degree n+1, each row keyed by the layout code of the
-    g-free part of its monomial (not a position in [0, rows)), and the
-    nonzero integer L is the common denominator of the differential's
-    generator values (so ranks are those of D).  The block's other
-    columns, g^a times these for a >= 1, are the columns of its chain
-    predecessors, row for row.  Degree n + 1 must lie within the
-    layout."""
+def cochain_matrix(
+    layout: Layout, n: int, block: int, cleared: Container[int] = ()
+) -> linalg.SparseMatrix:
+    """Matrix of L * D on the g-free monomials of one block (weight
+    parity) of degree n (the block's entry in ``layout.free[n]``) that are
+    not in ``cleared``, as sparse integer columns: column j holds the
+    coordinates of L * D(free[j]) in the block's basis of degree n+1, each
+    row keyed by the layout code of the g-free part of its monomial (not a
+    position in [0, rows)), and the nonzero integer L is the common
+    denominator of the differential's generator values (so ranks are those
+    of D).  The block's other columns, g^a times these for a >= 1, are the
+    columns of its chain predecessors, row for row.  Degree n + 1 must lie
+    within the layout."""
     if not 0 <= n < layout.top:
         raise ValueError(f"degree {n} outside the layout's range 0..{layout.top - 1}")
     rows = layout.dims[n + 1].get(block, 0)
-    source = layout.free[n].get(block, ())
+    source = [code for code in layout.free[n].get(block, ()) if code not in cleared]
     return linalg.SparseMatrix(rows, tuple(integral_columns(layout.terms, source)))
 
 
@@ -294,24 +302,19 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
         raise ValueError("cap must be >= 2")
     layout = build_layout(model, cap)  # one pass over the g-free bases through degree cap
     step, dw = layout.g_step
-    # the echelon basis of every block's columns so far; a row key names
-    # the g-free part of its monomial, which lies in one chain of blocks
+    # the echelon basis of every block's columns so far, which is also the
+    # clearing set; a row key names the g-free part of its monomial
     pivots: dict[int, dict[int, int]] = {}
-    # per degree, the summed rank of D on the blocks of even and of odd
-    # weight: every block of degree n - deg g continues into degree n
+    # per degree, the rank of D on blocks 0 and 1, which carry on along g
     ranks: list[list[int]] = []
     slices = []
     for n in range(cap):
-        rank = [0, 0]
-        if step and n >= step:
-            for p in (0, 1):
-                rank[(p + dw) % 2] = ranks[n - step][p]
-        for w in layout.free[n]:
+        carry = step and n >= step
+        rank = [ranks[n - step][(p - dw) % 2] if carry else 0 for p in (0, 1)]
+        for p in layout.free[n]:
             before = len(pivots)
-            rank[w % 2] += linalg.rank(cochain_matrix(layout, n, w), pivots) - before
-        dim = [0, 0]
-        for w, size in layout.dims[n].items():
-            dim[w % 2] += size
+            rank[p] += linalg.rank(cochain_matrix(layout, n, p, pivots), pivots) - before
+        dim = [layout.dims[n].get(p, 0) for p in (0, 1)]
         prev = ranks[n - 1] if n else [0, 0]
         plus, minus = (dim[p] - rank[p] - prev[p] for p in (0, 1))
         eigen = (plus, minus) if model.involution else (None, None)

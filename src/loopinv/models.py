@@ -46,9 +46,6 @@ from .algebra import (
 )
 
 
-Block = int  # the weight of a monomial
-
-
 class ModelError(Exception):
     category = "ModelError"
 

@@ -16,7 +16,7 @@ from loopinv.algebra import Derivation, GradedAlgebra, Monomial, Polynomial
 from loopinv.cohomology import Layout, NoInvolutionError
 from loopinv.cohomology import cochain_matrix as sparse_cochain_matrix
 from loopinv.linalg import SparseMatrix
-from loopinv.models import Block, DgaModel, MinimalModel, parse_model
+from loopinv.models import DgaModel, MinimalModel, parse_model
 from loopinv.series import algebra_generating_function
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -341,16 +341,16 @@ def weight(model: DgaModel, mono: Monomial) -> int:
     return sum(e * w for e, w in zip(mono, model.weights))
 
 
-def blocks(model: DgaModel, n: int) -> dict[Block, tuple[Monomial, ...]]:
-    """The whole degree-n monomial basis split by weight, each block in
-    basis order."""
-    split: dict[Block, list[Monomial]] = {}
+def blocks(model: DgaModel, n: int) -> dict[int, tuple[Monomial, ...]]:
+    """The whole degree-n monomial basis split by weight parity (the
+    involution's eigenvalue (-1)^weight), each block in basis order."""
+    split: dict[int, list[Monomial]] = {}
     for mono in per_degree_monomial_basis(model.algebra, n):
-        split.setdefault(weight(model, mono), []).append(mono)
+        split.setdefault(weight(model, mono) % 2, []).append(mono)
     return {k: tuple(v) for k, v in split.items()}
 
 
-def cochain_matrix(model: DgaModel, n: int, block: Optional[Block] = None) -> QMatrix:
+def cochain_matrix(model: DgaModel, n: int, block: Optional[int] = None) -> QMatrix:
     """Dense matrix of D from degree n to degree n+1 (or on one block),
     column j holding the coordinates of D(source[j]) computed by
     Derivation."""
@@ -377,28 +377,30 @@ def decode(layout: Layout, code: int, degree: Optional[int] = None) -> Monomial:
     """The g-free monomial z with the given packed code, as a full
     exponent tuple read through the fields of the layout that made the
     code, or with a degree, g^c * z for the c that makes up the
-    difference to the degree of z in the code's top field."""
+    difference to the degree of z, which the code's top field holds as
+    the layout's top less that degree."""
     fields = layout.fields
     mono = [code >> lo & ((1 << (hi - lo)) - 1) for lo, hi in zip(fields, fields[1:])]
     g = closed_index(layout)
     if degree is not None and g is not None:
-        c, rest = divmod(degree - (code >> fields[-1]), layout.g_step[0])
+        c, rest = divmod(degree - layout.top + (code >> fields[-1]), layout.g_step[0])
         if c < 0 or rest:
             raise AssertionError(f"code {code} has no g-power of degree {degree}")
         mono[g] = c
     return tuple(mono)
 
 
-def _predecessor(layout: Layout, n: int, block: Block) -> Optional[tuple[int, Block]]:
+def _predecessor(layout: Layout, n: int, block: int) -> Optional[tuple[int, int]]:
     """The (degree, block) that multiplication by g maps onto (n, block),
-    or None."""
+    or None; a block is a weight parity."""
     step, dw = layout.g_step
     if not step or n < step:
         return None
-    return (n - step, block - dw) if block - dw in layout.dims[n - step] else None
+    prev = (block - dw) % 2
+    return (n - step, prev) if prev in layout.dims[n - step] else None
 
 
-def chain_basis(layout: Layout, n: int, block: Block) -> tuple[Monomial, ...]:
+def chain_basis(layout: Layout, n: int, block: int) -> tuple[Monomial, ...]:
     """The basis of one block of degree n as full monomials, as loopinv
     lays it out along g: g times the basis of the predecessor block, then
     the block's own g-free monomials."""
@@ -412,7 +414,7 @@ def chain_basis(layout: Layout, n: int, block: Block) -> tuple[Monomial, ...]:
     return head + tuple(decode(layout, z) for z in layout.free[n].get(block, ()))
 
 
-def chain_block_entries(layout: Layout, n: int, block: Block) -> dict:
+def chain_block_entries(layout: Layout, n: int, block: int) -> dict:
     """{(target monomial, source monomial): entry} of L * D on one whole
     block of degree n, read off loopinv's cochain_matrix: the block's
     g-free columns y, and as the column of each g^a * y the g-free column

@@ -304,6 +304,8 @@ GOLDEN = [
         "",
     ),
     ("eigen-table", ["eigen", "models/sphere-bundle-d2.model", "--max-degree", "12"], 0, ""),
+    # S^2 x S^2 at cap 50, where most g-free columns are cleared
+    ("eigen-s2xs2-table", ["eigen", "benchmark/inputs/s2xs2.model", "--max-degree", "50"], 0, ""),
     (
         "eigen-json",
         ["eigen", "models/sphere-bundle-d2.model", "--max-degree", "12", "--format", "json"],

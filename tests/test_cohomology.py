@@ -1,6 +1,7 @@
 import pytest
 
 import loopinv.cohomology
+import loopinv.linalg
 from loopinv.cohomology import NoInvolutionError, build_layout, cochain_matrix, eigen_table
 from loopinv.models import base_dga, borel_model, loop_model, point_borel_model
 from loopinv.series import RationalExpr, algebra_generating_function, equals_expr
@@ -8,6 +9,7 @@ from support import (
     QMatrix,
     chain_basis,
     chain_block_entries,
+    decode,
     induced_involution,
     involution_eigen_dims,
     load_model,
@@ -22,17 +24,20 @@ def borel_d2():
 
 
 def test_cochain_matrix_degree_seven(borel_d2):
-    # C^7 = {x} in block (weight) 0, whose part of C^8 is {alpha x_bar}
-    # (alpha^4 sits in block -4); D(x) = alpha x_bar, keyed by the code
-    # of x_bar with its degree 6 in the top field
+    # C^7 = {x} in block (weight parity) 0, whose part of C^8 is
+    # {alpha^4, alpha x_bar} (weights -4 and 0), g = alpha times the part
+    # {alpha^3, x_bar} of C^6 in block 1; D(x) = alpha x_bar, keyed by the
+    # code of x_bar with the top 8 less its degree 6 in the top field
     layout = build_layout(borel_d2, 8)
     m = cochain_matrix(layout, 7, 0)
-    assert (m.rows, m.cols) == (1, 1)
-    assert chain_basis(layout, 8, 0) == ((1, 0, 1),)
+    assert (m.rows, m.cols) == (2, 1)
+    assert chain_basis(layout, 6, 1) == ((3, 0, 0), (0, 0, 1))
+    assert chain_basis(layout, 8, 0) == ((4, 0, 0), (1, 0, 1))
     fields = layout.fields
-    assert m.columns == ({(1 << fields[2]) + (6 << fields[-1]): 1},)
-    assert chain_basis(layout, 8, -4) == ((4, 0, 0),)
-    assert cochain_matrix(layout, 7, -4).cols == 0
+    assert m.columns == ({(1 << fields[2]) + ((8 - 6) << fields[-1]): 1},)
+    [key] = m.columns[0]
+    assert decode(layout, key, 8) == (1, 0, 1)
+    assert cochain_matrix(layout, 7, 1) == (0, ())
 
 
 def test_cochain_matrix_zero_differential():
@@ -47,8 +52,8 @@ def test_cochain_matrix_zero_differential():
 
 
 def test_cochain_matrix_empty_degree(borel_d2):
-    # degree 1 has no monomials; alpha spans block -1 of degree 2
-    m = cochain_matrix(build_layout(borel_d2, 2), 1, -1)
+    # degree 1 has no monomials; alpha (weight -1) spans block 1 of degree 2
+    m = cochain_matrix(build_layout(borel_d2, 2), 1, 1)
     assert m.cols == 0
     assert m.rows == 1
 
@@ -76,6 +81,34 @@ def test_eigen_table_builds_one_layout(borel_d2, monkeypatch):
         monkeypatch.setattr(loopinv.cohomology, name, counting)
     eigen_table(borel_d2, 20)
     assert sorted(calls) == ["_packed_terms", "build_layout"]
+
+
+def test_clearing_skips_the_leads_of_the_degree_before(monkeypatch):
+    # S^2 Borel at cap 24 has 277 g-free columns: 121 are leads of pivots
+    # of the degree before and are cleared, and 13 of the 156 assembled
+    # reduce to zero.  Each degree ranks at most one block per sign
+    real_matrix, real_rank = loopinv.cohomology.cochain_matrix, loopinv.linalg.rank
+    blocks, free, cols, zero = [], [], [], []
+
+    def matrix(layout, n, block, cleared=()):
+        blocks.append((n, block))
+        free.append(len(layout.free[n][block]))
+        m = real_matrix(layout, n, block, cleared)
+        cols.append(m.cols)
+        return m
+
+    def rank(m, pivots):
+        before = len(pivots)
+        after = real_rank(m, pivots)
+        zero.append(m.cols - (after - before))
+        return after
+
+    monkeypatch.setattr(loopinv.cohomology, "cochain_matrix", matrix)
+    monkeypatch.setattr(loopinv.linalg, "rank", rank)
+    eigen_table(borel_model(load_model("s2.model")), 24)
+    assert (sum(free), sum(cols), sum(zero)) == (277, 156, 13)
+    assert len(set(blocks)) == len(blocks)
+    assert {block for _, block in blocks} == {0, 1}
 
 
 @pytest.mark.parametrize("degree", [-1, 20, 21])
