@@ -4,11 +4,13 @@ A monomial is a tuple of exponents aligned with the algebra's generator
 order (declaration order is canonical order).  Odd-degree generators are
 exterior: their exponents never exceed one and their squares vanish.
 Reordering a product into canonical order accumulates the Koszul sign,
-one factor of -1 for every transposition of two odd generators, and that
-single rule is the source of truth for every sign in the package:
-a derivation is extended from its generator values through monomial
-multiplication (``Derivation.__call__`` sums each Leibniz term's signed
-coefficient into one dictionary and builds one Polynomial at the end).
+one factor of -1 for every transposition of two odd generators.
+
+A ``Derivation`` holds its values on generators.  The package applies the
+Leibniz rule with these signs in one place, on packed monomial codes
+(``cohomology.integral_columns``, which also runs the square-zero gate of
+every model); the suspension of the loop model, the one other
+derivation, is written out in ``models._free_loop``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class Generator(NamedTuple):
 
 
 class WrongDegreeShiftError(ValueError):
-    """check_differential got a derivation whose shift is not +1."""
+    """A DgaModel got a differential whose shift is not +1."""
 
     category = "WrongDegreeShift"
 
@@ -295,77 +297,3 @@ class Derivation:
         self.algebra.index(name)
         value = self._values.get(name)
         return value if value is not None else self.algebra.zero()
-
-    def __call__(self, p: Polynomial) -> Polynomial:
-        if p.algebra != self.algebra:
-            raise ValueError("polynomial lives in a different algebra")
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in p.terms.items():
-            self._apply_monomial(mono, coeff, acc)
-        return Polynomial(self.algebra, acc)
-
-    def _apply_monomial(self, mono: Monomial, coeff: Fraction, acc: dict) -> None:
-        """Add coeff * D(mono) into acc, term by term: the i-th Leibniz term
-        is sign * mult * left * D(g_i) * right, where left is mono up to
-        and including g_i^(e-1), right the rest of mono, sign
-        (-1)^(shift * degree of the factors before g_i) and mult the
-        exponent e of an even g_i (1 for an odd one).  The two products
-        are monomial products with their Koszul signs; no Polynomial is
-        built per term, and zero sums are dropped by the caller's
-        Polynomial."""
-        gens = self.algebra.generators
-        mult_monos = self.algebra.multiply_monomials
-        odd_shift = self.degree_shift % 2 == 1
-        width = len(mono)
-        prefix_degree = 0
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            g = gens[i]
-            dg = self._values.get(g.name)
-            if dg is not None:
-                sign = -1 if odd_shift and prefix_degree % 2 else 1
-                scale = sign * (e if g.degree % 2 == 0 else 1) * coeff
-                left = mono[:i] + (e - 1,) + (0,) * (width - i - 1)
-                right = (0,) * (i + 1) + mono[i + 1 :]
-                for t, c in dg.terms.items():
-                    hit = mult_monos(left, t)
-                    if hit is None:
-                        continue
-                    s1, lt = hit
-                    hit = mult_monos(lt, right)
-                    if hit is None:
-                        continue
-                    s2, prod = hit
-                    acc[prod] = acc.get(prod, 0) + s1 * s2 * scale * c
-            prefix_degree += e * g.degree
-
-
-class DifferentialViolation(NamedTuple):
-    generator: str
-    residual: Polynomial
-
-    def __str__(self) -> str:
-        try:
-            return f"d^2({self.generator}) = {self.residual} != 0"
-        except ValueError:  # a coefficient with more digits than Python prints
-            return f"d^2({self.generator}) != 0, with a coefficient too long to print"
-
-
-def check_differential(d: Derivation) -> Optional[DifferentialViolation]:
-    """Verify d(d(g)) == 0 for every generator g; returns the first
-    violation in generator order, or None.
-
-    Since d∘d is itself a derivation, vanishing on generators is
-    equivalent to vanishing everywhere.
-    """
-    if d.degree_shift != 1:
-        raise WrongDegreeShiftError(
-            f"differential must have degree shift +1, got {d.degree_shift}"
-        )
-    alg = d.algebra
-    for g in alg.generators:
-        residual = d(d.of_generator(g.name))
-        if residual:
-            return DifferentialViolation(g.name, residual)
-    return None

@@ -55,13 +55,17 @@ with cap N answers for degrees 0..N-1 only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Container, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Container, Iterable, NamedTuple, Optional
 
 from . import linalg
-from .models import DgaModel
+from .algebra import Polynomial
 from .series import TruncatedSeries
+
+if TYPE_CHECKING:
+    from .models import DgaModel
 
 
 class NoInvolutionError(ValueError):
@@ -169,11 +173,7 @@ def build_layout(model: DgaModel, top: int) -> Layout:
     monomial is g-free and nothing is chained."""
     gens = model.algebra.generators
     g = model.closed
-    width = [
-        0 if i == g else 1 if d % 2 else max(1, (top // d).bit_length())
-        for i, (_, d) in enumerate(gens)
-    ]
-    fields = tuple(accumulate(width, initial=0))
+    fields = _fields(model, top)
     deg = fields[-1]
     # (code, parity) of every g-free monomial through degree top, with top
     # less its degree in the degree field; the first generator varies slowest
@@ -202,6 +202,15 @@ def build_layout(model: DgaModel, top: int) -> Layout:
         dims.append(level)
     free_codes = tuple({p: tuple(codes) for p, codes in split.items()} for split in found)
     return Layout(top, fields, g_step, tuple(dims), free_codes, _packed_terms(model, fields))
+
+
+def _fields(model: DgaModel, top: int) -> tuple[int, ...]:
+    """``Layout.fields`` for a layout through degree ``top``."""
+    width = [
+        0 if i == model.closed else 1 if d % 2 else max(1, (top // d).bit_length())
+        for i, (_, d) in enumerate(model.algebra.generators)
+    ]
+    return tuple(accumulate(width, initial=0))
 
 
 def _packed_terms(model: DgaModel, fields: tuple[int, ...]):
@@ -244,7 +253,8 @@ def integral_columns(table, sources: Iterable[int]) -> list[dict[int, int]]:
     contributes no term and no sign, so the coefficients are those of the
     full monomials.
 
-    This is ``Derivation.__call__`` on codes.  With P[k] the number of
+    Its oracle is ``product_derivation`` in ``tests/support.py``, the
+    Leibniz rule by Polynomial products.  With P[k] the number of
     odd factors of m before generator k, the Leibniz sign of the i-th
     term is (-1)^(shift * P[i]); reordering left * t * right into
     canonical order moves each odd factor j of t past the odd factors of
@@ -273,6 +283,40 @@ def integral_columns(table, sources: Iterable[int]) -> list[dict[int, int]]:
                     del col[row]
         columns.append(col)
     return columns
+
+
+def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
+    """The first generator x with D(D(x)) != 0, with that residual, or
+    None; D∘D is a derivation, so it vanishes once it does on generators.
+    D is applied twice by ``integral_columns`` on codes through the largest
+    generator degree + 2, so the residual carries L^2, and as it has degree
+    deg x + 2, the degree field of a row gives the exponent of g."""
+    gens = model.algebra.generators
+    top = max((x.degree for x in gens), default=0) + 2
+    fields = _fields(model, top)
+    deg = fields[-1]
+    table = _packed_terms(model, fields)
+    values = [model.differential.of_generator(x.name).terms for x in gens]
+    square = lcm(*(c.denominator for value in values for c in value.values())) ** 2
+    for i, x in enumerate(gens):
+        if not values[i]:
+            continue  # g, whose field is empty, is one of these
+        (once,) = integral_columns(table, [(1 << fields[i]) + ((top - x.degree) << deg)])
+        twice: dict[int, int] = {}
+        for v, column in zip(once.values(), integral_columns(table, once)):
+            for row, c in column.items():
+                twice[row] = twice.get(row, 0) + v * c
+        terms = {}
+        for code, v in twice.items():
+            g_degree = x.degree + 2 - (top - (code >> deg))  # less the g-free degree
+            mono = [(code >> lo) & ((1 << (hi - lo)) - 1) for lo, hi in zip(fields, fields[1:])]
+            if model.closed is not None:
+                mono[model.closed] = g_degree // gens[model.closed].degree
+            terms[tuple(mono)] = Fraction(v, square)
+        residual = Polynomial(model.algebra, terms)
+        if residual:
+            return x.name, residual
+    return None
 
 
 def cochain_matrix(

@@ -16,7 +16,7 @@ differential d) this module builds, with one builder,
 
 * the free loop model on generators {v} u {v_bar}, deg v_bar = deg v - 1,
   with differential delta(v) = d(v), delta(v_bar) = -s(d(v)), where s is
-  the degree -1 derivation sending v to v_bar and v_bar to 0;
+  the degree -1 derivation v -> v_bar, v_bar -> 0, written out on monomials;
 * the Borel model, which adds a degree 2 polynomial generator and uses
   D = delta + alpha * s, together with the loop-reversal involution
   T(alpha) = -alpha, T(v) = v, T(v_bar) = -v_bar.
@@ -25,9 +25,9 @@ Both carry generator weights (v 0, v_bar 1 and, in the Borel model,
 alpha -1) that their differentials preserve.  The involution acts on a
 monomial by (-1)^weight, so it is diagonal by construction and commutes
 with any differential that preserves the weight.  A model is only
-returned after the square-zero check and the weight check pass on every
-generator, so a sign-convention mismatch surfaces as a hard error
-instead of a wrong table.
+returned after the square-zero check on packed codes and the weight
+check pass on every generator, so a sign-convention mismatch surfaces as
+a hard error instead of a wrong table.
 """
 
 from __future__ import annotations
@@ -38,12 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (
-    Derivation,
-    GradedAlgebra,
-    Polynomial,
-    check_differential,
-)
+from .algebra import Derivation, GradedAlgebra, Polynomial, WrongDegreeShiftError
+from .cohomology import square_zero_residual
 
 
 class ModelError(Exception):
@@ -158,24 +154,29 @@ class DgaModel:
         object.__setattr__(self, "weights", tuple(self.weights) or (0,) * width)
         if len(self.weights) != width:
             raise ValueError(f"need {width} generator weights, got {len(self.weights)}")
-        violation = check_differential(self.differential)
+        d, gens = self.differential, alg.generators
+        if d.degree_shift != 1:
+            raise WrongDegreeShiftError(
+                f"differential must have degree shift +1, got {d.degree_shift}"
+            )
+        closed = [i for i, x in enumerate(gens) if x.degree % 2 == 0 and not d.of_generator(x.name)]
+        object.__setattr__(self, "closed", min(closed, key=lambda i: gens[i].degree, default=None))
+        violation = square_zero_residual(self)
         if violation is not None:
-            raise NotSquareZeroError(str(violation))
-        for g, weight in zip(alg.generators, self.weights):
-            for mono in self.differential.of_generator(g.name).terms:
+            name, residual = violation
+            try:
+                message = f"d^2({name}) = {residual} != 0"
+            except ValueError:  # a coefficient with more digits than Python prints
+                message = f"d^2({name}) != 0, with a coefficient too long to print"
+            raise NotSquareZeroError(message)
+        for g, weight in zip(gens, self.weights):
+            for mono in d.of_generator(g.name).terms:
                 w = sum(e * x for e, x in zip(mono, self.weights))
                 if w != weight:
                     raise InvolutionIncompatibleError(
                         f"differential of {g.name} (weight {weight}) has the term "
                         f"{alg.monomial_str(mono)} of weight {w}"
                     )
-        even_closed = [
-            i
-            for i, g in enumerate(alg.generators)
-            if g.degree % 2 == 0 and not self.differential.of_generator(g.name)
-        ]
-        g = min(even_closed, key=lambda i: alg.generators[i].degree, default=None)
-        object.__setattr__(self, "closed", g)
 
 
 # ---------------------------------------------------------------------
@@ -414,10 +415,11 @@ def _free_loop(model: MinimalModel, equivariant: bool) -> DgaModel:
     alpha comes first and is even, so alpha * v_bar is one monomial with
     coefficient +1, and each v_bar sits right after its v, so a monomial
     of the minimal model lifts by putting a zero after each exponent (and
-    one before them all for alpha).  The
-    weights are -1 on alpha, 0 on v and +1 on v_bar; the Borel
-    involution acts by (-1)^weight, which is -1 on alpha and on every
-    v_bar."""
+    one before them all for alpha).  Such an m has no bars, so s(m) is the
+    sum over its factors v_j^e_j of (-1)^(degree before v_j) * (e_j if v_j
+    is even, else 1) * m / v_j * v_j_bar, with no reordering sign.  The
+    weights are -1 on alpha, 0 on v and +1 on v_bar; the Borel involution
+    acts by (-1)^weight, which is -1 on alpha and on every v_bar."""
     base = model.algebra.generators
     bars = _barred_names(model)
     head = []
@@ -426,22 +428,23 @@ def _free_loop(model: MinimalModel, equivariant: bool) -> DgaModel:
     gens = head + [p for g in base for p in ((g.name, g.degree), (bars[g.name], g.degree - 1))]
     algebra = GradedAlgebra(gens)
     pad = (0,) * len(head)
-    suspension = Derivation(algebra, -1, {g.name: algebra.gen(bars[g.name]) for g in base})
     values: dict[str, Polynomial] = {}
     for k, g in enumerate(base):
-        dv = Polynomial(
-            algebra,
-            {
-                pad + tuple(x for e in mono for x in (e, 0)): c
-                for mono, c in model.differential.of_generator(g.name).terms.items()
-            },
-        )
-        if dv:
-            values[bars[g.name]] = -suspension(dv)
+        dv, s_dv = {}, {}
+        for mono, c in model.differential.of_generator(g.name).terms.items():
+            lifted = pad + tuple(x for e in mono for x in (e, 0))
+            dv[lifted] = c
+            before = 0  # the degree of the factors before v_j
+            for j, (e, v) in enumerate(zip(mono, base)):
+                if e:
+                    i = len(pad) + 2 * j  # v_j's position; v_j_bar sits at i + 1
+                    term = lifted[:i] + (e - 1, 1) + lifted[i + 2 :]
+                    s_dv[term] = s_dv.get(term, 0) + (-1) ** before * (1 if v.degree % 2 else e) * c
+                    before += e * v.degree
+        values[bars[g.name]] = Polynomial(algebra, {m: -c for m, c in s_dv.items()})
         if equivariant:  # + alpha * v_bar, with v_bar at position 2k + 2
-            alpha_bar = tuple(int(j in (0, 2 * k + 2)) for j in range(len(gens)))
-            dv = Polynomial(algebra, {**dv.terms, alpha_bar: 1})
-        values[g.name] = dv
+            dv[tuple(int(j in (0, 2 * k + 2)) for j in range(len(gens)))] = 1
+        values[g.name] = Polynomial(algebra, dv)
     differential = Derivation(algebra, 1, values)
     if not equivariant:
         return DgaModel(algebra, differential, False, (0, 1) * len(base))

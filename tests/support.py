@@ -12,11 +12,18 @@ from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from loopinv.algebra import Derivation, GradedAlgebra, Monomial, Polynomial
+from loopinv.algebra import (
+    Derivation,
+    GradedAlgebra,
+    Monomial,
+    Polynomial,
+    WrongDegreeShiftError,
+)
 from loopinv.cohomology import Layout, NoInvolutionError
 from loopinv.cohomology import cochain_matrix as sparse_cochain_matrix
 from loopinv.linalg import SparseMatrix
-from loopinv.models import DgaModel, MinimalModel, parse_model
+from loopinv.linalg import rank as sparse_rank
+from loopinv.models import DgaModel, MinimalModel, loop_model, parse_model
 from loopinv.series import algebra_generating_function
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -96,10 +103,11 @@ def involution_map(model: DgaModel) -> Optional[AlgebraMap]:
 
 
 def product_derivation(d: Derivation, p: Polynomial) -> Polynomial:
-    """d(p) by the Polynomial-product route, the oracle of
-    ``Derivation.__call__``: each Leibniz term of each monomial is the
-    product of three Polynomials, sign * mult * left, d(g_i) and right,
-    and the terms are added as Polynomials."""
+    """d(p) by the Polynomial-product route, the oracle of the Leibniz rule
+    that ``cohomology.integral_columns`` applies on packed codes and of the
+    suspension written out in ``models._free_loop``: each Leibniz term of
+    each monomial is the product of three Polynomials, sign * mult * left,
+    d(g_i) and right, and the terms are added as Polynomials."""
     alg = d.algebra
     gens = alg.generators
     odd_shift = d.degree_shift % 2 == 1
@@ -117,20 +125,34 @@ def product_derivation(d: Derivation, p: Polynomial) -> Polynomial:
                         (mono[j] if j < i else e - 1 if j == i else 0) for j in range(len(mono))
                     )
                     right = tuple((mono[j] if j > i else 0) for j in range(len(mono)))
-                    term = alg.poly({left: sign * mult}) * dg * alg.poly({right: 1})
-                    out = out + term.scale(coeff)
+                    out = out + alg.poly({left: sign * mult * coeff}) * dg * alg.poly({right: 1})
                 prefix_degree += e * g.degree
     return out
 
 
+def check_differential(d: Derivation) -> Optional[tuple[str, Polynomial]]:
+    """The first generator g, in generator order, with d(d(g)) != 0 and
+    that residual, or None, by ``product_derivation``: the oracle of
+    ``cohomology.square_zero_residual``."""
+    if d.degree_shift != 1:
+        raise WrongDegreeShiftError(
+            f"differential must have degree shift +1, got {d.degree_shift}"
+        )
+    for g in d.algebra.generators:
+        residual = product_derivation(d, d.of_generator(g.name))
+        if residual:
+            return g.name, residual
+    return None
+
+
 # The general eigen route: dense matrices over Q assembled through
-# Derivation (Polynomial products with Fraction coefficients), Gauss-Jordan
-# elimination over Fractions, kernel bases, cohomology representatives,
-# and the matrix of the induced involution on them.  It shares neither
-# assembly nor elimination with loopinv.cohomology and loopinv.linalg, and
-# assumes nothing about how the involution acts on monomials or which
-# grading the differential preserves, so the block-rank tables of
-# loopinv.cohomology must agree with it.
+# product_derivation (Polynomial products with Fraction coefficients),
+# Gauss-Jordan elimination over Fractions, kernel bases, cohomology
+# representatives, and the matrix of the induced involution on them.  It
+# shares neither assembly nor elimination with loopinv.cohomology and
+# loopinv.linalg, and assumes nothing about how the involution acts on
+# monomials or which grading the differential preserves, so the
+# block-rank tables of loopinv.cohomology must agree with it.
 
 
 class DimensionMismatchError(ValueError):
@@ -353,7 +375,7 @@ def blocks(model: DgaModel, n: int) -> dict[int, tuple[Monomial, ...]]:
 def cochain_matrix(model: DgaModel, n: int, block: Optional[int] = None) -> QMatrix:
     """Dense matrix of D from degree n to degree n+1 (or on one block),
     column j holding the coordinates of D(source[j]) computed by
-    Derivation."""
+    ``product_derivation``."""
     alg = model.algebra
     if block is None:
         source = per_degree_monomial_basis(alg, n)
@@ -362,7 +384,8 @@ def cochain_matrix(model: DgaModel, n: int, block: Optional[int] = None) -> QMat
         source, target = blocks(model, n).get(block, ()), blocks(model, n + 1).get(block, ())
     index = {mono: i for i, mono in enumerate(target)}
     d = model.differential
-    cols = [_coords(d(alg.poly({mono: 1})), index, len(target)) for mono in source]
+    images = (product_derivation(d, alg.poly({mono: 1})) for mono in source)
+    cols = [_coords(image, index, len(target)) for image in images]
     return QMatrix.from_columns(cols, rows=len(target))
 
 
@@ -726,6 +749,74 @@ def oracle_betti(model: DgaModel, n: int) -> int:
         prev_cols, rank_prev = [], 0
     stacked = QMatrix.from_columns(prev_cols + kernel, rows=d_n.cols)
     return rank(stacked) - rank_prev
+
+
+# The reduced Borel split from ker s on the loop model.  The Borel complex
+# is (Q[alpha] (x) M, delta + alpha s), with M the loop model, delta its
+# differential and s the suspension v -> v_bar, a de Rham differential,
+# exact except on the constants.  So Q[alpha] + (ker s in M^+, delta)
+# includes quasi-isomorphically into it (Vigué-Poirrier and Burghelea,
+# J. Differential Geom. 22, 1985; Burghelea and Vigué-Poirrier, Cyclic
+# homology of commutative algebras I, 1988), commuting with the
+# involution, which acts on ker s by (-1)^w for w bars.  With M^n_w the
+# monomials of degree n with w bars and K^n_w = ker s = s(M^{n+1}_{w-1})
+# for w >= 1, the reduced class count of degree n with w bars is
+#
+#     dim K^n_w - rank(delta s on M^{n+1}_{w-1}) - rank(delta s on M^n_{w-1}).
+#
+# No Borel model, alpha, g-chain or packed code is involved: every map is
+# applied by product_derivation, and only the ranks are taken by
+# linalg.rank, on the Polynomials' coefficients scaled to integers.
+
+
+def _rank_of(vectors: Iterable[Mapping[Monomial, Fraction]]) -> int:
+    index: dict[Monomial, int] = {}
+    columns = []
+    for v in vectors:
+        den = lcm(*(c.denominator for c in v.values()))
+        columns.append({index.setdefault(m, len(index)): int(c * den) for m, c in v.items() if c})
+    return sparse_rank(SparseMatrix(len(index), tuple(columns)))
+
+
+def ker_s_split(model: MinimalModel, cap: int) -> list[tuple[int, int]]:
+    """(inv_plus, inv_minus) of the reduced Borel table of a minimal model
+    (its Borel table less the point's) in degrees 0..cap-1, from ker s."""
+    loop = loop_model(model)
+    alg, gens = loop.algebra, loop.algebra.generators
+    # v_bar sits right after v, and the loop weight of a monomial is its number of bars
+    s = Derivation(alg, -1, {v.name: alg.gen(bar.name) for v, bar in zip(gens[::2], gens[1::2])})
+
+    @functools.cache
+    def delta(mono: Monomial) -> dict[Monomial, Fraction]:
+        return product_derivation(loop.differential, alg.poly({mono: 1})).terms
+
+    def delta_of(p: Polynomial) -> dict[Monomial, Fraction]:
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in p.terms.items():
+            for t, x in delta(mono).items():
+                out[t] = out.get(t, 0) + c * x
+        return out
+
+    # ranks[n][w] = (rank s, rank delta s) on M^n_w
+    ranks: list[dict[int, tuple[int, int]]] = []
+    for n in range(cap + 1):
+        images: dict[int, list[Polynomial]] = {}
+        for mono in per_degree_monomial_basis(alg, n):
+            image = product_derivation(s, alg.poly({mono: 1}))
+            images.setdefault(weight(loop, mono), []).append(image)
+        ranks.append(
+            {
+                w: (_rank_of(x.terms for x in xs), _rank_of(delta_of(x) for x in xs))
+                for w, xs in images.items()
+            }
+        )
+    split = []
+    for n in range(cap):
+        out = [0, 0]
+        for w, (dim_k, rank_ds) in ranks[n + 1].items():  # K^n_{w+1} = s(M^{n+1}_w)
+            out[(w + 1) % 2] += dim_k - rank_ds - ranks[n].get(w, (0, 0))[1]
+        split.append((out[0], out[1]))
+    return split
 
 
 def brute_force_monomial_count(algebra: GradedAlgebra, degree: int) -> int:

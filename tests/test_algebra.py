@@ -1,24 +1,30 @@
+"""The graded algebra, the Polynomial-product oracle of the Leibniz rule
+(``support.product_derivation``), and the two places where loopinv applies
+that rule without it: the square-zero gate on packed codes
+(``cohomology.square_zero_residual``) and the suspension written out in
+the loop and Borel models, each checked against the oracle."""
+
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopinv.algebra import (
-    Derivation,
-    GradedAlgebra,
-    WrongDegreeShiftError,
-    check_differential,
-)
-from loopinv.cohomology import build_layout
-from loopinv.models import DgaModel
+from loopinv.algebra import Derivation, GradedAlgebra, WrongDegreeShiftError
+from loopinv.cohomology import build_layout, square_zero_residual
+from loopinv.models import DgaModel, NotSquareZeroError, borel_model, loop_model, parse_model
 from loopinv.series import algebra_generating_function
 from support import (
+    MODELS_DIR,
     AlgebraMap,
     brute_force_monomial_count,
     chain_basis,
+    check_differential,
     per_degree_monomial_basis,
     product_derivation,
+    random_models_within_budget,
 )
 
 
@@ -115,12 +121,13 @@ def test_apply_derivation_generator(borel_algebra):
         1,
         {"x": borel_algebra.gen("alpha") * borel_algebra.gen("x_bar")},
     )
-    assert d(borel_algebra.gen("x")) == borel_algebra.gen("alpha") * borel_algebra.gen("x_bar")
+    x = borel_algebra.gen("x")
+    assert product_derivation(d, x) == borel_algebra.gen("alpha") * borel_algebra.gen("x_bar")
 
 
 def test_apply_derivation_unit(borel_algebra):
     d = Derivation(borel_algebra, 1, {"x": borel_algebra.gen("alpha") * borel_algebra.gen("x_bar")})
-    assert not d(borel_algebra.unit())
+    assert not product_derivation(d, borel_algebra.unit())
 
 
 def test_suspension_on_square():
@@ -128,7 +135,7 @@ def test_suspension_on_square():
     alg = GradedAlgebra([("x", 2), ("x_bar", 1)])
     s = Derivation(alg, -1, {"x": alg.gen("x_bar")})
     x = alg.gen("x")
-    assert s(x * x) == (alg.gen("x") * alg.gen("x_bar")).scale(2)
+    assert product_derivation(s, x * x) == (alg.gen("x") * alg.gen("x_bar")).scale(2)
 
 
 def test_derivation_leibniz_with_y_squared_absorbed():
@@ -137,8 +144,8 @@ def test_derivation_leibniz_with_y_squared_absorbed():
     a = alg.gen("a")
     d = Derivation(alg, 1, {"y": a * a, "z": a * a * a})
     y, z = alg.gen("y"), alg.gen("z")
-    lhs = d(y * z)
-    rhs = d(y) * z - y * d(z)  # (-1)^{deg y} = -1
+    lhs = product_derivation(d, y * z)
+    rhs = product_derivation(d, y) * z - y * product_derivation(d, z)  # (-1)^{deg y} = -1
     assert lhs == rhs
 
 
@@ -183,16 +190,16 @@ def test_check_differential_violation():
     # da = b, db = a^2  =>  d^2(a) = a^2 != 0, reported at generator a
     alg = GradedAlgebra([("a", 2), ("b", 3)])
     d = Derivation(alg, 1, {"a": alg.gen("b"), "b": alg.gen("a") * alg.gen("a")})
-    violation = check_differential(d)
-    assert violation is not None
-    assert violation.generator == "a"
-    assert violation.residual == alg.gen("a") * alg.gen("a")
+    assert check_differential(d) == ("a", alg.gen("a") * alg.gen("a"))
 
 
 def test_check_differential_wrong_shift():
+    # the packed route applies shift +1 signs only, so DgaModel refuses the rest
     alg = GradedAlgebra([("a", 2)])
     with pytest.raises(WrongDegreeShiftError):
         check_differential(Derivation(alg, -1, {}))
+    with pytest.raises(WrongDegreeShiftError, match=r"shift \+1, got -1"):
+        DgaModel(alg, Derivation(alg, -1, {}))
 
 
 def test_generator_degree_zero_rejected():
@@ -259,7 +266,8 @@ def test_multiplication_associative(pq1, pq2, pq3):
 def test_leibniz_shift_plus_one(pq1, pq2):
     (m, p), (_, q) = pq1, pq2
     sign = -1 if m % 2 else 1
-    assert _D(p * q) == _D(p) * q + (p * _D(q)).scale(sign)
+    d = partial(product_derivation, _D)
+    assert d(p * q) == d(p) * q + (p * d(q)).scale(sign)
 
 
 @settings(max_examples=80)
@@ -267,7 +275,8 @@ def test_leibniz_shift_plus_one(pq1, pq2):
 def test_leibniz_shift_minus_one(pq1, pq2):
     (m, p), (_, q) = pq1, pq2
     sign = -1 if m % 2 else 1
-    assert _S(p * q) == _S(p) * q + (p * _S(q)).scale(sign)
+    d = partial(product_derivation, _S)
+    assert d(p * q) == d(p) * q + (p * d(q)).scale(sign)
 
 
 @settings(max_examples=80)
@@ -278,7 +287,7 @@ def test_algebra_map_multiplicative(pq1, pq2):
 
 
 # ---------------------------------------------------------------------
-# Derivation.__call__ against the Polynomial-product route
+# the square-zero gate on packed codes against the Polynomial-product route
 
 _FRACTIONS = st.builds(
     Fraction, st.integers(min_value=-9, max_value=9).filter(bool), st.integers(1, 5)
@@ -286,38 +295,99 @@ _FRACTIONS = st.builds(
 
 
 @st.composite
-def derivations_with_polys(draw):
-    """A random derivation of shift +1 or -1 (square-zero or not) on a
-    random algebra with odd and even generators, and a random polynomial
-    with rational coefficients, not necessarily homogeneous."""
+def differentials(draw):
+    """A random shift +1 derivation (square-zero or not) with rational
+    coefficients on a random algebra with odd and even generators, and the
+    generator that the packed codes leave out: None or any even generator
+    with zero value (DgaModel picks the lowest; the gate needs only that
+    it is even and closed)."""
     degrees = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
     alg = GradedAlgebra([(f"g{i}", d) for i, d in enumerate(degrees)])
-    shift = draw(st.sampled_from([1, -1]))
     values = {}
     for g in alg.generators:
-        basis = per_degree_monomial_basis(alg, g.degree + shift)
+        basis = per_degree_monomial_basis(alg, g.degree + 1)
+        if g.degree % 2 == 0 and draw(st.booleans()):
+            basis = ()  # a closed even generator, so that g often exists
         picked = draw(st.lists(st.sampled_from(basis), max_size=4, unique=True)) if basis else []
         values[g.name] = alg.poly({m: draw(_FRACTIONS) for m in picked})
-    terms = {}
-    for degree in draw(st.lists(st.integers(0, 12), max_size=6)):
-        basis = per_degree_monomial_basis(alg, degree)
-        if basis:
-            terms[draw(st.sampled_from(basis))] = draw(_FRACTIONS)
-    return Derivation(alg, shift, values), alg.poly(terms)
+    closed = [i for i, g in enumerate(alg.generators) if g.degree % 2 == 0 and not values[g.name]]
+    return Derivation(alg, 1, values), draw(st.sampled_from(closed + [None]))
 
 
-# D(y * a) with D(a) = x: the term y * x of the left product reorders to
-# -x * y, a Koszul sign that random draws reach only now and then
-_KOSZUL_ALG = GradedAlgebra([("x", 3), ("y", 3), ("a", 2)])
-_KOSZUL_CASE = (
-    Derivation(_KOSZUL_ALG, 1, {"a": _KOSZUL_ALG.gen("x")}),
-    _KOSZUL_ALG.gen("y") * _KOSZUL_ALG.gen("a"),
+# d^2(c) = 1/6 a^3 with L = 6: the residual is a power of g alone, so its
+# exponent comes from the degree field, and its coefficient is 6 / L^2
+_ALG_ABC = GradedAlgebra([("a", 2), ("b", 3), ("c", 4)])
+_A, _B = _ALG_ABC.gen("a"), _ALG_ABC.gen("b")
+_POWER_OF_G = (
+    Derivation(_ALG_ABC, 1, {"b": _A * _A * Fraction(1, 2), "c": _A * _B * Fraction(1, 3)}),
+    0,
+)
+# d^2(z) = 3/4 d(y*a) = -3/4 y*x = 3/4 x*y: the second application of D
+# puts x after the odd y, and reordering them is a Koszul sign
+_ALG_XYZ = GradedAlgebra([("x", 3), ("y", 3), ("a", 2), ("z", 4)])
+_KOSZUL = (
+    Derivation(
+        _ALG_XYZ,
+        1,
+        {"a": _ALG_XYZ.gen("x"), "z": _ALG_XYZ.gen("y") * _ALG_XYZ.gen("a") * Fraction(3, 4)},
+    ),
+    None,
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(derivations_with_polys())
-@example(_KOSZUL_CASE)
-def test_derivation_matches_polynomial_product_route(dp):
-    d, p = dp
-    assert d(p) == product_derivation(d, p)
+@given(differentials())
+@example(_POWER_OF_G)
+@example(_KOSZUL)
+def test_square_zero_gate_matches_the_product_route(dc):
+    d, closed = dc
+    model = SimpleNamespace(algebra=d.algebra, differential=d, closed=closed)
+    assert square_zero_residual(model) == check_differential(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(differentials())
+@example(_POWER_OF_G)
+def test_dga_model_refuses_what_the_product_route_refuses(dc):
+    d, _ = dc
+    violation = check_differential(d)
+    if violation is None:
+        assert DgaModel(d.algebra, d).differential is d
+    else:
+        with pytest.raises(NotSquareZeroError) as info:
+            DgaModel(d.algebra, d)
+        assert str(info.value) == f"d^2({violation[0]}) = {violation[1]} != 0"
+
+
+# ---------------------------------------------------------------------
+# the written-out suspension against the Polynomial-product route
+
+# rational coefficients, and odd factors before the generator that s hits
+_SUSPENSION_TEXTS = [
+    "gen a 2\ngen c 2\ngen b 3\nd b = 1/2*a^2 - 1/3*a*c + 5/4*c^2\ngen e 5\n",
+    "gen y 3\ngen x 5\ngen z 3\ngen w 10\nd w = 1/2*x*y*z\n",
+    "gen y 3\ngen a 2\ngen b 4\ngen w 10\nd w = -2/3*y*a^2*b + 7*y*b^2\n",
+]
+SUSPENSION_MODELS = (
+    [parse_model(path.read_text()) for path in sorted(MODELS_DIR.glob("*.model"))]
+    + [parse_model(text) for text in _SUSPENSION_TEXTS]
+    + random_models_within_budget(seed=404, count=12, cap=16)
+)
+
+
+@pytest.mark.parametrize("build", [loop_model, borel_model])
+@pytest.mark.parametrize("model", SUSPENSION_MODELS)
+def test_bar_values_are_minus_the_suspension_of_d(model, build):
+    # each v_bar sits right after its v, and the names of v carry over
+    dga = build(model)
+    alg, base = dga.algebra, model.algebra
+    bar = {v.name: alg.generators[alg.index(v.name) + 1].name for v in base.generators}
+    s = Derivation(alg, -1, {v: alg.gen(v_bar) for v, v_bar in bar.items()})
+    for v in base.generators:
+        dv = alg.poly(
+            {
+                tuple(mono[base.index(x)] if x in bar else 0 for x in alg.names): c
+                for mono, c in model.differential.of_generator(v.name).terms.items()
+            }
+        )
+        assert dga.differential.of_generator(bar[v.name]) == -product_derivation(s, dv)

@@ -137,14 +137,16 @@ def test_eigen_condition_d2_degree_three():
     assert eigen_condition_from_model(model, 3, total_dim_parity=0)
 
 
-def test_enumeration_agrees_with_pipeline_d2():
+@pytest.mark.parametrize("d", [2, 3, 4], ids=lambda d: f"d{d}")
+def test_enumeration_agrees_with_pipeline(d):
     """The closed-form enumeration and the computed pipeline certify the
     same degrees: at every enumerated (i, m_min) the eigenspace condition
     holds with the parity of dim_boundary + m_min, and the kernel bound
     with the externally supplied one-dimensional pseudoisotopy datum is
-    positive."""
-    d = 2
-    model = load_model("sphere-bundle-d2.model")
+    positive.  The bundled model of the unit tangent bundle of S^{2d}
+    goes through the model route, so every bfk pair up to j = 5 is
+    checked for d = 2, 3, 4."""
+    model = load_model(f"sphere-bundle-d{d}.model")
     pairs = enumerate_pairs(d, 5)
     from loopinv.pseudoisotopy import pseudoisotopy_table
 

@@ -1,9 +1,10 @@
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from loopinv.algebra import Derivation, GradedAlgebra, check_differential
+from loopinv.algebra import Derivation, GradedAlgebra
 from loopinv.models import (
     BorelSquareZeroError,
     DegreeMismatchError,
@@ -20,7 +21,7 @@ from loopinv.models import (
     parse_model,
     point_borel_model,
 )
-from support import involution_map, load_model
+from support import involution_map, load_model, product_derivation
 
 
 def test_parse_single_generator():
@@ -74,7 +75,7 @@ def test_parse_rejects_square_nonzero():
     bad = "gen a 2\ngen b 3\ngen c 4\nd b = a^2\nd c = a*b\n"
     with pytest.raises(NotSquareZeroError) as info:
         parse_model(bad)
-    assert "c" in str(info.value)
+    assert str(info.value) == "d^2(c) = a^3 != 0"
 
 
 def test_parse_warns_not_minimal():
@@ -198,7 +199,7 @@ def test_borel_alpha_to_zero_recovers_loop_differential():
 
 def test_borel_gates_hold_on_all_generators():
     borel = borel_model(parse_model("gen a 2\ngen b 2\ngen c 3\nd c = a*b\n"))
-    d, t = borel.differential, involution_map(borel)
+    d, t = partial(product_derivation, borel.differential), involution_map(borel)
     for g in borel.algebra.generators:
         gen = borel.algebra.gen(g.name)
         assert not d(d(gen))
@@ -240,7 +241,7 @@ def test_base_dga_has_no_involution():
 def test_dga_model_rejects_broken_differential():
     alg = GradedAlgebra([("a", 2), ("b", 3)])
     d = Derivation(alg, 1, {"a": alg.gen("b"), "b": alg.gen("a") * alg.gen("a")})
-    with pytest.raises(NotSquareZeroError):
+    with pytest.raises(NotSquareZeroError, match=r"^d\^2\(a\) = a\^2 != 0$"):
         DgaModel(alg, d)
 
 
@@ -273,16 +274,17 @@ def test_builders_set_generator_weights():
 
 
 def _count_gate_calls(monkeypatch):
-    """The derivations that the square-zero gate checks from now on."""
+    """The models that the square-zero gate checks from now on."""
     import loopinv.models
 
     calls = []
+    gate = loopinv.models.square_zero_residual
 
-    def counting(d):
-        calls.append(d)
-        return check_differential(d)
+    def counting(model):
+        calls.append(model)
+        return gate(model)
 
-    monkeypatch.setattr(loopinv.models, "check_differential", counting)
+    monkeypatch.setattr(loopinv.models, "square_zero_residual", counting)
     return calls
 
 
@@ -310,7 +312,7 @@ def test_pseudoisotopy_table_runs_one_square_zero_gate(monkeypatch):
     pseudoisotopy_table(m, 8)
     # the Borel model's gate; the base model reuses the one parse_model ran
     assert len(calls) == 1
-    assert calls[0] is not m.differential
+    assert calls[0].differential is not m.differential
 
 
 def test_borel_square_zero_failure_category():
@@ -321,8 +323,9 @@ def test_borel_square_zero_failure_category():
     alg = GradedAlgebra([("a", 2), ("b", 3), ("c", 4)])
     a, b = alg.gen("a"), alg.gen("b")
     d = Derivation(alg, 1, {"b": a * a, "c": a * b})
-    with pytest.raises(BorelSquareZeroError):
+    with pytest.raises(BorelSquareZeroError) as info:
         borel_model(SimpleNamespace(algebra=alg, differential=d))
+    assert str(info.value) == "Borel differential does not square to zero: d^2(c) = a^3 != 0"
 
 
 def test_minimal_model_warning_not_fatal_programmatically():
@@ -347,8 +350,8 @@ def test_borel_of_non_minimal_model_passes_gates():
     with pytest.warns(NotMinimalWarning):
         m = parse_model("gen a 3\ngen b 2\nd b = a\n")
     borel = borel_model(m)
-    d, t = borel.differential, involution_map(borel)
-    assert d.of_generator("b_bar") == -borel.algebra.gen("a_bar")
+    assert borel.differential.of_generator("b_bar") == -borel.algebra.gen("a_bar")
+    d, t = partial(product_derivation, borel.differential), involution_map(borel)
     for g in borel.algebra.generators:
         gen = borel.algebra.gen(g.name)
         assert not d(d(gen))

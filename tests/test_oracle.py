@@ -1,10 +1,11 @@
 """The block-rank tables of eigen_table against the general route of
 support.py (kernel representatives and the induced involution on them),
 slice by slice, and the sparse integer block matrices against the dense
-matrices that support.py assembles through Derivation, entry by entry.
-Every column that eigen_table clears is assembled anyway and must reduce
-to zero, and Kunneth and the Gysin bound check tables at caps the dense
-oracle cannot reach.
+matrices that support.py assembles through product_derivation, entry by
+entry.  Every column that eigen_table clears is assembled anyway and must
+reduce to zero, and Kunneth, the Gysin bound and the reduced split from
+ker s on the loop model (support.ker_s_split) check tables at caps the
+dense oracle cannot reach.
 
 Every block is ranked along multiplication by the closed even generator
 g, so the models here also cover the shapes of that chain: g = alpha in
@@ -20,7 +21,7 @@ import pytest
 import support
 from loopinv import cohomology, linalg
 from loopinv.cohomology import build_layout, cochain_matrix, eigen_table
-from loopinv.models import base_dga, borel_model, loop_model, parse_model
+from loopinv.models import base_dga, borel_model, loop_model, parse_model, point_borel_model
 from loopinv.series import algebra_generating_function
 from support import (
     MODELS_DIR,
@@ -309,6 +310,42 @@ def test_borel_betti_numbers_obey_the_gysin_bound():
 
 def test_borel_betti_numbers_of_the_three_fold_product_obey_the_gysin_bound():
     _assert_gysin_bound(_s2_power(3), 24)
+
+
+def _assert_reduced_split_is_ker_s(model, cap):
+    # the Borel table less the point's, against ker s on the loop model
+    # (support.ker_s_split), which builds no Borel model and no packed code
+    table, point = eigen_table(borel_model(model), cap), eigen_table(point_borel_model(), cap)
+    reduced = [
+        (s.inv_plus - p.inv_plus, s.inv_minus - p.inv_minus)
+        for s, p in zip(table.slices, point.slices)
+    ]
+    assert reduced == support.ker_s_split(model, cap)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
+def test_bundled_reduced_split_is_ker_s(name):
+    _assert_reduced_split_is_ker_s(load_model(name), 60)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sphere_bundle_reduced_split_is_ker_s(d):
+    _assert_reduced_split_is_ker_s(support.sphere_bundle_model(d), 100)
+
+
+def test_two_sphere_squared_reduced_split_is_ker_s():
+    # the exact split of a product well past the dense oracle's cap 10
+    _assert_reduced_split_is_ker_s(parse_model(S2_X_S2), 24)
+
+
+@pytest.mark.parametrize("index", range(len(RANDOM)))
+def test_random_reduced_split_is_ker_s(index):
+    _assert_reduced_split_is_ker_s(RANDOM[index], CAP)
+
+
+@pytest.mark.parametrize("text, cap", RATIONAL + [(shape[0], shape[2]) for shape in CHAIN_SHAPES])
+def test_rational_and_chain_shape_reduced_split_is_ker_s(text, cap):
+    _assert_reduced_split_is_ker_s(parse_model(text), cap)
 
 
 def _assert_cleared_columns_vanish(dga, cap, monkeypatch):

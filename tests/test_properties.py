@@ -5,6 +5,8 @@ the generating function.  The full twenty-model run at cap 24 lives in
 the acceptance suite; this module keeps a faster rotation for everyday
 development."""
 
+from functools import partial
+
 import pytest
 
 from loopinv.cohomology import eigen_table
@@ -15,6 +17,7 @@ from support import (
     load_model,
     oracle_betti,
     per_degree_monomial_basis,
+    product_derivation,
     random_models_within_budget,
     sphere_bundle_model,
 )
@@ -23,8 +26,7 @@ CAP = 16
 
 
 def _structural_gates(dga):
-    d = dga.differential
-    t = involution_map(dga)
+    d, t = partial(product_derivation, dga.differential), involution_map(dga)
     for g in dga.algebra.generators:
         gen = dga.algebra.gen(g.name)
         assert not d(d(gen)), f"d^2 != 0 on {g.name}"
