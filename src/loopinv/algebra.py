@@ -6,11 +6,11 @@ exterior: their exponents never exceed one and their squares vanish.
 Reordering a product into canonical order accumulates the Koszul sign,
 one factor of -1 for every transposition of two odd generators.
 
-A ``Derivation`` holds its values on generators.  The package applies the
-Leibniz rule with these signs in one place, on packed monomial codes
-(``cohomology.integral_columns``, which also runs the square-zero gate of
-every model); the suspension of the loop model, the one other
-derivation, is written out in ``models._free_loop``.
+A model's differential is its values on generators (``models.DgaModel``).
+The package applies the Leibniz rule with these signs in one place, on
+packed monomial codes (``cohomology.integral_columns``, which also runs
+the square-zero gate of every model); the suspension of the loop model,
+the one other derivation, is written out in ``models._free_loop``.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ Scalar = Union[int, Fraction]
 class Generator(NamedTuple):
     name: str
     degree: int
-
-
-class WrongDegreeShiftError(ValueError):
-    """A DgaModel got a differential whose shift is not +1."""
-
-    category = "WrongDegreeShift"
 
 
 class GradedAlgebra:
@@ -164,9 +158,6 @@ class Polynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.algebra, frozenset(self.terms.items())))
-
     def _require_same_algebra(self, other: "Polynomial") -> None:
         if self.algebra != other.algebra:
             raise ValueError("polynomials live in different algebras")
@@ -183,14 +174,6 @@ class Polynomial:
             else:
                 acc.pop(mono, None)
         return Polynomial(self.algebra, acc)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -213,19 +196,11 @@ class Polynomial:
                     acc.pop(mono, None)
         return Polynomial(self.algebra, acc)
 
-    def __rmul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def scale(self, scalar: Scalar) -> "Polynomial":
         c = Fraction(scalar)
         if not c:
             return self.algebra.zero()
         return Polynomial(self.algebra, {m: c * v for m, v in self.terms.items()})
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
 
     def degrees(self) -> set[int]:
         return {self.algebra.monomial_degree(m) for m in self.terms}
@@ -264,36 +239,3 @@ class Polynomial:
 
     __repr__ = __str__
 
-
-class Derivation:
-    """Graded derivation with a fixed degree shift, determined by its
-    values on generators and extended by the graded Leibniz rule
-
-        D(ab) = D(a) b + (-1)^(shift * deg a) a D(b).
-
-    Every value must be zero or homogeneous of degree(generator) + shift.
-    Generators missing from ``values`` map to zero.
-    """
-
-    __slots__ = ("algebra", "degree_shift", "_values")
-
-    def __init__(self, algebra: GradedAlgebra, degree_shift: int, values: Mapping[str, Polynomial]):
-        self.algebra = algebra
-        self.degree_shift = int(degree_shift)
-        clean: dict[str, Polynomial] = {}
-        for name, poly in values.items():
-            target = algebra.degree_of(name) + self.degree_shift
-            if poly.algebra != algebra:
-                raise ValueError(f"value for {name} lives in a different algebra")
-            if not poly.is_homogeneous_of(target):
-                raise ValueError(
-                    f"value for {name} must be homogeneous of degree {target}, got {poly}"
-                )
-            if poly:
-                clean[name] = poly
-        self._values = clean
-
-    def of_generator(self, name: str) -> Polynomial:
-        self.algebra.index(name)
-        value = self._values.get(name)
-        return value if value is not None else self.algebra.zero()

@@ -134,7 +134,7 @@ def _cmd_validate(args, out, err) -> int:
     if model is None:
         return 2
     gens = model.algebra.generators
-    diffs = {g.name: str(model.differential.of_generator(g.name)) for g in gens}
+    diffs = {name: str(value) for name, value in model.differential.items()}
     if args.format == "table":
         out.write(f"ok: {len(gens)} generator(s), differential verified (d^2 = 0)\n")
         for g in gens:

@@ -218,7 +218,7 @@ def _packed_terms(model: DgaModel, fields: tuple[int, ...]):
     entry, and its factors in a term change the g-free degree, not the code."""
     gens = model.algebra.generators
     g = model.closed
-    values = [model.differential.of_generator(x.name).terms for x in gens]
+    values = [v.terms for v in model.differential.values()]
     odd = [x.degree % 2 == 1 for x in gens]
     scale = lcm(*(c.denominator for value in values for c in value.values()))
     odd_bits = sum(1 << fields[k] for k in range(len(gens)) if odd[k])
@@ -296,7 +296,7 @@ def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
     fields = _fields(model, top)
     deg = fields[-1]
     table = _packed_terms(model, fields)
-    values = [model.differential.of_generator(x.name).terms for x in gens]
+    values = [v.terms for v in model.differential.values()]
     square = lcm(*(c.denominator for value in values for c in value.values())) ** 2
     for i, x in enumerate(gens):
         if not values[i]:

@@ -11,8 +11,9 @@ with <poly> ::= 0 | term (('+'|'-') term)* and
 term ::= [rational '*'] factor ('*' factor)*, factor ::= name ['^' posint],
 rational ::= int ['/' posint].
 
-From a minimal model (all generator degrees >= 2, square-zero decomposable
-differential d) this module builds, with one builder,
+A model is a ``DgaModel``, whose differential is the read-only mapping of
+its generator values.  From a minimal model (all generator degrees >= 2,
+square-zero decomposable differential d) this module builds, with one builder,
 
 * the free loop model on generators {v} u {v_bar}, deg v_bar = deg v - 1,
   with differential delta(v) = d(v), delta(v_bar) = -s(d(v)), where s is
@@ -36,9 +37,10 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
-from .algebra import Derivation, GradedAlgebra, Polynomial, WrongDegreeShiftError
+from .algebra import GradedAlgebra, Polynomial
 from .cohomology import square_zero_residual
 
 
@@ -80,54 +82,16 @@ class NotMinimalWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class MinimalModel:
-    """Free graded-commutative algebra on generators of degree >= 2 with a
-    degree +1 square-zero differential, validated through the DgaModel
-    that ``base_dga`` returns.
-
-    A differential with a linear term (a word-length-1 monomial) is
-    accepted with a NotMinimalWarning; generator degrees below 2 are
-    rejected outright.
-    """
-
-    algebra: GradedAlgebra
-    differential: Derivation
-    _dga: "DgaModel" = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for g in self.algebra.generators:
-            if g.degree < 2:
-                raise SimpleConnectivityError(
-                    f"generator {g.name} has degree {g.degree}; "
-                    "a simply-connected model needs all degrees >= 2"
-                )
-        # the square-zero gate runs here, once, and base_dga reuses the result
-        object.__setattr__(self, "_dga", DgaModel(self.algebra, self.differential))
-        for g in self.algebra.generators:
-            value = self.differential.of_generator(g.name)
-            wl = value.min_word_length()
-            if wl is not None and wl < 2:
-                warnings.warn(
-                    NotMinimalWarning(
-                        f"d({g.name}) = {value} has a linear term; "
-                        "the model is valid but not minimal"
-                    ),
-                    stacklevel=3,
-                )
-
-    @classmethod
-    def empty(cls) -> "MinimalModel":
-        alg = GradedAlgebra(())
-        return cls(alg, Derivation(alg, 1, {}))
-
-
-@dataclass(frozen=True)
 class DgaModel:
     """Free graded-commutative algebra with a square-zero degree +1
     differential, an integer weight per generator (all zero unless given)
     and, when ``involution`` is true, the involution that acts on each
     monomial by (-1)^weight, where the weight of a monomial is the
     exponent-weighted sum of generator weights.
+
+    ``differential`` maps generator names to values of degree deg + 1 (a
+    missing one is zero); the model keeps it read-only, with every
+    generator, in generator order.  D extends it by the Leibniz rule.
 
     The differential must preserve the weight, so it commutes with the
     involution, and the cochain complex is the direct sum of the
@@ -141,25 +105,28 @@ class DgaModel:
     """
 
     algebra: GradedAlgebra
-    differential: Derivation
+    differential: Mapping[str, Polynomial]
     involution: bool = False
     weights: tuple[int, ...] = ()
     closed: Optional[int] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         alg = self.algebra
-        if self.differential.algebra != alg:
-            raise ValueError("differential belongs to a different algebra")
-        width = len(alg.generators)
-        object.__setattr__(self, "weights", tuple(self.weights) or (0,) * width)
-        if len(self.weights) != width:
-            raise ValueError(f"need {width} generator weights, got {len(self.weights)}")
-        d, gens = self.differential, alg.generators
-        if d.degree_shift != 1:
-            raise WrongDegreeShiftError(
-                f"differential must have degree shift +1, got {d.degree_shift}"
-            )
-        closed = [i for i, x in enumerate(gens) if x.degree % 2 == 0 and not d.of_generator(x.name)]
+        for name, value in self.differential.items():
+            target = alg.degree_of(name) + 1
+            if value.algebra != alg:
+                raise ValueError(f"value for {name} lives in a different algebra")
+            if not value.is_homogeneous_of(target):
+                raise ValueError(
+                    f"value for {name} must be homogeneous of degree {target}, got {value}"
+                )
+        d = MappingProxyType({x: self.differential.get(x) or alg.zero() for x in alg.names})
+        object.__setattr__(self, "differential", d)
+        gens = alg.generators
+        object.__setattr__(self, "weights", tuple(self.weights) or (0,) * len(gens))
+        if len(self.weights) != len(gens):
+            raise ValueError(f"need {len(gens)} generator weights, got {len(self.weights)}")
+        closed = [i for i, (x, v) in enumerate(zip(gens, d.values())) if x.degree % 2 == 0 and not v]
         object.__setattr__(self, "closed", min(closed, key=lambda i: gens[i].degree, default=None))
         violation = square_zero_residual(self)
         if violation is not None:
@@ -169,14 +136,51 @@ class DgaModel:
             except ValueError:  # a coefficient with more digits than Python prints
                 message = f"d^2({name}) != 0, with a coefficient too long to print"
             raise NotSquareZeroError(message)
-        for g, weight in zip(gens, self.weights):
-            for mono in d.of_generator(g.name).terms:
+        for g, weight, value in zip(gens, self.weights, d.values()):
+            for mono in value.terms:
                 w = sum(e * x for e, x in zip(mono, self.weights))
                 if w != weight:
                     raise InvolutionIncompatibleError(
                         f"differential of {g.name} (weight {weight}) has the term "
                         f"{alg.monomial_str(mono)} of weight {w}"
                     )
+
+
+@dataclass(frozen=True)
+class MinimalModel(DgaModel):
+    """A DgaModel on generators of degree >= 2, with no involution and
+    zero weights: ``MinimalModel(algebra, differential)``.
+
+    A differential with a linear term (a word-length-1 monomial) is
+    accepted with a NotMinimalWarning; generator degrees below 2 are
+    rejected outright, before the square-zero gate runs.
+    """
+
+    involution: bool = field(default=False, init=False)
+    weights: tuple[int, ...] = field(default=(), init=False)
+
+    def __post_init__(self):
+        for g in self.algebra.generators:
+            if g.degree < 2:
+                raise SimpleConnectivityError(
+                    f"generator {g.name} has degree {g.degree}; "
+                    "a simply-connected model needs all degrees >= 2"
+                )
+        super().__post_init__()
+        for name, value in self.differential.items():
+            wl = value.min_word_length()
+            if wl is not None and wl < 2:
+                warnings.warn(
+                    NotMinimalWarning(
+                        f"d({name}) = {value} has a linear term; "
+                        "the model is valid but not minimal"
+                    ),
+                    stacklevel=3,
+                )
+
+    @classmethod
+    def empty(cls) -> "MinimalModel":
+        return cls(GradedAlgebra(()), {})
 
 
 # ---------------------------------------------------------------------
@@ -225,7 +229,8 @@ class _PolyParser:
     def take(self, kind=None, value=None):
         tok = self.peek()
         if tok is None:
-            raise ModelSyntaxError("unexpected end of line", self.line, 0)
+            last = self.tokens[-1]
+            raise ModelSyntaxError("unexpected end of line", self.line, last[2] + len(last[1]))
         if (kind and tok[0] != kind) or (value and tok[1] != value):
             raise ModelSyntaxError(f"unexpected token {tok[1]!r}", self.line, tok[2])
         self.pos += 1
@@ -382,8 +387,7 @@ def parse_model(text: str) -> MinimalModel:
             )
         diff_values[name] = poly
         diff_lines[name] = line_no
-    differential = Derivation(algebra, 1, diff_values)
-    return MinimalModel(algebra, differential)
+    return MinimalModel(algebra, diff_values)
 
 
 # ---------------------------------------------------------------------
@@ -429,9 +433,9 @@ def _free_loop(model: MinimalModel, equivariant: bool) -> DgaModel:
     algebra = GradedAlgebra(gens)
     pad = (0,) * len(head)
     values: dict[str, Polynomial] = {}
-    for k, g in enumerate(base):
+    for k, (g, value) in enumerate(zip(base, model.differential.values())):
         dv, s_dv = {}, {}
-        for mono, c in model.differential.of_generator(g.name).terms.items():
+        for mono, c in value.terms.items():
             lifted = pad + tuple(x for e in mono for x in (e, 0))
             dv[lifted] = c
             before = 0  # the degree of the factors before v_j
@@ -445,11 +449,10 @@ def _free_loop(model: MinimalModel, equivariant: bool) -> DgaModel:
         if equivariant:  # + alpha * v_bar, with v_bar at position 2k + 2
             dv[tuple(int(j in (0, 2 * k + 2)) for j in range(len(gens)))] = 1
         values[g.name] = Polynomial(algebra, dv)
-    differential = Derivation(algebra, 1, values)
     if not equivariant:
-        return DgaModel(algebra, differential, False, (0, 1) * len(base))
+        return DgaModel(algebra, values, False, (0, 1) * len(base))
     try:
-        return DgaModel(algebra, differential, True, (-1,) + (0, 1) * len(base))
+        return DgaModel(algebra, values, True, (-1,) + (0, 1) * len(base))
     except NotSquareZeroError as exc:
         raise BorelSquareZeroError(f"Borel differential does not square to zero: {exc}") from exc
 
@@ -481,6 +484,6 @@ def point_borel_model() -> DgaModel:
 
 
 def base_dga(model: MinimalModel) -> DgaModel:
-    """The minimal model itself, viewed as a DgaModel (no involution): the
-    one its construction gate built, so the gate does not run again."""
-    return model._dga
+    """The minimal model itself, a DgaModel with no involution whose gate
+    ran when it was built."""
+    return model

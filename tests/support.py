@@ -7,18 +7,13 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from loopinv.algebra import (
-    Derivation,
-    GradedAlgebra,
-    Monomial,
-    Polynomial,
-    WrongDegreeShiftError,
-)
+from loopinv.algebra import GradedAlgebra, Monomial, Polynomial
 from loopinv.cohomology import Layout, NoInvolutionError
 from loopinv.cohomology import cochain_matrix as sparse_cochain_matrix
 from loopinv.linalg import SparseMatrix
@@ -38,11 +33,36 @@ def sphere_bundle_model(d: int) -> MinimalModel:
     """Unit tangent bundle of S^{2d}: one exterior generator of degree
     4d-1, zero differential."""
     alg = GradedAlgebra([("x", 4 * d - 1)])
-    return MinimalModel(alg, Derivation(alg, 1, {}))
+    return MinimalModel(alg, {})
 
 
 # ---------------------------------------------------------------------
 # independent oracles (used only by tests)
+
+
+@dataclass(frozen=True)
+class Derivation:
+    """A graded derivation of degree ``shift`` by its values on generators:
+    a model's differential (shift +1, see ``differential``) or the
+    suspension s of the loop model (shift -1).  ``values`` ends up holding
+    every generator, in generator order; a missing value is zero."""
+
+    algebra: GradedAlgebra
+    shift: int
+    values: Mapping[str, Polynomial]
+
+    def __post_init__(self):
+        alg = self.algebra
+        for name, p in self.values.items():
+            target = alg.degree_of(name) + self.shift
+            if p.algebra != alg or not p.is_homogeneous_of(target):
+                raise ValueError(f"value for {name} is not homogeneous of degree {target}")
+        object.__setattr__(self, "values", {x: self.values.get(x) or alg.zero() for x in alg.names})
+
+
+def differential(model: DgaModel) -> Derivation:
+    """The differential of a model as a shift +1 Derivation."""
+    return Derivation(model.algebra, 1, model.differential)
 
 
 class AlgebraMap:
@@ -98,7 +118,7 @@ def involution_map(model: DgaModel) -> Optional[AlgebraMap]:
     alg = model.algebra
     return AlgebraMap(
         alg,
-        {g.name: -alg.gen(g.name) for g, w in zip(alg.generators, model.weights) if w % 2},
+        {g.name: alg.gen(g.name).scale(-1) for g, w in zip(alg.generators, model.weights) if w % 2},
     )
 
 
@@ -110,14 +130,14 @@ def product_derivation(d: Derivation, p: Polynomial) -> Polynomial:
     d(g_i) and right, and the terms are added as Polynomials."""
     alg = d.algebra
     gens = alg.generators
-    odd_shift = d.degree_shift % 2 == 1
+    odd_shift = d.shift % 2 == 1
     out = alg.zero()
     for mono, coeff in p.terms.items():
         prefix_degree = 0
         for i, e in enumerate(mono):
             if e:
                 g = gens[i]
-                dg = d.of_generator(g.name)
+                dg = d.values[g.name]
                 if dg:
                     sign = -1 if odd_shift and prefix_degree % 2 else 1
                     mult = e if g.degree % 2 == 0 else 1
@@ -134,14 +154,12 @@ def check_differential(d: Derivation) -> Optional[tuple[str, Polynomial]]:
     """The first generator g, in generator order, with d(d(g)) != 0 and
     that residual, or None, by ``product_derivation``: the oracle of
     ``cohomology.square_zero_residual``."""
-    if d.degree_shift != 1:
-        raise WrongDegreeShiftError(
-            f"differential must have degree shift +1, got {d.degree_shift}"
-        )
-    for g in d.algebra.generators:
-        residual = product_derivation(d, d.of_generator(g.name))
+    if d.shift != 1:
+        raise ValueError(f"differential must have degree shift +1, got {d.shift}")
+    for name, value in d.values.items():
+        residual = product_derivation(d, value)
         if residual:
-            return g.name, residual
+            return name, residual
     return None
 
 
@@ -383,7 +401,7 @@ def cochain_matrix(model: DgaModel, n: int, block: Optional[int] = None) -> QMat
     else:
         source, target = blocks(model, n).get(block, ()), blocks(model, n + 1).get(block, ())
     index = {mono: i for i, mono in enumerate(target)}
-    d = model.differential
+    d = differential(model)
     images = (product_derivation(d, alg.poly({mono: 1})) for mono in source)
     cols = [_coords(image, index, len(target)) for image in images]
     return QMatrix.from_columns(cols, rows=len(target))
@@ -472,8 +490,7 @@ def _tuple_terms(d: Derivation, drop: Optional[int]):
     number of those after g_i when g_i is odd; and the generators with a
     nonzero value."""
     gens = d.algebra.generators
-    values = {g.name: d.of_generator(g.name) for g in gens}
-    values = {name: p for name, p in values.items() if p}
+    values = {name: p for name, p in d.values.items() if p}
     if drop is not None and (gens[drop].degree % 2 or gens[drop].name in values):
         raise ValueError(f"cannot drop {gens[drop].name}: it is not even and closed")
     scale = lcm(*(c.denominator for p in values.values() for c in p.terms.values()))
@@ -510,7 +527,7 @@ def tuple_columns(
     odd) modulo 2, and the product vanishes when t repeats an odd factor
     of m."""
     odd, table, live = _tuple_terms(d, drop)
-    odd_shift = d.degree_shift % 2
+    odd_shift = d.shift % 2
     columns = []
     for mono in sources:
         prefix = []
@@ -785,10 +802,11 @@ def ker_s_split(model: MinimalModel, cap: int) -> list[tuple[int, int]]:
     alg, gens = loop.algebra, loop.algebra.generators
     # v_bar sits right after v, and the loop weight of a monomial is its number of bars
     s = Derivation(alg, -1, {v.name: alg.gen(bar.name) for v, bar in zip(gens[::2], gens[1::2])})
+    d = differential(loop)
 
     @functools.cache
     def delta(mono: Monomial) -> dict[Monomial, Fraction]:
-        return product_derivation(loop.differential, alg.poly({mono: 1})).terms
+        return product_derivation(d, alg.poly({mono: 1})).terms
 
     def delta_of(p: Polynomial) -> dict[Monomial, Fraction]:
         out: dict[Monomial, Fraction] = {}
@@ -890,7 +908,7 @@ def random_minimal_model(rng: random.Random, max_generators: int = 4) -> Minimal
             values[names[k]] = alg.poly(terms)
         else:
             closed.append(k)
-    return MinimalModel(alg, Derivation(alg, 1, values))
+    return MinimalModel(alg, values)
 
 
 def random_models_within_budget(

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopinv.algebra import Derivation, GradedAlgebra, WrongDegreeShiftError
+from loopinv.algebra import GradedAlgebra
 from loopinv.cohomology import build_layout, square_zero_residual
 from loopinv.models import DgaModel, NotSquareZeroError, borel_model, loop_model, parse_model
 from loopinv.series import algebra_generating_function
 from support import (
     MODELS_DIR,
     AlgebraMap,
+    Derivation,
     brute_force_monomial_count,
     chain_basis,
     check_differential,
@@ -71,7 +72,7 @@ def test_one_pass_bases_match_per_degree_search(gens):
     cap = 24
     alg = GradedAlgebra(gens)
     gf = algebra_generating_function(alg, cap + 1)
-    dga = DgaModel(alg, Derivation(alg, 1, {}))
+    dga = DgaModel(alg, {})
     layout = build_layout(dga, cap)
     for n in range(cap + 1):
         want = per_degree_monomial_basis(alg, n)
@@ -101,7 +102,7 @@ def test_koszul_sign_even_times_odd(borel_algebra):
 def test_koszul_sign_odd_times_odd():
     alg = GradedAlgebra([("a", 3), ("b", 5)])
     a, b = alg.gen("a"), alg.gen("b")
-    assert a * b == -(b * a)
+    assert a * b == (b * a).scale(-1)
 
 
 def test_multiply_collects_terms():
@@ -145,32 +146,56 @@ def test_derivation_leibniz_with_y_squared_absorbed():
     d = Derivation(alg, 1, {"y": a * a, "z": a * a * a})
     y, z = alg.gen("y"), alg.gen("z")
     lhs = product_derivation(d, y * z)
-    rhs = product_derivation(d, y) * z - y * product_derivation(d, z)  # (-1)^{deg y} = -1
+    rhs = product_derivation(d, y) * z + (y * product_derivation(d, z)).scale(-1)  # (-1)^{deg y}
     assert lhs == rhs
 
 
-def test_derivation_rejects_inhomogeneous_value():
+def test_dga_model_rejects_inhomogeneous_value():
     alg = GradedAlgebra([("a", 2), ("b", 3)])
-    with pytest.raises(ValueError):
-        Derivation(alg, 1, {"b": alg.gen("a") + alg.gen("a") * alg.gen("a")})
+    with pytest.raises(ValueError, match=r"^value for b must be homogeneous of degree 4, got a \+ a\^2$"):
+        DgaModel(alg, {"b": alg.gen("a") + alg.gen("a") * alg.gen("a")})
 
 
-def test_derivation_rejects_wrong_degree_value():
+def test_dga_model_rejects_wrong_degree_value():
     alg = GradedAlgebra([("a", 2), ("b", 3)])
-    with pytest.raises(ValueError):
-        Derivation(alg, 1, {"b": alg.gen("a")})  # degree 2, needs 4
+    with pytest.raises(ValueError, match=r"^value for b must be homogeneous of degree 4, got a$"):
+        DgaModel(alg, {"b": alg.gen("a")})  # degree 2, needs 4
+
+
+def test_dga_model_rejects_unknown_generator():
+    alg = GradedAlgebra([("a", 2), ("b", 3)])
+    with pytest.raises(KeyError, match="unknown generator 'c'"):
+        DgaModel(alg, {"c": alg.gen("a") * alg.gen("a")})
+
+
+def test_dga_model_rejects_value_from_another_algebra():
+    alg, other = GradedAlgebra([("a", 2), ("b", 3)]), GradedAlgebra([("a", 2), ("b", 3), ("c", 5)])
+    with pytest.raises(ValueError, match=r"^value for b lives in a different algebra$"):
+        DgaModel(alg, {"b": other.gen("a") * other.gen("a")})
+
+
+def test_dga_model_differential_holds_every_generator_read_only():
+    alg = GradedAlgebra([("a", 2), ("c", 5), ("b", 3)])
+    given = {"b": alg.gen("a") * alg.gen("a")}
+    model = DgaModel(alg, given)
+    assert list(model.differential) == ["a", "c", "b"]
+    assert model.differential == {"a": alg.zero(), "c": alg.zero(), "b": given["b"]}
+    with pytest.raises(TypeError):
+        model.differential["a"] = alg.zero()
+    given["b"] = alg.zero()  # the model keeps its own copy
+    assert model.differential["b"] == alg.gen("a") * alg.gen("a")
 
 
 def test_apply_map_sign_rule(borel_algebra):
     t = AlgebraMap(
         borel_algebra,
         {
-            "alpha": -borel_algebra.gen("alpha"),
-            "x_bar": -borel_algebra.gen("x_bar"),
+            "alpha": borel_algebra.gen("alpha").scale(-1),
+            "x_bar": borel_algebra.gen("x_bar").scale(-1),
         },
     )
     alpha, xbar = borel_algebra.gen("alpha"), borel_algebra.gen("x_bar")
-    assert t(alpha * alpha * alpha) == -(alpha * alpha * alpha)
+    assert t(alpha * alpha * alpha) == (alpha * alpha * alpha).scale(-1)
     assert t(borel_algebra.unit()) == borel_algebra.unit()
     assert t(alpha * xbar) == alpha * xbar  # two sign flips cancel
     assert t(borel_algebra.gen("x")) == borel_algebra.gen("x")  # default: fixed
@@ -194,12 +219,10 @@ def test_check_differential_violation():
 
 
 def test_check_differential_wrong_shift():
-    # the packed route applies shift +1 signs only, so DgaModel refuses the rest
+    # the oracle of the model gate, which only sees model differentials (shift +1)
     alg = GradedAlgebra([("a", 2)])
-    with pytest.raises(WrongDegreeShiftError):
+    with pytest.raises(ValueError, match=r"shift \+1, got -1"):
         check_differential(Derivation(alg, -1, {}))
-    with pytest.raises(WrongDegreeShiftError, match=r"shift \+1, got -1"):
-        DgaModel(alg, Derivation(alg, -1, {}))
 
 
 def test_generator_degree_zero_rejected():
@@ -214,7 +237,7 @@ def test_duplicate_names_rejected():
 
 def test_polynomial_str_is_deterministic(borel_algebra):
     alpha = borel_algebra.gen("alpha")
-    p = alpha * alpha * alpha * alpha - 2 * (alpha * borel_algebra.gen("x_bar"))
+    p = alpha * alpha * alpha * alpha + (alpha * borel_algebra.gen("x_bar")).scale(-2)
     assert str(p) == "-2*alpha*x_bar + alpha^4"
 
 
@@ -225,7 +248,7 @@ _ALG = GradedAlgebra([("a", 2), ("y", 3), ("b", 4), ("z", 5)])
 _A = _ALG.gen("a")
 _D = Derivation(_ALG, 1, {"y": _A * _A, "z": _A * _A * _A})
 _S = Derivation(_ALG, -1, {"b": _ALG.gen("y"), "z": _ALG.gen("b")})
-_T = AlgebraMap(_ALG, {"y": -_ALG.gen("y"), "b": -_ALG.gen("b")})
+_T = AlgebraMap(_ALG, {"y": _ALG.gen("y").scale(-1), "b": _ALG.gen("b").scale(-1)})
 
 
 @st.composite
@@ -341,7 +364,7 @@ _KOSZUL = (
 @example(_KOSZUL)
 def test_square_zero_gate_matches_the_product_route(dc):
     d, closed = dc
-    model = SimpleNamespace(algebra=d.algebra, differential=d, closed=closed)
+    model = SimpleNamespace(algebra=d.algebra, differential=d.values, closed=closed)
     assert square_zero_residual(model) == check_differential(d)
 
 
@@ -352,10 +375,10 @@ def test_dga_model_refuses_what_the_product_route_refuses(dc):
     d, _ = dc
     violation = check_differential(d)
     if violation is None:
-        assert DgaModel(d.algebra, d).differential is d
+        assert DgaModel(d.algebra, d.values).differential == d.values
     else:
         with pytest.raises(NotSquareZeroError) as info:
-            DgaModel(d.algebra, d)
+            DgaModel(d.algebra, d.values)
         assert str(info.value) == f"d^2({violation[0]}) = {violation[1]} != 0"
 
 
@@ -387,7 +410,7 @@ def test_bar_values_are_minus_the_suspension_of_d(model, build):
         dv = alg.poly(
             {
                 tuple(mono[base.index(x)] if x in bar else 0 for x in alg.names): c
-                for mono, c in model.differential.of_generator(v.name).terms.items()
+                for mono, c in model.differential[v.name].terms.items()
             }
         )
-        assert dga.differential.of_generator(bar[v.name]) == -product_derivation(s, dv)
+        assert dga.differential[bar[v.name]] == product_derivation(s, dv).scale(-1)

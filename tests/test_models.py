@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from loopinv.algebra import Derivation, GradedAlgebra
+from loopinv.algebra import GradedAlgebra
 from loopinv.models import (
     BorelSquareZeroError,
     DegreeMismatchError,
@@ -21,24 +21,24 @@ from loopinv.models import (
     parse_model,
     point_borel_model,
 )
-from support import involution_map, load_model, product_derivation
+from support import differential, involution_map, load_model, product_derivation
 
 
 def test_parse_single_generator():
     m = parse_model("gen x 7\nd x = 0\n")
     assert m.algebra.names == ("x",)
     assert m.algebra.degree_of("x") == 7
-    assert not m.differential.of_generator("x")
+    assert not m.differential["x"]
 
 
 def test_parse_two_sphere():
     m = parse_model("gen a 2\ngen b 3\nd a = 0\nd b = a^2\n")
-    assert m.differential.of_generator("b") == m.algebra.gen("a") * m.algebra.gen("a")
+    assert m.differential["b"] == m.algebra.gen("a") * m.algebra.gen("a")
 
 
 def test_parse_defaults_to_zero_differential():
     m = parse_model("gen a 2\ngen b 3\nd b = a^2")
-    assert not m.differential.of_generator("a")
+    assert not m.differential["a"]
 
 
 def test_parse_comments_and_blank_lines():
@@ -48,16 +48,16 @@ def test_parse_comments_and_blank_lines():
 
 def test_parse_rational_coefficients():
     m = parse_model("gen a 2\ngen b 2\ngen c 3\nd c = 1/2*a^2 - 3*a*b")
-    dc = m.differential.of_generator("c")
-    assert dc.coefficient((2, 0, 0)) == Fraction(1, 2)
-    assert dc.coefficient((1, 1, 0)) == -3
+    dc = m.differential["c"]
+    assert dc.terms[2, 0, 0] == Fraction(1, 2)
+    assert dc.terms[1, 1, 0] == -3
 
 
 def test_parse_signed_coefficients():
     m = parse_model("gen a 2\ngen b 2\ngen c 3\nd c = -1/2*a^2 + -2*b^2")
-    dc = m.differential.of_generator("c")
-    assert dc.coefficient((2, 0, 0)) == Fraction(-1, 2)
-    assert dc.coefficient((0, 2, 0)) == -2
+    dc = m.differential["c"]
+    assert dc.terms[2, 0, 0] == Fraction(-1, 2)
+    assert dc.terms[0, 2, 0] == -2
 
 
 def test_parse_rejects_degree_one():
@@ -98,6 +98,9 @@ def test_parse_warns_not_minimal():
         ("gen a 2\ngen b 3\nd b = c^2\n", "unknown generator"),
         ("gen a 2\ngen b 5\nd b = a a\n", "missing '*'"),
         ("gen a 2\ngen b 3\nd b = a^2 +\n", "unexpected end"),
+        # the column just past the last token, before spaces and comments
+        ("gen a 2\ngen b 3\nd b = a^2 +  # x\n", "line 3, column 12: unexpected end of line"),
+        ("gen a 2\ngen b 3\nd b = a*\n", "line 3, column 9: unexpected end of line"),
     ],
 )
 def test_parse_syntax_errors(text, fragment):
@@ -124,14 +127,14 @@ def test_loop_model_doubles_generators():
     assert loop.algebra.degree_of("x_bar") == 6
     assert loop.involution is False
     for name in loop.algebra.names:
-        assert not loop.differential.of_generator(name)
+        assert not loop.differential[name]
 
 
 def test_loop_model_restricts_to_base_differential():
     m = load_model("s2.model")
     loop = loop_model(m)
     assert loop.algebra.names == ("a", "a_bar", "b", "b_bar")
-    db = loop.differential.of_generator("b")
+    db = loop.differential["b"]
     assert db == loop.algebra.gen("a") * loop.algebra.gen("a")
 
 
@@ -139,15 +142,15 @@ def test_loop_model_suspension_sign():
     # delta(b_bar) = -s(a^2) = -2 a a_bar
     loop = loop_model(load_model("s2.model"))
     expected = (loop.algebra.gen("a") * loop.algebra.gen("a_bar")).scale(-2)
-    assert loop.differential.of_generator("b_bar") == expected
-    assert not loop.differential.of_generator("a_bar")
+    assert loop.differential["b_bar"] == expected
+    assert not loop.differential["a_bar"]
 
 
 def test_loop_model_preserves_word_length():
     m = parse_model("gen a 2\ngen b 2\ngen c 3\nd c = a*b\n")
     loop = loop_model(m)
     for name in loop.algebra.names:
-        value = loop.differential.of_generator(name)
+        value = loop.differential[name]
         wl = value.min_word_length()
         assert wl is None or wl >= 2
 
@@ -162,24 +165,24 @@ def test_borel_model_sphere_bundle():
     assert alg.names == ("alpha", "x", "x_bar")
     assert alg.degree_of("alpha") == 2
     d = borel.differential
-    assert d.of_generator("x") == alg.gen("alpha") * alg.gen("x_bar")
-    assert not d.of_generator("alpha")
-    assert not d.of_generator("x_bar")
+    assert d["x"] == alg.gen("alpha") * alg.gen("x_bar")
+    assert not d["alpha"]
+    assert not d["x_bar"]
     assert borel.involution is True
     assert tuple((-1) ** w for w in borel.weights) == (-1, 1, -1)
     t = involution_map(borel)
-    assert t.of_generator("alpha") == -alg.gen("alpha")
+    assert t.of_generator("alpha") == alg.gen("alpha").scale(-1)
     assert t.of_generator("x") == alg.gen("x")
-    assert t.of_generator("x_bar") == -alg.gen("x_bar")
+    assert t.of_generator("x_bar") == alg.gen("x_bar").scale(-1)
 
 
 def test_borel_model_two_sphere():
     borel = borel_model(load_model("s2.model"))
     alg = borel.algebra
     d = borel.differential
-    assert d.of_generator("a") == alg.gen("alpha") * alg.gen("a_bar")
-    assert d.of_generator("b") == alg.gen("a") * alg.gen("a") + alg.gen("alpha") * alg.gen("b_bar")
-    assert d.of_generator("b_bar") == (alg.gen("a") * alg.gen("a_bar")).scale(-2)
+    assert d["a"] == alg.gen("alpha") * alg.gen("a_bar")
+    assert d["b"] == alg.gen("a") * alg.gen("a") + alg.gen("alpha") * alg.gen("b_bar")
+    assert d["b_bar"] == (alg.gen("a") * alg.gen("a_bar")).scale(-2)
 
 
 def test_borel_alpha_to_zero_recovers_loop_differential():
@@ -188,18 +191,18 @@ def test_borel_alpha_to_zero_recovers_loop_differential():
     borel = borel_model(m)
     alpha_idx = borel.algebra.index("alpha")
     for name in loop.algebra.names:
-        value = borel.differential.of_generator(name)
+        value = borel.differential[name]
         stripped = {
             mono[:alpha_idx] + mono[alpha_idx + 1 :]: coeff
             for mono, coeff in value.terms.items()
             if mono[alpha_idx] == 0
         }
-        assert loop.algebra.poly(stripped) == loop.differential.of_generator(name)
+        assert loop.algebra.poly(stripped) == loop.differential[name]
 
 
 def test_borel_gates_hold_on_all_generators():
     borel = borel_model(parse_model("gen a 2\ngen b 2\ngen c 3\nd c = a*b\n"))
-    d, t = partial(product_derivation, borel.differential), involution_map(borel)
+    d, t = partial(product_derivation, differential(borel)), involution_map(borel)
     for g in borel.algebra.generators:
         gen = borel.algebra.gen(g.name)
         assert not d(d(gen))
@@ -222,10 +225,18 @@ def test_borel_avoids_name_collisions():
 def test_point_borel_model():
     point = point_borel_model()
     assert point.algebra.names == ("alpha",)
-    assert not point.differential.of_generator("alpha")
+    assert not point.differential["alpha"]
     assert point.involution is True
     assert tuple((-1) ** w for w in point.weights) == (-1,)
-    assert involution_map(point).of_generator("alpha") == -point.algebra.gen("alpha")
+    assert involution_map(point).of_generator("alpha") == point.algebra.gen("alpha").scale(-1)
+
+
+def test_parses_of_one_text_are_equal_and_base_dga_is_the_model():
+    text = "gen a 2\ngen b 3\nd b = a^2\n"
+    m = parse_model(text)
+    assert m == parse_model(text)
+    assert m != parse_model("gen a 2\ngen b 3\n")
+    assert base_dga(m) is m
 
 
 def test_base_dga_has_no_involution():
@@ -240,14 +251,14 @@ def test_base_dga_has_no_involution():
 
 def test_dga_model_rejects_broken_differential():
     alg = GradedAlgebra([("a", 2), ("b", 3)])
-    d = Derivation(alg, 1, {"a": alg.gen("b"), "b": alg.gen("a") * alg.gen("a")})
+    d = {"a": alg.gen("b"), "b": alg.gen("a") * alg.gen("a")}
     with pytest.raises(NotSquareZeroError, match=r"^d\^2\(a\) = a\^2 != 0$"):
         DgaModel(alg, d)
 
 
 def test_dga_model_rejects_incompatible_involution():
     alg = GradedAlgebra([("a", 2), ("b", 3)])
-    d = Derivation(alg, 1, {"b": alg.gen("a") * alg.gen("a")})
+    d = {"b": alg.gen("a") * alg.gen("a")}
     # the weights (0, 1) send b to -b: t(d b) = a^2 but d(t b) = -a^2
     with pytest.raises(InvolutionIncompatibleError, match="weight"):
         DgaModel(alg, d, True, (0, 1))
@@ -257,7 +268,7 @@ def test_dga_model_rejects_incompatible_involution():
 
 def test_dga_model_rejects_weight_inhomogeneous_differential():
     alg = GradedAlgebra([("a", 2), ("b", 3)])
-    d = Derivation(alg, 1, {"b": alg.gen("a") * alg.gen("a")})
+    d = {"b": alg.gen("a") * alg.gen("a")}
     with pytest.raises(InvolutionIncompatibleError, match="weight"):
         DgaModel(alg, d, False, (0, 1))
     assert DgaModel(alg, d, False, (1, 2)).weights == (1, 2)
@@ -299,8 +310,7 @@ def test_base_dga_reuses_the_minimal_model_gate(monkeypatch):
     calls = _count_gate_calls(monkeypatch)
     m = load_model("s2.model")
     assert len(calls) == 1
-    assert base_dga(m) is base_dga(m)
-    assert base_dga(m).differential is m.differential
+    assert base_dga(m) is m
     assert len(calls) == 1
 
 
@@ -322,7 +332,7 @@ def test_borel_square_zero_failure_category():
     # the parts directly
     alg = GradedAlgebra([("a", 2), ("b", 3), ("c", 4)])
     a, b = alg.gen("a"), alg.gen("b")
-    d = Derivation(alg, 1, {"b": a * a, "c": a * b})
+    d = {"a": alg.zero(), "b": a * a, "c": a * b}  # every generator, in order
     with pytest.raises(BorelSquareZeroError) as info:
         borel_model(SimpleNamespace(algebra=alg, differential=d))
     assert str(info.value) == "Borel differential does not square to zero: d^2(c) = a^3 != 0"
@@ -330,11 +340,22 @@ def test_borel_square_zero_failure_category():
 
 def test_minimal_model_warning_not_fatal_programmatically():
     alg = GradedAlgebra([("a", 3), ("b", 2)])
-    d = Derivation(alg, 1, {"b": alg.gen("a")})
+    d = {"b": alg.gen("a")}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         MinimalModel(alg, d)
     assert any(issubclass(w.category, NotMinimalWarning) for w in caught)
+    assert caught[0].filename == __file__  # the warning points at the caller
+
+
+def test_minimal_model_refuses_degree_one_before_the_gate():
+    # d^2(x) = x*y != 0 too, but the degree refusal comes first
+    alg = GradedAlgebra([("x", 1), ("y", 2)])
+    d = {"x": alg.gen("y"), "y": alg.gen("x") * alg.gen("y")}
+    with pytest.raises(NotSquareZeroError):
+        DgaModel(alg, d)
+    with pytest.raises(SimpleConnectivityError, match="^generator x has degree 1;"):
+        MinimalModel(alg, d)
 
 
 def test_empty_model():
@@ -350,8 +371,8 @@ def test_borel_of_non_minimal_model_passes_gates():
     with pytest.warns(NotMinimalWarning):
         m = parse_model("gen a 3\ngen b 2\nd b = a\n")
     borel = borel_model(m)
-    assert borel.differential.of_generator("b_bar") == -borel.algebra.gen("a_bar")
-    d, t = partial(product_derivation, borel.differential), involution_map(borel)
+    assert borel.differential["b_bar"] == borel.algebra.gen("a_bar").scale(-1)
+    d, t = partial(product_derivation, differential(borel)), involution_map(borel)
     for g in borel.algebra.generators:
         gen = borel.algebra.gen(g.name)
         assert not d(d(gen))

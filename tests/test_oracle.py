@@ -84,10 +84,7 @@ def _assert_blocks_are_scaled_derivation(dga, cap):
     """Each whole block, put together from the g-free columns of the block
     and of its chain predecessors, equals L times the dense Derivation
     block, and the chain order is a permutation of the block's basis."""
-    d = dga.differential
-    scale = lcm(
-        *(c.denominator for g in dga.algebra.generators for c in d.of_generator(g.name).terms.values())
-    )
+    scale = lcm(*(c.denominator for v in dga.differential.values() for c in v.terms.values()))
     layout = build_layout(dga, cap)
     dims = layout.dims
     for n in range(cap):
@@ -173,7 +170,7 @@ def _assert_packed_columns_are_tuple_columns(dga, cap):
     assert len(index) == len(set(every)) == len(every)
     for n in range(cap):
         for block, codes in layout.free[n].items():
-            want = support.tuple_columns(dga.differential, map(g_free, codes), index, g)
+            want = support.tuple_columns(support.differential(dga), map(g_free, codes), index, g)
             m = cochain_matrix(layout, n, block)
             assert m.rows == layout.dims[n + 1].get(block, 0), (n, block)
             assert list(m.columns) == want, (n, block)

@@ -29,7 +29,7 @@ def test_library_block_prints_its_comments(monkeypatch):
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     printed = out.getvalue().splitlines()
-    assert len(printed) == len(expected) == 6
+    assert len(printed) == len(expected) == 7
     for got, want in zip(printed, expected):
         if want.endswith(", ...]"):
             assert got.startswith(want[: -len("...]")]), (got, want)
