@@ -27,6 +27,40 @@ class Generator(NamedTuple):
     degree: int
 
 
+class Value:
+    """Fields named in ``_fields`` (and listed in ``__slots__``), set once
+    by ``__init__``; ==, hash and repr go field by field, as in a frozen
+    dataclass, and assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self._fields))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle restore every slot
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
 class GradedAlgebra:
     """Lambda(g_1, ..., g_l): polynomial on even generators tensor
     exterior on odd generators."""

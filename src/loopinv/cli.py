@@ -8,11 +8,11 @@ Commands:
                    and A-theory rational homotopy
     bfk            enumerate (i, m_min) pairs for tangent-bundle-times-
                    sphere manifolds with nontrivial metric-space homotopy
-    series         expand a closed-form series expression
+    series         expand c*t^a and c*t^a/(1-t^b) terms; t is t^1, also in (1-t)
 
 Exit codes: 0 success, 1 input rejected by a validator, 2 usage error,
 3 internal error (reported as ``internal error[<category>]: <message>``;
-no traceback is printed).
+no traceback is printed), 141 with no message if stdout closes early.
 JSON output is stable and versioned via a top-level schema_version field;
 table and JSON outputs always encode the same numbers.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -230,7 +231,14 @@ def main(argv=None) -> int:
         "series": _cmd_series,
     }
     try:
-        return handlers[args.command](args, out, err)
+        code = handlers[args.command](args, out, err)
+        out.flush()  # a closed stdout raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the rest goes to os.devnull, so the final flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return 141
     except (ModelError, NoInvolutionError, NegativeDimensionError, SeriesExprError) as exc:
         category = getattr(exc, "category", type(exc).__name__)
         print(f"{category}: {exc}", file=err)

@@ -54,14 +54,13 @@ with cap N answers for degrees 0..N-1 only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING, Container, Iterable, NamedTuple, Optional
 
 from . import linalg
-from .algebra import Polynomial
+from .algebra import Polynomial, Value
 from .series import TruncatedSeries
 
 if TYPE_CHECKING:
@@ -72,39 +71,40 @@ class NoInvolutionError(ValueError):
     category = "NoInvolution"
 
 
-@dataclass(frozen=True)
-class DegreeSlice:
-    degree: int
-    cochain_dim: int
-    betti: int
-    inv_plus: Optional[int] = None
-    inv_minus: Optional[int] = None
+class DegreeSlice(Value):
+    __slots__ = _fields = ("degree", "cochain_dim", "betti", "inv_plus", "inv_minus")
 
-    def __post_init__(self):
-        if not 0 <= self.betti <= self.cochain_dim:
-            raise ValueError(f"betti {self.betti} out of range at degree {self.degree}")
-        if (self.inv_plus is None) != (self.inv_minus is None):
+    def __init__(
+        self,
+        degree: int,
+        cochain_dim: int,
+        betti: int,
+        inv_plus: Optional[int] = None,
+        inv_minus: Optional[int] = None,
+    ):
+        if not 0 <= betti <= cochain_dim:
+            raise ValueError(f"betti {betti} out of range at degree {degree}")
+        if (inv_plus is None) != (inv_minus is None):
             raise ValueError("eigen data must be all-or-nothing")
-        if self.inv_plus is not None and self.inv_plus + self.inv_minus != self.betti:
+        if inv_plus is not None and inv_plus + inv_minus != betti:
             raise ValueError(
-                f"eigen split {self.inv_plus}+{self.inv_minus} != betti {self.betti} "
-                f"at degree {self.degree}"
+                f"eigen split {inv_plus}+{inv_minus} != betti {betti} at degree {degree}"
             )
+        super().__init__(degree, cochain_dim, betti, inv_plus, inv_minus)
 
 
-@dataclass(frozen=True)
-class EigenTable:
+class EigenTable(Value):
     """Slices for degrees 0..cap-1."""
 
-    cap: int
-    slices: tuple[DegreeSlice, ...]
+    __slots__ = _fields = ("cap", "slices")
 
-    def __post_init__(self):
-        if len(self.slices) != self.cap:
+    def __init__(self, cap: int, slices: tuple[DegreeSlice, ...]):
+        if len(slices) != cap:
             raise ValueError("need one slice per degree 0..cap-1")
-        for n, s in enumerate(self.slices):
+        for n, s in enumerate(slices):
             if s.degree != n:
                 raise ValueError("slices must be contiguous from degree 0")
+        super().__init__(cap, slices)
 
     def slice(self, degree: int) -> DegreeSlice:
         if not 0 <= degree < self.cap:

@@ -21,10 +21,10 @@ degree i+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .algebra import Value
 from .models import MinimalModel
 from .pseudoisotopy import pseudoisotopy_table
 
@@ -33,8 +33,7 @@ class InvariantViolationError(ValueError):
     category = "InvariantViolation"
 
 
-@dataclass(frozen=True)
-class KernelBoundInputs:
+class KernelBoundInputs(Value):
     """Hypothesis data for the kernel bound.
 
     dim_P, dim_inv_plus, dim_inv_minus describe pi_i of the stable
@@ -43,27 +42,35 @@ class KernelBoundInputs:
     boundary.  These are caller-supplied facts, not derived here.
     """
 
-    i: int
-    m: int
-    dim_boundary: int
-    dim_P: int
-    dim_inv_plus: int
-    dim_inv_minus: int
-    dim_diff: int = 0
+    __slots__ = _fields = (
+        "i", "m", "dim_boundary", "dim_P", "dim_inv_plus", "dim_inv_minus", "dim_diff"
+    )
 
-    def __post_init__(self):
-        if self.dim_inv_plus + self.dim_inv_minus != self.dim_P:
+    def __init__(
+        self,
+        i: int,
+        m: int,
+        dim_boundary: int,
+        dim_P: int,
+        dim_inv_plus: int,
+        dim_inv_minus: int,
+        dim_diff: int = 0,
+    ):
+        if dim_inv_plus + dim_inv_minus != dim_P:
             raise InvariantViolationError(
-                f"eigenspace dimensions {self.dim_inv_plus}+{self.dim_inv_minus} "
-                f"do not add up to dim_P = {self.dim_P}"
+                f"eigenspace dimensions {dim_inv_plus}+{dim_inv_minus} "
+                f"do not add up to dim_P = {dim_P}"
             )
+        super().__init__(i, m, dim_boundary, dim_P, dim_inv_plus, dim_inv_minus, dim_diff)
 
 
-@dataclass(frozen=True)
-class KernelBoundResult:
-    applicable: bool
-    bound: Optional[Fraction]
-    failed_hypothesis: Optional[str]
+class KernelBoundResult(Value):
+    __slots__ = _fields = ("applicable", "bound", "failed_hypothesis")
+
+    def __init__(
+        self, applicable: bool, bound: Optional[Fraction], failed_hypothesis: Optional[str]
+    ):
+        super().__init__(applicable, bound, failed_hypothesis)
 
     @property
     def nontrivial_kernel(self) -> bool:
@@ -105,16 +112,15 @@ def kernel_lower_bound(inp: KernelBoundInputs) -> KernelBoundResult:
     return KernelBoundResult(True, half - inp.dim_diff, None)
 
 
-@dataclass(frozen=True)
-class CurvaturePair:
+class CurvaturePair(Value):
     """One certified degree: for every admissible m (in particular m_min)
     the metric space of the bundle-times-S^m manifold has nontrivial
     rational homotopy in conclusion_degree = i + 1."""
 
-    j: int
-    i: int
-    m_min: int
-    conclusion_degree: int
+    __slots__ = _fields = ("j", "i", "m_min", "conclusion_degree")
+
+    def __init__(self, j: int, i: int, m_min: int, conclusion_degree: int):
+        super().__init__(j, i, m_min, conclusion_degree)
 
 
 def enumerate_pairs(d: int, j_max: int) -> list[CurvaturePair]:

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
-from .algebra import GradedAlgebra, Polynomial
+from .algebra import GradedAlgebra, Polynomial, Value
 from .cohomology import square_zero_residual
 
 
@@ -81,8 +80,7 @@ class NotMinimalWarning(UserWarning):
     category = "NotMinimal"
 
 
-@dataclass(frozen=True)
-class DgaModel:
+class DgaModel(Value):
     """Free graded-commutative algebra with a square-zero degree +1
     differential, an integer weight per generator (all zero unless given)
     and, when ``involution`` is true, the involution that acts on each
@@ -101,31 +99,33 @@ class DgaModel:
     differential of lowest degree (the first one on ties), or None; in a
     Borel model g is alpha.  ``cohomology.build_layout`` packs the
     g-free monomials into integer codes and lays each block's basis out
-    along multiplication by g.
+    along multiplication by g.  ``closed`` is left out of == and repr.
     """
 
-    algebra: GradedAlgebra
-    differential: Mapping[str, Polynomial]
-    involution: bool = False
-    weights: tuple[int, ...] = ()
-    closed: Optional[int] = field(init=False, repr=False, compare=False, default=None)
+    _fields = ("algebra", "differential", "involution", "weights")
+    __slots__ = _fields + ("closed",)
 
-    def __post_init__(self):
-        alg = self.algebra
-        for name, value in self.differential.items():
-            target = alg.degree_of(name) + 1
-            if value.algebra != alg:
+    def __init__(
+        self,
+        algebra: GradedAlgebra,
+        differential: Mapping[str, Polynomial],
+        involution: bool = False,
+        weights: tuple[int, ...] = (),
+    ):
+        for name, value in differential.items():
+            target = algebra.degree_of(name) + 1
+            if value.algebra != algebra:
                 raise ValueError(f"value for {name} lives in a different algebra")
             if not value.is_homogeneous_of(target):
                 raise ValueError(
                     f"value for {name} must be homogeneous of degree {target}, got {value}"
                 )
-        d = MappingProxyType({x: self.differential.get(x) or alg.zero() for x in alg.names})
-        object.__setattr__(self, "differential", d)
-        gens = alg.generators
-        object.__setattr__(self, "weights", tuple(self.weights) or (0,) * len(gens))
-        if len(self.weights) != len(gens):
-            raise ValueError(f"need {len(gens)} generator weights, got {len(self.weights)}")
+        d = MappingProxyType({x: differential.get(x) or algebra.zero() for x in algebra.names})
+        gens = algebra.generators
+        weights = tuple(weights) or (0,) * len(gens)
+        if len(weights) != len(gens):
+            raise ValueError(f"need {len(gens)} generator weights, got {len(weights)}")
+        super().__init__(algebra, d, involution, weights)
         closed = [i for i, (x, v) in enumerate(zip(gens, d.values())) if x.degree % 2 == 0 and not v]
         object.__setattr__(self, "closed", min(closed, key=lambda i: gens[i].degree, default=None))
         violation = square_zero_residual(self)
@@ -136,17 +136,16 @@ class DgaModel:
             except ValueError:  # a coefficient with more digits than Python prints
                 message = f"d^2({name}) != 0, with a coefficient too long to print"
             raise NotSquareZeroError(message)
-        for g, weight, value in zip(gens, self.weights, d.values()):
+        for g, weight, value in zip(gens, weights, d.values()):
             for mono in value.terms:
-                w = sum(e * x for e, x in zip(mono, self.weights))
+                w = sum(e * x for e, x in zip(mono, weights))
                 if w != weight:
                     raise InvolutionIncompatibleError(
                         f"differential of {g.name} (weight {weight}) has the term "
-                        f"{alg.monomial_str(mono)} of weight {w}"
+                        f"{algebra.monomial_str(mono)} of weight {w}"
                     )
 
 
-@dataclass(frozen=True)
 class MinimalModel(DgaModel):
     """A DgaModel on generators of degree >= 2, with no involution and
     zero weights: ``MinimalModel(algebra, differential)``.
@@ -156,17 +155,16 @@ class MinimalModel(DgaModel):
     rejected outright, before the square-zero gate runs.
     """
 
-    involution: bool = field(default=False, init=False)
-    weights: tuple[int, ...] = field(default=(), init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g in self.algebra.generators:
+    def __init__(self, algebra: GradedAlgebra, differential: Mapping[str, Polynomial]):
+        for g in algebra.generators:
             if g.degree < 2:
                 raise SimpleConnectivityError(
                     f"generator {g.name} has degree {g.degree}; "
                     "a simply-connected model needs all degrees >= 2"
                 )
-        super().__post_init__()
+        super().__init__(algebra, differential)
         for name, value in self.differential.items():
             wl = value.min_word_length()
             if wl is not None and wl < 2:
@@ -175,7 +173,7 @@ class MinimalModel(DgaModel):
                         f"d({name}) = {value} has a linear term; "
                         "the model is valid but not minimal"
                     ),
-                    stacklevel=3,
+                    stacklevel=2,
                 )
 
     @classmethod

@@ -27,9 +27,9 @@ responsibility; the tables are meaningless for models of open manifolds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from .algebra import Value
 from .cohomology import eigen_table
 from .models import MinimalModel, base_dga, borel_model
 from .series import TruncatedSeries
@@ -55,28 +55,25 @@ def k_theory_correction(i: int) -> int:
     return 1 if i % 4 == 3 else 0
 
 
-@dataclass(frozen=True)
-class PseudoisotopyRow:
+class PseudoisotopyRow(Value):
     """Eigenspace dimensions at one degree: the P entries live in degree
     i, the A entries in degree i+2."""
 
-    i: int
-    invP_plus: int
-    invP_minus: int
-    invA_plus: int
-    invA_minus: int
+    __slots__ = _fields = ("i", "invP_plus", "invP_minus", "invA_plus", "invA_minus")
 
-    def __post_init__(self):
-        if min(self.invP_plus, self.invP_minus, self.invA_plus, self.invA_minus) < 0:
-            raise NegativeDimensionError(f"negative dimension in row i={self.i}")
-        if self.invP_plus != self.invA_minus:
-            raise ValueError(f"row i={self.i}: invP_plus must equal invA_minus")
+    def __init__(self, i: int, invP_plus: int, invP_minus: int, invA_plus: int, invA_minus: int):
+        if min(invP_plus, invP_minus, invA_plus, invA_minus) < 0:
+            raise NegativeDimensionError(f"negative dimension in row i={i}")
+        if invP_plus != invA_minus:
+            raise ValueError(f"row i={i}: invP_plus must equal invA_minus")
+        super().__init__(i, invP_plus, invP_minus, invA_plus, invA_minus)
 
 
-@dataclass(frozen=True)
-class PseudoisotopyTable:
-    cap: int
-    rows: tuple[PseudoisotopyRow, ...]
+class PseudoisotopyTable(Value):
+    __slots__ = _fields = ("cap", "rows")
+
+    def __init__(self, cap: int, rows: tuple[PseudoisotopyRow, ...]):
+        super().__init__(cap, rows)
 
     @property
     def reliable_max_i(self) -> int:

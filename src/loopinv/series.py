@@ -11,8 +11,9 @@ infers a closed form from a truncation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional
+
+from .algebra import Value
 
 
 class SeriesExprError(ValueError):
@@ -21,12 +22,11 @@ class SeriesExprError(ValueError):
     category = "SeriesSyntax"
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    coeffs: tuple[int, ...]
+class TruncatedSeries(Value):
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        super().__init__(tuple(int(c) for c in coeffs))
 
     @property
     def cap(self) -> int:
@@ -59,19 +59,17 @@ class TruncatedSeries:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
 
-@dataclass(frozen=True)
-class ExprTerm:
+class ExprTerm(Value):
     """coeff * t^power, or coeff * t^power / (1 - t^period)."""
 
-    coeff: int
-    power: int
-    period: Optional[int] = None
+    __slots__ = _fields = ("coeff", "power", "period")
 
-    def __post_init__(self):
-        if self.power < 0:
+    def __init__(self, coeff: int, power: int, period: Optional[int] = None):
+        if power < 0:
             raise SeriesExprError("numerator power must be >= 0")
-        if self.period is not None and self.period < 1:
+        if period is not None and period < 1:
             raise SeriesExprError("denominator period must be >= 1")
+        super().__init__(coeff, power, period)
 
     def __str__(self) -> str:
         if self.power == 0:
@@ -84,12 +82,11 @@ class ExprTerm:
         return head
 
 
-@dataclass(frozen=True)
-class RationalExpr:
-    terms: tuple[ExprTerm, ...]
+class RationalExpr(Value):
+    __slots__ = _fields = ("terms",)
 
     def __init__(self, terms: Iterable[ExprTerm]):
-        object.__setattr__(self, "terms", tuple(terms))
+        super().__init__(tuple(terms))
 
     @classmethod
     def zero(cls) -> "RationalExpr":
@@ -149,7 +146,7 @@ def _int(digits: str) -> int:
 _TERM_RE = re.compile(
     r"^(?:(?P<coeff>\d+)\*?)?"
     r"(?:t(?:\^(?P<power>\d+))?)?"
-    r"(?:/\(1-t\^(?P<period>\d+)\))?$"
+    r"(?P<den>/\(1-t(?:\^(?P<period>\d+))?\))?$"
 )
 
 
@@ -188,7 +185,7 @@ def parse_expr(text: str) -> RationalExpr:
             raise SeriesExprError(f"cannot parse series term {chunk!r}")
         coeff = _int(coeff_s) if coeff_s is not None else 1
         power = _int(power_s) if power_s is not None else (1 if has_t else 0)
-        period = _int(period_s) if period_s is not None else None
+        period = _int(period_s) if period_s is not None else (1 if m.group("den") else None)
         terms.append(ExprTerm(sgn * coeff, power, period))
     return RationalExpr(terms)
 

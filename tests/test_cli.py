@@ -282,6 +282,42 @@ def test_successive_calls_match_fresh_interpreters(capsys):
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigen", S2, "--max-degree", "400"],  # more than a pipe buffer: the write fails
+        ["validate", S2, "--format", "json"],  # buffered: the flush fails
+    ],
+)
+def test_closed_stdout_exits_141_and_prints_nothing(argv):
+    src = str(Path(loopinv.cli.__file__).resolve().parents[1])
+    script = f"import sys; sys.path.insert(0, {src!r}); import loopinv.cli as c; sys.exit(c.main())"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # as `| head -1` does once it has its line
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", script, *argv], stdout=write_end, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(loopinv.cli.__file__).resolve().parents[1])
+
+    def modules(code):
+        code += "; print(*sys.modules, sep=chr(10))"
+        argv = [sys.executable, "-I", "-c", code]
+        return set(subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split())
+
+    # against a bare interpreter, so that what `site` preloads does not count
+    added = modules(f"import sys; sys.path.insert(0, {src!r}); import loopinv.cli")
+    added -= modules("import sys")
+    assert "loopinv.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
 
 # Golden bytes: (case, argv, exit code, stderr), with stdout in
 # tests/golden/<case>.out (empty when there is no such file).  Paths are

@@ -138,13 +138,17 @@ def test_generating_function_counts_degree_thirteen():
         ("t^2/(1-t^4) - t^6/(1-t^12)", (ExprTerm(1, 2, 4), ExprTerm(-1, 6, 12))),
         ("-t^3 + 2", (ExprTerm(-1, 3, None), ExprTerm(2, 0, None))),
         ("0", ()),
+        ("1/(1-t)", (ExprTerm(1, 0, 1),)),
+        ("2*t^3/(1-t) - t", (ExprTerm(2, 3, 1), ExprTerm(-1, 1, None))),
     ],
 )
 def test_parse_expr(text, terms):
     assert parse_expr(text).terms == terms
 
 
-@pytest.mark.parametrize("bad", ["", "q", "t^", "1/(1-t)", "t^2/(1+t^4)", "++", "1/(1-t^0)"])
+@pytest.mark.parametrize(
+    "bad", ["", "q", "t^", "1/(1-t^)", "1/(1-t", "t^2/(1+t^4)", "++", "1/(1-t^0)"]
+)
 def test_parse_expr_rejects(bad):
     with pytest.raises(SeriesExprError):
         parse_expr(bad)
@@ -153,6 +157,7 @@ def test_parse_expr_rejects(bad):
 def test_parse_round_trip_through_str():
     e = parse_expr("t^3/(1-t^4) + t^11/(1-t^12) - 2*t^5")
     assert parse_expr(str(e)) == e
+    assert str(parse_expr("t/(1-t)")) == "t/(1-t^1)"  # the period is always written
 
 
 @given(
