@@ -10,7 +10,15 @@ Commands:
                    sphere manifolds with nontrivial metric-space homotopy
     series         expand c*t^a and c*t^a/(1-t^b) terms; t is t^1, also in (1-t)
 
-Exit codes: 0 success, 1 input rejected by a validator, 2 usage error,
+Arguments are read against one table, ``_COMMANDS``, which also gives
+the help and usage text.  Only ``-h`` and words starting with ``--`` are
+options, so ``series -t^2`` works; an option may be named by a unique
+prefix, written ``--opt value`` or ``--opt=value``, and put before or after
+the positional, and its last repeat wins.  The word after ``--`` is the
+positional whatever it looks like.  ``-h``/``--help`` works per command.
+
+Exit codes: 0 success, 1 input rejected by a validator, 2 usage error
+(``usage error: <message>``, and for a malformed argv the usage line),
 3 internal error (reported as ``internal error[<category>]: <message>``;
 no traceback is printed), 141 with no message if stdout closes early.
 JSON output is stable and versioned via a top-level schema_version field;
@@ -19,13 +27,12 @@ table and JSON outputs always encode the same numbers.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .cohomology import NoInvolutionError, eigen_table
@@ -39,63 +46,6 @@ SCHEMA_VERSION = 1
 # degree below --max-degree, so larger values are refused.
 J_MAX_LIMIT = 10_000
 SERIES_MAX_DEGREE = 100_000
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args does not
-    change it."""
-    parser = argparse.ArgumentParser(
-        prog="loopinv",
-        description="Exact involution eigenspace tables for free loop space "
-        "equivariant cohomology and stable pseudoisotopy.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_space=False, limit=""):
-        p.add_argument(
-            "--max-degree",
-            type=int,
-            default=40,
-            help=f"truncation cap; degrees below this are computed (default 40, minimum 4{limit})",
-        )
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        if with_space:
-            p.add_argument("--space", choices=("base", "loop", "borel"), default="borel")
-
-    p = sub.add_parser("validate", help="parse and validate a model file")
-    p.add_argument("model", help="path to a model file")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = sub.add_parser("cohomology", help="cochain dimensions and betti numbers")
-    p.add_argument("model")
-    add_common(p, with_space=True)
-
-    p = sub.add_parser("eigen", help="betti numbers with the eigenspace split")
-    p.add_argument("model")
-    add_common(p, with_space=True)
-
-    p = sub.add_parser("pseudoisotopy", help="pseudoisotopy/A-theory dimension table")
-    p.add_argument("model")
-    add_common(p)
-    p.add_argument(
-        "--assume-compact",
-        action="store_true",
-        help="record that the model is asserted to come from a compact "
-        "manifold (the formulas are only meaningful in that case)",
-    )
-
-    p = sub.add_parser("bfk", help="enumerate nontrivial metric-space degrees")
-    p.add_argument("--d", type=int, required=True, help="half the sphere dimension, d >= 2")
-    j_help = f"largest odd index to enumerate (default 5, at most {J_MAX_LIMIT})"
-    p.add_argument("--j-max", type=int, default=5, help=j_help)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = sub.add_parser("series", help="expand a closed-form series expression")
-    p.add_argument("expr", help="e.g. '1/(1-t^4) + t^12/(1-t^12)'")
-    add_common(p, limit=f", at most {SERIES_MAX_DEGREE}")
-    return parser
 
 
 def _load_model(path_str: str, out_err):
@@ -206,32 +156,137 @@ def _cmd_series(args, out, err) -> int:
     return _write(args, out, payload, rows, ["n", "coeff"])
 
 
+_FORMAT = ("--format", ("table", "json"), "table", "output format")
+_SPACE = ("--space", ("base", "loop", "borel"), "borel", "the space whose cohomology is computed")
+_CAP = ("--max-degree", int, 40, "truncation cap; degrees below this are computed, minimum 4")
+_COMPACT = ("--assume-compact", bool, False, "attest that the model comes from a compact "
+            "manifold, the only case the formulas describe")
+_MODEL = ("model", "path to a model file")
+_DEGREES = [_CAP, _FORMAT, _SPACE]
+# command -> (handler, summary, positional (name, help) or (), options); an option
+# is (flag, int | tuple of choices | bool, default or None if required, help)
+_COMMANDS = {
+    "validate": (_cmd_validate, "parse and validate a model file", _MODEL, [_FORMAT]),
+    "cohomology": (_cmd_degrees, "cochain dimensions and betti numbers", _MODEL, _DEGREES),
+    "eigen": (_cmd_degrees, "betti numbers with the eigenspace split", _MODEL, _DEGREES),
+    "pseudoisotopy": (_cmd_pseudoisotopy, "pseudoisotopy/A-theory dimension table", _MODEL, [
+        _CAP, _FORMAT, _COMPACT]),
+    "bfk": (_cmd_bfk, "enumerate nontrivial metric-space degrees", (), [
+        ("--d", int, None, "half the sphere dimension, d >= 2"),
+        ("--j-max", int, 5, f"largest odd index to enumerate, at most {J_MAX_LIMIT}"), _FORMAT]),
+    "series": (_cmd_series, "expand a closed-form series expression", (
+        "expr", "e.g. '1/(1-t^4) + t^12/(1-t^12)'"), [
+        (*_CAP[:3], f"{_CAP[3]}, at most {SERIES_MAX_DEGREE}"), _FORMAT]),
+}
+
+
+def _word(flag, kind, *_) -> str:
+    return flag if kind is bool else f"{flag} {'N' if kind is int else '{' + ','.join(kind) + '}'}"
+
+
+def _usage(command) -> str:
+    """The usage line of ``command``, or of the program if it is None."""
+    if command is None:
+        return f"usage: loopinv [-h] [--version] {{{','.join(_COMMANDS)}}} ..."
+    _, _, positional, options = _COMMANDS[command]
+    words = [_word(*o) if o[2] is None else f"[{_word(*o)}]" for o in options]
+    return " ".join(["usage: loopinv", command, "[-h]", *words, *positional[:1]])
+
+
+def _help(command) -> str:
+    """The usage line, a summary, then each argument with its help."""
+    if command is None:
+        about = ("Exact involution eigenspace tables for free loop space equivariant "
+                 "cohomology and stable pseudoisotopy.")
+        rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
+        rows.append(("--version", "print the version and exit"))
+    else:
+        _, about, positional, options = _COMMANDS[command]
+        rows = [positional] if positional else []
+        for flag, kind, default, text in options:
+            when = f"default {'off' if kind is bool else default}"
+            rows.append((_word(flag, kind), f"{text} ({'required' if default is None else when})"))
+    rows.append(("-h, --help", "print this help and exit"))
+    lines = [_usage(command), "", about, "", *(f"  {a}\n      {b}" for a, b in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv):
+    """Read ``argv`` against ``_COMMANDS`` by the rules of the module
+    docstring: the arguments, or the text of ``--help`` or ``--version``.
+    A malformed ``argv`` raises ValueError with the reason and usage line."""
+    tokens, extras, command, options = list(argv), [], None, [("--version",)]
+    values = {"command": None}
+
+    def fail(message):
+        return ValueError(f"{message}\n{_usage(command)}")
+
+    while tokens:
+        token = tokens.pop(0)
+        if token == "--":
+            if not tokens:
+                break
+            token = tokens.pop(0)
+        elif token == "-h" or token.startswith("--"):
+            name, eq, value = token.partition("=")
+            flags = ["-h", "--help", *(o[0] for o in options)]
+            found = [f for f in flags if f == name] or [f for f in flags if f.startswith(name)]
+            if found in (["-h"], ["--help"]):
+                return _help(command)
+            if found == ["--version"]:
+                return f"loopinv {__version__}\n"
+            if len(found) != 1:
+                extras.append(token)  # reported at the end, so that a later -h still wins
+                continue
+            flag, kind, _, _ = next(o for o in options if o[0] == found[0])
+            if kind is bool and eq:
+                raise fail(f"{flag} takes no value")
+            if not (kind is bool or eq or tokens):
+                raise fail(f"{flag} needs a value")
+            value = True if kind is bool else value if eq else tokens.pop(0)
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise fail(f"{flag} needs an integer, not {value!r}") from None
+            elif kind is not bool and value not in kind:
+                raise fail(f"{flag} must be one of {', '.join(kind)}, not {value!r}")
+            values[flag] = value
+            continue
+        if command is None:
+            if token not in _COMMANDS:
+                raise fail(f"unknown command {token!r}")
+            command, (_, _, positional, options) = token, _COMMANDS[token]
+            values = {"command": command, **{o[0]: o[2] for o in options}}
+            values.update(dict.fromkeys(positional[:1]))
+        elif positional and values[positional[0]] is None:
+            values[positional[0]] = token
+        else:
+            extras.append(token)
+    missing = [name for name, value in values.items() if value is None]
+    if missing:
+        raise fail(f"missing {' '.join(missing)}")
+    if extras:
+        raise fail(f"unrecognized arguments: {' '.join(extras)}")
+    args = SimpleNamespace(**{name.lstrip("-").replace("-", "_"): v for name, v in values.items()})
+    if getattr(args, "max_degree", 4) < 4:
+        raise ValueError("--max-degree must be >= 4")
+    if command == "series" and args.max_degree > SERIES_MAX_DEGREE:
+        raise ValueError(f"--max-degree must be <= {SERIES_MAX_DEGREE}")
+    if getattr(args, "j_max", 0) > J_MAX_LIMIT:
+        raise ValueError(f"--j-max must be <= {J_MAX_LIMIT}")
+    return args
+
+
 def main(argv=None) -> int:
     out, err = sys.stdout, sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if getattr(args, "max_degree", None) is not None and args.max_degree < 4:
-        print("usage error: --max-degree must be >= 4", file=err)
-        return 2
-    if args.command == "series" and args.max_degree > SERIES_MAX_DEGREE:
-        print(f"usage error: --max-degree must be <= {SERIES_MAX_DEGREE}", file=err)
-        return 2
-    if getattr(args, "j_max", 0) > J_MAX_LIMIT:
-        print(f"usage error: --j-max must be <= {J_MAX_LIMIT}", file=err)
-        return 2
-    handlers = {
-        "validate": _cmd_validate,
-        "cohomology": _cmd_degrees,
-        "eigen": _cmd_degrees,
-        "pseudoisotopy": _cmd_pseudoisotopy,
-        "bfk": _cmd_bfk,
-        "series": _cmd_series,
-    }
-    try:
-        code = handlers[args.command](args, out, err)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # the text of --help or --version
+            out.write(args)
+            code = 0
+        else:
+            code = _COMMANDS[args.command][0](args, out, err)
         out.flush()  # a closed stdout raises here, not in the flush at exit
         return code
     except BrokenPipeError:  # the rest goes to os.devnull, so the final flush cannot fail

@@ -245,6 +245,119 @@ def test_unknown_command_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, canonical",
+    [
+        (["eigen", S2, "--max", "6"], ["eigen", S2, "--max-degree", "6"]),
+        (["eigen", S2, "--m", "5"], ["eigen", S2, "--max-degree", "5"]),
+        (["validate", S2, "--form", "json"], ["validate", S2, "--format", "json"]),
+        (["eigen", "--max-degree=6", S2], ["eigen", S2, "--max-degree", "6"]),
+        (["eigen", S2, "--max-degree", "8", "--max-degree", "6"], ["eigen", S2, "--max-degree", "6"]),
+        (
+            ["pseudoisotopy", "--assume-compact", S2, "--max-degree", "8"],
+            ["pseudoisotopy", S2, "--max-degree", "8", "--assume-compact"],
+        ),
+        (["bfk", "--d=2"], ["bfk", "--d", "2"]),
+        (["eigen", S2, "--bogus", "-h"], ["eigen", "-h"]),  # help wins over an unknown option
+    ],
+    ids=[
+        "prefix-max",
+        "prefix-m",
+        "prefix-form",
+        "equals-first",
+        "repeat",
+        "flag-first",
+        "d-equals",
+        "help-after-unknown",
+    ],
+)
+def test_argv_forms_match_the_canonical_argv(capsys, argv, canonical):
+    code, out, err = run(capsys, *canonical)
+    assert (code, err) == (0, "") and out
+    assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        ([], None),
+        (["frobnicate"], None),
+        (["eigen", S2, "--bogus"], "eigen"),
+        (["eigen", S2, "--max-degree"], "eigen"),
+        (["eigen", S2, "--max-degree", "x"], "eigen"),
+        (["eigen", S2, "--format", "xml"], "eigen"),
+        (["eigen"], "eigen"),
+        (["bfk", "--j-max", "3"], "bfk"),
+        (["eigen", S2, "extra"], "eigen"),
+        (["validate", S2, "--space", "loop"], "validate"),
+        (["pseudoisotopy", S2, "--assume-compact=yes"], "pseudoisotopy"),
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "unknown-option",
+        "missing-value",
+        "not-an-int",
+        "bad-choice",
+        "missing-model",
+        "missing-d",
+        "extra-positional",
+        "option-of-another-command",
+        "value-on-a-flag",
+    ],
+)
+def test_malformed_argv_is_a_usage_error_with_the_usage_line(capsys, argv, command):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+    usage = f"usage: loopinv {command} [-h]" if command else "usage: loopinv [-h] [--version]"
+    assert err.splitlines()[1].startswith(usage)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["series", "-t^2", "--max-degree", "5"], ["series", "--", "-t^2", "--max-degree", "5"]],
+    ids=["bare", "after-double-dash"],
+)
+def test_series_expression_may_start_with_a_minus(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert [line.split()[1] for line in out.splitlines()[1:]] == ["0", "0", "-1", "0", "0"]
+
+
+HELP_DEFAULTS = {
+    "validate": {"--format": "default table"},
+    "cohomology": {"--max-degree": "default 40", "--format": "default table", "--space": "default borel"},
+    "eigen": {"--max-degree": "default 40", "--format": "default table", "--space": "default borel"},
+    "pseudoisotopy": {
+        "--max-degree": "default 40",
+        "--format": "default table",
+        "--assume-compact": "default off",
+    },
+    "bfk": {"--d": "required", "--j-max": "default 5", "--format": "default table"},
+    "series": {"--max-degree": "default 40", "--format": "default table"},
+}
+
+
+def test_help_names_every_command_and_option_with_its_default(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: loopinv ")
+    listed = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+    assert set(HELP_DEFAULTS) <= listed
+    for command, defaults in HELP_DEFAULTS.items():
+        for flag in ("-h", "--help"):
+            code, out, err = run(capsys, command, flag)
+            assert (code, err) == (0, ""), command
+            lines = out.splitlines()
+            assert lines[0].startswith(f"usage: loopinv {command} ")
+            for option, default in defaults.items():
+                at = [i for i, line in enumerate(lines) if line.split()[:1] == [option]]
+                assert len(at) == 1, (command, option)
+                assert lines[at[0] + 1].endswith(f"({default})"), (command, option)
+    assert run(capsys, "--version") == (0, "loopinv 0.1.0\n", "")
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     outputs = []
     for _ in range(2):
@@ -287,6 +400,9 @@ def test_successive_calls_match_fresh_interpreters(capsys):
     [
         ["eigen", S2, "--max-degree", "400"],  # more than a pipe buffer: the write fails
         ["validate", S2, "--format", "json"],  # buffered: the flush fails
+        ["--help"],
+        ["--version"],
+        ["eigen", "--help"],
     ],
 )
 def test_closed_stdout_exits_141_and_prints_nothing(argv):
@@ -303,7 +419,7 @@ def test_closed_stdout_exits_141_and_prints_nothing(argv):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_loads_no_argparse_gettext_locale_dataclasses_or_inspect():
     src = str(Path(loopinv.cli.__file__).resolve().parents[1])
 
     def modules(code):
@@ -315,8 +431,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = modules(f"import sys; sys.path.insert(0, {src!r}); import loopinv.cli")
     added -= modules("import sys")
     assert "loopinv.cli" in added
-    assert not added & {"dataclasses", "inspect"}, sorted(added)
-
+    assert not added & {"argparse", "gettext", "locale", "dataclasses", "inspect"}, sorted(added)
 
 
 # Golden bytes: (case, argv, exit code, stderr), with stdout in
