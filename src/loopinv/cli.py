@@ -37,7 +37,7 @@ from types import SimpleNamespace
 from . import __version__
 from .cohomology import NoInvolutionError, eigen_table
 from .curvature import enumerate_pairs
-from .models import ModelError, base_dga, borel_model, loop_model, parse_model
+from .models import ModelError, borel_model, loop_model, parse_model
 from .pseudoisotopy import NegativeDimensionError, pseudoisotopy_table
 from .series import SeriesExprError, parse_expr
 
@@ -49,12 +49,14 @@ SERIES_MAX_DEGREE = 100_000
 
 
 def _load_model(path_str: str, out_err):
+    """The model in a file, with its warnings on ``out_err``; ValueError if unreadable."""
+    if not path_str:  # Path("") would be the current directory
+        raise ValueError("cannot read model file '': the path is empty")
     path = Path(path_str)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"usage error: cannot read model file {path}: {exc}", file=out_err)
-        return None
+        raise ValueError(f"cannot read model file {path}: {exc}") from None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = parse_model(text)
@@ -82,8 +84,6 @@ def _write(args, out, payload: dict, rows: list[dict], headers: list[str], err=N
 
 def _cmd_validate(args, out, err) -> int:
     model = _load_model(args.model, err)
-    if model is None:
-        return 2
     gens = model.algebra.generators
     diffs = {name: str(value) for name, value in model.differential.items()}
     if args.format == "table":
@@ -99,10 +99,9 @@ def _cmd_validate(args, out, err) -> int:
 
 def _cmd_degrees(args, out, err) -> int:
     model = _load_model(args.model, err)
-    if model is None:
-        return 2
     # Looked up per call, so that a wrapper bound to one of these names is seen.
-    space = {"base": base_dga, "loop": loop_model, "borel": borel_model}[args.space](model)
+    build = {"loop": loop_model, "borel": borel_model}.get(args.space)  # base is the model
+    space = build(model) if build else model
     want_eigen = args.command == "eigen"
     if want_eigen and not space.involution:
         raise NoInvolutionError(f"space '{args.space}' carries no involution; use --space borel")
@@ -123,8 +122,6 @@ def _cmd_degrees(args, out, err) -> int:
 
 def _cmd_pseudoisotopy(args, out, err) -> int:
     model = _load_model(args.model, err)
-    if model is None:
-        return 2
     table = pseudoisotopy_table(model, args.max_degree)
     headers = ["i", "invP_plus", "invP_minus", "invA_plus", "invA_minus"]
     rows = [{h: getattr(r, h) for h in headers} for r in table.rows]

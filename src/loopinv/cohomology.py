@@ -13,8 +13,8 @@ elimination never mixes columns of different weights, whose rows are
 disjoint, so ranking a block whole costs no more than weight by weight.
 
 The ranks are taken along multiplication by g, the model's closed even
-generator of lowest degree (``DgaModel.closed``; alpha in a Borel
-model).  Since D(g m) = g D(m), multiplication by g is an injective
+generator of lowest degree, which ``build_layout`` picks (alpha in a
+Borel model).  Since D(g m) = g D(m), multiplication by g is an injective
 chain map, and the columns of block p in degree n that carry a factor g
 are g times the columns of its predecessor, the block p - weight(g)
 (mod 2) in degree n - deg g.  Rows are keyed by the packed code of the
@@ -161,8 +161,9 @@ class Layout(NamedTuple):
 
 
 def build_layout(model: DgaModel, top: int) -> Layout:
-    """The g-free layout of a model through degree ``top``, with g =
-    ``model.closed``, and its packed differential.
+    """The g-free layout of a model through degree ``top`` and its packed
+    differential, where g is the even generator with zero differential of
+    lowest degree (the first one on ties), or None.
 
     One pass over the generators other than g yields the g-free
     monomials of every degree in ascending lexicographic order, each as
@@ -172,8 +173,10 @@ def build_layout(model: DgaModel, top: int) -> Layout:
     predecessor's plus its number of g-free monomials.  Without g every
     monomial is g-free and nothing is chained."""
     gens = model.algebra.generators
-    g = model.closed
-    fields = _fields(model, top)
+    closed = [i for i, (x, v) in enumerate(zip(gens, model.differential.values()))
+              if x.degree % 2 == 0 and not v]
+    g = min(closed, key=lambda i: gens[i].degree, default=None)
+    fields = _fields(model, top, g)
     deg = fields[-1]
     # (code, parity) of every g-free monomial through degree top, with top
     # less its degree in the degree field; the first generator varies slowest
@@ -201,23 +204,22 @@ def build_layout(model: DgaModel, top: int) -> Layout:
             level[p] = level.get(p, 0) + len(codes)
         dims.append(level)
     free_codes = tuple({p: tuple(codes) for p, codes in split.items()} for split in found)
-    return Layout(top, fields, g_step, tuple(dims), free_codes, _packed_terms(model, fields))
+    return Layout(top, fields, g_step, tuple(dims), free_codes, _packed_terms(model, fields, g))
 
 
-def _fields(model: DgaModel, top: int) -> tuple[int, ...]:
-    """``Layout.fields`` for a layout through degree ``top``."""
+def _fields(model: DgaModel, top: int, g: Optional[int]) -> tuple[int, ...]:
+    """``Layout.fields`` through degree ``top``, with an empty field for g."""
     width = [
-        0 if i == model.closed else 1 if d % 2 else max(1, (top // d).bit_length())
+        0 if i == g else 1 if d % 2 else max(1, (top // d).bit_length())
         for i, (_, d) in enumerate(model.algebra.generators)
     ]
     return tuple(accumulate(width, initial=0))
 
 
-def _packed_terms(model: DgaModel, fields: tuple[int, ...]):
+def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int]):
     """``Layout.terms`` for the given fields.  g, even and closed, has no
     entry, and its factors in a term change the g-free degree, not the code."""
     gens = model.algebra.generators
-    g = model.closed
     values = [v.terms for v in model.differential.values()]
     odd = [x.degree % 2 == 1 for x in gens]
     scale = lcm(*(c.denominator for value in values for c in value.values()))
@@ -289,30 +291,28 @@ def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
     """The first generator x with D(D(x)) != 0, with that residual, or
     None; D∘D is a derivation, so it vanishes once it does on generators.
     D is applied twice by ``integral_columns`` on codes through the largest
-    generator degree + 2, so the residual carries L^2, and as it has degree
-    deg x + 2, the degree field of a row gives the exponent of g."""
+    generator degree + 2 that pack every generator (no g), so the residual
+    carries L^2 and each of its monomials is the fields of its code."""
     gens = model.algebra.generators
     top = max((x.degree for x in gens), default=0) + 2
-    fields = _fields(model, top)
+    fields = _fields(model, top, None)
     deg = fields[-1]
-    table = _packed_terms(model, fields)
+    table = _packed_terms(model, fields, None)
     values = [v.terms for v in model.differential.values()]
     square = lcm(*(c.denominator for value in values for c in value.values())) ** 2
     for i, x in enumerate(gens):
         if not values[i]:
-            continue  # g, whose field is empty, is one of these
+            continue
         (once,) = integral_columns(table, [(1 << fields[i]) + ((top - x.degree) << deg)])
         twice: dict[int, int] = {}
         for v, column in zip(once.values(), integral_columns(table, once)):
             for row, c in column.items():
                 twice[row] = twice.get(row, 0) + v * c
-        terms = {}
-        for code, v in twice.items():
-            g_degree = x.degree + 2 - (top - (code >> deg))  # less the g-free degree
-            mono = [(code >> lo) & ((1 << (hi - lo)) - 1) for lo, hi in zip(fields, fields[1:])]
-            if model.closed is not None:
-                mono[model.closed] = g_degree // gens[model.closed].degree
-            terms[tuple(mono)] = Fraction(v, square)
+        terms = {
+            tuple(code >> lo & ((1 << (hi - lo)) - 1) for lo, hi in zip(fields, fields[1:])):
+            Fraction(v, square)
+            for code, v in twice.items()
+        }
         residual = Polynomial(model.algebra, terms)
         if residual:
             return x.name, residual

@@ -94,16 +94,11 @@ class DgaModel(Value):
     The differential must preserve the weight, so it commutes with the
     involution, and the cochain complex is the direct sum of the
     subcomplexes spanned by the monomials of one block, keyed by weight.
-
-    ``closed`` is the index of g, the even generator with zero
-    differential of lowest degree (the first one on ties), or None; in a
-    Borel model g is alpha.  ``cohomology.build_layout`` packs the
-    g-free monomials into integer codes and lays each block's basis out
-    along multiplication by g.  ``closed`` is left out of == and repr.
+    == and repr read all four fields; ``cohomology.build_layout`` picks
+    the generator g that the cohomology is ranked along.
     """
 
-    _fields = ("algebra", "differential", "involution", "weights")
-    __slots__ = _fields + ("closed",)
+    __slots__ = _fields = ("algebra", "differential", "involution", "weights")
 
     def __init__(
         self,
@@ -126,8 +121,6 @@ class DgaModel(Value):
         if len(weights) != len(gens):
             raise ValueError(f"need {len(gens)} generator weights, got {len(weights)}")
         super().__init__(algebra, d, involution, weights)
-        closed = [i for i, (x, v) in enumerate(zip(gens, d.values())) if x.degree % 2 == 0 and not v]
-        object.__setattr__(self, "closed", min(closed, key=lambda i: gens[i].degree, default=None))
         violation = square_zero_residual(self)
         if violation is not None:
             name, residual = violation
@@ -175,10 +168,6 @@ class MinimalModel(DgaModel):
                     ),
                     stacklevel=2,
                 )
-
-    @classmethod
-    def empty(cls) -> "MinimalModel":
-        return cls(GradedAlgebra(()), {})
 
 
 # ---------------------------------------------------------------------
@@ -389,7 +378,7 @@ def parse_model(text: str) -> MinimalModel:
 
 
 # ---------------------------------------------------------------------
-# loop, Borel and point models
+# loop and Borel models
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -473,15 +462,3 @@ def borel_model(model: MinimalModel) -> DgaModel:
     instead of returning a corrupt model.
     """
     return _free_loop(model, True)
-
-
-def point_borel_model() -> DgaModel:
-    """Borel model of the one-point space: Lambda(alpha), zero
-    differential, involution alpha -> -alpha."""
-    return borel_model(MinimalModel.empty())
-
-
-def base_dga(model: MinimalModel) -> DgaModel:
-    """The minimal model itself, a DgaModel with no involution whose gate
-    ran when it was built."""
-    return model

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .algebra import Value
 from .cohomology import eigen_table
-from .models import MinimalModel, base_dga, borel_model
+from .models import MinimalModel, borel_model
 from .series import TruncatedSeries
 
 
@@ -141,6 +141,6 @@ def pseudoisotopy_table(model: MinimalModel, cap: int) -> PseudoisotopyTable:
             )
         rel_plus.append(p)
         rel_minus.append(q)
-    betti_base = [s.betti for s in eigen_table(base_dga(model), cap).slices]
+    betti_base = [s.betti for s in eigen_table(model, cap).slices]
     return PseudoisotopyTable(cap, _assemble_rows(rel_plus, rel_minus, betti_base, cap))
 

@@ -10,7 +10,7 @@ from functools import partial
 from loopinv.cli import main
 from loopinv.cohomology import eigen_table
 from loopinv.curvature import KernelBoundInputs, enumerate_pairs, kernel_lower_bound
-from loopinv.models import borel_model, point_borel_model
+from loopinv.models import borel_model, parse_model
 from loopinv.pseudoisotopy import pseudoisotopy_table
 from loopinv.series import RationalExpr, algebra_generating_function, equals_expr
 from support import (
@@ -99,7 +99,7 @@ def test_criterion_4_bfk_enumeration(capsys):
 
 def test_criterion_5_point_model():
     cap = 16
-    table = eigen_table(point_borel_model(), cap)
+    table = eigen_table(borel_model(parse_model("")), cap)
     ok = True
     for n in range(cap):
         s = table.slice(n)

@@ -320,10 +320,9 @@ _FRACTIONS = st.builds(
 @st.composite
 def differentials(draw):
     """A random shift +1 derivation (square-zero or not) with rational
-    coefficients on a random algebra with odd and even generators, and the
-    generator that the packed codes leave out: None or any even generator
-    with zero value (DgaModel picks the lowest; the gate needs only that
-    it is even and closed)."""
+    coefficients on a random algebra with odd and even generators, often
+    with an even generator of zero value (the g of a cohomology layout,
+    which the gate packs like any other generator)."""
     degrees = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
     alg = GradedAlgebra([(f"g{i}", d) for i, d in enumerate(degrees)])
     values = {}
@@ -333,28 +332,24 @@ def differentials(draw):
             basis = ()  # a closed even generator, so that g often exists
         picked = draw(st.lists(st.sampled_from(basis), max_size=4, unique=True)) if basis else []
         values[g.name] = alg.poly({m: draw(_FRACTIONS) for m in picked})
-    closed = [i for i, g in enumerate(alg.generators) if g.degree % 2 == 0 and not values[g.name]]
-    return Derivation(alg, 1, values), draw(st.sampled_from(closed + [None]))
+    return Derivation(alg, 1, values)
 
 
-# d^2(c) = 1/6 a^3 with L = 6: the residual is a power of g alone, so its
-# exponent comes from the degree field, and its coefficient is 6 / L^2
+# d^2(c) = 1/6 a^3 with L = 6: the residual is a power of the closed even
+# a alone, whose exponent comes from a's own field, and its coefficient
+# is 6 / L^2
 _ALG_ABC = GradedAlgebra([("a", 2), ("b", 3), ("c", 4)])
 _A, _B = _ALG_ABC.gen("a"), _ALG_ABC.gen("b")
-_POWER_OF_G = (
-    Derivation(_ALG_ABC, 1, {"b": _A * _A * Fraction(1, 2), "c": _A * _B * Fraction(1, 3)}),
-    0,
+_POWER_OF_G = Derivation(
+    _ALG_ABC, 1, {"b": _A * _A * Fraction(1, 2), "c": _A * _B * Fraction(1, 3)}
 )
 # d^2(z) = 3/4 d(y*a) = -3/4 y*x = 3/4 x*y: the second application of D
 # puts x after the odd y, and reordering them is a Koszul sign
 _ALG_XYZ = GradedAlgebra([("x", 3), ("y", 3), ("a", 2), ("z", 4)])
-_KOSZUL = (
-    Derivation(
-        _ALG_XYZ,
-        1,
-        {"a": _ALG_XYZ.gen("x"), "z": _ALG_XYZ.gen("y") * _ALG_XYZ.gen("a") * Fraction(3, 4)},
-    ),
-    None,
+_KOSZUL = Derivation(
+    _ALG_XYZ,
+    1,
+    {"a": _ALG_XYZ.gen("x"), "z": _ALG_XYZ.gen("y") * _ALG_XYZ.gen("a") * Fraction(3, 4)},
 )
 
 
@@ -362,17 +357,15 @@ _KOSZUL = (
 @given(differentials())
 @example(_POWER_OF_G)
 @example(_KOSZUL)
-def test_square_zero_gate_matches_the_product_route(dc):
-    d, closed = dc
-    model = SimpleNamespace(algebra=d.algebra, differential=d.values, closed=closed)
+def test_square_zero_gate_matches_the_product_route(d):
+    model = SimpleNamespace(algebra=d.algebra, differential=d.values)
     assert square_zero_residual(model) == check_differential(d)
 
 
 @settings(max_examples=100, deadline=None)
 @given(differentials())
 @example(_POWER_OF_G)
-def test_dga_model_refuses_what_the_product_route_refuses(dc):
-    d, _ = dc
+def test_dga_model_refuses_what_the_product_route_refuses(d):
     violation = check_differential(d)
     if violation is None:
         assert DgaModel(d.algebra, d.values).differential == d.values

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -228,10 +229,18 @@ def test_validate_simple_connectivity(capsys, tmp_path):
     assert "SimpleConnectivity" in err
 
 
-def test_missing_model_file_is_usage_error(capsys, tmp_path):
-    code, _, err = run(capsys, "validate", str(tmp_path / "nope.model"))
-    assert code == 2
-    assert "usage error" in err
+@pytest.mark.parametrize("kind", ["missing", "directory", "empty"])
+@pytest.mark.parametrize("command", ["validate", "eigen", "pseudoisotopy"])
+def test_missing_model_file_is_usage_error(capsys, tmp_path, command, kind):
+    if kind == "empty":  # not read as the current directory
+        path, reason = "", "the path is empty"
+    else:
+        path = str(tmp_path / "nope.model") if kind == "missing" else str(tmp_path)
+        number = errno.ENOENT if kind == "missing" else errno.EISDIR
+        reason = f"[Errno {number}] {os.strerror(number)}: {path!r}"
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: cannot read model file {path or repr(path)}: {reason}\n"
 
 
 def test_max_degree_minimum(capsys):

@@ -3,7 +3,7 @@ import pytest
 import loopinv.cohomology
 import loopinv.linalg
 from loopinv.cohomology import NoInvolutionError, build_layout, cochain_matrix, eigen_table
-from loopinv.models import base_dga, borel_model, loop_model, point_borel_model
+from loopinv.models import borel_model, loop_model, parse_model
 from loopinv.series import RationalExpr, algebra_generating_function, equals_expr
 from support import (
     QMatrix,
@@ -126,13 +126,13 @@ def test_betti_borel_d2(borel_d2):
 
 
 def test_betti_point_model():
-    point = point_borel_model()
+    point = borel_model(parse_model(""))
     values = [s.betti for s in eigen_table(point, 9).slices]
     assert values == [1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
 def test_betti_two_sphere_base():
-    base = base_dga(load_model("s2.model"))
+    base = load_model("s2.model")
     values = [s.betti for s in eigen_table(base, 7).slices]
     assert values == [1, 0, 1, 0, 0, 0, 0]
 
@@ -167,7 +167,7 @@ def test_induced_involution_squares_to_identity(borel_d2):
 
 
 def test_induced_involution_requires_involution():
-    base = base_dga(load_model("s2.model"))
+    base = load_model("s2.model")
     with pytest.raises(NoInvolutionError):
         induced_involution(base, 2)
 
@@ -201,13 +201,13 @@ def test_eigen_table_matches_closed_forms(borel_d2):
 
 
 def test_eigen_table_point_model():
-    table = eigen_table(point_borel_model(), 9)
+    table = eigen_table(borel_model(parse_model("")), 9)
     assert [s.inv_plus for s in table.slices] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
     assert [s.inv_minus for s in table.slices] == [0, 0, 1, 0, 0, 0, 1, 0, 0]
 
 
 def test_eigen_table_without_involution_has_no_split():
-    table = eigen_table(base_dga(load_model("s2.model")), 6)
+    table = eigen_table(load_model("s2.model"), 6)
     assert not table.has_eigen_data
     assert all(s.inv_plus is None for s in table.slices)
     with pytest.raises(NoInvolutionError):
@@ -231,7 +231,7 @@ def test_reduced_minus_series_from_computed_tables(borel_d2):
     # subtracting the computed one-point table from the computed absolute
     # table leaves t^6/(1-t^12)
     absolute = eigen_table(borel_d2, 21)
-    point = eigen_table(point_borel_model(), 21)
+    point = eigen_table(borel_model(parse_model("")), 21)
     reduced = absolute.inv_minus_series() - point.inv_minus_series()
     assert equals_expr(reduced, RationalExpr.geometric(6, 12))
     reduced_plus = absolute.inv_plus_series() - point.inv_plus_series()

@@ -15,13 +15,11 @@ from loopinv.models import (
     NotMinimalWarning,
     NotSquareZeroError,
     SimpleConnectivityError,
-    base_dga,
     borel_model,
     loop_model,
     parse_model,
-    point_borel_model,
 )
-from support import differential, involution_map, load_model, product_derivation
+from support import MODELS_DIR, differential, involution_map, load_model, product_derivation
 
 
 def test_parse_single_generator():
@@ -223,7 +221,7 @@ def test_borel_avoids_name_collisions():
 
 
 def test_point_borel_model():
-    point = point_borel_model()
+    point = borel_model(parse_model(""))
     assert point.algebra.names == ("alpha",)
     assert not point.differential["alpha"]
     assert point.involution is True
@@ -231,16 +229,16 @@ def test_point_borel_model():
     assert involution_map(point).of_generator("alpha") == point.algebra.gen("alpha").scale(-1)
 
 
-def test_parses_of_one_text_are_equal_and_base_dga_is_the_model():
+def test_parses_of_one_text_are_equal():
     text = "gen a 2\ngen b 3\nd b = a^2\n"
     m = parse_model(text)
     assert m == parse_model(text)
     assert m != parse_model("gen a 2\ngen b 3\n")
-    assert base_dga(m) is m
 
 
 def test_base_dga_has_no_involution():
-    base = base_dga(load_model("s2.model"))
+    # the base space of the CLI is the minimal model itself
+    base = load_model("s2.model")
     assert base.involution is False
     assert base.algebra.names == ("a", "b")
 
@@ -281,7 +279,7 @@ def test_builders_set_generator_weights():
     m = load_model("s2.model")
     assert loop_model(m).weights == (0, 1, 0, 1)
     assert borel_model(m).weights == (-1, 0, 1, 0, 1)
-    assert base_dga(m).weights == (0, 0)
+    assert m.weights == (0, 0)
 
 
 def _count_gate_calls(monkeypatch):
@@ -306,12 +304,16 @@ def test_borel_square_zero_gate_runs_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_base_dga_reuses_the_minimal_model_gate(monkeypatch):
+def test_base_dga_reuses_the_minimal_model_gate(monkeypatch, capsys):
+    from loopinv.cli import main
+
     calls = _count_gate_calls(monkeypatch)
-    m = load_model("s2.model")
+    path = str(MODELS_DIR / "s2.model")
+    assert main(["cohomology", path, "--space", "base", "--max-degree", "8"]) == 0
+    capsys.readouterr()
+    # the CLI's base space is the parsed model, so only parse_model's gate runs
     assert len(calls) == 1
-    assert base_dga(m) is m
-    assert len(calls) == 1
+    assert isinstance(calls[0], MinimalModel)
 
 
 def test_pseudoisotopy_table_runs_one_square_zero_gate(monkeypatch):
@@ -359,7 +361,7 @@ def test_minimal_model_refuses_degree_one_before_the_gate():
 
 
 def test_empty_model():
-    m = MinimalModel.empty()
+    m = parse_model("")
     assert m.algebra.names == ()
     borel = borel_model(m)
     assert borel.algebra.names == ("alpha",)

@@ -21,7 +21,7 @@ import pytest
 import support
 from loopinv import cohomology, linalg
 from loopinv.cohomology import build_layout, cochain_matrix, eigen_table
-from loopinv.models import base_dga, borel_model, loop_model, parse_model, point_borel_model
+from loopinv.models import borel_model, loop_model, parse_model
 from loopinv.series import algebra_generating_function
 from support import (
     MODELS_DIR,
@@ -117,28 +117,28 @@ def test_random_sparse_blocks_are_scaled_derivation(index):
 @pytest.mark.parametrize("text, cap", RATIONAL)
 def test_rational_sparse_blocks_are_scaled_derivation(text, cap):
     model = parse_model(text)
-    for dga in (borel_model(model), loop_model(model), base_dga(model)):
+    for dga in (borel_model(model), loop_model(model), model):
         _assert_blocks_are_scaled_derivation(dga, cap)
     _assert_matches_oracle(borel_model(model), cap)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
 def test_bundled_base_tables_match_oracle(name):
-    _assert_matches_oracle(base_dga(load_model(name)), CAP)
+    _assert_matches_oracle(load_model(name), CAP)
 
 
 @pytest.mark.parametrize("index", range(len(RANDOM)))
 def test_random_base_tables_match_oracle(index):
-    _assert_matches_oracle(base_dga(RANDOM[index]), CAP)
+    _assert_matches_oracle(RANDOM[index], CAP)
 
 
 @pytest.mark.parametrize("text, g, cap", CHAIN_SHAPES)
 def test_chain_shapes_match_oracle(text, g, cap):
     model = parse_model(text)
-    base, loop, borel = base_dga(model), loop_model(model), borel_model(model)
-    assert base.closed == g
-    assert borel.closed == 0
-    for dga in (base, loop, borel):
+    loop, borel = loop_model(model), borel_model(model)
+    assert support.closed_index(build_layout(model, cap)) == g
+    assert support.closed_index(build_layout(borel, cap)) == 0
+    for dga in (model, loop, borel):
         _assert_matches_oracle(dga, cap)
         _assert_blocks_are_scaled_derivation(dga, cap)
 
@@ -146,7 +146,7 @@ def test_chain_shapes_match_oracle(text, g, cap):
 @pytest.mark.parametrize("text", [shape[0] for shape in CHAIN_SHAPES + RATIONAL] + [S2_X_S2])
 def test_cochain_dims_are_generating_function(text):
     model = parse_model(text)
-    for dga in (base_dga(model), loop_model(model), borel_model(model)):
+    for dga in (model, loop_model(model), borel_model(model)):
         table = eigen_table(dga, CAP)
         series = algebra_generating_function(dga.algebra, CAP)
         assert [s.cochain_dim for s in table.slices] == [series[n] for n in range(CAP)]
@@ -158,7 +158,7 @@ def _assert_packed_columns_are_tuple_columns(dga, cap):
     support.tuple_columns assembles for the same monomial, with each row
     keyed by the layout code of its g-free part."""
     layout = build_layout(dga, cap)
-    g = dga.closed
+    g = support.closed_index(layout)
 
     def g_free(code):
         mono = decode(layout, code)
@@ -177,7 +177,7 @@ def _assert_packed_columns_are_tuple_columns(dga, cap):
 
 
 def _spaces(model):
-    return borel_model(model), loop_model(model), base_dga(model)
+    return borel_model(model), loop_model(model), model
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
@@ -239,7 +239,7 @@ def _assert_row_keys_are_codes_with_degree(dga, cap):
     blocks."""
     layout = build_layout(dga, cap)
     fields, (step, dw) = layout.fields, layout.g_step
-    alg, g = dga.algebra, dga.closed
+    alg, g = dga.algebra, support.closed_index(layout)
     owner = {}
     for n in range(cap):
         for block in layout.free[n]:
@@ -288,7 +288,7 @@ def test_loop_betti_series_of_a_product_is_the_product(factors, cap):
 
 @pytest.mark.parametrize("factors, cap", [(2, 50), (3, 24)])
 def test_base_betti_series_of_a_product_is_the_product(factors, cap):
-    _assert_betti_series_multiply(base_dga, factors, cap)
+    _assert_betti_series_multiply(lambda model: model, factors, cap)
 
 
 def _assert_gysin_bound(text, cap):
@@ -312,7 +312,8 @@ def test_borel_betti_numbers_of_the_three_fold_product_obey_the_gysin_bound():
 def _assert_reduced_split_is_ker_s(model, cap):
     # the Borel table less the point's, against ker s on the loop model
     # (support.ker_s_split), which builds no Borel model and no packed code
-    table, point = eigen_table(borel_model(model), cap), eigen_table(point_borel_model(), cap)
+    table = eigen_table(borel_model(model), cap)
+    point = eigen_table(borel_model(parse_model("")), cap)
     reduced = [
         (s.inv_plus - p.inv_plus, s.inv_minus - p.inv_minus)
         for s, p in zip(table.slices, point.slices)

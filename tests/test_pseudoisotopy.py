@@ -1,7 +1,7 @@
 import pytest
 
 from loopinv.cohomology import eigen_table
-from loopinv.models import parse_model, point_borel_model
+from loopinv.models import borel_model, parse_model
 from loopinv.pseudoisotopy import (
     NegativeDimensionError,
     PseudoisotopyRow,
@@ -25,7 +25,7 @@ def test_k_theory_correction_pattern():
 
 def test_point_split_is_the_computed_point_table():
     for cap in range(2, 41):
-        table = eigen_table(point_borel_model(), cap)
+        table = eigen_table(borel_model(parse_model("")), cap)
         split = [(s.inv_plus, s.inv_minus) for s in table.slices]
         assert split == [_point_split(n) for n in range(cap)], f"cap {cap}"
 

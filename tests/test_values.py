@@ -151,11 +151,16 @@ def test_fields_cannot_be_assigned_or_deleted(name):
     assert getattr(x, field) == before
 
 
-def test_model_closed_is_left_out_of_equality_and_repr():
-    x = MinimalModel(ALG, {"b": A * A})
-    assert x.closed == 0
-    assert "closed" not in repr(x)
+@pytest.mark.parametrize("name", VALUES)
+def test_slots_are_the_fields(name):
+    cls = type(VALUES[name][0]())
+    slots = [slot for c in cls.__mro__ for slot in c.__dict__.get("__slots__", ())]
+    assert sorted(slots) == sorted(cls._fields)
+
+
+def test_minimal_model_never_equals_a_dga_model():
     # the same fields in the other class are a different value
+    x = MinimalModel(ALG, {"b": A * A})
     assert x != DgaModel(ALG, {"b": A * A})
     assert DgaModel(ALG, {"b": A * A}) != x
 
