@@ -55,7 +55,7 @@ def _load_model(path_str: str, out_err):
     path = Path(path_str)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read model file {path}: {exc}") from None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -14,18 +14,20 @@ disjoint, so ranking a block whole costs no more than weight by weight.
 
 The ranks are taken along multiplication by g, the model's closed even
 generator of lowest degree, which ``build_layout`` picks (alpha in a
-Borel model).  Since D(g m) = g D(m), multiplication by g is an injective
-chain map, and the columns of block p in degree n that carry a factor g
-are g times the columns of its predecessor, the block p - weight(g)
-(mod 2) in degree n - deg g.  Rows are keyed by the packed code of the
-g-free part z of their monomial g^c z, with top - deg z in the top field
-(top is the layout's last degree), which fixes c within one degree, so
-those columns are, row for row, the predecessor's columns, and the
-pivots that ranked the predecessor are already an echelon basis of
-their span.  Each z lies in exactly one chain of blocks, so
-``eigen_table`` keeps one pivot dict for them all.  It assembles only
-the g-free columns of each block (``cochain_matrix``) and reduces them
-into those pivots (rank D^n_p = carried pivots + new pivots), and the
+Borel model).  Since D(g m) = g D(m), multiplication by g is an
+injective chain map, and the columns of block p in degree n that carry a
+factor g are g times the columns of its predecessor, the block p -
+weight(g) (mod 2) in degree n - deg g.  Rows are keyed by the packed
+code of the g-free part z of their monomial g^c z, with top - deg z in
+the top field (top is the cap, the degree of the last rows), which fixes
+c within one degree, so those columns are, row for row, the
+predecessor's columns, and the pivots that ranked the predecessor are
+already an echelon basis of their span.  Each z lies in exactly one
+chain of blocks, so ``eigen_table`` keeps one pivot dict for them all.
+It assembles only the g-free columns of each block
+(``integral_columns``) and reduces them into those pivots (rank D^n_p =
+carried pivots + new pivots); in the same way dim C^n_p is the
+predecessor's dimension plus the number of g-free monomials, and the
 full monomial basis is never enumerated.  A model without such a
 generator takes the same route with nothing carried.
 
@@ -57,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import TYPE_CHECKING, Container, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from . import linalg
 from .algebra import Polynomial, Value
@@ -130,18 +132,17 @@ class EigenTable(Value):
 
 
 class Layout(NamedTuple):
-    """The g-free monomials of a DgaModel through degree ``top`` as packed
-    integer codes, the block dimensions along multiplication by g, and
-    the differential packed for those codes.
+    """The g-free monomials of a DgaModel in degrees 0..top-1 as packed
+    integer codes, and the differential packed for those codes.
 
     Generator i's exponent sits in bits fields[i] .. fields[i + 1] - 1,
     wide enough for every exponent up to degree ``top`` (one bit for an
-    odd generator); g's field is empty.  The bits from fields[-1] up hold
-    top less the monomial's degree, so codes of one degree are contiguous
-    and a higher degree comes first.  ``free[n]`` maps each block (weight
+    odd generator), so that the row codes of degree top fit; g's field is
+    empty.  The bits from fields[-1] up hold top less the monomial's
+    degree, so codes of one degree are contiguous and a higher degree
+    comes first.  ``free[n]``, for n < top, maps each block (weight
     parity) of degree n that has g-free monomials to their codes in basis
-    order, and ``dims[n]`` maps every nonempty block of degree n to its
-    dimension.  ``g_step`` is g's (degree, weight), or (0, 0) without g.
+    order.  ``g_step`` is g's (degree, weight), or (0, 0) without g.
     ``terms`` is the differential as ``integral_columns`` reads it: for
     each generator g_i with a nonzero value, (fields[i], the mask of its
     field, one (step, coefficient, others, signs) per term t of
@@ -155,30 +156,26 @@ class Layout(NamedTuple):
     top: int
     fields: tuple[int, ...]
     g_step: tuple[int, int]
-    dims: tuple[dict[int, int], ...]
     free: tuple[dict[int, tuple[int, ...]], ...]
     terms: tuple[tuple[int, int, tuple[tuple[int, int, int, int], ...]], ...]
 
 
 def build_layout(model: DgaModel, top: int) -> Layout:
-    """The g-free layout of a model through degree ``top`` and its packed
+    """The g-free layout of a model below degree ``top`` and its packed
     differential, where g is the even generator with zero differential of
     lowest degree (the first one on ties), or None.
 
     One pass over the generators other than g yields the g-free
-    monomials of every degree in ascending lexicographic order, each as
-    a packed code with its weight parity.  Multiplication by g is
-    injective and maps block p of degree n into block p + weight(g)
-    (mod 2) of degree n + deg g, so a block's dimension is its
-    predecessor's plus its number of g-free monomials.  Without g every
-    monomial is g-free and nothing is chained."""
+    monomials of every degree below top in ascending lexicographic order,
+    each as a packed code with its weight parity.  Without g every
+    monomial is g-free."""
     gens = model.algebra.generators
     closed = [i for i, (x, v) in enumerate(zip(gens, model.differential.values()))
               if x.degree % 2 == 0 and not v]
     g = min(closed, key=lambda i: gens[i].degree, default=None)
     fields = _fields(model, top, g)
     deg = fields[-1]
-    # (code, parity) of every g-free monomial through degree top, with top
+    # (code, parity) of every g-free monomial below degree top, with top
     # less its degree in the degree field; the first generator varies slowest
     monos = [(top << deg, 0)]
     for i in reversed([i for i in range(len(gens)) if i != g]):
@@ -188,23 +185,14 @@ def build_layout(model: DgaModel, top: int) -> Layout:
             (code + e * unit, (parity + e * w) % 2)
             for e in range(2 if d % 2 else top // d + 1)
             for code, parity in monos
-            if e * d <= code >> deg
+            if e * d < code >> deg
         ]
-    found: list[dict[int, list[int]]] = [{} for _ in range(top + 1)]
+    found: list[dict[int, list[int]]] = [{} for _ in range(top)]
     for code, parity in monos:
         found[top - (code >> deg)].setdefault(parity, []).append(code)
     g_step = (gens[g].degree, model.weights[g]) if g is not None else (0, 0)
-    step, dw = g_step
-    dims: list[dict[int, int]] = []
-    for n, split in enumerate(found):
-        level = {}
-        if step and n >= step:
-            level = {(p + dw) % 2: dim for p, dim in dims[n - step].items()}
-        for p, codes in split.items():
-            level[p] = level.get(p, 0) + len(codes)
-        dims.append(level)
     free_codes = tuple({p: tuple(codes) for p, codes in split.items()} for split in found)
-    return Layout(top, fields, g_step, tuple(dims), free_codes, _packed_terms(model, fields, g))
+    return Layout(top, fields, g_step, free_codes, _packed_terms(model, fields, g))
 
 
 def _fields(model: DgaModel, top: int, g: Optional[int]) -> tuple[int, ...]:
@@ -319,49 +307,34 @@ def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
     return None
 
 
-def cochain_matrix(
-    layout: Layout, n: int, block: int, cleared: Container[int] = ()
-) -> linalg.SparseMatrix:
-    """Matrix of L * D on the g-free monomials of one block (weight
-    parity) of degree n (the block's entry in ``layout.free[n]``) that are
-    not in ``cleared``, as sparse integer columns: column j holds the
-    coordinates of L * D(free[j]) in the block's basis of degree n+1, each
-    row keyed by the layout code of the g-free part of its monomial (not a
-    position in [0, rows)), and the nonzero integer L is the common
-    denominator of the differential's generator values (so ranks are those
-    of D).  The block's other columns, g^a times these for a >= 1, are the
-    columns of its chain predecessors, row for row.  Degree n + 1 must lie
-    within the layout."""
-    if not 0 <= n < layout.top:
-        raise ValueError(f"degree {n} outside the layout's range 0..{layout.top - 1}")
-    rows = layout.dims[n + 1].get(block, 0)
-    source = [code for code in layout.free[n].get(block, ()) if code not in cleared]
-    return linalg.SparseMatrix(rows, tuple(integral_columns(layout.terms, source)))
-
-
 def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     """Per-degree cochain dimension, betti number and (when the model has
     an involution) the eigenspace split, for degrees 0..cap-1."""
     if cap < 2:
         raise ValueError("cap must be >= 2")
-    layout = build_layout(model, cap)  # one pass over the g-free bases through degree cap
+    layout = build_layout(model, cap)  # one pass over the g-free bases below degree cap
     step, dw = layout.g_step
     # the echelon basis of every block's columns so far, which is also the
     # clearing set; a row key names the g-free part of its monomial
     pivots: dict[int, dict[int, int]] = {}
-    # per degree, the rank of D on blocks 0 and 1, which carry on along g
+    # per degree, the dimensions of blocks 0 and 1 and the ranks of D on
+    # them, which carry on along g
+    dims: list[list[int]] = []
     ranks: list[list[int]] = []
     slices = []
     for n in range(cap):
         carry = step and n >= step
+        dim = [dims[n - step][(p - dw) % 2] if carry else 0 for p in (0, 1)]
         rank = [ranks[n - step][(p - dw) % 2] if carry else 0 for p in (0, 1)]
-        for p in layout.free[n]:
+        for p, codes in layout.free[n].items():
+            dim[p] += len(codes)  # cleared codes too
             before = len(pivots)
-            rank[p] += linalg.rank(cochain_matrix(layout, n, p, pivots), pivots) - before
-        dim = [layout.dims[n].get(p, 0) for p in (0, 1)]
+            columns = integral_columns(layout.terms, [c for c in codes if c not in pivots])
+            rank[p] += linalg.rank(columns, pivots) - before
         prev = ranks[n - 1] if n else [0, 0]
         plus, minus = (dim[p] - rank[p] - prev[p] for p in (0, 1))
         eigen = (plus, minus) if model.involution else (None, None)
         slices.append(DegreeSlice(n, sum(dim), plus + minus, *eigen))
+        dims.append(dim)
         ranks.append(rank)
     return EigenTable(cap, tuple(slices))

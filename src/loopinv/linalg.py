@@ -1,13 +1,13 @@
-"""Exact rank of sparse integer matrices.
+"""Exact rank of sparse integer columns.
 
-A matrix is stored by columns, each a dict from row key to a nonzero
-Python int; cochain matrices are built this way (see
-``cohomology.cochain_matrix``), because the differential of a monomial
-has only a handful of terms.  ``rank`` eliminates fraction-free over the
-integers, keeping every vector divided by the gcd of its entries, so the
-result is exact; there is no floating-point or modular path anywhere in
-this module.  ``rank`` changes nothing but the pivot dict it is handed, so
-calls that do not share one are safe to run concurrently.
+A column is a dict from row key to a nonzero Python int; cochain columns
+are built this way (see ``cohomology.integral_columns``), because the
+differential of a monomial has only a handful of terms.  ``rank``
+eliminates fraction-free over the integers, keeping every vector divided
+by the gcd of its entries, so the result is exact; there is no
+floating-point or modular path anywhere in this module.  ``rank``
+changes nothing but the pivot dict it is handed, so calls that do not
+share one are safe to run concurrently.
 
 ``rank`` can extend an echelon basis it built earlier instead of starting
 from nothing.  The cohomology code uses this along multiplication by a
@@ -20,25 +20,7 @@ reduced (see ``cohomology``).
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple, Optional
-
-
-class SparseMatrix(NamedTuple):
-    """rows x len(columns) integer matrix; columns[j] maps a row key, any
-    int that names the row (not necessarily in [0, rows)), to the nonzero
-    entry there.  Empty shapes (0 x n, n x 0) are legal; they occur for
-    cochain degrees with empty monomial bases."""
-
-    rows: int
-    columns: tuple[dict[int, int], ...]
-
-    @property
-    def cols(self) -> int:
-        return len(self.columns)
-
-    @property
-    def nnz(self) -> int:
-        return sum(map(len, self.columns))
+from typing import Iterable, Optional
 
 
 def _primitive(v: dict[int, int]) -> dict[int, int]:
@@ -46,8 +28,10 @@ def _primitive(v: dict[int, int]) -> dict[int, int]:
     return v if g == 1 else {k: x // g for k, x in v.items()}
 
 
-def rank(m: SparseMatrix, pivots: Optional[dict[int, dict[int, int]]] = None) -> int:
-    """Rank over Q of the columns of m together with the vectors of
+def rank(
+    columns: Iterable[dict[int, int]], pivots: Optional[dict[int, dict[int, int]]] = None
+) -> int:
+    """Rank over Q of the columns together with the vectors of
     ``pivots``, computed exactly.
 
     ``pivots`` maps a row key to a vector whose smallest row key it
@@ -55,12 +39,12 @@ def rank(m: SparseMatrix, pivots: Optional[dict[int, dict[int, int]]] = None) ->
     The columns are reduced one at a time against it: a pivot clears its
     key from the column by an integer combination, which introduces only
     larger keys, until the column vanishes or becomes a new pivot.  The
-    dict is extended in place and its size returned; the columns of m are
-    not changed.
+    dict is extended in place and its size returned; the columns are not
+    changed.
     """
     if pivots is None:
         pivots = {}
-    for v in m.columns:
+    for v in columns:
         while v:
             lead = min(v)
             p = pivots.get(lead)

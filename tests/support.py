@@ -14,9 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from loopinv.algebra import GradedAlgebra, Monomial, Polynomial
-from loopinv.cohomology import Layout, NoInvolutionError
-from loopinv.cohomology import cochain_matrix as sparse_cochain_matrix
-from loopinv.linalg import SparseMatrix
+from loopinv.cohomology import Layout, NoInvolutionError, integral_columns
 from loopinv.linalg import rank as sparse_rank
 from loopinv.models import DgaModel, MinimalModel, loop_model, parse_model
 from loopinv.series import algebra_generating_function
@@ -433,20 +431,17 @@ def decode(layout: Layout, code: int, degree: Optional[int] = None) -> Monomial:
 
 def _predecessor(layout: Layout, n: int, block: int) -> Optional[tuple[int, int]]:
     """The (degree, block) that multiplication by g maps onto (n, block),
-    or None; a block is a weight parity."""
+    empty or not, or None; a block is a weight parity."""
     step, dw = layout.g_step
     if not step or n < step:
         return None
-    prev = (block - dw) % 2
-    return (n - step, prev) if prev in layout.dims[n - step] else None
+    return n - step, (block - dw) % 2
 
 
 def chain_basis(layout: Layout, n: int, block: int) -> tuple[Monomial, ...]:
-    """The basis of one block of degree n as full monomials, as loopinv
-    lays it out along g: g times the basis of the predecessor block, then
-    the block's own g-free monomials."""
-    if block not in layout.dims[n]:
-        return ()
+    """The basis of one block of degree n < layout.top as full monomials,
+    as loopinv lays it out along g: g times the basis of the predecessor
+    block, then the block's own g-free monomials; () for an empty block."""
     head: tuple[Monomial, ...] = ()
     prev = _predecessor(layout, n, block)
     if prev is not None:
@@ -455,22 +450,20 @@ def chain_basis(layout: Layout, n: int, block: int) -> tuple[Monomial, ...]:
     return head + tuple(decode(layout, z) for z in layout.free[n].get(block, ()))
 
 
-def chain_block_entries(layout: Layout, n: int, block: int) -> dict:
+def chain_block_entries(model: DgaModel, layout: Layout, n: int, block: int) -> dict:
     """{(target monomial, source monomial): entry} of L * D on one whole
-    block of degree n, read off loopinv's cochain_matrix: the block's
+    block of degree n, read off loopinv's integral_columns: the block's
     g-free columns y, and as the column of each g^a * y the g-free column
     y of the a-th predecessor along the chain, all with each row key
     decoded into the monomial of degree n+1 that it names, which must lie
-    in chain_basis of degree n+1."""
-    rows = set(chain_basis(layout, n + 1, block))
+    in the block of degree n+1 (from ``blocks``, since the layout holds no
+    code of degree top)."""
+    rows = set(blocks(model, n + 1).get(block, ()))
     out = {}
     at = (n, block)
     while at is not None:
-        m = sparse_cochain_matrix(layout, *at)
-        if m.rows != len(chain_basis(layout, at[0] + 1, at[1])):
-            raise AssertionError(f"cochain_matrix{at} has {m.rows} rows")
         free = layout.free[at[0]].get(at[1], ())
-        for y, col in zip(free, m.columns, strict=True):
+        for y, col in zip(free, integral_columns(layout.terms, free), strict=True):
             for key, v in col.items():
                 target = decode(layout, key, n + 1)
                 if target not in rows:
@@ -559,20 +552,15 @@ def tuple_columns(
     return columns
 
 
-def dense(m: SparseMatrix) -> QMatrix:
-    """The sparse integer matrix m as a QMatrix."""
-    cols = [[col.get(r, 0) for r in range(m.rows)] for col in m.columns]
-    return QMatrix.from_columns(cols, rows=m.rows)
-
-
-def sparse(m: QMatrix) -> SparseMatrix:
+def sparse(m: QMatrix) -> tuple[dict[int, int], ...]:
     """The columns of m, each scaled by the common denominator of its
-    entries (which keeps the rank), as a sparse integer matrix."""
+    entries (which keeps the rank), as sparse integer columns keyed by
+    row index."""
     columns = []
     for col in m.columns():
         den = lcm(*(e.denominator for e in col))
         columns.append({r: int(e * den) for r, e in enumerate(col) if e})
-    return SparseMatrix(m.rows, tuple(columns))
+    return tuple(columns)
 
 
 class NotAnInvolutionError(ValueError):
@@ -792,7 +780,7 @@ def _rank_of(vectors: Iterable[Mapping[Monomial, Fraction]]) -> int:
     for v in vectors:
         den = lcm(*(c.denominator for c in v.values()))
         columns.append({index.setdefault(m, len(index)): int(c * den) for m, c in v.items() if c})
-    return sparse_rank(SparseMatrix(len(index), tuple(columns)))
+    return sparse_rank(columns)
 
 
 def ker_s_split(model: MinimalModel, cap: int) -> list[tuple[int, int]]:

@@ -8,9 +8,9 @@ import time
 from functools import partial
 
 from loopinv.cli import main
-from loopinv.cohomology import eigen_table
+from loopinv.cohomology import build_layout, eigen_table
 from loopinv.curvature import KernelBoundInputs, enumerate_pairs, kernel_lower_bound
-from loopinv.models import borel_model, parse_model
+from loopinv.models import borel_model, loop_model, parse_model
 from loopinv.pseudoisotopy import pseudoisotopy_table
 from loopinv.series import RationalExpr, algebra_generating_function, equals_expr
 from support import (
@@ -18,6 +18,7 @@ from support import (
     involution_map,
     load_model,
     oracle_betti,
+    oracle_split,
     per_degree_monomial_basis,
     product_derivation,
     random_models_within_budget,
@@ -152,3 +153,23 @@ def test_criterion_7_kernel_bound_checker():
     )
     ok = ok and not parity.applicable and "eigenspace inequality" in parity.failed_hypothesis
     _report(7, "kernel bound checker and its hypothesis gates", ok)
+
+
+def test_criterion_8_pinned_families():
+    # S^4 and CP^2: base, loop and Borel tables at cap 20 against the
+    # general route and brute-force betti numbers.  The base and loop
+    # chains of S^4 run along g = a, a step of 4 under a nonzero D
+    cap = 20
+    ok = True
+    for name in ("s4.model", "cp2.model"):
+        model = load_model(name)
+        for dga in (model, loop_model(model), borel_model(model)):
+            table = eigen_table(dga, cap)
+            for n in range(cap):
+                s = table.slice(n)
+                ok = ok and (s.betti, s.inv_plus, s.inv_minus) == oracle_split(dga, n)
+                ok = ok and s.betti == oracle_betti(dga, n)
+    s4 = load_model("s4.model")
+    for dga in (s4, loop_model(s4)):
+        ok = ok and build_layout(dga, cap).g_step[0] == 4 and any(dga.differential.values())
+    _report(8, "S^4 and CP^2 base, loop and Borel tables at cap 20", ok)

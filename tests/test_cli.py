@@ -229,11 +229,15 @@ def test_validate_simple_connectivity(capsys, tmp_path):
     assert "SimpleConnectivity" in err
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory", "empty"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "empty", "not-utf8"])
 @pytest.mark.parametrize("command", ["validate", "eigen", "pseudoisotopy"])
 def test_missing_model_file_is_usage_error(capsys, tmp_path, command, kind):
     if kind == "empty":  # not read as the current directory
         path, reason = "", "the path is empty"
+    elif kind == "not-utf8":
+        path = str(tmp_path / "latin1.model")
+        Path(path).write_bytes(b"gen a 2\n\xff\n")
+        reason = "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
     else:
         path = str(tmp_path / "nope.model") if kind == "missing" else str(tmp_path)
         number = errno.ENOENT if kind == "missing" else errno.EISDIR

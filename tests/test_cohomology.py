@@ -2,7 +2,7 @@ import pytest
 
 import loopinv.cohomology
 import loopinv.linalg
-from loopinv.cohomology import NoInvolutionError, build_layout, cochain_matrix, eigen_table
+from loopinv.cohomology import NoInvolutionError, build_layout, eigen_table, integral_columns
 from loopinv.models import borel_model, loop_model, parse_model
 from loopinv.series import RationalExpr, algebra_generating_function, equals_expr
 from support import (
@@ -29,15 +29,14 @@ def test_cochain_matrix_degree_seven(borel_d2):
     # {alpha^3, x_bar} of C^6 in block 1; D(x) = alpha x_bar, keyed by the
     # code of x_bar with the top 8 less its degree 6 in the top field
     layout = build_layout(borel_d2, 8)
-    m = cochain_matrix(layout, 7, 0)
-    assert (m.rows, m.cols) == (2, 1)
-    assert chain_basis(layout, 6, 1) == ((3, 0, 0), (0, 0, 1))
-    assert chain_basis(layout, 8, 0) == ((4, 0, 0), (1, 0, 1))
     fields = layout.fields
-    assert m.columns == ({(1 << fields[2]) + ((8 - 6) << fields[-1]): 1},)
-    [key] = m.columns[0]
+    assert layout.free[7] == {0: ((1 << fields[1]) + ((8 - 7) << fields[-1]),)}
+    assert chain_basis(layout, 6, 1) == ((3, 0, 0), (0, 0, 1))
+    assert chain_basis(build_layout(borel_d2, 9), 8, 0) == ((4, 0, 0), (1, 0, 1))
+    columns = integral_columns(layout.terms, layout.free[7][0])
+    assert columns == [{(1 << fields[2]) + ((8 - 6) << fields[-1]): 1}]
+    [key] = columns[0]
     assert decode(layout, key, 8) == (1, 0, 1)
-    assert cochain_matrix(layout, 7, 1) == (0, ())
 
 
 def test_cochain_matrix_zero_differential():
@@ -45,26 +44,21 @@ def test_cochain_matrix_zero_differential():
     # whole block, put together along the chain, is zero
     loop = loop_model(load_model("sphere-bundle-d2.model"))
     layout = build_layout(loop, 7)
-    dims = layout.dims[6]
-    assert all(not cochain_matrix(layout, 6, key).cols for key in dims)
-    assert all(not chain_block_entries(layout, 6, key) for key in dims)
-    assert sum(dims.values()) == len(per_degree_monomial_basis(loop.algebra, 6))
+    assert not layout.free[6]
+    assert all(not chain_block_entries(loop, layout, 6, key) for key in (0, 1))
+    dims = [len(chain_basis(layout, 6, key)) for key in (0, 1)]
+    assert sum(dims) == len(per_degree_monomial_basis(loop.algebra, 6))
+    assert eigen_table(loop, 7).slice(6).cochain_dim == sum(dims)
 
 
 def test_cochain_matrix_empty_degree(borel_d2):
-    # degree 1 has no monomials; alpha (weight -1) spans block 1 of degree 2
-    m = cochain_matrix(build_layout(borel_d2, 2), 1, 1)
-    assert m.cols == 0
-    assert m.rows == 1
-
-
-@pytest.mark.parametrize("n", [-1, 8, 9])
-def test_cochain_matrix_refuses_degrees_outside_its_layout(borel_d2, n):
-    # a layout through degree 8 holds the columns of degrees 0..7 only:
-    # a negative or larger index would read another degree's codes
-    layout = build_layout(borel_d2, 8)
-    with pytest.raises(ValueError, match=r"outside the layout's range 0\.\.7"):
-        cochain_matrix(layout, n, 0)
+    # degree 1 has no monomials; alpha (weight -1) spans block 1 of degree
+    # 2, alpha times the unit of degree 0, and has no g-free part
+    layout = build_layout(borel_d2, 3)
+    assert not layout.free[1] and not layout.free[2]
+    assert chain_basis(layout, 2, 1) == ((1, 0, 0),)
+    table = eigen_table(borel_d2, 3)
+    assert [s.cochain_dim for s in table.slices] == [1, 0, 1]
 
 
 def test_eigen_table_builds_one_layout(borel_d2, monkeypatch):
@@ -86,29 +80,31 @@ def test_eigen_table_builds_one_layout(borel_d2, monkeypatch):
 def test_clearing_skips_the_leads_of_the_degree_before(monkeypatch):
     # S^2 Borel at cap 24 has 277 g-free columns: 121 are leads of pivots
     # of the degree before and are cleared, and 13 of the 156 assembled
-    # reduce to zero.  Each degree ranks at most one block per sign
-    real_matrix, real_rank = loopinv.cohomology.cochain_matrix, loopinv.linalg.rank
-    blocks, free, cols, zero = [], [], [], []
+    # reduce to zero.  Each g-free block is assembled and ranked once, in
+    # degree order, and both signs occur
+    dga = borel_model(load_model("s2.model"))
+    layout = build_layout(dga, 24)
+    blocks = [codes for level in layout.free for codes in level.values()]
+    real_columns, real_rank = loopinv.cohomology.integral_columns, loopinv.linalg.rank
+    sources, zero = [], []
 
-    def matrix(layout, n, block, cleared=()):
-        blocks.append((n, block))
-        free.append(len(layout.free[n][block]))
-        m = real_matrix(layout, n, block, cleared)
-        cols.append(m.cols)
-        return m
+    def columns(table, codes):
+        sources.append(codes)
+        return real_columns(table, codes)
 
-    def rank(m, pivots):
+    def rank(columns, pivots):
         before = len(pivots)
-        after = real_rank(m, pivots)
-        zero.append(m.cols - (after - before))
+        after = real_rank(columns, pivots)
+        zero.append(len(columns) - (after - before))
         return after
 
-    monkeypatch.setattr(loopinv.cohomology, "cochain_matrix", matrix)
+    monkeypatch.setattr(loopinv.cohomology, "integral_columns", columns)
     monkeypatch.setattr(loopinv.linalg, "rank", rank)
-    eigen_table(borel_model(load_model("s2.model")), 24)
-    assert (sum(free), sum(cols), sum(zero)) == (277, 156, 13)
-    assert len(set(blocks)) == len(blocks)
-    assert {block for _, block in blocks} == {0, 1}
+    eigen_table(dga, 24)
+    assert len(sources) == len(zero) == len(blocks)
+    assert all(set(codes) <= set(block) for codes, block in zip(sources, blocks))
+    assert (sum(map(len, blocks)), sum(map(len, sources)), sum(zero)) == (277, 156, 13)
+    assert {p for level in layout.free for p in level} == {0, 1}
 
 
 @pytest.mark.parametrize("degree", [-1, 20, 21])

@@ -20,7 +20,7 @@ import pytest
 
 import support
 from loopinv import cohomology, linalg
-from loopinv.cohomology import build_layout, cochain_matrix, eigen_table
+from loopinv.cohomology import build_layout, eigen_table, integral_columns
 from loopinv.models import borel_model, loop_model, parse_model
 from loopinv.series import algebra_generating_function
 from support import (
@@ -86,12 +86,10 @@ def _assert_blocks_are_scaled_derivation(dga, cap):
     block, and the chain order is a permutation of the block's basis."""
     scale = lcm(*(c.denominator for v in dga.differential.values() for c in v.terms.values()))
     layout = build_layout(dga, cap)
-    dims = layout.dims
     for n in range(cap):
         full, full_next = support.blocks(dga, n), support.blocks(dga, n + 1)
-        assert set(dims[n]) == set(full), f"degree {n}"
+        assert {p for p in (0, 1) if chain_basis(layout, n, p)} == set(full), f"degree {n}"
         for block, source in full.items():
-            assert dims[n][block] == len(source)
             assert sorted(chain_basis(layout, n, block)) == sorted(source)
             want = support.cochain_matrix(dga, n, block)
             target = full_next.get(block, ())
@@ -101,7 +99,7 @@ def _assert_blocks_are_scaled_derivation(dga, cap):
                 for c in range(want.cols)
                 if want[r, c]
             }
-            assert chain_block_entries(layout, n, block) == entries, f"degree {n}, block {block}"
+            assert chain_block_entries(dga, layout, n, block) == entries, (n, block)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
@@ -152,9 +150,38 @@ def test_cochain_dims_are_generating_function(text):
         assert [s.cochain_dim for s in table.slices] == [series[n] for n in range(CAP)]
 
 
+def _spaces(model):
+    return borel_model(model), loop_model(model), model
+
+
+def _assert_layout_and_dims(dga, cap):
+    """The layout of a table holds the g-free codes of degrees 0..cap-1
+    only, each level of its own degree, and the block dimensions that
+    eigen_table carries along g count every monomial of each degree."""
+    layout = build_layout(dga, cap)
+    assert len(layout.free) == cap
+    for n, level in enumerate(layout.free):
+        for codes in level.values():
+            assert {cap - (code >> layout.fields[-1]) for code in codes} == {n}
+    dims = [s.cochain_dim for s in eigen_table(dga, cap).slices]
+    assert dims == [support.brute_force_monomial_count(dga.algebra, n) for n in range(cap)]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
+def test_bundled_layouts_stop_below_the_cap_and_dims_count_monomials(name):
+    for dga in _spaces(load_model(name)):
+        _assert_layout_and_dims(dga, CAP)
+
+
+@pytest.mark.parametrize("index", range(len(RANDOM)))
+def test_random_layouts_stop_below_the_cap_and_dims_count_monomials(index):
+    for dga in _spaces(RANDOM[index]):
+        _assert_layout_and_dims(dga, CAP)
+
+
 def _assert_packed_columns_are_tuple_columns(dga, cap):
-    """Every g-free column that cochain_matrix assembles from packed codes
-    equals, entry for entry, the column the exponent-tuple route of
+    """Every g-free column that integral_columns assembles from packed
+    codes equals, entry for entry, the column the exponent-tuple route of
     support.tuple_columns assembles for the same monomial, with each row
     keyed by the layout code of its g-free part."""
     layout = build_layout(dga, cap)
@@ -168,16 +195,15 @@ def _assert_packed_columns_are_tuple_columns(dga, cap):
     every = [code for level in layout.free for block in level.values() for code in block]
     index = {g_free(code): code for code in every}
     assert len(index) == len(set(every)) == len(every)
+    # the rows of degree cap, which the layout does not hold, packed here
+    for z in support.per_degree_monomial_basis(dga.algebra, cap):
+        if g is None or not z[g]:
+            code = sum(e << f for e, f in zip(z, layout.fields))
+            index[z if g is None else z[:g] + z[g + 1 :]] = code
     for n in range(cap):
         for block, codes in layout.free[n].items():
             want = support.tuple_columns(support.differential(dga), map(g_free, codes), index, g)
-            m = cochain_matrix(layout, n, block)
-            assert m.rows == layout.dims[n + 1].get(block, 0), (n, block)
-            assert list(m.columns) == want, (n, block)
-
-
-def _spaces(model):
-    return borel_model(model), loop_model(model), model
+            assert integral_columns(layout.terms, codes) == want, (n, block)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
@@ -231,7 +257,7 @@ def test_steps_that_fill_another_generators_field(cap):
 
 
 def _assert_row_keys_are_codes_with_degree(dga, cap):
-    """Every row key of cochain_matrix is the packed code of the g-free
+    """Every row key of integral_columns is the packed code of the g-free
     part z of its monomial g^c * z plus cap - deg z in the top field (a
     higher degree z comes first), z lies in the target block, and a key
     names rows of one chain of blocks only: blocks that differ by a power
@@ -248,7 +274,7 @@ def _assert_row_keys_are_codes_with_degree(dga, cap):
                 z = tuple(0 if k == g else e for k, e in enumerate(mono))
                 code = sum(e << f for e, f in zip(z, fields))
                 want.add(code + ((cap - alg.monomial_degree(z)) << fields[-1]))
-            for col in cochain_matrix(layout, n, block).columns:
+            for col in integral_columns(layout.terms, layout.free[n][block]):
                 assert set(col) <= want, (n, block)
             for key in want:
                 m, w = owner.setdefault(key, (n + 1, block))
@@ -347,36 +373,35 @@ def test_rational_and_chain_shape_reduced_split_is_ker_s(text, cap):
 
 
 def _assert_cleared_columns_vanish(dga, cap, monkeypatch):
-    """cochain_matrix skips exactly the g-free columns whose codes are
-    keys of the pivot dict, and every column it skips, assembled anyway,
-    reduces to zero against the pivots present once its block is ranked:
-    clearing changes neither the rank nor the span of the pivots.
-    Returns the number of columns skipped."""
-    real_matrix, real_rank = cohomology.cochain_matrix, linalg.rank
-    pending, skipped = [], []
+    """eigen_table assembles each g-free block once, in degree order,
+    skipping exactly the codes that are keys of the pivot dict, and every
+    column it skips, assembled anyway, reduces to zero against the pivots
+    present once its block is ranked: clearing changes neither the rank
+    nor the span of the pivots.  Returns the number of columns skipped."""
+    real_rank = linalg.rank
+    layout = build_layout(dga, cap)
+    blocks = iter([codes for level in layout.free for codes in level.values()])
+    assembled, skipped = [], []
 
-    def matrix(layout, n, block, cleared=()):
-        free = layout.free[n][block]
-        codes = [code for code in free if code in cleared]
-        pending.append((layout, n, block, codes))
-        m = real_matrix(layout, n, block, cleared)
-        assert m.cols == len(free) - len(codes), (n, block)
-        return m
+    def columns(table, sources):
+        assembled.append(sources)
+        return integral_columns(table, sources)
 
-    def rank(m, pivots):
-        after = real_rank(m, pivots)
-        layout, n, block, codes = pending.pop()
-        columns = tuple(cohomology.integral_columns(layout.terms, codes))
-        again = linalg.SparseMatrix(layout.dims[n + 1].get(block, 0), columns)
-        assert real_rank(again, dict(pivots)) == after, (n, block)
-        skipped.extend(codes)
+    def rank(columns, pivots):
+        codes = next(blocks)
+        cleared = [code for code in codes if code in pivots]
+        assert assembled.pop() == [code for code in codes if code not in pivots], codes
+        after = real_rank(columns, pivots)
+        again = integral_columns(layout.terms, cleared)
+        assert real_rank(again, dict(pivots)) == after, codes
+        skipped.extend(cleared)
         return after
 
-    monkeypatch.setattr(cohomology, "cochain_matrix", matrix)
+    monkeypatch.setattr(cohomology, "integral_columns", columns)
     monkeypatch.setattr(linalg, "rank", rank)
     eigen_table(dga, cap)
     monkeypatch.undo()
-    assert not pending
+    assert next(blocks, None) is None and not assembled
     return len(skipped)
 
 
