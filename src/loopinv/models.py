@@ -7,9 +7,12 @@ The model DSL is line oriented (``#`` starts a comment):
     d <name> = <poly>            differential value; generators without a
                                  d line have differential zero
 
-with <poly> ::= 0 | term (('+'|'-') term)* and
-term ::= [rational '*'] factor ('*' factor)*, factor ::= name ['^' posint],
-rational ::= int ['/' posint].
+with <poly> ::= [sign] term (sign term)*, sign ::= '+' | '-',
+term ::= [sign] rational ['*' factors] | factors, factors ::= factor ('*'
+factor)*, factor ::= name ['^' posint] and rational ::= int ['/' posint].
+Tokens may be spaced apart.  A bare rational term passes the degree check
+only as 0.  Factors come in any order, with the Koszul sign, and an odd
+square or a repeated odd factor is zero.
 
 A model is a ``DgaModel``, whose differential is the read-only mapping of
 its generator values.  From a minimal model (all generator degrees >= 2,
@@ -203,109 +206,74 @@ def _int(token: tuple[str, str, int], line_no: int) -> int:
         ) from None
 
 
-class _PolyParser:
-    def __init__(self, algebra: GradedAlgebra, tokens, line_no: int):
-        self.algebra = algebra
-        self.tokens = tokens
-        self.line = line_no
-        self.pos = 0
+def _parse_value(algebra: GradedAlgebra, tokens, line_no: int) -> Polynomial:
+    """The value of a d line, read in one pass.  A term is one exponent tuple
+    and one Fraction; ``multiply_monomials`` multiplies each factor in with
+    its Koszul sign, or gives None (so 0) for a repeated odd factor.  The
+    terms sum into one dict, whose Polynomial drops odd squares."""
+    last = tokens[-1]
+    tokens = [*tokens, ("end", "", last[2] + len(last[1]))]
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, kind=None, value=None):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1]
-            raise ModelSyntaxError("unexpected end of line", self.line, last[2] + len(last[1]))
-        if (kind and tok[0] != kind) or (value and tok[1] != value):
-            raise ModelSyntaxError(f"unexpected token {tok[1]!r}", self.line, tok[2])
-        self.pos += 1
+    def take(kind: str) -> tuple[str, str, int]:
+        nonlocal pos
+        tok = tokens[pos]
+        if tok[0] != kind:
+            what = "end of line" if tok[0] == "end" else f"token {tok[1]!r}"
+            raise ModelSyntaxError(f"unexpected {what}", line_no, tok[2])
+        pos += 1
         return tok
 
-    def parse(self) -> Polynomial:
-        result = self.algebra.zero()
-        sign = 1
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            sign = -1 if tok[1] == "-" else 1
-            self.pos += 1
-        while True:
-            result = result + self.parse_term().scale(sign)
-            tok = self.peek()
-            if tok is None:
-                return result
-            if tok[0] == "op" and tok[1] in "+-":
-                sign = -1 if tok[1] == "-" else 1
-                self.pos += 1
-                continue
-            raise ModelSyntaxError(f"unexpected token {tok[1]!r}", self.line, tok[2])
+    def posint(op: str, error: str) -> int:
+        """The posint after ``op``, or 1 when ``op`` does not come next."""
+        if tokens[pos][1] != op:
+            return 1
+        take("op")
+        tok = take("int")
+        value = _int(tok, line_no)
+        if value < 1:
+            raise ModelSyntaxError(error, line_no, tok[2])
+        return value
 
-    def parse_term(self) -> Polynomial:
-        coeff = Fraction(1)
-        saw_coeff = False
-        tok = self.peek()
-        # signed integer coefficient, e.g. "-3*a"
-        if (
-            tok is not None
-            and tok[0] == "op"
-            and tok[1] in "+-"
-            and self.pos + 1 < len(self.tokens)
-            and self.tokens[self.pos + 1][0] == "int"
-        ):
-            if tok[1] == "-":
-                coeff = -coeff
-            self.pos += 1
-            tok = self.peek()
-        if tok is not None and tok[0] == "int":
-            saw_coeff = True
-            num = _int(self.take("int"), self.line)
-            den = 1
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "/":
-                self.pos += 1
-                den_tok = self.take("int")
-                den = _int(den_tok, self.line)
-                if den == 0:
-                    raise ModelSyntaxError("zero denominator", self.line, den_tok[2])
-            coeff *= Fraction(num, den)
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "*":
-                self.pos += 1
-            else:
-                # bare rational term; only 0 survives degree checks later
-                return self.algebra.unit().scale(coeff)
-        poly = self.algebra.unit().scale(coeff)
-        poly = poly * self.parse_factor()
-        while True:
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "*":
-                self.pos += 1
-                poly = poly * self.parse_factor()
-            else:
-                if nxt and nxt[0] in ("name", "int") and not saw_coeff:
-                    raise ModelSyntaxError(
-                        f"missing '*' before {nxt[1]!r}", self.line, nxt[2]
-                    )
-                return poly
-
-    def parse_factor(self) -> Polynomial:
-        tok = self.take("name")
-        try:
-            i = self.algebra.index(tok[1])
-        except KeyError:
-            raise ModelSyntaxError(f"unknown generator {tok[1]!r}", self.line, tok[2]) from None
-        exp = 1
-        nxt = self.peek()
-        if nxt and nxt[0] == "op" and nxt[1] == "^":
-            self.pos += 1
-            exp_tok = self.take("int")
-            exp = _int(exp_tok, self.line)
-            if exp < 1:
-                raise ModelSyntaxError("exponent must be >= 1", self.line, exp_tok[2])
-        # one monomial, whatever the exponent (an odd square is dropped)
-        width = len(self.algebra.generators)
-        return self.algebra.poly({tuple(exp if j == i else 0 for j in range(width)): 1})
+    width = len(algebra.generators)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    op = tokens[0][1] if tokens[0][1] in ("+", "-") else ""
+    pos = len(op)
+    while True:
+        coeff = Fraction(-1 if op == "-" else 1)
+        if tokens[pos][1] in ("+", "-") and tokens[pos + 1][0] == "int":  # as in "a + -2*b"
+            coeff = -coeff if tokens[pos][1] == "-" else coeff
+            pos += 1
+        has_coeff = tokens[pos][0] == "int"
+        if has_coeff:
+            coeff *= _int(take("int"), line_no)
+            coeff /= posint("/", "zero denominator")
+        more = not has_coeff or tokens[pos][1] == "*"  # else a bare rational term
+        pos += has_coeff and more
+        mono = (0,) * width
+        while more:
+            tok = take("name")
+            try:
+                i = algebra.index(tok[1])
+            except KeyError:
+                raise ModelSyntaxError(f"unknown generator {tok[1]!r}", line_no, tok[2]) from None
+            factor = (0,) * i + (posint("^", "exponent must be >= 1"),) + (0,) * (width - i - 1)
+            sign, mono = algebra.multiply_monomials(mono, factor) or (0, mono)
+            coeff *= sign
+            more = tokens[pos][1] == "*"
+            pos += more
+        tok = tokens[pos]
+        if not has_coeff and tok[0] in ("name", "int"):
+            raise ModelSyntaxError(f"missing '*' before {tok[1]!r}", line_no, tok[2])
+        c = terms.get(mono, 0) + coeff
+        if c:
+            terms[mono] = c
+        else:
+            terms.pop(mono, None)
+        op = tok[1]
+        if op not in ("+", "-"):
+            take("end")  # anything else is an unexpected token
+            return Polynomial(algebra, terms)
+        pos += 1
 
 
 def parse_model(text: str) -> MinimalModel:
@@ -354,7 +322,7 @@ def parse_model(text: str) -> MinimalModel:
             raise ModelSyntaxError(
                 f"d {name} already given on line {diff_lines[name]}", line_no, 1
             )
-        poly = _PolyParser(algebra, tokens, line_no).parse()
+        poly = _parse_value(algebra, tokens, line_no)
         for mono, c in poly.terms.items():
             try:
                 str(c)  # terms that each parsed can sum past what Python prints
@@ -367,11 +335,17 @@ def parse_model(text: str) -> MinimalModel:
                 ) from None
         target = algebra.degree_of(name) + 1
         if not poly.is_homogeneous_of(target):
-            raise DegreeMismatchError(
-                f"line {line_no}: d({name}) = {poly} is not homogeneous of degree "
-                f"{target} (= degree({name}) + 1); term degrees are "
-                f"{sorted(poly.degrees())}"
-            )
+            try:
+                message = (
+                    f"d({name}) = {poly} is not homogeneous of degree {target} "
+                    f"(= degree({name}) + 1); term degrees are {sorted(poly.degrees())}"
+                )
+            except ValueError:  # a degree with more digits than Python prints
+                message = (
+                    f"d({name}) is not homogeneous of degree degree({name}) + 1, "
+                    "with a degree too long to print"
+                )
+            raise DegreeMismatchError(f"line {line_no}: {message}")
         diff_values[name] = poly
         diff_lines[name] = line_no
     return MinimalModel(algebra, diff_values)

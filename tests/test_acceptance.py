@@ -12,7 +12,7 @@ from loopinv.cohomology import build_layout, eigen_table
 from loopinv.curvature import KernelBoundInputs, enumerate_pairs, kernel_lower_bound
 from loopinv.models import borel_model, loop_model, parse_model
 from loopinv.pseudoisotopy import pseudoisotopy_table
-from loopinv.series import RationalExpr, algebra_generating_function, equals_expr
+from loopinv.series import ExprTerm, RationalExpr, algebra_generating_function, equals_expr
 from support import (
     differential,
     involution_map,
@@ -156,12 +156,18 @@ def test_criterion_7_kernel_bound_checker():
 
 
 def test_criterion_8_pinned_families():
-    # S^4 and CP^2: base, loop and Borel tables at cap 20 against the
+    # S^4, CP^2 and CP^3: base, loop and Borel tables at cap 20 against the
     # general route and brute-force betti numbers.  The base and loop
-    # chains of S^4 run along g = a, a step of 4 under a nonzero D
+    # chains of S^4 run along g = a, a step of 4 under a nonzero D.  The
+    # cohomology of CP^3's model is Q[a]/(a^4) with deg a = 2 (d b = a^4
+    # kills a^4, and b, of degree 7, is no cocycle), so its base betti
+    # series is 1 + t^2 + t^4 + t^6
     cap = 20
     ok = True
-    for name in ("s4.model", "cp2.model"):
+    cp3 = eigen_table(load_model("cp3.model"), cap)
+    closed = RationalExpr([ExprTerm(1, n) for n in (0, 2, 4, 6)])
+    ok = ok and equals_expr(cp3.betti_series(), closed)
+    for name in ("s4.model", "cp2.model", "cp3.model"):
         model = load_model(name)
         for dga in (model, loop_model(model), borel_model(model)):
             table = eigen_table(dga, cap)
@@ -172,4 +178,4 @@ def test_criterion_8_pinned_families():
     s4 = load_model("s4.model")
     for dga in (s4, loop_model(s4)):
         ok = ok and build_layout(dga, cap).g_step[0] == 4 and any(dga.differential.values())
-    _report(8, "S^4 and CP^2 base, loop and Borel tables at cap 20", ok)
+    _report(8, "S^4, CP^2 and CP^3 base, loop and Borel tables at cap 20", ok)

@@ -560,6 +560,7 @@ def test_model_dsl_fuzz_exits_cleanly(tmp_path_factory, text):
         code = main(["cohomology", str(path), "--max-degree", "6"])
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    assert "sys.set_int_max_str_digits" not in err.getvalue()
 
 
 LONG = "9" * 4301  # one digit more than Python converts to an int by default
@@ -613,6 +614,25 @@ def test_unprintable_square_zero_residual_is_a_model_error(capsys, tmp_path, com
     assert (code, out) == (1, "")
     assert "set_int_max_str_digits" not in err
     assert err == "NotSquareZero: d^2(c) != 0, with a coefficient too long to print\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+@pytest.mark.parametrize(
+    "body",
+    [f"gen a 2\ngen b 3\nd b = a^{TOP}", f"gen a 2\ngen b {TOP}\nd b = a^2"],
+    ids=["term-degree", "target-degree"],
+)
+def test_unprintable_degree_is_a_degree_mismatch(capsys, tmp_path, command, body):
+    # every number parses, but 2 * (10^4300 - 1) and 10^4300 have 4301 digits
+    path = tmp_path / "degree.model"
+    path.write_text(body + "\n", encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert "set_int_max_str_digits" not in err
+    assert err == (
+        "DegreeMismatch: line 3: d(b) is not homogeneous of degree degree(b) + 1, "
+        "with a degree too long to print\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,10 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopinv.algebra import GradedAlgebra
+from loopinv.algebra import GradedAlgebra, Polynomial
 from loopinv.models import (
     BorelSquareZeroError,
     DegreeMismatchError,
@@ -82,30 +84,82 @@ def test_parse_warns_not_minimal():
     assert m.algebra.names == ("a", "b")
 
 
+# (model text, the short label in the case's id, the whole message)
+SYNTAX_ERRORS = [
+    ("gen a\n", "gen <name> <degree>", "line 1, column 1: expected: gen <name> <degree>"),
+    ("gen a 2\nd a 0\n", "d <name> = <poly>", "line 2, column 1: expected: d <name> = <poly>"),
+    ("foo x 2\n", "'gen' or 'd'", "line 1, column 1: expected 'gen' or 'd', got 'foo'"),
+    ("gen a 2\nd a = @\n", "unexpected character", "line 2, column 7: unexpected character '@'"),
+    ("gen a 2\nd b = 0\n", "unknown generator", "line 2, column 3: unknown generator 'b'"),
+    (
+        "gen a 2\ngen a 3\n",
+        "already declared",
+        "line 2, column 5: generator 'a' already declared on line 1",
+    ),
+    (
+        "gen a 2\ngen b 3\nd b = a^2\nd b = 0\n",
+        "already given",
+        "line 4, column 1: d b already given on line 3",
+    ),
+    ("gen a 2\ngen b 3\nd b = a^0\n", "exponent", "line 3, column 9: exponent must be >= 1"),
+    ("gen a 2\ngen b 3\nd b = c^2\n", "unknown generator", "line 3, column 7: unknown generator 'c'"),
+    ("gen a 2\ngen b 3\nd b = 1/0*a^2\n", "zero denominator", "line 3, column 9: zero denominator"),
+    # "missing '*'" only inside a term without a coefficient
+    ("gen a 2\ngen b 5\nd b = a a\n", "missing '*'", "line 3, column 9: missing '*' before 'a'"),
+    ("gen a 2\ngen b 5\nd b = 2*a b\n", "unexpected token", "line 3, column 11: unexpected token 'b'"),
+    ("gen a 2\ngen b 3\nd b = 2 a^2\n", "unexpected token", "line 3, column 9: unexpected token 'a'"),
+    ("gen a 2\ngen b 3\nd b = a^2*1\n", "unexpected token", "line 3, column 11: unexpected token '1'"),
+    (
+        "gen a 2\ngen b 3\nd b = 1/2/3*a^2\n",
+        "unexpected token",
+        "line 3, column 10: unexpected token '/'",
+    ),
+    ("gen a 2\ngen b 3\nd b = --a^2\n", "unexpected token", "line 3, column 8: unexpected token '-'"),
+    (
+        "gen a 2\ngen b 3\nd b = a^2 + -\n",
+        "unexpected token",
+        "line 3, column 13: unexpected token '-'",
+    ),
+    ("gen a 2\ngen b 3\nd b = a^2 +\n", "unexpected end", "line 3, column 12: unexpected end of line"),
+    # the column just past the last token, before spaces and comments
+    (
+        "gen a 2\ngen b 3\nd b = a^2 +  # x\n",
+        "line 3, column 12: unexpected end of line",
+        "line 3, column 12: unexpected end of line",
+    ),
+    (
+        "gen a 2\ngen b 3\nd b = a*\n",
+        "line 3, column 9: unexpected end of line",
+        "line 3, column 9: unexpected end of line",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("gen a\n", "gen <name> <degree>"),
-        ("gen a 2\nd a 0\n", "d <name> = <poly>"),
-        ("foo x 2\n", "'gen' or 'd'"),
-        ("gen a 2\nd a = @\n", "unexpected character"),
-        ("gen a 2\nd b = 0\n", "unknown generator"),
-        ("gen a 2\ngen a 3\n", "already declared"),
-        ("gen a 2\ngen b 3\nd b = a^2\nd b = 0\n", "already given"),
-        ("gen a 2\ngen b 3\nd b = a^0\n", "exponent"),
-        ("gen a 2\ngen b 3\nd b = c^2\n", "unknown generator"),
-        ("gen a 2\ngen b 5\nd b = a a\n", "missing '*'"),
-        ("gen a 2\ngen b 3\nd b = a^2 +\n", "unexpected end"),
-        # the column just past the last token, before spaces and comments
-        ("gen a 2\ngen b 3\nd b = a^2 +  # x\n", "line 3, column 12: unexpected end of line"),
-        ("gen a 2\ngen b 3\nd b = a*\n", "line 3, column 9: unexpected end of line"),
-    ],
+    "text,message",
+    [(text, message) for text, _, message in SYNTAX_ERRORS],
+    ids=[f"{text}-{label}" for text, label, _ in SYNTAX_ERRORS],
 )
-def test_parse_syntax_errors(text, fragment):
+def test_parse_syntax_errors(text, message):
     with pytest.raises(ModelSyntaxError) as info:
         parse_model(text)
-    assert fragment in str(info.value)
-    assert "line" in str(info.value)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ("gen a 2\ngen b 3\nd b = - -1*a^2", "a^2"),  # a leading sign, then a signed coefficient
+        ("gen a 2\ngen b 3\nd b = a ^ 2", "a^2"),
+        ("gen x 3\ngen y 3\ngen z 5\nd z = y*x", "-x*y"),  # the Koszul sign
+        ("gen a 2\ngen x 3\ngen z 7\nd z = x^2*a", "0"),  # an odd square
+        ("gen a 2\ngen x 3\ngen z 7\nd z = x*a*x", "0"),  # a repeated odd factor
+        ("gen a 2\ngen b 3\nd b = a^2 + 0", "a^2"),  # a bare rational term
+    ],
+)
+def test_parse_accepted_values(text, value):
+    *_, last = parse_model(text).differential.values()
+    assert str(last) == value
 
 
 def test_syntax_error_carries_position():
@@ -113,6 +167,87 @@ def test_syntax_error_carries_position():
         parse_model("gen a 2\ngen b 3\nd b = a^2 + $\n")
     assert info.value.line == 3
     assert info.value.column == 13
+
+
+# d w = <body> over the closed generators a, b (even) and x, y, z (odd):
+# every term has degree 12 = deg w + 1, and d^2 w = 0 since the rest are closed
+BODY_GENS = [("a", 2), ("b", 4), ("x", 3), ("y", 3), ("z", 5), ("w", 11)]
+BODY_ALG = GradedAlgebra(BODY_GENS)
+
+
+@st.composite
+def d_line_bodies(draw):
+    """A d line body, with its value built by the library arithmetic:
+    signed and rational coefficients, bare zeros, exponents, whitespace
+    or none between tokens, and odd factors out of order and repeated."""
+    chunks, value = [], BODY_ALG.zero()
+    for k in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["+", "-"] if k else ["", "+", "-"]))
+        tokens = [op] if op else []
+        term = BODY_ALG.unit().scale(-1 if op == "-" else 1)
+        if draw(st.booleans()):  # a coefficient, maybe signed and maybe a bare term
+            sign = draw(st.sampled_from(["", "+", "-"]))
+            num, den = draw(st.integers(0, 30)), draw(st.integers(1, 6))
+            tokens += [sign, str(num)] + (["/", str(den)] if den > 1 else [])
+            term = term.scale(Fraction(-num if sign == "-" else num, den))
+            if num == 0 and draw(st.booleans()):
+                chunks.append(tokens)
+                continue
+            tokens.append("*")
+        left = 12
+        while left:
+            name, e = draw(
+                st.sampled_from(
+                    [
+                        (g, e)
+                        for g, d in BODY_GENS[:-1]
+                        for e in ((1, 2) if d % 2 else (1, 2, 3))
+                        if d * e <= left and d * e != left - 1
+                    ]
+                )
+            )
+            left -= BODY_ALG.degree_of(name) * e
+            tokens += [name] if e == 1 and draw(st.booleans()) else [name, "^", str(e)]
+            tokens.append("*" if left else "")
+            for _ in range(e):
+                term = term * BODY_ALG.gen(name)
+        value = value + term
+        chunks.append(tokens)
+    body = "".join(t + draw(st.sampled_from(["", " ", "  "])) for c in chunks for t in c)
+    return body, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(d_line_bodies())
+def test_parse_matches_library_arithmetic(case):
+    body, value = case
+    text = "".join(f"gen {g} {d}\n" for g, d in BODY_GENS) + f"d w = {body}\n"
+    assert parse_model(text).differential["w"] == value
+
+
+def test_parse_builds_no_polynomial_per_token(monkeypatch):
+    # the reader keeps a term as one exponent tuple and one Fraction, and
+    # builds one Polynomial per d line, so it needs no Polynomial arithmetic
+    inputs = sorted(MODELS_DIR.glob("*.model")) + sorted(
+        (MODELS_DIR.parent / "benchmark" / "inputs").glob("*.model")
+    )
+    assert {path.parent.name for path in inputs} == {"models", "inputs"}
+    texts = [path.read_text(encoding="utf-8") for path in inputs]
+    texts.append("gen x 3\ngen y 3\ngen z 5\nd z = 1/2*y*x + -3*x*y\n")
+    expected = [parse_model(text) for text in texts]
+
+    def refuse(*args):
+        raise AssertionError("Polynomial arithmetic while parsing")
+
+    for owner, name in [
+        (Polynomial, "__add__"),
+        (Polynomial, "__mul__"),
+        (Polynomial, "scale"),
+        (GradedAlgebra, "unit"),
+        (GradedAlgebra, "poly"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    assert [parse_model(text) for text in texts] == expected
 
 
 # ---------------------------------------------------------------------
