@@ -31,6 +31,7 @@ import json
 import os
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -75,10 +76,10 @@ def _write(args, out, payload: dict, rows: list[dict], headers: list[str], err=N
         return 0
     if note:
         err.write(note)
-    cells = [["-" if row[h] is None else str(row[h]) for h in headers] for row in rows]
-    widths = [max([len(h)] + [len(row[i]) for row in cells]) for i, h in enumerate(headers)]
-    for row in [headers, *cells]:
-        out.write("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n")
+    columns = [[h, *["-" if row[h] is None else str(row[h]) for row in rows]] for h in headers]
+    # one %-format for the whole table, each line right-aligning every cell to its column
+    line = "  ".join(f"%{max(map(len, column))}s" for column in columns) + "\n"
+    out.write(line * (len(rows) + 1) % tuple(chain.from_iterable(zip(*columns))))
     return 0
 
 

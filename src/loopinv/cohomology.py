@@ -42,13 +42,16 @@ from degree n - 1 + c deg g on, so the keys of degree n's g-free cells
 in the pivot dict are exactly those leads: the dict is the clearing set.
 
 This module owns the packed code format (``Layout``).  ``build_layout``
-lays out the g-free monomials once per table, as integer codes with one
-bit field per generator and the degree on top, and packs the
-differential for those codes, so ``integral_columns`` assembles each
-g-free column as sparse integer coordinates by shifts, masks and bit
-counts, scaled by one common nonzero integer that clears every
-denominator of the differential, for ``linalg.rank`` to rank exactly; no
-polynomial, exponent tuple or rational number is built per column.
+lays out the g-free monomials once per table, as bare integer codes with
+one bit field per generator and the degree on top, each code's weight
+parity read off its bits, and packs the differential for those codes,
+so ``integral_columns`` assembles each g-free column as sparse integer
+coordinates by shifts, masks and bit counts, scaled by one common
+nonzero integer that clears every denominator of the differential, for
+``linalg.rank`` to rank exactly; no polynomial, exponent tuple or
+rational number is built per monomial or per column.  ``eigen_table``
+keeps the block dimensions and ranks of every degree in two flat int
+lists and builds one ``DegreeSlice`` per degree.
 
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
@@ -88,11 +91,17 @@ class DegreeSlice(Value):
             raise ValueError(f"betti {betti} out of range at degree {degree}")
         if (inv_plus is None) != (inv_minus is None):
             raise ValueError("eigen data must be all-or-nothing")
+        if inv_plus is not None and (inv_plus < 0 or inv_minus < 0):
+            raise ValueError(f"negative eigen split {inv_plus}+{inv_minus} at degree {degree}")
         if inv_plus is not None and inv_plus + inv_minus != betti:
             raise ValueError(
                 f"eigen split {inv_plus}+{inv_minus} != betti {betti} at degree {degree}"
             )
-        super().__init__(degree, cochain_dim, betti, inv_plus, inv_minus)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "cochain_dim", cochain_dim)
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "inv_plus", inv_plus)
+        object.__setattr__(self, "inv_minus", inv_minus)
 
 
 class EigenTable(Value):
@@ -141,8 +150,10 @@ class Layout(NamedTuple):
     empty.  The bits from fields[-1] up hold top less the monomial's
     degree, so codes of one degree are contiguous and a higher degree
     comes first.  ``free[n]``, for n < top, maps each block (weight
-    parity) of degree n that has g-free monomials to their codes in basis
-    order.  ``g_step`` is g's (degree, weight), or (0, 0) without g.
+    parity) of degree n that has g-free monomials to a list of their
+    codes, bare ints, in basis order; a code's parity is that of its bits
+    under the low bit of each odd-weight generator's field.  ``g_step`` is
+    g's (degree, weight), or (0, 0) without g.
     ``terms`` is the differential as ``integral_columns`` reads it: for
     each generator g_i with a nonzero value, (fields[i], the mask of its
     field, one (step, coefficient, others, signs) per term t of
@@ -167,32 +178,31 @@ def build_layout(model: DgaModel, top: int) -> Layout:
 
     One pass over the generators other than g yields the g-free
     monomials of every degree below top in ascending lexicographic order,
-    each as a packed code with its weight parity.  Without g every
-    monomial is g-free."""
+    each as a bare packed code, which is then bucketed straight into its
+    degree and block.  Without g every monomial is g-free."""
     gens = model.algebra.generators
     closed = [i for i, (x, v) in enumerate(zip(gens, model.differential.values()))
               if x.degree % 2 == 0 and not v]
     g = min(closed, key=lambda i: gens[i].degree, default=None)
     fields = _fields(model, top, g)
     deg = fields[-1]
-    # (code, parity) of every g-free monomial below degree top, with top
-    # less its degree in the degree field; the first generator varies slowest
-    monos = [(top << deg, 0)]
+    # the code of every g-free monomial below degree top, with top less its
+    # degree in the degree field; the first generator varies slowest
+    codes = [top << deg]
     for i in reversed([i for i in range(len(gens)) if i != g]):
-        d, w = gens[i].degree, model.weights[i]
+        d = gens[i].degree
         unit = (1 << fields[i]) - (d << deg)
-        monos = [
-            (code + e * unit, (parity + e * w) % 2)
-            for e in range(2 if d % 2 else top // d + 1)
-            for code, parity in monos
-            if e * d < code >> deg
-        ]
-    found: list[dict[int, list[int]]] = [{} for _ in range(top)]
-    for code, parity in monos:
-        found[top - (code >> deg)].setdefault(parity, []).append(code)
+        # e factors of generator i keep a code below degree top only where its
+        # degree field is at least e*d + 1: a floor on the code itself
+        steps = [(e * unit, (e * d + 1) << deg) for e in range(2 if d % 2 else top // d + 1)]
+        codes = [code + step for step, floor in steps for code in codes if code >= floor]
+    # the weight parity of a code is the parity of its odd-weight exponents
+    odd_weight = sum(1 << fields[i] for i, w in enumerate(model.weights) if w % 2 and i != g)
+    free: tuple[dict[int, list[int]], ...] = tuple({} for _ in range(top))
+    for code in codes:
+        free[top - (code >> deg)].setdefault((code & odd_weight).bit_count() & 1, []).append(code)
     g_step = (gens[g].degree, model.weights[g]) if g is not None else (0, 0)
-    free_codes = tuple({p: tuple(codes) for p, codes in split.items()} for split in found)
-    return Layout(top, fields, g_step, free_codes, _packed_terms(model, fields, g))
+    return Layout(top, fields, g_step, free, _packed_terms(model, fields, g))
 
 
 def _fields(model: DgaModel, top: int, g: Optional[int]) -> tuple[int, ...]:
@@ -227,7 +237,8 @@ def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int]):
             signs = below[i] if (1 + len(others)) % 2 else 0
             for k in others:
                 signs ^= below[k]
-            c = int(c * scale) * (-1 if odd[i] and sum(k > i for k in others) % 2 else 1)
+            c = c.numerator * (scale // c.denominator)  # an integer, as scale clears c
+            c = -c if odd[i] and sum(k > i for k in others) % 2 else c
             terms.append((step, c, sum(1 << fields[k] for k in others), signs & odd_bits))
         table.append((fields[i], (1 << (fields[i + 1] - fields[i])) - 1, tuple(terms)))
     return tuple(table)
@@ -313,28 +324,27 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     if cap < 2:
         raise ValueError("cap must be >= 2")
     layout = build_layout(model, cap)  # one pass over the g-free bases below degree cap
-    step, dw = layout.g_step
+    step, dw = layout.g_step[0], layout.g_step[1] % 2
     # the echelon basis of every block's columns so far, which is also the
     # clearing set; a row key names the g-free part of its monomial
     pivots: dict[int, dict[int, int]] = {}
-    # per degree, the dimensions of blocks 0 and 1 and the ranks of D on
-    # them, which carry on along g
-    dims: list[list[int]] = []
-    ranks: list[list[int]] = []
+    # the dimension of block p of degree n and the rank of D on it, at 2n + 2 + p
+    # after two zeros for degree -1; both carry on along g
+    dims, ranks = [0] * (2 * cap + 2), [0] * (2 * cap + 2)
     slices = []
     for n in range(cap):
-        carry = step and n >= step
-        dim = [dims[n - step][(p - dw) % 2] if carry else 0 for p in (0, 1)]
-        rank = [ranks[n - step][(p - dw) % 2] if carry else 0 for p in (0, 1)]
+        i = 2 * n + 2
+        if step and n >= step:
+            j = i - 2 * step + dw  # the predecessor of block 0; j ^ 1 is that of block 1
+            dims[i], dims[i + 1] = dims[j], dims[j ^ 1]
+            ranks[i], ranks[i + 1] = ranks[j], ranks[j ^ 1]
         for p, codes in layout.free[n].items():
-            dim[p] += len(codes)  # cleared codes too
+            dims[i + p] += len(codes)  # cleared codes too
             before = len(pivots)
             columns = integral_columns(layout.terms, [c for c in codes if c not in pivots])
-            rank[p] += linalg.rank(columns, pivots) - before
-        prev = ranks[n - 1] if n else [0, 0]
-        plus, minus = (dim[p] - rank[p] - prev[p] for p in (0, 1))
-        eigen = (plus, minus) if model.involution else (None, None)
-        slices.append(DegreeSlice(n, sum(dim), plus + minus, *eigen))
-        dims.append(dim)
-        ranks.append(rank)
+            ranks[i + p] += linalg.rank(columns, pivots) - before
+        plus = dims[i] - ranks[i] - ranks[i - 2]
+        minus = dims[i + 1] - ranks[i + 1] - ranks[i - 1]
+        eigen = (plus, minus) if model.involution else ()
+        slices.append(DegreeSlice(n, dims[i] + dims[i + 1], plus + minus, *eigen))
     return EigenTable(cap, tuple(slices))

@@ -179,7 +179,7 @@ class MinimalModel(DgaModel):
 
 _NAME_RE = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
-    rf"(?P<ws>\s+)|(?P<name>{_NAME_RE})|(?P<int>\d+)|(?P<op>[\^*/+\-=])|(?P<bad>.)"
+    rf"(?P<ws>\s+)|(?P<name>{_NAME_RE})|(?P<int>[0-9]+)|(?P<op>[\^*/+\-=])|(?P<bad>.)"
 )
 
 

@@ -221,6 +221,16 @@ def test_validate_warns_not_minimal(capsys, tmp_path):
     assert err == "warning[NotMinimal]: d(b) = a has a linear term; the model is valid but not minimal\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "eigen"])
+def test_non_ascii_digits_are_unexpected_characters(capsys, tmp_path, command):
+    # the grammar's int is [0-9]+; Arabic-Indic two and three are not digits of it
+    bad = tmp_path / "arabic.model"
+    bad.write_text("gen a ٢\ngen b ٣\nd b = a^٢\n", encoding="utf-8")
+    code, out, err = run(capsys, command, str(bad))
+    assert (code, out) == (1, "")
+    assert err == "SyntaxError: line 1, column 7: unexpected character '٢'\n"
+
+
 def test_validate_simple_connectivity(capsys, tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_text("gen a 1\nd a = 0\n")

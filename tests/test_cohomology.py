@@ -30,7 +30,7 @@ def test_cochain_matrix_degree_seven(borel_d2):
     # code of x_bar with the top 8 less its degree 6 in the top field
     layout = build_layout(borel_d2, 8)
     fields = layout.fields
-    assert layout.free[7] == {0: ((1 << fields[1]) + ((8 - 7) << fields[-1]),)}
+    assert layout.free[7] == {0: [(1 << fields[1]) + ((8 - 7) << fields[-1])]}
     assert chain_basis(layout, 6, 1) == ((3, 0, 0), (0, 0, 1))
     assert chain_basis(build_layout(borel_d2, 9), 8, 0) == ((4, 0, 0), (1, 0, 1))
     columns = integral_columns(layout.terms, layout.free[7][0])

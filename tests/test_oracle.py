@@ -156,13 +156,21 @@ def _spaces(model):
 
 def _assert_layout_and_dims(dga, cap):
     """The layout of a table holds the g-free codes of degrees 0..cap-1
-    only, each level of its own degree, and the block dimensions that
-    eigen_table carries along g count every monomial of each degree."""
+    only: each level holds, block by block and in basis order, exactly the
+    g-free monomials of that block of support.blocks, so the weight parity
+    read off a code's bits and the enumeration order are compared as
+    lists.  The block dimensions that eigen_table carries along g count
+    every monomial of each degree."""
     layout = build_layout(dga, cap)
+    g = support.closed_index(layout)
     assert len(layout.free) == cap
     for n, level in enumerate(layout.free):
-        for codes in level.values():
-            assert {cap - (code >> layout.fields[-1]) for code in codes} == {n}
+        want = {
+            p: [m for m in monos if g is None or not m[g]]
+            for p, monos in support.blocks(dga, n).items()
+        }
+        got = {p: [decode(layout, code) for code in codes] for p, codes in level.items()}
+        assert got == {p: monos for p, monos in want.items() if monos}, n
     dims = [s.cochain_dim for s in eigen_table(dga, cap).slices]
     assert dims == [support.brute_force_monomial_count(dga.algebra, n) for n in range(cap)]
 

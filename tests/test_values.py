@@ -177,6 +177,8 @@ def _not_square_zero():
         (lambda: DegreeSlice(0, 1, 2), ValueError, "betti 2 out of range at degree 0"),
         (lambda: DegreeSlice(0, 1, 1, 1), ValueError, "eigen data must be all-or-nothing"),
         (lambda: DegreeSlice(0, 2, 1, 1, 1), ValueError, "eigen split 1+1 != betti 1 at degree 0"),
+        (lambda: DegreeSlice(0, 5, 2, -1, 3), ValueError, "negative eigen split -1+3 at degree 0"),
+        (lambda: DegreeSlice(3, 5, 2, 3, -1), ValueError, "negative eigen split 3+-1 at degree 3"),
         (lambda: EigenTable(2, (DegreeSlice(0, 1, 1),)), ValueError, "need one slice per degree 0..cap-1"),
         (lambda: EigenTable(1, (DegreeSlice(1, 1, 1),)), ValueError, "slices must be contiguous from degree 0"),
         (lambda: DgaModel(ALG, {"c": A}), KeyError, "\"unknown generator 'c'\""),
