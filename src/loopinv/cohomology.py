@@ -41,17 +41,23 @@ the span of the pivots.  A g-multiple g^c z of degree n is a row only
 from degree n - 1 + c deg g on, so the keys of degree n's g-free cells
 in the pivot dict are exactly those leads: the dict is the clearing set.
 
+Most pivots are apparent (no reduction step): as in Ripser (Bauer 2021),
+each is kept as its source code, and ``linalg.rank`` assembles it on
+first use.  ``eigen_table`` sums each uncleared column, in basis order,
+only up to its lead, and assembles and reduces at once one whose lead is
+a key, so the assembled pivots are those of assembling every column.
+
 This module owns the packed code format (``Layout``).  ``build_layout``
 lays out the g-free monomials once per table, as bare integer codes with
 one bit field per generator and the degree on top, each code's weight
 parity read off its bits, and packs the differential for those codes,
-so ``integral_columns`` assembles each g-free column as sparse integer
-coordinates by shifts, masks and bit counts, scaled by one common
-nonzero integer that clears every denominator of the differential, for
-``linalg.rank`` to rank exactly; no polynomial, exponent tuple or
-rational number is built per monomial or per column.  ``eigen_table``
-keeps the block dimensions and ranks of every degree in two flat int
-lists and builds one ``DegreeSlice`` per degree.
+grouped by row, so ``integral_columns`` assembles each g-free column as
+sparse integer coordinates by shifts, masks and bit counts, scaled by
+one common nonzero integer that clears every denominator of the
+differential, for ``linalg.rank`` to rank exactly; no polynomial,
+exponent tuple or rational number is built per monomial or per column.
+``eigen_table`` keeps the block dimensions and ranks of every degree in
+two flat int lists and builds one ``DegreeSlice`` per degree.
 
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
@@ -154,21 +160,21 @@ class Layout(NamedTuple):
     codes, bare ints, in basis order; a code's parity is that of its bits
     under the low bit of each odd-weight generator's field.  ``g_step`` is
     g's (degree, weight), or (0, 0) without g.
-    ``terms`` is the differential as ``integral_columns`` reads it: for
-    each generator g_i with a nonzero value, (fields[i], the mask of its
-    field, one (step, coefficient, others, signs) per term t of
-    L * D(g_i)), where L is the least common multiple of every
+    ``terms`` is the differential as ``integral_columns`` reads it: by
+    ascending step, one group (step, [(shift, mask, coefficient, others,
+    signs), ...]), landing on the row source + step, of the terms t of
+    every L * D(g_i), where L is the least common multiple of every
     coefficient denominator of the generator values, step is the code of
     t - g_i with the degree of t's power of g, less 1, in the degree field
-    (the change of top less the g-free degree), others the bits of the
-    odd generators of t other than g_i, and signs the odd bits whose
-    count in a source fixes the term's sign."""
+    (the change of top less the g-free degree), shift and mask select g_i's
+    field, others are the bits of the odd generators of t other than g_i,
+    and signs the odd bits whose count in a source fixes the term's sign."""
 
     top: int
     fields: tuple[int, ...]
     g_step: tuple[int, int]
     free: tuple[dict[int, tuple[int, ...]], ...]
-    terms: tuple[tuple[int, int, tuple[tuple[int, int, int, int], ...]], ...]
+    terms: tuple[tuple[int, list[tuple[int, int, int, int, int]]], ...]
 
 
 def build_layout(model: DgaModel, top: int) -> Layout:
@@ -223,11 +229,9 @@ def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int]):
     scale = lcm(*(c.denominator for value in values for c in value.values()))
     odd_bits = sum(1 << fields[k] for k in range(len(gens)) if odd[k])
     below = [(1 << f) - 1 for f in fields]  # the bits of the generators before each
-    table = []
+    groups: dict[int, list[tuple[int, ...]]] = {}
     for i, value in enumerate(values):
-        if not value:
-            continue
-        terms = []
+        mask = (1 << (fields[i + 1] - fields[i])) - 1
         for t, c in value.items():
             others = [k for k, b in enumerate(t) if b and odd[k] and k != i]
             step = sum(b << fields[k] for k, b in enumerate(t) if k != g)
@@ -239,14 +243,14 @@ def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int]):
                 signs ^= below[k]
             c = c.numerator * (scale // c.denominator)  # an integer, as scale clears c
             c = -c if odd[i] and sum(k > i for k in others) % 2 else c
-            terms.append((step, c, sum(1 << fields[k] for k in others), signs & odd_bits))
-        table.append((fields[i], (1 << (fields[i + 1] - fields[i])) - 1, tuple(terms)))
-    return tuple(table)
+            entry = (fields[i], mask, c, sum(1 << fields[k] for k in others), signs & odd_bits)
+            groups.setdefault(step, []).append(entry)
+    return tuple(sorted(groups.items()))
 
 
 def integral_columns(table, sources: Iterable[int]) -> list[dict[int, int]]:
     """For each source code m, L * D(m) as a sparse integer column
-    {code: coefficient}, with ``table`` and L as in ``Layout.terms``.
+    {code: coefficient} by ascending row, ``table`` and L as in ``Layout.terms``.
 
     The empty field of g makes a source stand for the g-free monomial m,
     and the term g^c * z of L * D(m) land on the code of z with its degree
@@ -269,19 +273,14 @@ def integral_columns(table, sources: Iterable[int]) -> list[dict[int, int]]:
     columns = []
     for code in sources:
         col: dict[int, int] = {}
-        for shift, mask, terms in table:
-            e = code >> shift & mask
-            if not e:
-                continue
-            for step, c, others, signs in terms:
-                if code & others:
-                    continue  # t repeats an odd factor of m: no term
-                row = code + step
-                v = col.get(row, 0) + (-c if (code & signs).bit_count() & 1 else c) * e
-                if v:
-                    col[row] = v
-                else:
-                    del col[row]
+        for step, group in table:
+            v = 0
+            for shift, mask, c, others, signs in group:
+                e = code >> shift & mask
+                if e and not code & others:  # else t is absent from m or repeats an odd factor
+                    v += (-c if (code & signs).bit_count() & 1 else c) * e
+            if v:
+                col[code + step] = v
         columns.append(col)
     return columns
 
@@ -318,6 +317,26 @@ def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
     return None
 
 
+def _reduce_block(table, codes: list[int], pivots: dict) -> None:
+    """Rank one g-free block's uncleared columns into ``pivots``, in order."""
+    for code in [code for code in codes if code not in pivots]:  # not cleared
+        for step, group in table:  # integral_columns inline, up to the lead
+            v = 0
+            for shift, mask, c, others, signs in group:
+                e = code >> shift & mask
+                if e and not code & others:
+                    v += (-c if (code & signs).bit_count() & 1 else c) * e
+            if v:
+                break
+        else:
+            continue  # D(code) = 0
+        if code + step in pivots:
+            expand = lambda m: integral_columns(table, (m,))[0]  # noqa: E731
+            linalg.rank([expand(code)], pivots, expand)
+        else:
+            pivots[code + step] = code  # an apparent pivot, not assembled
+
+
 def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     """Per-degree cochain dimension, betti number and (when the model has
     an involution) the eigenspace split, for degrees 0..cap-1."""
@@ -325,9 +344,9 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
         raise ValueError("cap must be >= 2")
     layout = build_layout(model, cap)  # one pass over the g-free bases below degree cap
     step, dw = layout.g_step[0], layout.g_step[1] % 2
-    # the echelon basis of every block's columns so far, which is also the
-    # clearing set; a row key names the g-free part of its monomial
-    pivots: dict[int, dict[int, int]] = {}
+    # the echelon basis of every block's columns so far (an apparent pivot as
+    # its source code), also the clearing set; a row key names a g-free part
+    pivots: dict[int, dict[int, int] | int] = {}
     # the dimension of block p of degree n and the rank of D on it, at 2n + 2 + p
     # after two zeros for degree -1; both carry on along g
     dims, ranks = [0] * (2 * cap + 2), [0] * (2 * cap + 2)
@@ -341,8 +360,8 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
         for p, codes in layout.free[n].items():
             dims[i + p] += len(codes)  # cleared codes too
             before = len(pivots)
-            columns = integral_columns(layout.terms, [c for c in codes if c not in pivots])
-            ranks[i + p] += linalg.rank(columns, pivots) - before
+            _reduce_block(layout.terms, codes, pivots)
+            ranks[i + p] += len(pivots) - before
         plus = dims[i] - ranks[i] - ranks[i - 2]
         minus = dims[i + 1] - ranks[i + 1] - ranks[i - 1]
         eigen = (plus, minus) if model.involution else ()

@@ -14,13 +14,14 @@ from nothing.  The cohomology code uses this along multiplication by a
 closed even generator g: the columns of a block that carry a factor g are,
 row for row, the columns of an earlier block, so that block's pivots are
 already an echelon basis of their span and only the g-free columns are
-reduced (see ``cohomology``).
+reduced (see ``cohomology``).  A pivot may also be an int (cohomology
+stores an apparent pivot as its source code) that ``rank`` expands.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 
 def _primitive(v: dict[int, int]) -> dict[int, int]:
@@ -29,18 +30,21 @@ def _primitive(v: dict[int, int]) -> dict[int, int]:
 
 
 def rank(
-    columns: Iterable[dict[int, int]], pivots: Optional[dict[int, dict[int, int]]] = None
+    columns: Iterable[dict[int, int]],
+    pivots: Optional[dict[int, dict[int, int] | int]] = None,
+    expand: Optional[Callable[[int], dict[int, int]]] = None,
 ) -> int:
     """Rank over Q of the columns together with the vectors of
     ``pivots``, computed exactly.
 
-    ``pivots`` maps a row key to a vector whose smallest row key it
-    is: an echelon basis, as a previous call left it (empty by default).
-    The columns are reduced one at a time against it: a pivot clears its
-    key from the column by an integer combination, which introduces only
-    larger keys, until the column vanishes or becomes a new pivot.  The
-    dict is extended in place and its size returned; the columns are not
-    changed.
+    ``pivots`` maps a row key to a vector whose smallest row key it is:
+    an echelon basis, as a previous call left it (empty by default), where
+    an int stands for the vector ``expand`` makes of it, made primitive on
+    first use.  The columns are reduced one at a time against it: a pivot
+    clears its key from the column by an integer combination, which
+    introduces only larger keys, until the column vanishes or becomes a
+    new pivot.  The dict is extended in place and its size returned; the
+    columns are not changed.
     """
     if pivots is None:
         pivots = {}
@@ -51,6 +55,8 @@ def rank(
             if p is None:
                 pivots[lead] = _primitive(v)
                 break
+            if type(p) is int:
+                p = pivots[lead] = _primitive(expand(p))
             a, b = p[lead], v[lead]
             if b % a:
                 v = {k: a * x for k, x in v.items()}

@@ -144,9 +144,9 @@ def _int(digits: str) -> int:
 
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>\d+)\*?)?"
-    r"(?:t(?:\^(?P<power>\d+))?)?"
-    r"(?P<den>/\(1-t(?:\^(?P<period>\d+))?\))?$"
+    r"^(?:(?P<coeff>[0-9]+)\*?)?"
+    r"(?:t(?:\^(?P<power>[0-9]+))?)?"
+    r"(?P<den>/\(1-t(?:\^(?P<period>[0-9]+))?\))?$"
 )
 
 

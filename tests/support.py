@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from loopinv.algebra import GradedAlgebra, Monomial, Polynomial
-from loopinv.cohomology import Layout, NoInvolutionError, integral_columns
+from loopinv.cohomology import Layout, NoInvolutionError, build_layout, integral_columns
 from loopinv.linalg import rank as sparse_rank
 from loopinv.models import DgaModel, MinimalModel, loop_model, parse_model
 from loopinv.series import algebra_generating_function
@@ -471,6 +471,22 @@ def chain_block_entries(model: DgaModel, layout: Layout, n: int, block: int) -> 
                 out[target, decode(layout, y, n)] = v
         at = _predecessor(layout, *at)
     return out
+
+
+def eager_pivots(model: DgaModel, cap: int) -> dict[int, dict[int, int]]:
+    """The pivot dict that ranks a table along g, by the eager route that
+    ``cohomology.eigen_table`` took before it held apparent pivots as
+    source codes: block by block in degree order, every g-free column whose
+    code is not a key of the dict (not cleared) is assembled in full, and
+    then the block's columns are reduced by ``linalg.rank``, so that every
+    pivot is held as its primitive vector."""
+    layout = build_layout(model, cap)
+    pivots: dict[int, dict[int, int]] = {}
+    for level in layout.free:
+        for codes in level.values():
+            uncleared = [code for code in codes if code not in pivots]
+            sparse_rank(integral_columns(layout.terms, uncleared), pivots)
+    return pivots
 
 
 def _tuple_terms(d: Derivation, drop: Optional[int]):

@@ -179,6 +179,14 @@ def test_series_rejects_bad_expression(capsys):
     assert "SeriesSyntax" in err
 
 
+@pytest.mark.parametrize("expr", ["٣*t^٢", "t^٢", "1/(1-t^٤)"])
+def test_series_non_ascii_digits_are_syntax_errors(capsys, expr):
+    # series numbers are [0-9]+; Arabic-Indic digits are not read as numbers
+    code, out, err = run(capsys, "series", expr, "--max-degree", "5")
+    assert (code, out) == (1, "")
+    assert err == f"SeriesSyntax: cannot parse series term {expr!r}\n"
+
+
 def test_series_max_degree_at_the_bound(capsys):
     code, out, err = run(capsys, "series", "1/(1-t^1)", "--max-degree", str(SERIES_MAX_DEGREE))
     assert (code, err) == (0, "")

@@ -1,7 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import loopinv.cohomology
-import loopinv.linalg
 from loopinv.cohomology import NoInvolutionError, build_layout, eigen_table, integral_columns
 from loopinv.models import borel_model, loop_model, parse_model
 from loopinv.series import RationalExpr, algebra_generating_function, equals_expr
@@ -79,32 +82,52 @@ def test_eigen_table_builds_one_layout(borel_d2, monkeypatch):
 
 def test_clearing_skips_the_leads_of_the_degree_before(monkeypatch):
     # S^2 Borel at cap 24 has 277 g-free columns: 121 are leads of pivots
-    # of the degree before and are cleared, and 13 of the 156 assembled
-    # reduce to zero.  Each g-free block is assembled and ranked once, in
-    # degree order, and both signs occur
+    # of the degree before and are cleared, and 13 of the 156 left add no
+    # pivot (their D is zero).  Each g-free block is ranked once, in degree
+    # order, and both signs occur.  Of the 143 pivots they add, 123 are
+    # apparent pivots that no reduction uses: source codes, never assembled
     dga = borel_model(load_model("s2.model"))
     layout = build_layout(dga, 24)
     blocks = [codes for level in layout.free for codes in level.values()]
-    real_columns, real_rank = loopinv.cohomology.integral_columns, loopinv.linalg.rank
-    sources, zero = [], []
+    real_reduce = loopinv.cohomology._reduce_block
+    sources, uncleared, zero, store = [], [], [], []
 
-    def columns(table, codes):
-        sources.append(codes)
-        return real_columns(table, codes)
-
-    def rank(columns, pivots):
+    def reduce_block(table, codes, pivots):
+        left = [code for code in codes if code not in pivots]
         before = len(pivots)
-        after = real_rank(columns, pivots)
-        zero.append(len(columns) - (after - before))
-        return after
+        real_reduce(table, codes, pivots)
+        sources.append(codes)
+        uncleared.append(len(left))
+        zero.append(len(left) - (len(pivots) - before))
+        store[:] = [pivots]
 
-    monkeypatch.setattr(loopinv.cohomology, "integral_columns", columns)
-    monkeypatch.setattr(loopinv.linalg, "rank", rank)
+    monkeypatch.setattr(loopinv.cohomology, "_reduce_block", reduce_block)
     eigen_table(dga, 24)
-    assert len(sources) == len(zero) == len(blocks)
-    assert all(set(codes) <= set(block) for codes, block in zip(sources, blocks))
-    assert (sum(map(len, blocks)), sum(map(len, sources)), sum(zero)) == (277, 156, 13)
+    assert sources == blocks
+    assert (sum(map(len, blocks)), sum(uncleared), sum(zero)) == (277, 156, 13)
     assert {p for level in layout.free for p in level} == {0, 1}
+    (pivots,) = store
+    assert (len(pivots), sum(type(v) is int for v in pivots.values())) == (143, 123)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_s2xs2_borel_cap_50_peak_memory():
+    # apparent pivots are held as source codes, not columns: the whole
+    # table peaks at about 44 MB, where storing every pivot's vector took
+    # about 88 MB.  VmHWM is the child's own high-water mark; ru_maxrss
+    # can carry over from the parent through vfork and exec
+    src = str(Path(loopinv.cohomology.__file__).resolve().parents[1])
+    s2xs2 = "gen a 2\ngen b 3\nd b = a^2\ngen c 2\ngen e 3\nd e = c^2\n"
+    script = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from loopinv.cohomology import eigen_table\n"
+        "from loopinv.models import borel_model, parse_model\n"
+        f"eigen_table(borel_model(parse_model({s2xs2!r})), 50)\n"
+        "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) <= 60 * 1024  # kB
 
 
 @pytest.mark.parametrize("degree", [-1, 20, 21])

@@ -3,7 +3,8 @@ support.py (kernel representatives and the induced involution on them),
 slice by slice, and the sparse integer block matrices against the dense
 matrices that support.py assembles through product_derivation, entry by
 entry.  Every column that eigen_table clears is assembled anyway and must
-reduce to zero, and Kunneth, the Gysin bound and the reduced split from
+reduce to zero, its pivots, apparent ones built, must equal those of the
+eager route (support.eager_pivots), and Kunneth, the Gysin bound and the reduced split from
 ker s on the loop model (support.ker_s_split) check tables at caps the
 dense oracle cannot reach.
 
@@ -34,6 +35,10 @@ from support import (
 )
 
 CAP = 24
+# the bundled models, then the benchmark's
+MODEL_FILES = sorted(MODELS_DIR.glob("*.model")) + sorted(
+    (MODELS_DIR.parent / "benchmark" / "inputs").glob("*.model")
+)
 RANDOM = random_models_within_budget(seed=20240, count=20, cap=CAP)
 S2_X_S2 = "gen a 2\ngen b 3\nd b = a^2\ngen c 2\ngen e 3\nd e = c^2\n"
 # (model, cap) with rational coefficients, so that the common denominator
@@ -381,35 +386,43 @@ def test_rational_and_chain_shape_reduced_split_is_ker_s(text, cap):
 
 
 def _assert_cleared_columns_vanish(dga, cap, monkeypatch):
-    """eigen_table assembles each g-free block once, in degree order,
-    skipping exactly the codes that are keys of the pivot dict, and every
-    column it skips, assembled anyway, reduces to zero against the pivots
-    present once its block is ranked: clearing changes neither the rank
-    nor the span of the pivots.  Returns the number of columns skipped."""
-    real_rank = linalg.rank
+    """eigen_table ranks each g-free block once, in degree order, into as
+    many new pivots as the eager route (assemble every code that is not a
+    key of the pivot dict, then reduce) would add, assembling no code that
+    is a key; every column it skips, assembled anyway, reduces to zero
+    against the pivots present once its block is ranked: clearing changes
+    neither the rank nor the span of the pivots.  Returns the number of
+    columns skipped."""
+    real_reduce = cohomology._reduce_block
     layout = build_layout(dga, cap)
     blocks = iter([codes for level in layout.free for codes in level.values()])
     assembled, skipped = [], []
 
+    def expand(code):
+        return integral_columns(layout.terms, [code])[0]
+
     def columns(table, sources):
-        assembled.append(sources)
+        assembled.extend(sources)
         return integral_columns(table, sources)
 
-    def rank(columns, pivots):
-        codes = next(blocks)
+    def reduce_block(table, codes, pivots):
+        assert codes == next(blocks)
         cleared = [code for code in codes if code in pivots]
-        assert assembled.pop() == [code for code in codes if code not in pivots], codes
-        after = real_rank(columns, pivots)
+        eager = integral_columns(layout.terms, [code for code in codes if code not in pivots])
+        want = linalg.rank(eager, dict(pivots), expand)
+        del assembled[:]
+        real_reduce(table, codes, pivots)
+        assert len(pivots) == want, codes
+        assert not set(assembled) & set(cleared), codes
         again = integral_columns(layout.terms, cleared)
-        assert real_rank(again, dict(pivots)) == after, codes
+        assert linalg.rank(again, dict(pivots), expand) == len(pivots), codes
         skipped.extend(cleared)
-        return after
 
+    monkeypatch.setattr(cohomology, "_reduce_block", reduce_block)
     monkeypatch.setattr(cohomology, "integral_columns", columns)
-    monkeypatch.setattr(linalg, "rank", rank)
     eigen_table(dga, cap)
     monkeypatch.undo()
-    assert next(blocks, None) is None and not assembled
+    assert next(blocks, None) is None
     return len(skipped)
 
 
@@ -436,3 +449,41 @@ def test_clearing_applies_to_products(monkeypatch):
     # so the soundness checks above are not vacuous on several generators
     dga = borel_model(parse_model(S2_X_S2))
     assert _assert_cleared_columns_vanish(dga, CAP, monkeypatch) > 0
+
+
+def _assert_pivots_match_eager(dga, cap, monkeypatch):
+    """eigen_table's pivot dict, once each apparent pivot (held as its
+    source code) is assembled and made primitive, equals the eager route's
+    (support.eager_pivots) exactly, keys and vectors."""
+    real_reduce, seen = cohomology._reduce_block, []
+
+    def reduce_block(table, codes, pivots):
+        seen.append(pivots)
+        real_reduce(table, codes, pivots)
+
+    monkeypatch.setattr(cohomology, "_reduce_block", reduce_block)
+    eigen_table(dga, cap)
+    monkeypatch.undo()
+    pivots = seen[0] if seen else {}
+    assert all(p is pivots for p in seen)
+    terms = build_layout(dga, cap).terms
+    assembled = {
+        k: linalg._primitive(integral_columns(terms, [v])[0]) if type(v) is int else v
+        for k, v in pivots.items()
+    }
+    assert assembled == support.eager_pivots(dga, cap)
+
+
+PIVOT_MODELS = (
+    [pytest.param(p.read_text(encoding="utf-8"), CAP, id=p.name) for p in MODEL_FILES]
+    + [pytest.param(model, CAP, id=f"random-{i}") for i, model in enumerate(RANDOM)]
+    + [pytest.param(text, cap, id=f"rational-{i}") for i, (text, cap) in enumerate(RATIONAL)]
+    + [pytest.param(text, cap, id=f"chain-{i}") for i, (text, _, cap) in enumerate(CHAIN_SHAPES)]
+)
+
+
+@pytest.mark.parametrize("model, cap", PIVOT_MODELS)
+def test_pivots_match_the_eager_route(model, cap, monkeypatch):
+    model = parse_model(model) if isinstance(model, str) else model
+    for dga in _spaces(model):
+        _assert_pivots_match_eager(dga, cap, monkeypatch)
