@@ -47,14 +47,18 @@ first use.  ``eigen_table`` sums each uncleared column, in basis order,
 only up to its lead, and assembles and reduces at once one whose lead is
 a key, so the assembled pivots are those of assembling every column.
 
-This module owns the packed code format (``Layout``).  ``build_layout``
-lays out the g-free monomials once per table, as bare integer codes with
-one bit field per generator and the degree on top, each code's weight
-parity read off its bits, and packs the differential for those codes,
-grouped by row, so ``integral_columns`` assembles each g-free column as
-sparse integer coordinates by shifts, masks and bit counts, scaled by
-one common nonzero integer that clears every denominator of the
-differential, for ``linalg.rank`` to rank exactly; no polynomial,
+This module owns the packed code format (``Layout``): bare integer
+codes with one bit field per generator and the degree on top, each
+code's weight parity read off its bits.  ``build_layout`` lists a
+small table's g-free codes whole, bucketed by block; a larger one it
+counts by block (``_counts``), then lists the monomials of a head of the
+generators other than g and buckets the codes of the rest, the tail, so
+that ``_block`` builds a block's codes just before ``eigen_table`` ranks
+it.  It packs the differential for those
+codes, grouped by row, so ``integral_columns`` assembles each g-free
+column as sparse integer coordinates by shifts, masks and bit counts,
+scaled by one common nonzero integer that clears every denominator of
+the differential, for ``linalg.rank`` to rank exactly; no polynomial,
 exponent tuple or rational number is built per monomial or per column.
 ``eigen_table`` keeps the block dimensions and ranks of every degree in
 two flat int lists and builds one ``DegreeSlice`` per degree.
@@ -76,6 +80,9 @@ from .series import TruncatedSeries
 
 if TYPE_CHECKING:
     from .models import DgaModel
+
+
+_set = object.__setattr__  # a Value's fields are set once, bypassing its __setattr__
 
 
 class NoInvolutionError(ValueError):
@@ -103,11 +110,11 @@ class DegreeSlice(Value):
             raise ValueError(
                 f"eigen split {inv_plus}+{inv_minus} != betti {betti} at degree {degree}"
             )
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "cochain_dim", cochain_dim)
-        object.__setattr__(self, "betti", betti)
-        object.__setattr__(self, "inv_plus", inv_plus)
-        object.__setattr__(self, "inv_minus", inv_minus)
+        _set(self, "degree", degree)
+        _set(self, "cochain_dim", cochain_dim)
+        _set(self, "betti", betti)
+        _set(self, "inv_plus", inv_plus)
+        _set(self, "inv_minus", inv_minus)
 
 
 class EigenTable(Value):
@@ -147,68 +154,147 @@ class EigenTable(Value):
 
 
 class Layout(NamedTuple):
-    """The g-free monomials of a DgaModel in degrees 0..top-1 as packed
-    integer codes, and the differential packed for those codes.
+    """The g-free monomials of a DgaModel in degrees 0..top-1, counted by
+    block and split for enumeration one block at a time as packed integer
+    codes, and the differential packed for those codes.
 
     Generator i's exponent sits in bits fields[i] .. fields[i + 1] - 1,
     wide enough for every exponent up to degree ``top`` (one bit for an
     odd generator), so that the row codes of degree top fit; g's field is
     empty.  The bits from fields[-1] up hold top less the monomial's
     degree, so codes of one degree are contiguous and a higher degree
-    comes first.  ``free[n]``, for n < top, maps each block (weight
-    parity) of degree n that has g-free monomials to a list of their
-    codes, bare ints, in basis order; a code's parity is that of its bits
-    under the low bit of each odd-weight generator's field.  ``g_step`` is
-    g's (degree, weight), or (0, 0) without g.
+    comes first.  ``g_step`` is g's (degree, weight), or (0, 0) without g.
+    ``counts[2n + p]`` is the number of g-free monomials of degree n < top
+    and weight parity p (block p).  The generators other than g split into
+    the first few (the head) and the rest (the tail): ``head`` lists the
+    head's monomials below degree top as (offset, degree, parity), with
+    the degree field of the offset less that degree, and ``tail[2n + p]``
+    lists the codes of the tail's monomials of degree n and parity p; each
+    list is in ascending lexicographic order, so a block's codes in basis
+    order are those of ``_block``.  A code's parity is that of its
+    bits under the low bit of each odd-weight generator's field.
     ``terms`` is the differential as ``integral_columns`` reads it: by
-    ascending step, one group (step, [(shift, mask, coefficient, others,
-    signs), ...]), landing on the row source + step, of the terms t of
-    every L * D(g_i), where L is the least common multiple of every
-    coefficient denominator of the generator values, step is the code of
-    t - g_i with the degree of t's power of g, less 1, in the degree field
-    (the change of top less the g-free degree), shift and mask select g_i's
-    field, others are the bits of the odd generators of t other than g_i,
-    and signs the odd bits whose count in a source fixes the term's sign."""
+    ascending step, one group (step, required, forbidden, [(shift, mask,
+    coefficient, others, signs), ...]), landing on the row source + step,
+    of the terms t of every L * D(g_i), where L is the least common
+    multiple of every coefficient denominator of the generator values,
+    step is the code of t - g_i with the degree of t's power of g, less 1,
+    in the degree field (the change of top less the g-free degree), shift
+    and mask select g_i's field, others are the bits of the odd generators
+    of t other than g_i, and signs the odd bits whose count in a source
+    fixes the term's sign.  A source without any of the required bits
+    (the fields of the group's generators) or with a forbidden one (for a
+    group of one term, its others) has no entry on the group's row."""
 
     top: int
     fields: tuple[int, ...]
     g_step: tuple[int, int]
-    free: tuple[dict[int, tuple[int, ...]], ...]
-    terms: tuple[tuple[int, list[tuple[int, int, int, int, int]]], ...]
+    counts: list[int]
+    head: list[tuple[int, int, int]]
+    tail: list[list[int]]
+    terms: tuple[tuple[int, int, int, list[tuple[int, int, int, int, int]]], ...]
 
 
-def build_layout(model: DgaModel, top: int) -> Layout:
+def build_layout(model: DgaModel, top: int, split: Optional[int] = None) -> Layout:
     """The g-free layout of a model below degree ``top`` and its packed
     differential, where g is the even generator with zero differential of
-    lowest degree (the first one on ties), or None.
+    lowest degree (the first one on ties), or None; without g every
+    monomial is g-free.
 
-    One pass over the generators other than g yields the g-free
-    monomials of every degree below top in ascending lexicographic order,
-    each as a bare packed code, which is then bucketed straight into its
-    degree and block.  Without g every monomial is g-free."""
+    The head is the first ``split`` generators other than g.  By default
+    the split is read off the count table: of N g-free monomials in all,
+    a head of k monomials leaves at least N / k to the tail and has each
+    of its entries visited once per block, twice per degree, so the split
+    is the one of least N / k + 2 top k, or of N alone without a head,
+    where nothing is visited.  A table of N <= 8 top thus takes no head,
+    and a large one about a degree's worth of tail.  So a table is first
+    listed whole, the codes of its generators from the last one back,
+    unless they outgrow 8 top before the first generator: it then takes
+    no head, and its count table is read off its buckets; only a table
+    that outgrows them is counted and split."""
     gens = model.algebra.generators
     closed = [i for i, (x, v) in enumerate(zip(gens, model.differential.values()))
               if x.degree % 2 == 0 and not v]
     g = min(closed, key=lambda i: gens[i].degree, default=None)
     fields = _fields(model, top, g)
     deg = fields[-1]
-    # the code of every g-free monomial below degree top, with top less its
-    # degree in the degree field; the first generator varies slowest
+    rest = [i for i in range(len(gens)) if i != g]
+    codes = _codes(model, fields, rest, top, 8 * top) if split is None else None
+    if codes is None:
+        counts, heads = _counts([(gens[i].degree, model.weights[i] % 2) for i in rest], top)
+        if split is None:
+            cost = [heads[-1] // k + 2 * top * k for k in heads]
+            cost[0] = heads[-1]
+            split = cost.index(min(cost))
+        codes = _codes(model, fields, rest[split:], top)
+    else:
+        split, counts = 0, None
+    # the weight parity of a code is the parity of its odd-weight exponents
+    odd_weight = sum(1 << fields[i] for i, w in enumerate(model.weights) if w % 2 and i != g)
+    head = [
+        (code - (top << deg), top - (code >> deg), (code & odd_weight).bit_count() & 1)
+        for code in _codes(model, fields, rest[:split], top)
+    ]
+    tail: list[list[int]] = [[] for _ in range(2 * top)]
+    for code in codes:
+        tail[2 * (top - (code >> deg)) + ((code & odd_weight).bit_count() & 1)].append(code)
+    if counts is None:
+        counts = list(map(len, tail))
+    g_step = (gens[g].degree, model.weights[g]) if g is not None else (0, 0)
+    return Layout(top, fields, g_step, counts, head, tail, _packed_terms(model, fields, g))
+
+
+def _counts(shape: list[tuple[int, int]], top: int) -> tuple[list[int], list[int]]:
+    """The count table of the monomials below degree ``top`` in generators
+    of the given (degree, weight parity), at 2 * degree + parity, and the
+    number of those monomials in the first k generators, for k = 0, 1, ..."""
+    counts = [1] + [0] * (2 * top - 1)
+    totals = [1]
+    for d, w in shape:
+        s = 2 * d
+        if d % 2:  # times 1 + t^d of parity w: each count takes the lower one once
+            lower = counts[: max(2 * top - s, 0)]
+            if w:
+                lower[::2], lower[1::2] = lower[1::2], lower[::2]
+            counts[s:] = [a + b for a, b in zip(counts[s:], lower)]
+        else:  # times 1 / (1 - t^d) of parity w: upward, each takes the updated lower one
+            for i in range(s, 2 * top):
+                counts[i] += counts[(i - s) ^ w]
+        totals.append(sum(counts))
+    return counts, totals
+
+
+def _codes(
+    model: DgaModel, fields: tuple[int, ...], which: list[int], top: int, limit: Optional[int] = None
+) -> Optional[list[int]]:
+    """The codes of the monomials below degree ``top`` in the generators
+    ``which``, in ascending lexicographic order, each with top less its
+    degree in the degree field; None once more than ``limit`` are listed
+    before the first generator."""
+    gens = model.algebra.generators
+    deg = fields[-1]
     codes = [top << deg]
-    for i in reversed([i for i in range(len(gens)) if i != g]):
+    for i in reversed(which):  # the first generator varies slowest
+        if limit is not None and len(codes) > limit:
+            return None
         d = gens[i].degree
         unit = (1 << fields[i]) - (d << deg)
         # e factors of generator i keep a code below degree top only where its
         # degree field is at least e*d + 1: a floor on the code itself
         steps = [(e * unit, (e * d + 1) << deg) for e in range(2 if d % 2 else top // d + 1)]
         codes = [code + step for step, floor in steps for code in codes if code >= floor]
-    # the weight parity of a code is the parity of its odd-weight exponents
-    odd_weight = sum(1 << fields[i] for i, w in enumerate(model.weights) if w % 2 and i != g)
-    free: tuple[dict[int, list[int]], ...] = tuple({} for _ in range(top))
-    for code in codes:
-        free[top - (code >> deg)].setdefault((code & odd_weight).bit_count() & 1, []).append(code)
-    g_step = (gens[g].degree, model.weights[g]) if g is not None else (0, 0)
-    return Layout(top, fields, g_step, free, _packed_terms(model, fields, g))
+    return codes
+
+
+def _block(layout: Layout, n: int, p: int) -> list[int]:
+    """The codes of the g-free monomials of block p of degree n < top, in
+    basis order: each head monomial's offset on the tail's codes of the
+    remaining degree and parity.  With the unit alone as head, the tail's
+    own list."""
+    head, tail = layout.head, layout.tail
+    if len(head) == 1:
+        return tail[2 * n + p]
+    return [hc + tc for hc, dh, ph in head if dh <= n for tc in tail[2 * (n - dh) + (p ^ ph)]]
 
 
 def _fields(model: DgaModel, top: int, g: Optional[int]) -> tuple[int, ...]:
@@ -245,7 +331,10 @@ def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int]):
             c = -c if odd[i] and sum(k > i for k in others) % 2 else c
             entry = (fields[i], mask, c, sum(1 << fields[k] for k in others), signs & odd_bits)
             groups.setdefault(step, []).append(entry)
-    return tuple(sorted(groups.items()))
+    return tuple(
+        (step, sum(e[1] << e[0] for e in group), group[0][3] if len(group) == 1 else 0, group)
+        for step, group in sorted(groups.items())
+    )
 
 
 def integral_columns(table, sources: Iterable[int]) -> list[dict[int, int]]:
@@ -270,10 +359,14 @@ def integral_columns(table, sources: Iterable[int]) -> list[dict[int, int]]:
     parity of the bit count under their exclusive or, so one bit count
     gives the sign.
     """
-    columns = []
-    for code in sources:
-        col: dict[int, int] = {}
-        for step, group in table:
+    return [_column(table, code) for code in sources]
+
+
+def _column(table, code: int) -> dict[int, int]:
+    """L * D(code), one column of ``integral_columns``."""
+    col: dict[int, int] = {}
+    for step, required, forbidden, group in table:
+        if code & required and not code & forbidden:
             v = 0
             for shift, mask, c, others, signs in group:
                 e = code >> shift & mask
@@ -281,8 +374,7 @@ def integral_columns(table, sources: Iterable[int]) -> list[dict[int, int]]:
                     v += (-c if (code & signs).bit_count() & 1 else c) * e
             if v:
                 col[code + step] = v
-        columns.append(col)
-    return columns
+    return col
 
 
 def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
@@ -317,21 +409,27 @@ def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
     return None
 
 
-def _reduce_block(table, codes: list[int], pivots: dict) -> None:
-    """Rank one g-free block's uncleared columns into ``pivots``, in order."""
-    for code in [code for code in codes if code not in pivots]:  # not cleared
-        for step, group in table:  # integral_columns inline, up to the lead
-            v = 0
-            for shift, mask, c, others, signs in group:
-                e = code >> shift & mask
-                if e and not code & others:
-                    v += (-c if (code & signs).bit_count() & 1 else c) * e
-            if v:
-                break
+def _reduce_block(leads, codes: list[int], pivots: dict, expand) -> None:
+    """Rank one g-free block's uncleared columns into ``pivots``, in order.
+    ``leads`` is ``Layout.terms`` with None for the terms of a group of
+    one term, and ``expand`` assembles one column."""
+    for code in codes:
+        if code in pivots:
+            continue  # cleared
+        for step, required, forbidden, group in leads:  # _column inline, up to the lead
+            if code & required and not code & forbidden:
+                if group is None:
+                    break  # one term, present in the code: a nonzero entry
+                v = 0
+                for shift, mask, c, others, signs in group:
+                    e = code >> shift & mask
+                    if e and not code & others:
+                        v += (-c if (code & signs).bit_count() & 1 else c) * e
+                if v:
+                    break
         else:
             continue  # D(code) = 0
         if code + step in pivots:
-            expand = lambda m: integral_columns(table, (m,))[0]  # noqa: E731
             linalg.rank([expand(code)], pivots, expand)
         else:
             pivots[code + step] = code  # an apparent pivot, not assembled
@@ -342,26 +440,35 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     an involution) the eigenspace split, for degrees 0..cap-1."""
     if cap < 2:
         raise ValueError("cap must be >= 2")
-    layout = build_layout(model, cap)  # one pass over the g-free bases below degree cap
+    layout = build_layout(model, cap)
+    terms, counts = layout.terms, layout.counts
     step, dw = layout.g_step[0], layout.g_step[1] % 2
+    # a group of one term that passes its mask test is a nonzero entry
+    leads = [(at, req, forb, None if len(group) == 1 else group) for at, req, forb, group in terms]
+
+    def expand(code: int) -> dict[int, int]:
+        return _column(terms, code)
+
     # the echelon basis of every block's columns so far (an apparent pivot as
     # its source code), also the clearing set; a row key names a g-free part
     pivots: dict[int, dict[int, int] | int] = {}
-    # the dimension of block p of degree n and the rank of D on it, at 2n + 2 + p
-    # after two zeros for degree -1; both carry on along g
-    dims, ranks = [0] * (2 * cap + 2), [0] * (2 * cap + 2)
+    # the dimension of block p of degree n (its g-free monomials, cleared ones
+    # too, plus its predecessor's) and the rank of D on it, at 2n + 2 + p after
+    # two zeros for degree -1; both carry on along g
+    dims, ranks = [0, 0, *counts], [0] * (2 * cap + 2)
     slices = []
     for n in range(cap):
         i = 2 * n + 2
         if step and n >= step:
             j = i - 2 * step + dw  # the predecessor of block 0; j ^ 1 is that of block 1
-            dims[i], dims[i + 1] = dims[j], dims[j ^ 1]
+            dims[i] += dims[j]
+            dims[i + 1] += dims[j ^ 1]
             ranks[i], ranks[i + 1] = ranks[j], ranks[j ^ 1]
-        for p, codes in layout.free[n].items():
-            dims[i + p] += len(codes)  # cleared codes too
-            before = len(pivots)
-            _reduce_block(layout.terms, codes, pivots)
-            ranks[i + p] += len(pivots) - before
+        for p in 0, 1:
+            if counts[i + p - 2]:
+                before = len(pivots)
+                _reduce_block(leads, _block(layout, n, p), pivots, expand)
+                ranks[i + p] += len(pivots) - before
         plus = dims[i] - ranks[i] - ranks[i - 2]
         minus = dims[i + 1] - ranks[i + 1] - ranks[i - 1]
         eigen = (plus, minus) if model.involution else ()

@@ -196,20 +196,3 @@ def equals_expr(s: TruncatedSeries, e: RationalExpr) -> bool:
         return True
     return e.expand(s.cap).coeffs == s.coeffs
 
-
-def algebra_generating_function(algebra, cap: int) -> TruncatedSeries:
-    """Expansion of prod_even 1/(1-t^deg) * prod_odd (1+t^deg): the
-    coefficient at n equals the number of degree-n monomials."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    coeffs = [0] * cap
-    coeffs[0] = 1
-    for g in algebra.generators:
-        d = g.degree
-        if d % 2 == 0:
-            for n in range(d, cap):
-                coeffs[n] += coeffs[n - d]
-        else:
-            for n in range(cap - 1, d - 1, -1):
-                coeffs[n] += coeffs[n - d]
-    return TruncatedSeries(coeffs)

@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from loopinv.algebra import GradedAlgebra, Monomial, Polynomial
-from loopinv.cohomology import Layout, NoInvolutionError, build_layout, integral_columns
+from loopinv.cohomology import Layout, NoInvolutionError, _block, build_layout, integral_columns
 from loopinv.linalg import rank as sparse_rank
 from loopinv.models import DgaModel, MinimalModel, loop_model, parse_model
-from loopinv.series import algebra_generating_function
+from loopinv.series import TruncatedSeries
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 Vector = tuple[Fraction, ...]
@@ -405,14 +405,79 @@ def cochain_matrix(model: DgaModel, n: int, block: Optional[int] = None) -> QMat
     return QMatrix.from_columns(cols, rows=len(target))
 
 
-def closed_index(layout: Layout) -> Optional[int]:
+def algebra_generating_function(algebra, cap: int) -> TruncatedSeries:
+    """Expansion of prod_even 1/(1-t^deg) * prod_odd (1+t^deg): the
+    coefficient at n equals the number of degree-n monomials."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    coeffs = [0] * cap
+    coeffs[0] = 1
+    for g in algebra.generators:
+        d = g.degree
+        if d % 2 == 0:
+            for n in range(d, cap):
+                coeffs[n] += coeffs[n - d]
+        else:
+            for n in range(cap - 1, d - 1, -1):
+                coeffs[n] += coeffs[n - d]
+    return TruncatedSeries(coeffs)
+
+
+class OracleLayout(NamedTuple):
+    """``cohomology.Layout`` as it was while it listed every g-free code of
+    a table: ``free[n]`` maps each block (weight parity) of degree n < top
+    that has g-free monomials to the list of their codes, in basis order.
+    The other fields are those of ``build_layout``."""
+
+    top: int
+    fields: tuple[int, ...]
+    g_step: tuple[int, int]
+    free: tuple[dict[int, list[int]], ...]
+    terms: tuple
+
+
+def oracle_layout(model: DgaModel, top: int) -> OracleLayout:
+    """The g-free codes of every degree below ``top``, in one pass over
+    the generators other than g, each bucketed into its degree and block
+    by its bits: ``cohomology.build_layout`` as it was before it counted
+    blocks and enumerated them one at a time, with its fields, g and
+    packed differential."""
+    layout = build_layout(model, top)
+    fields, g = layout.fields, closed_index(layout)
+    gens = model.algebra.generators
+    deg = fields[-1]
+    codes = [top << deg]
+    for i in reversed([i for i in range(len(gens)) if i != g]):
+        d = gens[i].degree
+        unit = (1 << fields[i]) - (d << deg)
+        steps = [(e * unit, (e * d + 1) << deg) for e in range(2 if d % 2 else top // d + 1)]
+        codes = [code + step for step, floor in steps for code in codes if code >= floor]
+    odd_weight = sum(1 << fields[i] for i, w in enumerate(model.weights) if w % 2 and i != g)
+    free: tuple[dict[int, list[int]], ...] = tuple({} for _ in range(top))
+    for code in codes:
+        free[top - (code >> deg)].setdefault((code & odd_weight).bit_count() & 1, []).append(code)
+    return OracleLayout(top, fields, layout.g_step, free, layout.terms)
+
+
+def enumerated_layout(model: DgaModel, top: int, split: Optional[int] = None) -> OracleLayout:
+    """``cohomology.build_layout`` at the given split (its own choice by
+    default), each nonempty block enumerated by ``cohomology._block`` as
+    eigen_table enumerates it, in the form of ``oracle_layout``."""
+    layout = build_layout(model, top, split)
+    free = tuple(
+        {p: codes for p in (0, 1) if (codes := list(_block(layout, n, p)))} for n in range(top)
+    )
+    return OracleLayout(top, layout.fields, layout.g_step, free, layout.terms)
+
+
+def closed_index(layout: Layout | OracleLayout) -> Optional[int]:
     """The index of g, the one generator whose field in the layout is
     empty, or None."""
     widths = [hi - lo for lo, hi in zip(layout.fields, layout.fields[1:])]
     return widths.index(0) if 0 in widths else None
 
 
-def decode(layout: Layout, code: int, degree: Optional[int] = None) -> Monomial:
+def decode(layout: Layout | OracleLayout, code: int, degree: Optional[int] = None) -> Monomial:
     """The g-free monomial z with the given packed code, as a full
     exponent tuple read through the fields of the layout that made the
     code, or with a degree, g^c * z for the c that makes up the
@@ -429,7 +494,7 @@ def decode(layout: Layout, code: int, degree: Optional[int] = None) -> Monomial:
     return tuple(mono)
 
 
-def _predecessor(layout: Layout, n: int, block: int) -> Optional[tuple[int, int]]:
+def _predecessor(layout: Layout | OracleLayout, n: int, block: int) -> Optional[tuple[int, int]]:
     """The (degree, block) that multiplication by g maps onto (n, block),
     empty or not, or None; a block is a weight parity."""
     step, dw = layout.g_step
@@ -438,7 +503,7 @@ def _predecessor(layout: Layout, n: int, block: int) -> Optional[tuple[int, int]
     return n - step, (block - dw) % 2
 
 
-def chain_basis(layout: Layout, n: int, block: int) -> tuple[Monomial, ...]:
+def chain_basis(layout: OracleLayout, n: int, block: int) -> tuple[Monomial, ...]:
     """The basis of one block of degree n < layout.top as full monomials,
     as loopinv lays it out along g: g times the basis of the predecessor
     block, then the block's own g-free monomials; () for an empty block."""
@@ -450,7 +515,7 @@ def chain_basis(layout: Layout, n: int, block: int) -> tuple[Monomial, ...]:
     return head + tuple(decode(layout, z) for z in layout.free[n].get(block, ()))
 
 
-def chain_block_entries(model: DgaModel, layout: Layout, n: int, block: int) -> dict:
+def chain_block_entries(model: DgaModel, layout: OracleLayout, n: int, block: int) -> dict:
     """{(target monomial, source monomial): entry} of L * D on one whole
     block of degree n, read off loopinv's integral_columns: the block's
     g-free columns y, and as the column of each g^a * y the g-free column
@@ -480,7 +545,7 @@ def eager_pivots(model: DgaModel, cap: int) -> dict[int, dict[int, int]]:
     code is not a key of the dict (not cleared) is assembled in full, and
     then the block's columns are reduced by ``linalg.rank``, so that every
     pivot is held as its primitive vector."""
-    layout = build_layout(model, cap)
+    layout = oracle_layout(model, cap)
     pivots: dict[int, dict[int, int]] = {}
     for level in layout.free:
         for codes in level.values():
@@ -859,7 +924,7 @@ def brute_force_monomial_count(algebra: GradedAlgebra, degree: int) -> int:
 def per_degree_monomial_basis(algebra: GradedAlgebra, degree: int) -> tuple[Monomial, ...]:
     """The degree-n monomials in ascending lexicographic order, by a
     search of that one degree, cached per algebra and degree.  loopinv
-    itself never enumerates a whole degree (see ``cohomology.build_layout``)."""
+    itself never enumerates a whole degree (see ``cohomology._block``)."""
     n = len(algebra.generators)
     out: list[Monomial] = []
     mono = [0] * n

@@ -12,8 +12,9 @@ from loopinv.cohomology import build_layout, eigen_table
 from loopinv.curvature import KernelBoundInputs, enumerate_pairs, kernel_lower_bound
 from loopinv.models import borel_model, loop_model, parse_model
 from loopinv.pseudoisotopy import pseudoisotopy_table
-from loopinv.series import ExprTerm, RationalExpr, algebra_generating_function, equals_expr
+from loopinv.series import ExprTerm, RationalExpr, equals_expr
 from support import (
+    algebra_generating_function,
     differential,
     involution_map,
     load_model,

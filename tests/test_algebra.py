@@ -13,16 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopinv.algebra import GradedAlgebra
-from loopinv.cohomology import build_layout, square_zero_residual
+from loopinv.cohomology import square_zero_residual
 from loopinv.models import DgaModel, NotSquareZeroError, borel_model, loop_model, parse_model
-from loopinv.series import algebra_generating_function
 from support import (
     MODELS_DIR,
     AlgebraMap,
     Derivation,
+    algebra_generating_function,
     brute_force_monomial_count,
     chain_basis,
     check_differential,
+    enumerated_layout,
     per_degree_monomial_basis,
     product_derivation,
     random_models_within_budget,
@@ -67,18 +68,20 @@ def test_monomial_basis_matches_brute_force(borel_algebra, degree):
     ],
 )
 def test_one_pass_bases_match_per_degree_search(gens):
-    # build_layout enumerates every degree below its top in one pass; its block bases
+    # eigen_table enumerates each block of each degree below its top from the
+    # layout's head and tail, whatever the split between them; the block bases
     # together are the whole monomial basis of each degree
     cap = 24
     alg = GradedAlgebra(gens)
     gf = algebra_generating_function(alg, cap + 1)
     dga = DgaModel(alg, {})
-    layout = build_layout(dga, cap + 1)
-    for n in range(cap + 1):
-        want = per_degree_monomial_basis(alg, n)
-        one_pass = sorted(m for block in (0, 1) for m in chain_basis(layout, n, block))
-        assert one_pass == list(want), n
-        assert len(want) == gf[n]
+    for split in range(len(gens) + 1 - any(d % 2 == 0 for _, d in gens)):
+        layout = enumerated_layout(dga, cap + 1, split)
+        for n in range(cap + 1):
+            want = per_degree_monomial_basis(alg, n)
+            one_pass = sorted(m for block in (0, 1) for m in chain_basis(layout, n, block))
+            assert one_pass == list(want), (split, n)
+            assert len(want) == gf[n]
 
 
 def test_polynomial_square_even_generator(borel_algebra):

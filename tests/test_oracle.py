@@ -6,7 +6,10 @@ entry.  Every column that eigen_table clears is assembled anyway and must
 reduce to zero, its pivots, apparent ones built, must equal those of the
 eager route (support.eager_pivots), and Kunneth, the Gysin bound and the reduced split from
 ker s on the loop model (support.ker_s_split) check tables at caps the
-dense oracle cannot reach.
+dense oracle cannot reach.  The blocks that eigen_table enumerates from a
+layout's head and tail equal, at every split, those of the one-pass
+enumeration (support.oracle_layout), and the count table, summed over
+parity and along g, is the generating function.
 
 Every block is ranked along multiplication by the closed even generator
 g, so the models here also cover the shapes of that chain: g = alpha in
@@ -23,9 +26,9 @@ import support
 from loopinv import cohomology, linalg
 from loopinv.cohomology import build_layout, eigen_table, integral_columns
 from loopinv.models import borel_model, loop_model, parse_model
-from loopinv.series import algebra_generating_function
 from support import (
     MODELS_DIR,
+    algebra_generating_function,
     chain_basis,
     decode,
     chain_block_entries,
@@ -90,7 +93,7 @@ def _assert_blocks_are_scaled_derivation(dga, cap):
     and of its chain predecessors, equals L times the dense Derivation
     block, and the chain order is a permutation of the block's basis."""
     scale = lcm(*(c.denominator for v in dga.differential.values() for c in v.terms.values()))
-    layout = build_layout(dga, cap)
+    layout = support.oracle_layout(dga, cap)
     for n in range(cap):
         full, full_next = support.blocks(dga, n), support.blocks(dga, n + 1)
         assert {p for p in (0, 1) if chain_basis(layout, n, p)} == set(full), f"degree {n}"
@@ -160,13 +163,13 @@ def _spaces(model):
 
 
 def _assert_layout_and_dims(dga, cap):
-    """The layout of a table holds the g-free codes of degrees 0..cap-1
-    only: each level holds, block by block and in basis order, exactly the
-    g-free monomials of that block of support.blocks, so the weight parity
-    read off a code's bits and the enumeration order are compared as
-    lists.  The block dimensions that eigen_table carries along g count
-    every monomial of each degree."""
-    layout = build_layout(dga, cap)
+    """The blocks that eigen_table enumerates from its layout hold the
+    g-free codes of degrees 0..cap-1 only: each level holds, block by block
+    and in basis order, exactly the g-free monomials of that block of
+    support.blocks, so the weight parity read off a code's bits and the
+    enumeration order are compared as lists.  The block dimensions that
+    eigen_table carries along g count every monomial of each degree."""
+    layout = support.enumerated_layout(dga, cap)
     g = support.closed_index(layout)
     assert len(layout.free) == cap
     for n, level in enumerate(layout.free):
@@ -197,7 +200,7 @@ def _assert_packed_columns_are_tuple_columns(dga, cap):
     codes equals, entry for entry, the column the exponent-tuple route of
     support.tuple_columns assembles for the same monomial, with each row
     keyed by the layout code of its g-free part."""
-    layout = build_layout(dga, cap)
+    layout = support.oracle_layout(dga, cap)
     g = support.closed_index(layout)
 
     def g_free(code):
@@ -276,7 +279,7 @@ def _assert_row_keys_are_codes_with_degree(dga, cap):
     names rows of one chain of blocks only: blocks that differ by a power
     of g, which is what lets eigen_table share one pivot dict between all
     blocks."""
-    layout = build_layout(dga, cap)
+    layout = support.oracle_layout(dga, cap)
     fields, (step, dw) = layout.fields, layout.g_step
     alg, g = dga.algebra, support.closed_index(layout)
     owner = {}
@@ -393,25 +396,25 @@ def _assert_cleared_columns_vanish(dga, cap, monkeypatch):
     against the pivots present once its block is ranked: clearing changes
     neither the rank nor the span of the pivots.  Returns the number of
     columns skipped."""
-    real_reduce = cohomology._reduce_block
-    layout = build_layout(dga, cap)
-    blocks = iter([codes for level in layout.free for codes in level.values()])
+    real_reduce, real_column = cohomology._reduce_block, cohomology._column
+    layout = support.oracle_layout(dga, cap)
+    blocks = iter([level[p] for level in layout.free for p in sorted(level)])
     assembled, skipped = [], []
 
     def expand(code):
         return integral_columns(layout.terms, [code])[0]
 
-    def columns(table, sources):
-        assembled.extend(sources)
-        return integral_columns(table, sources)
+    def column(table, code):
+        assembled.append(code)
+        return real_column(table, code)
 
-    def reduce_block(table, codes, pivots):
+    def reduce_block(leads, codes, pivots, assemble):
         assert codes == next(blocks)
         cleared = [code for code in codes if code in pivots]
         eager = integral_columns(layout.terms, [code for code in codes if code not in pivots])
         want = linalg.rank(eager, dict(pivots), expand)
         del assembled[:]
-        real_reduce(table, codes, pivots)
+        real_reduce(leads, codes, pivots, assemble)
         assert len(pivots) == want, codes
         assert not set(assembled) & set(cleared), codes
         again = integral_columns(layout.terms, cleared)
@@ -419,7 +422,7 @@ def _assert_cleared_columns_vanish(dga, cap, monkeypatch):
         skipped.extend(cleared)
 
     monkeypatch.setattr(cohomology, "_reduce_block", reduce_block)
-    monkeypatch.setattr(cohomology, "integral_columns", columns)
+    monkeypatch.setattr(cohomology, "_column", column)
     eigen_table(dga, cap)
     monkeypatch.undo()
     assert next(blocks, None) is None
@@ -457,9 +460,9 @@ def _assert_pivots_match_eager(dga, cap, monkeypatch):
     (support.eager_pivots) exactly, keys and vectors."""
     real_reduce, seen = cohomology._reduce_block, []
 
-    def reduce_block(table, codes, pivots):
+    def reduce_block(leads, codes, pivots, expand):
         seen.append(pivots)
-        real_reduce(table, codes, pivots)
+        real_reduce(leads, codes, pivots, expand)
 
     monkeypatch.setattr(cohomology, "_reduce_block", reduce_block)
     eigen_table(dga, cap)
@@ -474,7 +477,8 @@ def _assert_pivots_match_eager(dga, cap, monkeypatch):
     assert assembled == support.eager_pivots(dga, cap)
 
 
-PIVOT_MODELS = (
+# the bundled and benchmark models, the random, rational and chain-shape ones
+EVERY_MODEL = (
     [pytest.param(p.read_text(encoding="utf-8"), CAP, id=p.name) for p in MODEL_FILES]
     + [pytest.param(model, CAP, id=f"random-{i}") for i, model in enumerate(RANDOM)]
     + [pytest.param(text, cap, id=f"rational-{i}") for i, (text, cap) in enumerate(RATIONAL)]
@@ -482,8 +486,50 @@ PIVOT_MODELS = (
 )
 
 
-@pytest.mark.parametrize("model, cap", PIVOT_MODELS)
+@pytest.mark.parametrize("model, cap", EVERY_MODEL)
 def test_pivots_match_the_eager_route(model, cap, monkeypatch):
     model = parse_model(model) if isinstance(model, str) else model
     for dga in _spaces(model):
         _assert_pivots_match_eager(dga, cap, monkeypatch)
+
+
+def _assert_blocks_at_every_split(dga, cap, monkeypatch):
+    """At every split of the generators other than g into head and tail,
+    each (degree, parity) block that eigen_table enumerates equals the
+    oracle's (support.oracle_layout lists every code of the table in one
+    pass), as lists in order, the count table counts it, and the table is
+    the one eigen_table makes at its own split."""
+    real_layout, table = cohomology.build_layout, eigen_table(dga, cap)
+    oracle = support.oracle_layout(dga, cap)
+    others = len(dga.algebra.generators) - (support.closed_index(oracle) is not None)
+    for split in range(others + 1):
+        layout = real_layout(dga, cap, split)
+        for n in range(cap):
+            for p in 0, 1:
+                want = oracle.free[n].get(p, [])
+                assert cohomology._block(layout, n, p) == want, (split, n, p)
+                assert layout.counts[2 * n + p] == len(want), (split, n, p)
+        monkeypatch.setattr(cohomology, "build_layout", lambda model, top: layout)
+        assert eigen_table(dga, cap) == table, split
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("model, cap", EVERY_MODEL)
+def test_blocks_match_the_oracle_at_every_split(model, cap, monkeypatch):
+    model = parse_model(model) if isinstance(model, str) else model
+    for dga in _spaces(model):
+        _assert_blocks_at_every_split(dga, cap, monkeypatch)
+
+
+@pytest.mark.parametrize("model, cap", EVERY_MODEL)
+def test_count_table_is_the_generating_function(model, cap):
+    # summed over parity, the count table is the series of the g-free
+    # monomials; times 1 / (1 - t^deg g) it counts every monomial
+    model = parse_model(model) if isinstance(model, str) else model
+    for dga in _spaces(model):
+        layout = build_layout(dga, cap)
+        series = [layout.counts[2 * n] + layout.counts[2 * n + 1] for n in range(cap)]
+        step = layout.g_step[0]
+        for n in range(step, cap if step else 0):
+            series[n] += series[n - step]
+        assert series == list(algebra_generating_function(dga.algebra, cap).coeffs)

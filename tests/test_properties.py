@@ -11,8 +11,8 @@ import pytest
 
 from loopinv.cohomology import eigen_table
 from loopinv.models import borel_model, loop_model
-from loopinv.series import algebra_generating_function
 from support import (
+    algebra_generating_function,
     differential,
     involution_map,
     load_model,

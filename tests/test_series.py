@@ -8,11 +8,10 @@ from loopinv.series import (
     RationalExpr,
     SeriesExprError,
     TruncatedSeries,
-    algebra_generating_function,
     equals_expr,
     parse_expr,
 )
-from support import per_degree_monomial_basis
+from support import algebra_generating_function, per_degree_monomial_basis
 
 
 def test_expand_geometric():
