@@ -49,17 +49,18 @@ a key, so the assembled pivots are those of assembling every column.
 
 This module owns the packed code format (``Layout``): bare integer
 codes with one bit field per generator and the degree on top, each
-code's weight parity read off its bits.  ``build_layout`` lists a
-small table's g-free codes whole, bucketed by block; a larger one it
-counts by block (``_counts``), then lists the monomials of a head of the
-generators other than g and buckets the codes of the rest, the tail, so
-that ``_block`` builds a block's codes just before ``eigen_table`` ranks
-it.  It packs the differential for those
-codes, grouped by row, so ``integral_columns`` assembles each g-free
-column as sparse integer coordinates by shifts, masks and bit counts,
-scaled by one common nonzero integer that clears every denominator of
-the differential, for ``linalg.rank`` to rank exactly; no polynomial,
-exponent tuple or rational number is built per monomial or per column.
+code's weight parity read off its bits.  ``build_layout`` counts a
+table's g-free codes by block (``_counts``), then lists once the
+monomials of a head of the generators other than g, chosen from the
+counts, and buckets once the codes of the rest, the tail, so that
+``_block`` builds a block's codes just before ``eigen_table`` ranks it.
+It packs the differential for those codes, grouped by row, so
+``integral_columns`` assembles each g-free column as sparse integer
+coordinates by shifts, masks and bit counts (``_entry`` reads one row,
+also for the lead search), scaled by one common nonzero integer that
+clears every denominator of the differential, for ``linalg.rank`` to
+rank exactly; no polynomial, exponent tuple or rational number is built
+per monomial or per column.
 ``eigen_table`` keeps the block dimensions and ranks of every degree in
 two flat int lists and builds one ``DegreeSlice`` per degree.
 
@@ -70,6 +71,7 @@ with cap N answers for degrees 0..N-1 only.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
@@ -165,8 +167,9 @@ class Layout(NamedTuple):
     degree, so codes of one degree are contiguous and a higher degree
     comes first.  ``g_step`` is g's (degree, weight), or (0, 0) without g.
     ``counts[2n + p]`` is the number of g-free monomials of degree n < top
-    and weight parity p (block p).  The generators other than g split into
-    the first few (the head) and the rest (the tail): ``head`` lists the
+    and weight parity p (block p), counted before any code is listed.  The
+    generators other than g split into the first few (the head) and the
+    rest (the tail), each listed once: ``head`` lists the
     head's monomials below degree top as (offset, degree, parity), with
     the degree field of the offset less that degree, and ``tail[2n + p]``
     lists the codes of the tail's monomials of degree n and parity p; each
@@ -206,12 +209,10 @@ def build_layout(model: DgaModel, top: int, split: Optional[int] = None) -> Layo
     a head of k monomials leaves at least N / k to the tail and has each
     of its entries visited once per block, twice per degree, so the split
     is the one of least N / k + 2 top k, or of N alone without a head,
-    where nothing is visited.  A table of N <= 8 top thus takes no head,
-    and a large one about a degree's worth of tail.  So a table is first
-    listed whole, the codes of its generators from the last one back,
-    unless they outgrow 8 top before the first generator: it then takes
-    no head, and its count table is read off its buckets; only a table
-    that outgrows them is counted and split."""
+    where nothing is visited.  A table of N <= 8 top thus takes no head
+    (for a head of k >= 2 monomials, N / k + 2 top k >= 2 sqrt(2 top N)
+    >= N), and a large one about a degree's worth of tail.  The head and
+    the tail are each listed once."""
     gens = model.algebra.generators
     closed = [i for i, (x, v) in enumerate(zip(gens, model.differential.values()))
               if x.degree % 2 == 0 and not v]
@@ -219,16 +220,11 @@ def build_layout(model: DgaModel, top: int, split: Optional[int] = None) -> Layo
     fields = _fields(model, top, g)
     deg = fields[-1]
     rest = [i for i in range(len(gens)) if i != g]
-    codes = _codes(model, fields, rest, top, 8 * top) if split is None else None
-    if codes is None:
-        counts, heads = _counts([(gens[i].degree, model.weights[i] % 2) for i in rest], top)
-        if split is None:
-            cost = [heads[-1] // k + 2 * top * k for k in heads]
-            cost[0] = heads[-1]
-            split = cost.index(min(cost))
-        codes = _codes(model, fields, rest[split:], top)
-    else:
-        split, counts = 0, None
+    counts, heads = _counts([(gens[i].degree, model.weights[i] % 2) for i in rest], top)
+    if split is None:
+        cost = [heads[-1] // k + 2 * top * k for k in heads]
+        cost[0] = heads[-1]
+        split = cost.index(min(cost))
     # the weight parity of a code is the parity of its odd-weight exponents
     odd_weight = sum(1 << fields[i] for i, w in enumerate(model.weights) if w % 2 and i != g)
     head = [
@@ -236,10 +232,8 @@ def build_layout(model: DgaModel, top: int, split: Optional[int] = None) -> Layo
         for code in _codes(model, fields, rest[:split], top)
     ]
     tail: list[list[int]] = [[] for _ in range(2 * top)]
-    for code in codes:
+    for code in _codes(model, fields, rest[split:], top):
         tail[2 * (top - (code >> deg)) + ((code & odd_weight).bit_count() & 1)].append(code)
-    if counts is None:
-        counts = list(map(len, tail))
     g_step = (gens[g].degree, model.weights[g]) if g is not None else (0, 0)
     return Layout(top, fields, g_step, counts, head, tail, _packed_terms(model, fields, g))
 
@@ -264,19 +258,14 @@ def _counts(shape: list[tuple[int, int]], top: int) -> tuple[list[int], list[int
     return counts, totals
 
 
-def _codes(
-    model: DgaModel, fields: tuple[int, ...], which: list[int], top: int, limit: Optional[int] = None
-) -> Optional[list[int]]:
+def _codes(model: DgaModel, fields: tuple[int, ...], which: list[int], top: int) -> list[int]:
     """The codes of the monomials below degree ``top`` in the generators
     ``which``, in ascending lexicographic order, each with top less its
-    degree in the degree field; None once more than ``limit`` are listed
-    before the first generator."""
+    degree in the degree field."""
     gens = model.algebra.generators
     deg = fields[-1]
     codes = [top << deg]
     for i in reversed(which):  # the first generator varies slowest
-        if limit is not None and len(codes) > limit:
-            return None
         d = gens[i].degree
         unit = (1 << fields[i]) - (d << deg)
         # e factors of generator i keep a code below degree top only where its
@@ -366,15 +355,20 @@ def _column(table, code: int) -> dict[int, int]:
     """L * D(code), one column of ``integral_columns``."""
     col: dict[int, int] = {}
     for step, required, forbidden, group in table:
-        if code & required and not code & forbidden:
-            v = 0
-            for shift, mask, c, others, signs in group:
-                e = code >> shift & mask
-                if e and not code & others:  # else t is absent from m or repeats an odd factor
-                    v += (-c if (code & signs).bit_count() & 1 else c) * e
-            if v:
-                col[code + step] = v
+        if code & required and not code & forbidden and (v := _entry(group, code)):
+            col[code + step] = v
     return col
+
+
+def _entry(group, code: int) -> int:
+    """The entry of L * D(code) on the row of one group of ``Layout.terms``,
+    for a code that passes the group's mask test."""
+    v = 0
+    for shift, mask, c, others, signs in group:
+        e = code >> shift & mask
+        if e and not code & others:  # else t is absent from m or repeats an odd factor
+            v += (-c if (code & signs).bit_count() & 1 else c) * e
+    return v
 
 
 def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
@@ -416,17 +410,9 @@ def _reduce_block(leads, codes: list[int], pivots: dict, expand) -> None:
     for code in codes:
         if code in pivots:
             continue  # cleared
-        for step, required, forbidden, group in leads:  # _column inline, up to the lead
-            if code & required and not code & forbidden:
-                if group is None:
-                    break  # one term, present in the code: a nonzero entry
-                v = 0
-                for shift, mask, c, others, signs in group:
-                    e = code >> shift & mask
-                    if e and not code & others:
-                        v += (-c if (code & signs).bit_count() & 1 else c) * e
-                if v:
-                    break
+        for step, required, forbidden, group in leads:  # _column, up to the lead
+            if code & required and not code & forbidden and (group is None or _entry(group, code)):
+                break
         else:
             continue  # D(code) = 0
         if code + step in pivots:
@@ -445,10 +431,7 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     step, dw = layout.g_step[0], layout.g_step[1] % 2
     # a group of one term that passes its mask test is a nonzero entry
     leads = [(at, req, forb, None if len(group) == 1 else group) for at, req, forb, group in terms]
-
-    def expand(code: int) -> dict[int, int]:
-        return _column(terms, code)
-
+    expand = partial(_column, terms)
     # the echelon basis of every block's columns so far (an apparent pivot as
     # its source code), also the clearing set; a row key names a g-free part
     pivots: dict[int, dict[int, int] | int] = {}

@@ -533,3 +533,51 @@ def test_count_table_is_the_generating_function(model, cap):
         for n in range(step, cap if step else 0):
             series[n] += series[n - step]
         assert series == list(algebra_generating_function(dga.algebra, cap).coeffs)
+
+
+def _layouts(models, caps):
+    """Each model in base, loop and Borel form at each cap, with its name,
+    as (name, space, cap, dga)."""
+    for name, model in models:
+        for space, dga in zip(("borel", "loop", "base"), _spaces(model)):
+            for cap in caps:
+                yield name, space, cap, dga
+
+
+NAMED_MODELS = [(p.stem, parse_model(p.read_text(encoding="utf-8"))) for p in MODEL_FILES]
+
+
+def test_each_table_lists_its_codes_once(monkeypatch):
+    # build_layout counts every table, then lists the head and the tail
+    # once each: two calls of _codes whose generators are, in order, those
+    # other than g, so that no code is listed twice
+    real_codes, calls = cohomology._codes, []
+
+    def codes(model, fields, which, *args):
+        calls.append(which)
+        return real_codes(model, fields, which, *args)
+
+    monkeypatch.setattr(cohomology, "_codes", codes)
+    for name, space, cap, dga in _layouts(NAMED_MODELS, (10, 24, 40)):
+        del calls[:]
+        layout = build_layout(dga, cap)
+        g = support.closed_index(layout)
+        rest = [i for i in range(len(dga.algebra.generators)) if i != g]
+        assert len(calls) == 2 and calls[0] + calls[1] == rest, (name, space, cap)
+
+
+def test_small_tables_take_no_head():
+    # of N g-free monomials, a head of k >= 2 costs N / k + 2 top k >=
+    # 2 sqrt(2 top N) >= N when N <= 8 top, so such a table takes no head.
+    # For 4 top < N <= 8 top that needs the cost of no head to be N, not
+    # N / 1 + 2 top, which a head of two monomials (N / 2 + 4 top) beats
+    models = NAMED_MODELS + [(f"random-{i}", model) for i, model in enumerate(RANDOM)]
+    middle = set()
+    for name, space, cap, dga in _layouts(models, (10, 17, 24, 32, 40)):
+        layout = build_layout(dga, cap)
+        total = sum(layout.counts)
+        if total <= 8 * cap:
+            assert len(layout.head) == 1, (name, space, cap, total)
+            if total > 4 * cap:
+                middle.add((name, space, cap))
+    assert {("cp2", "borel", 24), ("cp3", "borel", 40), ("s2", "borel", 10)} <= middle
