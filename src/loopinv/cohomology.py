@@ -48,12 +48,12 @@ only up to its lead, and assembles and reduces at once one whose lead is
 a key, so the assembled pivots are those of assembling every column.
 
 This module owns the packed code format (``Layout``): bare integer
-codes with one bit field per generator and the degree on top, each
-code's weight parity read off its bits.  ``build_layout`` counts a
-table's g-free codes by block (``_counts``), then lists once the
-monomials of a head of the generators other than g, chosen from the
-counts, and buckets once the codes of the rest, the tail, so that
-``_block`` builds a block's codes just before ``eigen_table`` ranks it.
+codes with one bit field per generator and the degree on top.
+``build_layout`` counts a table's g-free codes by block (``_counts``),
+then lists once the monomials of a head of the generators other than g,
+chosen from the counts, and once the codes of the rest, the tail, by
+weight parity and then degree (``_codes``), so that ``_block`` builds a
+block's codes just before ``eigen_table`` ranks it.
 It packs the differential for those codes, grouped by row, so
 ``integral_columns`` assembles each g-free column as sparse integer
 coordinates by shifts, masks and bit counts (``_entry`` reads one row,
@@ -61,8 +61,26 @@ also for the lead search), scaled by one common nonzero integer that
 clears every denominator of the differential, for ``linalg.rank`` to
 rank exactly; no polynomial, exponent tuple or rational number is built
 per monomial or per column.
-``eigen_table`` keeps the block dimensions and ranks of every degree in
-two flat int lists and builds one ``DegreeSlice`` per degree.
+``eigen_table`` keeps the block dimensions and betti numbers of every
+degree in two flat int lists and builds one ``DegreeSlice`` per degree.
+
+Products.  The generators other than g fall into the connected
+components of the graph with an edge x - y wherever y appears in D(x)
+(``_factors``).  With g, a component C spans the subcomplex
+Q[g] (x) Lambda(C), and the table's complex is the tensor product of
+these over Q[g] (over Q without g): D acts one factor at a time.  This
+holds for base, loop and Borel models alike.  Each factor is free over
+the graded PID Q[g], so by the Kunneth theorem the product's cohomology
+follows from its factors' as Q[g]-modules, which are barcodes: the
+column reduction that ranks a factor along g pairs its cells
+(``_bars``).  ``build_layout`` lays a table out by factors when a rule
+read off the count tables says that pays: the factors' g-free cells plus
+3 top for each factor after the first are fewer than the table's own.
+``eigen_table`` then ranks each factor to the table's own cap, with no
+margin (``_fold`` proves it needs none), folds their barcodes
+(``_fold``), reads the table off the result and takes ``cochain_dim``
+from the table's own count table.  ``eigen_table(model, cap,
+chain=True)`` takes the chain route whatever the rule says.
 
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
@@ -71,9 +89,10 @@ with cap N answers for degrees 0..N-1 only.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate
+from functools import partial, reduce
+from itertools import accumulate, compress, islice
 from math import lcm
+from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from . import linalg
@@ -187,7 +206,13 @@ class Layout(NamedTuple):
     of t other than g_i, and signs the odd bits whose count in a source
     fixes the term's sign.  A source without any of the required bits
     (the fields of the group's generators) or with a forbidden one (for a
-    group of one term, its others) has no entry on the group's row."""
+    group of one term, its others) has no entry on the group's row.
+
+    ``factors`` is () for such a chain layout.  A product laid out by
+    factors (see ``build_layout``) has its own top, g_step and counts, one
+    chain layout per factor in ``factors``, whose fields are empty but for
+    the factor's generators, and no fields, head, tail or terms of its
+    own."""
 
     top: int
     fields: tuple[int, ...]
@@ -196,9 +221,12 @@ class Layout(NamedTuple):
     head: list[tuple[int, int, int]]
     tail: list[list[int]]
     terms: tuple[tuple[int, int, int, list[tuple[int, int, int, int, int]]], ...]
+    factors: tuple[Layout, ...]
 
 
-def build_layout(model: DgaModel, top: int, split: Optional[int] = None) -> Layout:
+def build_layout(
+    model: DgaModel, top: int, split: Optional[int] = None, chain: bool = False
+) -> Layout:
     """The g-free layout of a model below degree ``top`` and its packed
     differential, where g is the even generator with zero differential of
     lowest degree (the first one on ties), or None; without g every
@@ -212,30 +240,82 @@ def build_layout(model: DgaModel, top: int, split: Optional[int] = None) -> Layo
     where nothing is visited.  A table of N <= 8 top thus takes no head
     (for a head of k >= 2 monomials, N / k + 2 top k >= 2 sqrt(2 top N)
     >= N), and a large one about a degree's worth of tail.  The head and
-    the tail are each listed once."""
+    the tail are each listed once.
+
+    Unless ``chain``, a table whose generators other than g fall into
+    several factors (``_factors``) is laid out factor by factor instead,
+    each with its own split, when the factors' cells plus 3 top per factor
+    after the first are fewer than its own N.  The 3 top was measured: at
+    2 top some products of small random models took this route and ran
+    slower than by the chain route."""
     gens = model.algebra.generators
     closed = [i for i, (x, v) in enumerate(zip(gens, model.differential.values()))
               if x.degree % 2 == 0 and not v]
     g = min(closed, key=lambda i: gens[i].degree, default=None)
-    fields = _fields(model, top, g)
-    deg = fields[-1]
     rest = [i for i in range(len(gens)) if i != g]
-    counts, heads = _counts([(gens[i].degree, model.weights[i] % 2) for i in rest], top)
+
+    def count(which):
+        return _counts([(gens[i].degree, model.weights[i] % 2) for i in which], top)
+
+    counted = count(rest)
+    total = counted[1][-1]
+    # each factor has one cell or more (its unit), so k factors cost at least
+    # k + 3 top (k - 1), and two of them 3 top + 2, before any is counted
+    parts = [] if chain or total <= 3 * top + 2 else _factors(model, g, rest)
+    k = len(parts)
+    if k > 1 and k + 3 * top * (k - 1) < total:
+        cells = list(map(count, parts))
+        if sum(c[1][-1] for c in cells) + 3 * top * (k - 1) < total:
+            factors = tuple(map(partial(_layout, model, top, g), parts, cells))
+            return Layout(top, (), factors[0].g_step, counted[0], [], [], (), factors)
+    return _layout(model, top, g, rest, counted, split)
+
+
+def _layout(model: DgaModel, top: int, g: Optional[int], rest: list[int], counted, split=None):
+    """The chain layout of g and the generators ``rest``, from their count
+    table and totals (``_counts``); any other generator has an empty
+    field, as g has."""
+    gens = model.algebra.generators
+    counts, heads = counted
+    fields = _fields(model, top, rest)
+    deg = fields[-1]
     if split is None:
         cost = [heads[-1] // k + 2 * top * k for k in heads]
         cost[0] = heads[-1]
         split = cost.index(min(cost))
-    # the weight parity of a code is the parity of its odd-weight exponents
-    odd_weight = sum(1 << fields[i] for i, w in enumerate(model.weights) if w % 2 and i != g)
-    head = [
-        (code - (top << deg), top - (code >> deg), (code & odd_weight).bit_count() & 1)
-        for code in _codes(model, fields, rest[:split], top)
-    ]
+    odd = [i for i in rest if model.weights[i] % 2]
+    # a head code's weight parity is that of its odd-weight exponents
+    odd_bits = sum(1 << fields[i] for i in odd)
+    codes, _ = _codes(model, fields, rest[:split], top, ())
+    head = [(c - (top << deg), top - (c >> deg), (c & odd_bits).bit_count() & 1) for c in codes]
     tail: list[list[int]] = [[] for _ in range(2 * top)]
-    for code in _codes(model, fields, rest[split:], top):
-        tail[2 * (top - (code >> deg)) + ((code & odd_weight).bit_count() & 1)].append(code)
+    for p, codes in enumerate(_codes(model, fields, rest[split:], top, odd)):
+        for code in codes:
+            tail[2 * (top - (code >> deg)) + p].append(code)
     g_step = (gens[g].degree, model.weights[g]) if g is not None else (0, 0)
-    return Layout(top, fields, g_step, counts, head, tail, _packed_terms(model, fields, g))
+    terms = _packed_terms(model, fields, g, rest)
+    return Layout(top, fields, g_step, counts, head, tail, terms, ())
+
+
+def _factors(model: DgaModel, g: Optional[int], rest: list[int]) -> list[list[int]]:
+    """The generators ``rest`` (all but g) as the connected components of
+    the graph with an edge x - y wherever y appears in D(x), each in
+    generator order, ordered by their first generators."""
+    index = range(len(model.algebra.generators))
+    parts: list[int] = []  # disjoint sets of generators, as bits
+    for i, value in zip(index, model.differential.values()):
+        if i == g:
+            continue
+        part = 1 << i
+        for t in value.terms:
+            for k in compress(index, t):
+                if k != g:
+                    part |= 1 << k
+        for p in [p for p in parts if p & part]:
+            parts.remove(p)
+            part |= p
+        parts.append(part)
+    return sorted([i for i in rest if p >> i & 1] for p in parts)
 
 
 def _counts(shape: list[tuple[int, int]], top: int) -> tuple[list[int], list[int]]:
@@ -245,34 +325,48 @@ def _counts(shape: list[tuple[int, int]], top: int) -> tuple[list[int], list[int
     counts = [1] + [0] * (2 * top - 1)
     totals = [1]
     for d, w in shape:
-        s = 2 * d
         if d % 2:  # times 1 + t^d of parity w: each count takes the lower one once
-            lower = counts[: max(2 * top - s, 0)]
+            lower = counts[: max(2 * (top - d), 0)]
             if w:
                 lower[::2], lower[1::2] = lower[1::2], lower[::2]
-            counts[s:] = [a + b for a, b in zip(counts[s:], lower)]
+            counts[2 * d :] = map(add, counts[2 * d :], lower)
         else:  # times 1 / (1 - t^d) of parity w: upward, each takes the updated lower one
-            for i in range(s, 2 * top):
-                counts[i] += counts[(i - s) ^ w]
+            for i in range(2 * d, 2 * top):
+                counts[i] += counts[(i - 2 * d) ^ w]
         totals.append(sum(counts))
     return counts, totals
 
 
-def _codes(model: DgaModel, fields: tuple[int, ...], which: list[int], top: int) -> list[int]:
+def _codes(model: DgaModel, fields: tuple[int, ...], which: list[int], top: int, odd):
     """The codes of the monomials below degree ``top`` in the generators
-    ``which``, in ascending lexicographic order, each with top less its
-    degree in the degree field."""
+    ``which``, each with top less its degree in the degree field, in two
+    lists by the parity of their exponents of the generators ``odd`` (the
+    first holds them all when ``odd`` is empty), each in ascending
+    lexicographic order.  The codes with e factors of a generator are
+    those with e - 1 that have room for one more, so no code is read
+    twice for one exponent."""
     gens = model.algebra.generators
     deg = fields[-1]
-    codes = [top << deg]
+    even, other = [top << deg], []
     for i in reversed(which):  # the first generator varies slowest
         d = gens[i].degree
         unit = (1 << fields[i]) - (d << deg)
-        # e factors of generator i keep a code below degree top only where its
-        # degree field is at least e*d + 1: a floor on the code itself
-        steps = [(e * unit, (e * d + 1) << deg) for e in range(2 if d % 2 else top // d + 1)]
-        codes = [code + step for step, floor in steps for code in codes if code >= floor]
-    return codes
+        floor = (d + 1) << deg  # the least code with room for a factor of degree d
+        flip = int(i in odd)
+        k0, k1 = even, other
+        even, other = even[:], other[:]
+        for e in range(1, 2 if d % 2 else top // d + 1):
+            k0 = [code + unit for code in k0 if code >= floor]
+            k1 = [code + unit for code in k1 if code >= floor]
+            if not (k0 or k1):
+                break
+            if e & flip:
+                even += k1
+                other += k0
+            else:
+                even += k0
+                other += k1
+    return even, other
 
 
 def _block(layout: Layout, n: int, p: int) -> list[int]:
@@ -286,26 +380,30 @@ def _block(layout: Layout, n: int, p: int) -> list[int]:
     return [hc + tc for hc, dh, ph in head if dh <= n for tc in tail[2 * (n - dh) + (p ^ ph)]]
 
 
-def _fields(model: DgaModel, top: int, g: Optional[int]) -> tuple[int, ...]:
-    """``Layout.fields`` through degree ``top``, with an empty field for g."""
+def _fields(model: DgaModel, top: int, keep) -> tuple[int, ...]:
+    """``Layout.fields`` through degree ``top``, with an empty field for
+    each generator not in ``keep``."""
     width = [
-        0 if i == g else 1 if d % 2 else max(1, (top // d).bit_length())
+        0 if i not in keep else 1 if d % 2 else max(1, (top // d).bit_length())
         for i, (_, d) in enumerate(model.algebra.generators)
     ]
     return tuple(accumulate(width, initial=0))
 
 
-def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int]):
-    """``Layout.terms`` for the given fields.  g, even and closed, has no
-    entry, and its factors in a term change the g-free degree, not the code."""
+def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int], which):
+    """``Layout.terms`` of the generators ``which`` for the given fields,
+    whose values lie in those generators and g.  g, even and closed, has
+    no entry, and its factors in a term change the g-free degree, not the
+    code."""
     gens = model.algebra.generators
     values = [v.terms for v in model.differential.values()]
     odd = [x.degree % 2 == 1 for x in gens]
-    scale = lcm(*(c.denominator for value in values for c in value.values()))
-    odd_bits = sum(1 << fields[k] for k in range(len(gens)) if odd[k])
+    scale = lcm(*(c.denominator for i in which for c in values[i].values()))
+    odd_bits = sum(1 << fields[k] for k in which if odd[k])
     below = [(1 << f) - 1 for f in fields]  # the bits of the generators before each
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for i, value in enumerate(values):
+    for i in which:
+        value = values[i]
         mask = (1 << (fields[i + 1] - fields[i])) - 1
         for t, c in value.items():
             others = [k for k, b in enumerate(t) if b and odd[k] and k != i]
@@ -379,9 +477,10 @@ def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
     carries L^2 and each of its monomials is the fields of its code."""
     gens = model.algebra.generators
     top = max((x.degree for x in gens), default=0) + 2
-    fields = _fields(model, top, None)
+    every = range(len(gens))
+    fields = _fields(model, top, every)
     deg = fields[-1]
-    table = _packed_terms(model, fields, None)
+    table = _packed_terms(model, fields, None, every)
     values = [v.terms for v in model.differential.values()]
     square = lcm(*(c.denominator for value in values for c in value.values())) ** 2
     for i, x in enumerate(gens):
@@ -421,39 +520,140 @@ def _reduce_block(leads, codes: list[int], pivots: dict, expand) -> None:
             pivots[code + step] = code  # an apparent pivot, not assembled
 
 
-def eigen_table(model: DgaModel, cap: int) -> EigenTable:
-    """Per-degree cochain dimension, betti number and (when the model has
-    an involution) the eigenspace split, for degrees 0..cap-1."""
-    if cap < 2:
-        raise ValueError("cap must be >= 2")
-    layout = build_layout(model, cap)
-    terms, counts = layout.terms, layout.counts
-    step, dw = layout.g_step[0], layout.g_step[1] % 2
+def _rank(layout: Layout) -> tuple[list[int], dict]:
+    """Rank the g-free blocks of a chain layout in degree order, block 0
+    first, into one pivot dict: the number of new pivots of block p of
+    degree n at 2n + p, and the dict, which holds an apparent pivot as its
+    source code and is also the clearing set; a row key names a g-free
+    part."""
+    terms = layout.terms
     # a group of one term that passes its mask test is a nonzero entry
     leads = [(at, req, forb, None if len(group) == 1 else group) for at, req, forb, group in terms]
     expand = partial(_column, terms)
-    # the echelon basis of every block's columns so far (an apparent pivot as
-    # its source code), also the clearing set; a row key names a g-free part
     pivots: dict[int, dict[int, int] | int] = {}
-    # the dimension of block p of degree n (its g-free monomials, cleared ones
-    # too, plus its predecessor's) and the rank of D on it, at 2n + 2 + p after
-    # two zeros for degree -1; both carry on along g
-    dims, ranks = [0, 0, *counts], [0] * (2 * cap + 2)
+    new = [0] * (2 * layout.top)
+    for i, count in enumerate(layout.counts):
+        if count:
+            before = len(pivots)
+            _reduce_block(leads, _block(layout, i >> 1, i & 1), pivots, expand)
+            new[i] = len(pivots) - before
+    return new, pivots
+
+
+def _bars(layout: Layout) -> dict[tuple[int, int, int], int]:
+    """The cohomology of a chain layout's complex below degree top as a
+    Q[g]-module, a barcode {(degree, parity, length): multiplicity} read
+    off ``_rank``'s pivots (Zomorodian and Carlsson, Computing persistent
+    homology, 2005).  Bar (d, p, a) is Q[g]/g^a z for a class z of degree
+    d and weight parity p, so g^j z lies in degree d + j deg g with parity
+    p + j weight(g); a free bar has length top.  A key z of degree d set by
+    a column of degree n is the bar of length (n + 1 - d) / deg g (none
+    when that is 0), and a cell that is neither a key nor the source of a
+    new pivot a free bar.  So a cell whose killing column lies in degree
+    top or more reads free: a bar that ends past top, in degree top + 1 or
+    more."""
+    top, deg = layout.top, layout.fields[-1]
+    step, dw = layout.g_step[0], layout.g_step[1] % 2
+    new, pivots = _rank(layout)
+    free = list(map(sub, layout.counts, new))
+    bars: dict[tuple[int, int, int], int] = {}
+    keys = iter(pivots)  # in insertion order, block by block
+    for i, k in enumerate(new):
+        for z in islice(keys, k):
+            d = top - (z >> deg)
+            if d == top:
+                continue  # a row of degree top, not a cell
+            a = (i // 2 + 1 - d) // step if step else 0
+            j = 2 * d + (i & 1 ^ a & dw)  # g^a z lies in the column's block
+            free[j] -= 1
+            if a:
+                bars[d, j & 1, a] = bars.get((d, j & 1, a), 0) + 1
+    for j, m in enumerate(free):
+        if m:
+            bars[j >> 1, j & 1, top] = m
+    return bars
+
+
+def _fold(top: int, step: int, dw: int, xs: dict, ys: dict) -> dict[tuple[int, int, int], int]:
+    """The barcode of the tensor product over Q[g] of two complexes of free
+    Q[g]-modules, from theirs (``_bars``), below degree top: by the Kunneth
+    theorem over the graded PID Q[g] (Weibel 3.6.3), bars x (d, p, a) and
+    y (e, q, b) give a tensor bar of length min(a, b) at degree d + e, and
+    when both are finite a Tor bar of length min(a, b) at degree
+    d + e + max(a, b) deg g - 1, whose parity also adds max(a, b) weight(g).
+    Without g (step 0) every bar is free and this is the plain Kunneth
+    theorem over Q.  A bar whose end d + a deg g lies past top is kept as
+    free: it has the same classes below top.
+
+    So no factor needs a margin past the cap N = top.  Ranked to N, a
+    factor sets exactly the bars of its columns of degree below N, and a
+    bar whose column lies in degree N or more ends past N and reads free:
+    every bar that starts below N is exact or ends past N, both in the
+    truncated barcode and in the exact one.  Folding keeps that.  The
+    tensor bar of x and y ends at the lesser of end(x) + e and end(y) + d,
+    exact or past N as those are, and the Tor bar starts at the greater
+    of the two less 1, which is N or more once either end is past N (and
+    does not exist when either bar is free).  So the classes below N, which
+    ``_ends`` counts, are those of the exact fold."""
+    out: dict[tuple[int, int, int], int] = {}
+    ys = sorted(ys.items())
+    for (dx, px, a), m in xs.items():
+        for (dy, py, b), k in ys:
+            d = dx + dy
+            if d >= top:
+                break
+            lo, hi = (a, b) if a < b else (b, a)
+            bar = (d, px ^ py, lo if d + lo * step <= top else top)
+            out[bar] = out.get(bar, 0) + m * k
+            d += hi * step - 1
+            if hi < top and d < top:  # both finite: the Tor term
+                bar = (d, px ^ py ^ hi & dw, lo if d + lo * step <= top else top)
+                out[bar] = out.get(bar, 0) + m * k
+    return out
+
+
+def _ends(bars: dict, top: int, step: int, dw: int) -> list[int]:
+    """At 2n + p, the bars of a barcode that start in degree n < top with
+    parity p, less those that end there: carried along g, the dimension of
+    the cohomology there."""
+    out = [0] * (2 * top)
+    for (d, p, a), m in bars.items():
+        out[2 * d + p] += m
+        if a < top and d + a * step < top:
+            out[2 * (d + a * step) + (p ^ a & dw)] -= m
+    return out
+
+
+def eigen_table(model: DgaModel, cap: int, chain: bool = False) -> EigenTable:
+    """Per-degree cochain dimension, betti number and (when the model has
+    an involution) the eigenspace split, for degrees 0..cap-1.  A product
+    that ``build_layout`` lays out by factors is ranked factor by factor
+    and its table read off the folded barcodes; ``chain`` ranks it whole."""
+    if cap < 2:
+        raise ValueError("cap must be >= 2")
+    layout = build_layout(model, cap, chain=chain)
+    step, dw = layout.g_step[0], layout.g_step[1] % 2
+    # block p of degree n at 2n + p: its g-free monomials, cleared ones too,
+    # and what its cohomology gains over that of its predecessor along g,
+    # for the chain route its g-free cells less the new pivots of D on it
+    # and on the block of degree n - 1; both carry on along g
+    dims = list(layout.counts)
+    if layout.factors:
+        bars = reduce(partial(_fold, cap, step, dw), map(_bars, layout.factors))
+        betti = _ends(bars, cap, step, dw)
+    else:
+        new, _ = _rank(layout)
+        betti = list(map(sub, dims, map(add, new, [0, 0, *new])))
     slices = []
     for n in range(cap):
-        i = 2 * n + 2
+        i = 2 * n
         if step and n >= step:
-            j = i - 2 * step + dw  # the predecessor of block 0; j ^ 1 is that of block 1
+            j = (i - 2 * step) ^ dw  # the predecessor of block 0; j ^ 1 is that of block 1
             dims[i] += dims[j]
             dims[i + 1] += dims[j ^ 1]
-            ranks[i], ranks[i + 1] = ranks[j], ranks[j ^ 1]
-        for p in 0, 1:
-            if counts[i + p - 2]:
-                before = len(pivots)
-                _reduce_block(leads, _block(layout, n, p), pivots, expand)
-                ranks[i + p] += len(pivots) - before
-        plus = dims[i] - ranks[i] - ranks[i - 2]
-        minus = dims[i + 1] - ranks[i + 1] - ranks[i - 1]
+            betti[i] += betti[j]
+            betti[i + 1] += betti[j ^ 1]
+        plus, minus = betti[i], betti[i + 1]
         eigen = (plus, minus) if model.involution else ()
         slices.append(DegreeSlice(n, dims[i] + dims[i + 1], plus + minus, *eigen))
     return EigenTable(cap, tuple(slices))

@@ -13,6 +13,7 @@ from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
+from loopinv import cohomology
 from loopinv.algebra import GradedAlgebra, Monomial, Polynomial
 from loopinv.cohomology import Layout, NoInvolutionError, _block, build_layout, integral_columns
 from loopinv.linalg import rank as sparse_rank
@@ -442,7 +443,7 @@ def oracle_layout(model: DgaModel, top: int) -> OracleLayout:
     by its bits: ``cohomology.build_layout`` as it was before it counted
     blocks and enumerated them one at a time, with its fields, g and
     packed differential."""
-    layout = build_layout(model, top)
+    layout = build_layout(model, top, chain=True)
     fields, g = layout.fields, closed_index(layout)
     gens = model.algebra.generators
     deg = fields[-1]
@@ -463,7 +464,7 @@ def enumerated_layout(model: DgaModel, top: int, split: Optional[int] = None) ->
     """``cohomology.build_layout`` at the given split (its own choice by
     default), each nonempty block enumerated by ``cohomology._block`` as
     eigen_table enumerates it, in the form of ``oracle_layout``."""
-    layout = build_layout(model, top, split)
+    layout = build_layout(model, top, split, chain=True)
     free = tuple(
         {p: codes for p in (0, 1) if (codes := list(_block(layout, n, p)))} for n in range(top)
     )
@@ -552,6 +553,70 @@ def eager_pivots(model: DgaModel, cap: int) -> dict[int, dict[int, int]]:
             uncleared = [code for code in codes if code not in pivots]
             sparse_rank(integral_columns(layout.terms, uncleared), pivots)
     return pivots
+
+
+def product_model(*models: MinimalModel) -> MinimalModel:
+    """The minimal model of a product of spaces, the tensor product of
+    their models, with generator x of the k-th model renamed x_k."""
+    width = sum(len(m.algebra.generators) for m in models)
+    alg = GradedAlgebra(
+        [(f"{x.name}_{k}", x.degree) for k, m in enumerate(models) for x in m.algebra.generators]
+    )
+    values, before = {}, 0
+    for k, m in enumerate(models):
+        n = len(m.algebra.generators)
+        for x, v in zip(m.algebra.generators, m.differential.values()):
+            pad = (0,) * (width - before - n)
+            values[f"{x.name}_{k}"] = Polynomial(
+                alg, {(0,) * before + t + pad: c for t, c in v.terms.items()}
+            )
+        before += n
+    return MinimalModel(alg, values)
+
+
+def factor_layout(model: DgaModel, top: int) -> Layout:
+    """``cohomology.build_layout``'s layout by factors
+    (``cohomology._factors``), whatever its route rule says, also for a
+    model of one factor: the table's count table and g, and one chain
+    layout per factor."""
+    whole = build_layout(model, top, chain=True)
+    gens = model.algebra.generators
+    g = closed_index(whole)
+    parts = cohomology._factors(model, g, [i for i in range(len(gens)) if i != g])
+    shapes = [[(gens[i].degree, model.weights[i] % 2) for i in part] for part in parts]
+    factors = tuple(
+        cohomology._layout(model, top, g, part, cohomology._counts(shape, top))
+        for part, shape in zip(parts, shapes)
+    )
+    return Layout(top, (), whole.g_step, whole.counts, [], [], (), factors)
+
+
+def folded_barcode(model: DgaModel, top: int) -> dict:
+    """The barcode of a table below ``top`` by the product route: each
+    factor's barcode (``cohomology._bars``), folded by
+    ``cohomology._fold`` into that of Q[g] (one free bar at degree 0)."""
+    layout = factor_layout(model, top)
+    step, dw = layout.g_step[0], layout.g_step[1] % 2
+    return functools.reduce(
+        functools.partial(cohomology._fold, top, step, dw),
+        map(cohomology._bars, layout.factors),
+        {(0, 0, top): 1},
+    )
+
+
+def gysin_betti(bars: dict, top: int) -> list[int]:
+    """The betti numbers below ``top`` of a loop model from the barcode of
+    its Borel model over Q[alpha], alpha of degree 2, by the Gysin
+    sequence 0 -> BM -(alpha)-> BM -> M -> 0: dim H^n(M) is the number of
+    bars that start in degree n plus the number of finite bars whose last
+    class alpha^(a-1) x lies in degree n - 1.  A bar of length ``top`` is
+    free, as in ``cohomology._bars``."""
+    out = [0] * top
+    for (d, _, a), m in bars.items():
+        out[d] += m
+        if a < top and d + 2 * a - 1 < top:
+            out[d + 2 * a - 1] += m
+    return out
 
 
 def _tuple_terms(d: Derivation, drop: Optional[int]):

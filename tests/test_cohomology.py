@@ -73,9 +73,9 @@ def test_eigen_table_builds_one_layout(borel_d2, monkeypatch):
     for name in ("build_layout", "_packed_terms"):
         real = getattr(loopinv.cohomology, name)
 
-        def counting(*args, _name=name, _real=real):
+        def counting(*args, _name=name, _real=real, **kwargs):
             calls.append(_name)
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(loopinv.cohomology, name, counting)
     eigen_table(borel_d2, 20)
@@ -112,17 +112,17 @@ def test_clearing_skips_the_leads_of_the_degree_before(monkeypatch):
     assert (len(pivots), sum(type(v) is int for v in pivots.values())) == (143, 123)
 
 
-def _s2xs2_borel_peak_kb(cap):
+def _s2xs2_borel_peak_kb(cap, chain):
     """VmHWM, the high-water mark of a fresh interpreter that computes the
-    S^2 x S^2 Borel table at the cap; ru_maxrss can carry over from the
-    parent through vfork and exec."""
+    S^2 x S^2 Borel table at the cap, by the chain route if ``chain``;
+    ru_maxrss can carry over from the parent through vfork and exec."""
     src = str(Path(loopinv.cohomology.__file__).resolve().parents[1])
     s2xs2 = "gen a 2\ngen b 3\nd b = a^2\ngen c 2\ngen e 3\nd e = c^2\n"
     script = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "from loopinv.cohomology import eigen_table\n"
         "from loopinv.models import borel_model, parse_model\n"
-        f"eigen_table(borel_model(parse_model({s2xs2!r})), {cap})\n"
+        f"eigen_table(borel_model(parse_model({s2xs2!r})), {cap}, chain={chain})\n"
         "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))"
     )
     out = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
@@ -135,7 +135,7 @@ def test_s2xs2_borel_cap_50_peak_memory():
     # apparent pivots are held as source codes, not columns: the whole
     # table peaks at about 32 MB (40 MB with every g-free code listed at
     # once), where storing every pivot's vector took about 88 MB
-    assert _s2xs2_borel_peak_kb(50) <= 60 * 1024
+    assert _s2xs2_borel_peak_kb(50, chain=True) <= 60 * 1024
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
@@ -143,7 +143,14 @@ def test_s2xs2_borel_cap_70_peak_memory():
     # the g-free codes are enumerated a block at a time from the head and
     # tail of the layout, not held for the whole table: about 81 MB, where
     # listing all 976,466 of them at once took about 116 MB
-    assert _s2xs2_borel_peak_kb(70) <= 100 * 1024
+    assert _s2xs2_borel_peak_kb(70, chain=True) <= 100 * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_s2xs2_borel_cap_120_product_route_peak_memory():
+    # the product route ranks each S^2 factor alone and folds the barcodes:
+    # about 15 MB, where the chain route ranks 8.5M g-free cells in 521 MB
+    assert _s2xs2_borel_peak_kb(120, chain=False) <= 40 * 1024
 
 
 @pytest.mark.parametrize("degree", [-1, 20, 21])

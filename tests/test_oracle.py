@@ -9,7 +9,11 @@ ker s on the loop model (support.ker_s_split) check tables at caps the
 dense oracle cannot reach.  The blocks that eigen_table enumerates from a
 layout's head and tail equal, at every split, those of the one-pass
 enumeration (support.oracle_layout), and the count table, summed over
-parity and along g, is the generating function.
+parity and along g, is the generating function.  The product route
+(Kunneth over Q[g] on the factors' barcodes) equals the chain route,
+which these oracles hold with eigen_table(..., chain=True), in every
+degree and parity, and the Borel barcode gives the loop betti numbers by
+the Gysin sequence.
 
 Every block is ranked along multiplication by the closed even generator
 g, so the models here also cover the shapes of that chain: g = alpha in
@@ -142,8 +146,8 @@ def test_random_base_tables_match_oracle(index):
 def test_chain_shapes_match_oracle(text, g, cap):
     model = parse_model(text)
     loop, borel = loop_model(model), borel_model(model)
-    assert support.closed_index(build_layout(model, cap)) == g
-    assert support.closed_index(build_layout(borel, cap)) == 0
+    assert support.closed_index(build_layout(model, cap, chain=True)) == g
+    assert support.closed_index(build_layout(borel, cap, chain=True)) == 0
     for dga in (model, loop, borel):
         _assert_matches_oracle(dga, cap)
         _assert_blocks_are_scaled_derivation(dga, cap)
@@ -423,7 +427,7 @@ def _assert_cleared_columns_vanish(dga, cap, monkeypatch):
 
     monkeypatch.setattr(cohomology, "_reduce_block", reduce_block)
     monkeypatch.setattr(cohomology, "_column", column)
-    eigen_table(dga, cap)
+    eigen_table(dga, cap, chain=True)
     monkeypatch.undo()
     assert next(blocks, None) is None
     return len(skipped)
@@ -465,11 +469,11 @@ def _assert_pivots_match_eager(dga, cap, monkeypatch):
         real_reduce(leads, codes, pivots, expand)
 
     monkeypatch.setattr(cohomology, "_reduce_block", reduce_block)
-    eigen_table(dga, cap)
+    eigen_table(dga, cap, chain=True)
     monkeypatch.undo()
     pivots = seen[0] if seen else {}
     assert all(p is pivots for p in seen)
-    terms = build_layout(dga, cap).terms
+    terms = build_layout(dga, cap, chain=True).terms
     assembled = {
         k: linalg._primitive(integral_columns(terms, [v])[0]) if type(v) is int else v
         for k, v in pivots.items()
@@ -503,13 +507,13 @@ def _assert_blocks_at_every_split(dga, cap, monkeypatch):
     oracle = support.oracle_layout(dga, cap)
     others = len(dga.algebra.generators) - (support.closed_index(oracle) is not None)
     for split in range(others + 1):
-        layout = real_layout(dga, cap, split)
+        layout = real_layout(dga, cap, split, chain=True)
         for n in range(cap):
             for p in 0, 1:
                 want = oracle.free[n].get(p, [])
                 assert cohomology._block(layout, n, p) == want, (split, n, p)
                 assert layout.counts[2 * n + p] == len(want), (split, n, p)
-        monkeypatch.setattr(cohomology, "build_layout", lambda model, top: layout)
+        monkeypatch.setattr(cohomology, "build_layout", lambda model, top, **kw: layout)
         assert eigen_table(dga, cap) == table, split
         monkeypatch.undo()
 
@@ -560,7 +564,7 @@ def test_each_table_lists_its_codes_once(monkeypatch):
     monkeypatch.setattr(cohomology, "_codes", codes)
     for name, space, cap, dga in _layouts(NAMED_MODELS, (10, 24, 40)):
         del calls[:]
-        layout = build_layout(dga, cap)
+        layout = build_layout(dga, cap, chain=True)
         g = support.closed_index(layout)
         rest = [i for i in range(len(dga.algebra.generators)) if i != g]
         assert len(calls) == 2 and calls[0] + calls[1] == rest, (name, space, cap)
@@ -574,10 +578,143 @@ def test_small_tables_take_no_head():
     models = NAMED_MODELS + [(f"random-{i}", model) for i, model in enumerate(RANDOM)]
     middle = set()
     for name, space, cap, dga in _layouts(models, (10, 17, 24, 32, 40)):
-        layout = build_layout(dga, cap)
+        layout = build_layout(dga, cap, chain=True)
         total = sum(layout.counts)
         if total <= 8 * cap:
             assert len(layout.head) == 1, (name, space, cap, total)
             if total > 4 * cap:
                 middle.add((name, space, cap))
     assert {("cp2", "borel", 24), ("cp3", "borel", 40), ("s2", "borel", 10)} <= middle
+
+
+# The product route (build_layout's factors) against the chain route.  A
+# case is a minimal model: every bundled and benchmark model, the product
+# of every pair of them (a model with itself too) and products of random
+# models; each in base, loop and Borel form at each cap, except the tables
+# of more than PRODUCT_BUDGET g-free cells, which the chain route would
+# take minutes to rank.
+PRODUCT_CAPS = (4, 10, 17, 24, 30)
+PRODUCT_BUDGET = 60_000
+_RANDOM_FACTORS = random_models_within_budget(seed=8111, count=12, cap=CAP)
+PRODUCT_CASES = (
+    [pytest.param(model, id=name) for name, model in NAMED_MODELS]
+    + [
+        pytest.param(support.product_model(x, y), id=f"{a}*{b}")
+        for i, (a, x) in enumerate(NAMED_MODELS)
+        for b, y in NAMED_MODELS[i:]
+    ]
+    + [
+        pytest.param(support.product_model(*_RANDOM_FACTORS[i : i + k]), id=f"random-{i}-x{k}")
+        for k, starts in ((2, range(0, 6, 2)), (3, range(6, 12, 3)))
+        for i in starts
+    ]
+)
+
+
+def _product_route_table(dga, cap, monkeypatch):
+    """eigen_table by the product route whatever the route rule says: its
+    layout is support.factor_layout, one factor or more."""
+    layout = support.factor_layout(dga, cap)
+    monkeypatch.setattr(cohomology, "build_layout", lambda model, top, **kw: layout)
+    table = eigen_table(dga, cap)
+    monkeypatch.undo()
+    return table
+
+
+@pytest.mark.parametrize("model", PRODUCT_CASES)
+def test_product_route_matches_the_chain_route(model, monkeypatch):
+    # the folded barcodes of the factors give the chain route's table in
+    # every degree and parity, and so does the route the rule picks
+    ranked = 0
+    for space, dga in zip(("borel", "loop", "base"), _spaces(model)):
+        for cap in PRODUCT_CAPS:
+            if sum(build_layout(dga, cap, chain=True).counts) > PRODUCT_BUDGET:
+                break
+            chain = eigen_table(dga, cap, chain=True)
+            assert _product_route_table(dga, cap, monkeypatch) == chain, (space, cap)
+            assert eigen_table(dga, cap) == chain, (space, cap)
+            ranked += 1
+    assert ranked >= 6  # at least two caps of each space
+
+
+def test_a_product_without_g_is_the_plain_kunneth_product(monkeypatch):
+    # S^3 x S^3 has no closed even generator: its two factors are tensored
+    # over Q, every bar is free, and the dimensions convolve
+    model = dict(NAMED_MODELS)["s3xs3"]
+    for cap in PRODUCT_CAPS:
+        layout = support.factor_layout(model, cap)
+        assert layout.g_step == (0, 0) and len(layout.factors) == 2
+        table = _product_route_table(model, cap, monkeypatch)
+        assert table == eigen_table(model, cap, chain=True)
+        betti = [int(n in (0, 6)) + 2 * (n == 3) for n in range(cap)]
+        assert [s.betti for s in table.slices] == betti
+
+
+def test_the_route_rule_takes_the_product_route_where_it_pays():
+    # the rule reads the count tables: both multigen-betti tables and the
+    # S^2 x S^2 frontier take the product route, one factor never does,
+    # and a product whose factors are about as large as itself does not
+    s2xs2, s3xs3 = dict(NAMED_MODELS)["s2xs2"], dict(NAMED_MODELS)["s3xs3"]
+    assert len(build_layout(borel_model(s2xs2), 10).factors) == 2
+    assert len(build_layout(borel_model(s3xs3), 26).factors) == 2
+    assert len(build_layout(borel_model(s2xs2), 120).factors) == 2
+    assert build_layout(borel_model(load_model("s2.model")), 120).factors == ()
+    assert build_layout(s3xs3, 10).factors == ()  # 4 cells, 2 + 2 + 3 * 10 by factors
+    # 57 cells against 11 + 11 + 3 * 12: at 2 top per extra factor, this
+    # table would take the product route, which is slower at this size
+    # (about 0.24 ms against 0.21 ms by the chain route)
+    assert build_layout(borel_model(s3xs3), 12).factors == ()
+    forced = build_layout(borel_model(s2xs2), 10, chain=True)
+    assert forced.factors == () and forced.terms
+
+
+GYSIN_CASES = (
+    [pytest.param(model, id=name) for name, model in NAMED_MODELS]
+    + [pytest.param(model, id=f"random-{i}") for i, model in enumerate(RANDOM)]
+    + [
+        pytest.param(support.product_model(*_RANDOM_FACTORS[i : i + 2]), id=f"random-{i}-x2")
+        for i in (0, 2)
+    ]
+)
+
+
+@pytest.mark.parametrize("model", GYSIN_CASES)
+def test_borel_barcode_gives_the_loop_betti_numbers(model):
+    # the Gysin sequence 0 -> BM -(alpha)-> BM -> M -> 0 reads the loop
+    # model's betti numbers off the Borel barcode, both the one of the
+    # chain route's pivots and the one folded from the factors
+    cap = 30
+    borel = borel_model(model)
+    loop = [s.betti for s in eigen_table(loop_model(model), cap, chain=True).slices]
+    whole = cohomology._bars(build_layout(borel, cap, chain=True))
+    assert support.gysin_betti(whole, cap) == loop
+    assert support.gysin_betti(support.folded_barcode(borel, cap), cap) == loop
+
+
+def test_a_bar_past_the_cap_changes_no_degree_below_it(monkeypatch):
+    """A factor ranked to the table's own cap N holds exactly the bars
+    that its columns of degree below N set, and the rest of its cells of
+    degree below N as free bars: a bar whose killing column lies in degree
+    N or more, so that its end d + a deg g is N + 1 or more, reads free.
+    ``cohomology._fold`` then needs no margin: a tensor bar of x and y ends
+    at d_x + d_y + min(a, b) deg g, the lesser of end_x + d_y and end_y +
+    d_x, which is exact or past N as x's end is, and a Tor bar starts at
+    the greater of the two less 1, which is N or more once either end is
+    past N.  So every bar that starts below N is exact or ends past N in
+    both the truncated and the exact fold, and the classes below N agree.
+    Here the S^2 Borel factor at cap N has such a bar for every N, and the
+    product route's table at N is the chain route's table at N + 8 cut to
+    N."""
+    s2 = load_model("s2.model")
+    past = set()
+    for factors in (2, 3):
+        dga = borel_model(support.product_model(*[s2] * factors))
+        for cap in range(4, 31 if factors == 2 else 19):
+            short = cohomology._bars(support.factor_layout(dga, cap).factors[0])
+            long = cohomology._bars(support.factor_layout(dga, cap + 8).factors[0])
+            if any(a == cap and (d, p, cap + 8) not in long for d, p, a in short):
+                past.add(cap)  # a bar free at cap N that is finite at N + 8
+            table = _product_route_table(dga, cap, monkeypatch)
+            deeper = eigen_table(dga, cap + 8, chain=True)
+            assert table.slices == deeper.slices[:cap], (factors, cap)
+    assert set(range(4, 31, 2)) <= past
