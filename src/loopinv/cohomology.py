@@ -79,8 +79,7 @@ read off the count tables says that pays: the factors' g-free cells plus
 ``eigen_table`` then ranks each factor to the table's own cap, with no
 margin (``_fold`` proves it needs none), folds their barcodes
 (``_fold``), reads the table off the result and takes ``cochain_dim``
-from the table's own count table.  ``eigen_table(model, cap,
-chain=True)`` takes the chain route whatever the rule says.
+from the table's own count table.
 
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
@@ -224,30 +223,18 @@ class Layout(NamedTuple):
     factors: tuple[Layout, ...]
 
 
-def build_layout(
-    model: DgaModel, top: int, split: Optional[int] = None, chain: bool = False
-) -> Layout:
+def build_layout(model: DgaModel, top: int) -> Layout:
     """The g-free layout of a model below degree ``top`` and its packed
     differential, where g is the even generator with zero differential of
     lowest degree (the first one on ties), or None; without g every
     monomial is g-free.
 
-    The head is the first ``split`` generators other than g.  By default
-    the split is read off the count table: of N g-free monomials in all,
-    a head of k monomials leaves at least N / k to the tail and has each
-    of its entries visited once per block, twice per degree, so the split
-    is the one of least N / k + 2 top k, or of N alone without a head,
-    where nothing is visited.  A table of N <= 8 top thus takes no head
-    (for a head of k >= 2 monomials, N / k + 2 top k >= 2 sqrt(2 top N)
-    >= N), and a large one about a degree's worth of tail.  The head and
-    the tail are each listed once.
-
-    Unless ``chain``, a table whose generators other than g fall into
-    several factors (``_factors``) is laid out factor by factor instead,
-    each with its own split, when the factors' cells plus 3 top per factor
-    after the first are fewer than its own N.  The 3 top was measured: at
-    2 top some products of small random models took this route and ran
-    slower than by the chain route."""
+    A table whose generators other than g fall into several factors
+    (``_factors``) is laid out factor by factor, each a chain layout
+    (``_layout``), when the factors' cells plus 3 top per factor after
+    the first are fewer than its own N; any other is one chain layout.
+    The 3 top was measured: at 2 top some products of small random models
+    took this route and ran slower than by the chain route."""
     gens = model.algebra.generators
     closed = [i for i, (x, v) in enumerate(zip(gens, model.differential.values()))
               if x.degree % 2 == 0 and not v]
@@ -261,20 +248,30 @@ def build_layout(
     total = counted[1][-1]
     # each factor has one cell or more (its unit), so k factors cost at least
     # k + 3 top (k - 1), and two of them 3 top + 2, before any is counted
-    parts = [] if chain or total <= 3 * top + 2 else _factors(model, g, rest)
+    parts = [] if total <= 3 * top + 2 else _factors(model, g, rest)
     k = len(parts)
     if k > 1 and k + 3 * top * (k - 1) < total:
         cells = list(map(count, parts))
         if sum(c[1][-1] for c in cells) + 3 * top * (k - 1) < total:
             factors = tuple(map(partial(_layout, model, top, g), parts, cells))
             return Layout(top, (), factors[0].g_step, counted[0], [], [], (), factors)
-    return _layout(model, top, g, rest, counted, split)
+    return _layout(model, top, g, rest, counted)
 
 
 def _layout(model: DgaModel, top: int, g: Optional[int], rest: list[int], counted, split=None):
     """The chain layout of g and the generators ``rest``, from their count
     table and totals (``_counts``); any other generator has an empty
-    field, as g has."""
+    field, as g has.
+
+    The head is the first ``split`` generators of ``rest``.  By default
+    the split is read off the count table: of N g-free monomials in all,
+    a head of k monomials leaves at least N / k to the tail and has each
+    of its entries visited once per block, twice per degree, so the split
+    is the one of least N / k + 2 top k, or of N alone without a head,
+    where nothing is visited.  A table of N <= 8 top thus takes no head
+    (for a head of k >= 2 monomials, N / k + 2 top k >= 2 sqrt(2 top N)
+    >= N), and a large one about a degree's worth of tail.  The head and
+    the tail are each listed once."""
     gens = model.algebra.generators
     counts, heads = counted
     fields = _fields(model, top, rest)
@@ -624,14 +621,14 @@ def _ends(bars: dict, top: int, step: int, dw: int) -> list[int]:
     return out
 
 
-def eigen_table(model: DgaModel, cap: int, chain: bool = False) -> EigenTable:
+def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     """Per-degree cochain dimension, betti number and (when the model has
     an involution) the eigenspace split, for degrees 0..cap-1.  A product
     that ``build_layout`` lays out by factors is ranked factor by factor
-    and its table read off the folded barcodes; ``chain`` ranks it whole."""
+    and its table read off the folded barcodes."""
     if cap < 2:
         raise ValueError("cap must be >= 2")
-    layout = build_layout(model, cap, chain=chain)
+    layout = build_layout(model, cap)
     step, dw = layout.g_step[0], layout.g_step[1] % 2
     # block p of degree n at 2n + p: its g-free monomials, cleared ones too,
     # and what its cohomology gains over that of its predecessor along g,

@@ -15,7 +15,14 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from loopinv import cohomology
 from loopinv.algebra import GradedAlgebra, Monomial, Polynomial
-from loopinv.cohomology import Layout, NoInvolutionError, _block, build_layout, integral_columns
+from loopinv.cohomology import (
+    EigenTable,
+    Layout,
+    NoInvolutionError,
+    _block,
+    eigen_table,
+    integral_columns,
+)
 from loopinv.linalg import rank as sparse_rank
 from loopinv.models import DgaModel, MinimalModel, loop_model, parse_model
 from loopinv.series import TruncatedSeries
@@ -443,7 +450,7 @@ def oracle_layout(model: DgaModel, top: int) -> OracleLayout:
     by its bits: ``cohomology.build_layout`` as it was before it counted
     blocks and enumerated them one at a time, with its fields, g and
     packed differential."""
-    layout = build_layout(model, top, chain=True)
+    layout = chain_layout(model, top)
     fields, g = layout.fields, closed_index(layout)
     gens = model.algebra.generators
     deg = fields[-1]
@@ -461,10 +468,10 @@ def oracle_layout(model: DgaModel, top: int) -> OracleLayout:
 
 
 def enumerated_layout(model: DgaModel, top: int, split: Optional[int] = None) -> OracleLayout:
-    """``cohomology.build_layout`` at the given split (its own choice by
-    default), each nonempty block enumerated by ``cohomology._block`` as
-    eigen_table enumerates it, in the form of ``oracle_layout``."""
-    layout = build_layout(model, top, split, chain=True)
+    """``chain_layout`` at the given split, each nonempty block enumerated
+    by ``cohomology._block`` as eigen_table enumerates it, in the form of
+    ``oracle_layout``."""
+    layout = chain_layout(model, top, split)
     free = tuple(
         {p: codes for p in (0, 1) if (codes := list(_block(layout, n, p)))} for n in range(top)
     )
@@ -473,9 +480,12 @@ def enumerated_layout(model: DgaModel, top: int, split: Optional[int] = None) ->
 
 def closed_index(layout: Layout | OracleLayout) -> Optional[int]:
     """The index of g, the one generator whose field in the layout is
-    empty, or None."""
-    widths = [hi - lo for lo, hi in zip(layout.fields, layout.fields[1:])]
-    return widths.index(0) if 0 in widths else None
+    empty (in every factor of a layout by factors), or None."""
+    chains = layout.factors if isinstance(layout, Layout) and layout.factors else [layout]
+    empty = set.intersection(
+        *({i for i, (lo, hi) in enumerate(zip(c.fields, c.fields[1:])) if lo == hi} for c in chains)
+    )
+    return min(empty, default=None)
 
 
 def decode(layout: Layout | OracleLayout, code: int, degree: Optional[int] = None) -> Monomial:
@@ -574,21 +584,57 @@ def product_model(*models: MinimalModel) -> MinimalModel:
     return MinimalModel(alg, values)
 
 
+def _g_and_counts(model: DgaModel, top: int):
+    """g by ``cohomology.build_layout``'s rule (the closed even generator
+    of lowest degree, the first on ties, or None) and a function that
+    counts a list of generators (``cohomology._counts``) below ``top``."""
+    gens = model.algebra.generators
+    values = model.differential.values()
+    closed = [i for i, (x, v) in enumerate(zip(gens, values)) if x.degree % 2 == 0 and not v]
+    g = min(closed, key=lambda i: gens[i].degree, default=None)
+
+    def count(which: list[int]):
+        return cohomology._counts([(gens[i].degree, model.weights[i] % 2) for i in which], top)
+
+    return g, count
+
+
+def chain_layout(model: DgaModel, top: int, split: Optional[int] = None) -> Layout:
+    """The chain layout of the whole table below ``top``, whatever
+    ``cohomology.build_layout``'s route rule says, at the given split of
+    the generators other than g (``cohomology._layout``'s own choice by
+    default)."""
+    g, count = _g_and_counts(model, top)
+    rest = [i for i in range(len(model.algebra.generators)) if i != g]
+    return cohomology._layout(model, top, g, rest, count(rest), split)
+
+
 def factor_layout(model: DgaModel, top: int) -> Layout:
     """``cohomology.build_layout``'s layout by factors
     (``cohomology._factors``), whatever its route rule says, also for a
     model of one factor: the table's count table and g, and one chain
-    layout per factor."""
-    whole = build_layout(model, top, chain=True)
+    layout per factor (none for a model of g alone)."""
+    g, count = _g_and_counts(model, top)
     gens = model.algebra.generators
-    g = closed_index(whole)
-    parts = cohomology._factors(model, g, [i for i in range(len(gens)) if i != g])
-    shapes = [[(gens[i].degree, model.weights[i] % 2) for i in part] for part in parts]
+    rest = [i for i in range(len(gens)) if i != g]
     factors = tuple(
-        cohomology._layout(model, top, g, part, cohomology._counts(shape, top))
-        for part, shape in zip(parts, shapes)
+        cohomology._layout(model, top, g, part, count(part))
+        for part in cohomology._factors(model, g, rest)
     )
-    return Layout(top, (), whole.g_step, whole.counts, [], [], (), factors)
+    g_step = (gens[g].degree, model.weights[g]) if g is not None else (0, 0)
+    return Layout(top, (), g_step, count(rest)[0], [], [], (), factors)
+
+
+def ranked(model: DgaModel, layout: Layout) -> EigenTable:
+    """``eigen_table`` of the model at the layout's top, with
+    ``cohomology.build_layout`` patched for this one call to return the
+    given layout: the table by whichever route the layout takes."""
+    real = cohomology.build_layout
+    cohomology.build_layout = lambda model, top: layout
+    try:
+        return eigen_table(model, layout.top)
+    finally:
+        cohomology.build_layout = real
 
 
 def folded_barcode(model: DgaModel, top: int) -> dict:

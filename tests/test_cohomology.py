@@ -112,17 +112,33 @@ def test_clearing_skips_the_leads_of_the_degree_before(monkeypatch):
     assert (len(pivots), sum(type(v) is int for v in pivots.values())) == (143, 123)
 
 
-def _s2xs2_borel_peak_kb(cap, chain):
+S2_X_S2 = "gen a 2\ngen b 3\nd b = a^2\ngen c 2\ngen e 3\nd e = c^2\n"
+# SU(3)/T^2, the complete flag manifold, which is not a product
+FLAG3 = "gen a 2\ngen c 2\ngen b 3\ngen e 5\nd b = a^2 + a*c + c^2\nd e = a^2*c + a*c^2\n"
+
+
+def _borel_peak_kb(text, cap, whole=False):
     """VmHWM, the high-water mark of a fresh interpreter that computes the
-    S^2 x S^2 Borel table at the cap, by the chain route if ``chain``;
-    ru_maxrss can carry over from the parent through vfork and exec."""
+    Borel table of the model text at the cap, ranked whole if ``whole``:
+    the script builds the chain layout itself (g is alpha, generator 0 of
+    a Borel model) and patches it in as ``build_layout``'s.  ru_maxrss can
+    carry over from the parent through vfork and exec."""
     src = str(Path(loopinv.cohomology.__file__).resolve().parents[1])
-    s2xs2 = "gen a 2\ngen b 3\nd b = a^2\ngen c 2\ngen e 3\nd e = c^2\n"
     script = (
         f"import sys; sys.path.insert(0, {src!r})\n"
-        "from loopinv.cohomology import eigen_table\n"
+        "from loopinv import cohomology\n"
         "from loopinv.models import borel_model, parse_model\n"
-        f"eigen_table(borel_model(parse_model({s2xs2!r})), {cap}, chain={chain})\n"
+        f"dga, cap = borel_model(parse_model({text!r})), {cap}\n"
+    )
+    if whole:
+        script += (
+            "gens, rest = dga.algebra.generators, list(range(1, len(dga.weights)))\n"
+            "shape = [(gens[i].degree, dga.weights[i] % 2) for i in rest]\n"
+            "layout = cohomology._layout(dga, cap, 0, rest, cohomology._counts(shape, cap))\n"
+            "cohomology.build_layout = lambda model, top: layout\n"
+        )
+    script += (
+        "cohomology.eigen_table(dga, cap)\n"
         "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))"
     )
     out = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
@@ -135,7 +151,7 @@ def test_s2xs2_borel_cap_50_peak_memory():
     # apparent pivots are held as source codes, not columns: the whole
     # table peaks at about 32 MB (40 MB with every g-free code listed at
     # once), where storing every pivot's vector took about 88 MB
-    assert _s2xs2_borel_peak_kb(50, chain=True) <= 60 * 1024
+    assert _borel_peak_kb(S2_X_S2, 50, whole=True) <= 60 * 1024
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
@@ -143,14 +159,21 @@ def test_s2xs2_borel_cap_70_peak_memory():
     # the g-free codes are enumerated a block at a time from the head and
     # tail of the layout, not held for the whole table: about 81 MB, where
     # listing all 976,466 of them at once took about 116 MB
-    assert _s2xs2_borel_peak_kb(70, chain=True) <= 100 * 1024
+    assert _borel_peak_kb(S2_X_S2, 70, whole=True) <= 100 * 1024
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_s2xs2_borel_cap_120_product_route_peak_memory():
     # the product route ranks each S^2 factor alone and folds the barcodes:
     # about 15 MB, where the chain route ranks 8.5M g-free cells in 521 MB
-    assert _s2xs2_borel_peak_kb(120, chain=False) <= 40 * 1024
+    assert _borel_peak_kb(S2_X_S2, 120) <= 40 * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_flag3_borel_cap_60_peak_memory():
+    # SU(3)/T^2 is not a product, so its table takes the chain route:
+    # about 55 MB
+    assert _borel_peak_kb(FLAG3, 60) <= 75 * 1024
 
 
 @pytest.mark.parametrize("degree", [-1, 20, 21])

@@ -10,10 +10,12 @@ dense oracle cannot reach.  The blocks that eigen_table enumerates from a
 layout's head and tail equal, at every split, those of the one-pass
 enumeration (support.oracle_layout), and the count table, summed over
 parity and along g, is the generating function.  The product route
-(Kunneth over Q[g] on the factors' barcodes) equals the chain route,
-which these oracles hold with eigen_table(..., chain=True), in every
-degree and parity, and the Borel barcode gives the loop betti numbers by
-the Gysin sequence.
+(Kunneth over Q[g] on the factors' barcodes) equals the chain route in
+every degree and parity, and the Borel barcode gives the loop betti
+numbers by the Gysin sequence.  A table is ranked by a route of the
+test's choice through one seam: support.ranked, with the whole table's
+layout (support.chain_layout, as these oracles take it) or the factors'
+(support.factor_layout).
 
 Every block is ranked along multiplication by the closed even generator
 g, so the models here also cover the shapes of that chain: g = alpha in
@@ -146,8 +148,8 @@ def test_random_base_tables_match_oracle(index):
 def test_chain_shapes_match_oracle(text, g, cap):
     model = parse_model(text)
     loop, borel = loop_model(model), borel_model(model)
-    assert support.closed_index(build_layout(model, cap, chain=True)) == g
-    assert support.closed_index(build_layout(borel, cap, chain=True)) == 0
+    assert support.closed_index(build_layout(model, cap)) == g
+    assert support.closed_index(build_layout(borel, cap)) == 0
     for dga in (model, loop, borel):
         _assert_matches_oracle(dga, cap)
         _assert_blocks_are_scaled_derivation(dga, cap)
@@ -427,7 +429,7 @@ def _assert_cleared_columns_vanish(dga, cap, monkeypatch):
 
     monkeypatch.setattr(cohomology, "_reduce_block", reduce_block)
     monkeypatch.setattr(cohomology, "_column", column)
-    eigen_table(dga, cap, chain=True)
+    support.ranked(dga, support.chain_layout(dga, cap))
     monkeypatch.undo()
     assert next(blocks, None) is None
     return len(skipped)
@@ -468,12 +470,13 @@ def _assert_pivots_match_eager(dga, cap, monkeypatch):
         seen.append(pivots)
         real_reduce(leads, codes, pivots, expand)
 
+    layout = support.chain_layout(dga, cap)
     monkeypatch.setattr(cohomology, "_reduce_block", reduce_block)
-    eigen_table(dga, cap, chain=True)
+    support.ranked(dga, layout)
     monkeypatch.undo()
     pivots = seen[0] if seen else {}
     assert all(p is pivots for p in seen)
-    terms = build_layout(dga, cap, chain=True).terms
+    terms = layout.terms
     assembled = {
         k: linalg._primitive(integral_columns(terms, [v])[0]) if type(v) is int else v
         for k, v in pivots.items()
@@ -497,32 +500,33 @@ def test_pivots_match_the_eager_route(model, cap, monkeypatch):
         _assert_pivots_match_eager(dga, cap, monkeypatch)
 
 
-def _assert_blocks_at_every_split(dga, cap, monkeypatch):
-    """At every split of the generators other than g into head and tail,
-    each (degree, parity) block that eigen_table enumerates equals the
+def _assert_blocks_at_every_split(dga, cap):
+    """At every split k of the generators other than g into head and
+    tail, the head lists the monomials of the first k of them, each
+    (degree, parity) block that eigen_table enumerates equals the
     oracle's (support.oracle_layout lists every code of the table in one
     pass), as lists in order, the count table counts it, and the table is
-    the one eigen_table makes at its own split."""
-    real_layout, table = cohomology.build_layout, eigen_table(dga, cap)
-    oracle = support.oracle_layout(dga, cap)
-    others = len(dga.algebra.generators) - (support.closed_index(oracle) is not None)
-    for split in range(others + 1):
-        layout = real_layout(dga, cap, split, chain=True)
+    the one eigen_table makes by its own route."""
+    table, oracle = eigen_table(dga, cap), support.oracle_layout(dga, cap)
+    g, gens = support.closed_index(oracle), dga.algebra.generators
+    shape = [(x.degree, w % 2) for i, (x, w) in enumerate(zip(gens, dga.weights)) if i != g]
+    heads = cohomology._counts(shape, cap)[1]
+    for split in range(len(shape) + 1):
+        layout = support.chain_layout(dga, cap, split)
+        assert len(layout.head) == heads[split], split
         for n in range(cap):
             for p in 0, 1:
                 want = oracle.free[n].get(p, [])
                 assert cohomology._block(layout, n, p) == want, (split, n, p)
                 assert layout.counts[2 * n + p] == len(want), (split, n, p)
-        monkeypatch.setattr(cohomology, "build_layout", lambda model, top, **kw: layout)
-        assert eigen_table(dga, cap) == table, split
-        monkeypatch.undo()
+        assert support.ranked(dga, layout) == table, split
 
 
 @pytest.mark.parametrize("model, cap", EVERY_MODEL)
-def test_blocks_match_the_oracle_at_every_split(model, cap, monkeypatch):
+def test_blocks_match_the_oracle_at_every_split(model, cap):
     model = parse_model(model) if isinstance(model, str) else model
     for dga in _spaces(model):
-        _assert_blocks_at_every_split(dga, cap, monkeypatch)
+        _assert_blocks_at_every_split(dga, cap)
 
 
 @pytest.mark.parametrize("model, cap", EVERY_MODEL)
@@ -552,9 +556,9 @@ NAMED_MODELS = [(p.stem, parse_model(p.read_text(encoding="utf-8"))) for p in MO
 
 
 def test_each_table_lists_its_codes_once(monkeypatch):
-    # build_layout counts every table, then lists the head and the tail
-    # once each: two calls of _codes whose generators are, in order, those
-    # other than g, so that no code is listed twice
+    # a chain layout lists the head and the tail once each: two calls of
+    # _codes whose generators are, in order, those other than g, so that
+    # no code is listed twice
     real_codes, calls = cohomology._codes, []
 
     def codes(model, fields, which, *args):
@@ -564,7 +568,7 @@ def test_each_table_lists_its_codes_once(monkeypatch):
     monkeypatch.setattr(cohomology, "_codes", codes)
     for name, space, cap, dga in _layouts(NAMED_MODELS, (10, 24, 40)):
         del calls[:]
-        layout = build_layout(dga, cap, chain=True)
+        layout = support.chain_layout(dga, cap)
         g = support.closed_index(layout)
         rest = [i for i in range(len(dga.algebra.generators)) if i != g]
         assert len(calls) == 2 and calls[0] + calls[1] == rest, (name, space, cap)
@@ -578,7 +582,7 @@ def test_small_tables_take_no_head():
     models = NAMED_MODELS + [(f"random-{i}", model) for i, model in enumerate(RANDOM)]
     middle = set()
     for name, space, cap, dga in _layouts(models, (10, 17, 24, 32, 40)):
-        layout = build_layout(dga, cap, chain=True)
+        layout = support.chain_layout(dga, cap)
         total = sum(layout.counts)
         if total <= 8 * cap:
             assert len(layout.head) == 1, (name, space, cap, total)
@@ -611,41 +615,31 @@ PRODUCT_CASES = (
 )
 
 
-def _product_route_table(dga, cap, monkeypatch):
-    """eigen_table by the product route whatever the route rule says: its
-    layout is support.factor_layout, one factor or more."""
-    layout = support.factor_layout(dga, cap)
-    monkeypatch.setattr(cohomology, "build_layout", lambda model, top, **kw: layout)
-    table = eigen_table(dga, cap)
-    monkeypatch.undo()
-    return table
-
-
 @pytest.mark.parametrize("model", PRODUCT_CASES)
-def test_product_route_matches_the_chain_route(model, monkeypatch):
+def test_product_route_matches_the_chain_route(model):
     # the folded barcodes of the factors give the chain route's table in
     # every degree and parity, and so does the route the rule picks
     ranked = 0
     for space, dga in zip(("borel", "loop", "base"), _spaces(model)):
         for cap in PRODUCT_CAPS:
-            if sum(build_layout(dga, cap, chain=True).counts) > PRODUCT_BUDGET:
+            if sum(build_layout(dga, cap).counts) > PRODUCT_BUDGET:
                 break
-            chain = eigen_table(dga, cap, chain=True)
-            assert _product_route_table(dga, cap, monkeypatch) == chain, (space, cap)
+            chain = support.ranked(dga, support.chain_layout(dga, cap))
+            assert support.ranked(dga, support.factor_layout(dga, cap)) == chain, (space, cap)
             assert eigen_table(dga, cap) == chain, (space, cap)
             ranked += 1
     assert ranked >= 6  # at least two caps of each space
 
 
-def test_a_product_without_g_is_the_plain_kunneth_product(monkeypatch):
+def test_a_product_without_g_is_the_plain_kunneth_product():
     # S^3 x S^3 has no closed even generator: its two factors are tensored
     # over Q, every bar is free, and the dimensions convolve
     model = dict(NAMED_MODELS)["s3xs3"]
     for cap in PRODUCT_CAPS:
         layout = support.factor_layout(model, cap)
         assert layout.g_step == (0, 0) and len(layout.factors) == 2
-        table = _product_route_table(model, cap, monkeypatch)
-        assert table == eigen_table(model, cap, chain=True)
+        table = support.ranked(model, layout)
+        assert table == support.ranked(model, support.chain_layout(model, cap))
         betti = [int(n in (0, 6)) + 2 * (n == 3) for n in range(cap)]
         assert [s.betti for s in table.slices] == betti
 
@@ -664,8 +658,6 @@ def test_the_route_rule_takes_the_product_route_where_it_pays():
     # table would take the product route, which is slower at this size
     # (about 0.24 ms against 0.21 ms by the chain route)
     assert build_layout(borel_model(s3xs3), 12).factors == ()
-    forced = build_layout(borel_model(s2xs2), 10, chain=True)
-    assert forced.factors == () and forced.terms
 
 
 GYSIN_CASES = (
@@ -684,14 +676,14 @@ def test_borel_barcode_gives_the_loop_betti_numbers(model):
     # model's betti numbers off the Borel barcode, both the one of the
     # chain route's pivots and the one folded from the factors
     cap = 30
-    borel = borel_model(model)
-    loop = [s.betti for s in eigen_table(loop_model(model), cap, chain=True).slices]
-    whole = cohomology._bars(build_layout(borel, cap, chain=True))
-    assert support.gysin_betti(whole, cap) == loop
-    assert support.gysin_betti(support.folded_barcode(borel, cap), cap) == loop
+    borel, loop = borel_model(model), loop_model(model)
+    betti = [s.betti for s in support.ranked(loop, support.chain_layout(loop, cap)).slices]
+    whole = cohomology._bars(support.chain_layout(borel, cap))
+    assert support.gysin_betti(whole, cap) == betti
+    assert support.gysin_betti(support.folded_barcode(borel, cap), cap) == betti
 
 
-def test_a_bar_past_the_cap_changes_no_degree_below_it(monkeypatch):
+def test_a_bar_past_the_cap_changes_no_degree_below_it():
     """A factor ranked to the table's own cap N holds exactly the bars
     that its columns of degree below N set, and the rest of its cells of
     degree below N as free bars: a bar whose killing column lies in degree
@@ -714,7 +706,29 @@ def test_a_bar_past_the_cap_changes_no_degree_below_it(monkeypatch):
             long = cohomology._bars(support.factor_layout(dga, cap + 8).factors[0])
             if any(a == cap and (d, p, cap + 8) not in long for d, p, a in short):
                 past.add(cap)  # a bar free at cap N that is finite at N + 8
-            table = _product_route_table(dga, cap, monkeypatch)
-            deeper = eigen_table(dga, cap + 8, chain=True)
+            table = support.ranked(dga, support.factor_layout(dga, cap))
+            deeper = support.ranked(dga, support.chain_layout(dga, cap + 8))
             assert table.slices == deeper.slices[:cap], (factors, cap)
     assert set(range(4, 31, 2)) <= past
+
+
+# SU(3)/T^2, the complete flag manifold: not a product, so every form of
+# it takes the chain route.  It is not bundled, which would enrol it in
+# every bundled-model suite and in the product pairs.
+FLAG3 = "gen a 2\ngen c 2\ngen b 3\ngen e 5\nd b = a^2 + a*c + c^2\nd e = a^2*c + a*c^2\n"
+
+
+def test_flag_manifold_base_betti_numbers():
+    # H*(SU(3)/T^2) = Q[a, c] / (a^2 + ac + c^2, a^2 c + a c^2), whose
+    # Poincare polynomial is 1 + 2t^2 + 2t^4 + t^6
+    table = eigen_table(parse_model(FLAG3), 12)
+    assert [s.betti for s in table.slices] == [1, 0, 2, 0, 2, 0, 1, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("space", ["borel", "loop", "base"])
+def test_flag_manifold_tables_match_oracle_by_the_chain_route(space):
+    dga = dict(zip(("borel", "loop", "base"), _spaces(parse_model(FLAG3))))[space]
+    for cap in (10, 24, 60):
+        assert build_layout(dga, cap).factors == (), cap
+    _assert_matches_oracle(dga, 10)
+    _assert_blocks_at_every_split(dga, 10)
