@@ -79,7 +79,9 @@ read off the count tables says that pays: the factors' g-free cells plus
 ``eigen_table`` then ranks each factor to the table's own cap, with no
 margin (``_fold`` proves it needs none), folds their barcodes
 (``_fold``), reads the table off the result and takes ``cochain_dim``
-from the table's own count table.
+from the table's own count table.  Factors that are one complex under a
+renaming of their generators (``_shape``), as those of a power are,
+share one layout, and ``eigen_table`` ranks it once.
 
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
@@ -91,7 +93,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, compress, islice
 from math import lcm
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from . import linalg
@@ -211,7 +213,7 @@ class Layout(NamedTuple):
     factors (see ``build_layout``) has its own top, g_step and counts, one
     chain layout per factor in ``factors``, whose fields are empty but for
     the factor's generators, and no fields, head, tail or terms of its
-    own."""
+    own; isomorphic factors (of one ``_shape``) share one object."""
 
     top: int
     fields: tuple[int, ...]
@@ -234,7 +236,8 @@ def build_layout(model: DgaModel, top: int) -> Layout:
     (``_layout``), when the factors' cells plus 3 top per factor after
     the first are fewer than its own N; any other is one chain layout.
     The 3 top was measured: at 2 top some products of small random models
-    took this route and ran slower than by the chain route."""
+    took this route and ran slower than by the chain route.  Factors of
+    one ``_shape`` are counted and laid out once, and share the layout."""
     gens = model.algebra.generators
     closed = [i for i, (x, v) in enumerate(zip(gens, model.differential.values()))
               if x.degree % 2 == 0 and not v]
@@ -251,9 +254,12 @@ def build_layout(model: DgaModel, top: int) -> Layout:
     parts = [] if total <= 3 * top + 2 else _factors(model, g, rest)
     k = len(parts)
     if k > 1 and k + 3 * top * (k - 1) < total:
-        cells = list(map(count, parts))
-        if sum(c[1][-1] for c in cells) + 3 * top * (k - 1) < total:
-            factors = tuple(map(partial(_layout, model, top, g), parts, cells))
+        shapes = [_shape(model, part) for part in parts]
+        distinct = dict(zip(shapes, parts))  # one part per shape
+        cells = {s: count(part) for s, part in distinct.items()}
+        if sum(cells[s][1][-1] for s in shapes) + 3 * top * (k - 1) < total:
+            made = {s: _layout(model, top, g, part, cells[s]) for s, part in distinct.items()}
+            factors = tuple(made[s] for s in shapes)
             return Layout(top, (), factors[0].g_step, counted[0], [], [], (), factors)
     return _layout(model, top, g, rest, counted)
 
@@ -313,6 +319,22 @@ def _factors(model: DgaModel, g: Optional[int], rest: list[int]) -> list[list[in
             part |= p
         parts.append(part)
     return sorted([i for i in rest if p >> i & 1] for p in parts)
+
+
+def _shape(model: DgaModel, part: list[int]) -> tuple:
+    """The key of a factor's complex: for each generator of ``part``, in
+    order, its degree, its weight and its value's terms on the exponents
+    of the part's generators, with their coefficients.  A term lies in
+    the part and g, and its degree fixes its exponent of g.  Every other
+    generator has an empty field (``_fields``), so the codes, the Koszul
+    signs, the masks and the scale L of two parts of one key agree, and
+    so do their complexes; ``_bars`` reads no field position."""
+    gens = model.algebra.generators
+    values = [v.terms for v in model.differential.values()]
+    pick = itemgetter(*part)
+    # a coefficient as two ints: hashing a Fraction costs more than the rest
+    terms = [{(pick(t), c.numerator, c.denominator) for t, c in values[i].items()} for i in part]
+    return tuple((gens[i].degree, model.weights[i], frozenset(ts)) for i, ts in zip(part, terms))
 
 
 def _counts(shape: list[tuple[int, int]], top: int) -> tuple[list[int], list[int]]:
@@ -625,7 +647,8 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     """Per-degree cochain dimension, betti number and (when the model has
     an involution) the eigenspace split, for degrees 0..cap-1.  A product
     that ``build_layout`` lays out by factors is ranked factor by factor
-    and its table read off the folded barcodes."""
+    and its table read off the folded barcodes, each distinct factor
+    layout ranked once."""
     if cap < 2:
         raise ValueError("cap must be >= 2")
     layout = build_layout(model, cap)
@@ -636,7 +659,9 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     # and on the block of degree n - 1; both carry on along g
     dims = list(layout.counts)
     if layout.factors:
-        bars = reduce(partial(_fold, cap, step, dw), map(_bars, layout.factors))
+        distinct = {id(f): f for f in layout.factors}
+        barcode = {i: _bars(f) for i, f in distinct.items()}
+        bars = reduce(partial(_fold, cap, step, dw), [barcode[id(f)] for f in layout.factors])
         betti = _ends(bars, cap, step, dw)
     else:
         new, _ = _rank(layout)

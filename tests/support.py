@@ -613,7 +613,9 @@ def factor_layout(model: DgaModel, top: int) -> Layout:
     """``cohomology.build_layout``'s layout by factors
     (``cohomology._factors``), whatever its route rule says, also for a
     model of one factor: the table's count table and g, and one chain
-    layout per factor (none for a model of g alone)."""
+    layout per factor (none for a model of g alone).  It lays out every
+    factor, isomorphic ones too, so it stays the unshared oracle for
+    ``build_layout``'s shared factors."""
     g, count = _g_and_counts(model, top)
     gens = model.algebra.generators
     rest = [i for i in range(len(gens)) if i != g]

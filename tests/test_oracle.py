@@ -12,10 +12,12 @@ enumeration (support.oracle_layout), and the count table, summed over
 parity and along g, is the generating function.  The product route
 (Kunneth over Q[g] on the factors' barcodes) equals the chain route in
 every degree and parity, and the Borel barcode gives the loop betti
-numbers by the Gysin sequence.  A table is ranked by a route of the
-test's choice through one seam: support.ranked, with the whole table's
-layout (support.chain_layout, as these oracles take it) or the factors'
-(support.factor_layout).
+numbers by the Gysin sequence.  Isomorphic factors share one layout,
+ranked once, with the table of ranking every factor apart
+(support.factor_layout); other factors are laid out apart.  A table is
+ranked by a route of the test's choice through one seam: support.ranked,
+with the whole table's layout (support.chain_layout, as these oracles
+take it) or the factors' (support.factor_layout).
 
 Every block is ranked along multiplication by the closed even generator
 g, so the models here also cover the shapes of that chain: g = alpha in
@@ -31,7 +33,7 @@ import pytest
 import support
 from loopinv import cohomology, linalg
 from loopinv.cohomology import build_layout, eigen_table, integral_columns
-from loopinv.models import borel_model, loop_model, parse_model
+from loopinv.models import DgaModel, borel_model, loop_model, parse_model
 from support import (
     MODELS_DIR,
     algebra_generating_function,
@@ -593,13 +595,21 @@ def test_small_tables_take_no_head():
 
 # The product route (build_layout's factors) against the chain route.  A
 # case is a minimal model: every bundled and benchmark model, the product
-# of every pair of them (a model with itself too) and products of random
-# models; each in base, loop and Borel form at each cap, except the tables
-# of more than PRODUCT_BUDGET g-free cells, which the chain route would
-# take minutes to rank.
+# of every pair of them (a model with itself too), products of random
+# models and the three products below; each in base, loop and Borel form
+# at each cap, except the tables of more than PRODUCT_BUDGET g-free cells,
+# which the chain route would take minutes to rank.
 PRODUCT_CAPS = (4, 10, 17, 24, 30)
 PRODUCT_BUDGET = 60_000
 _RANDOM_FACTORS = random_models_within_budget(seed=8111, count=12, cap=CAP)
+# S^2' is S^2 with d e = 2 c^2: a factor isomorphic to S^2's, of another
+# value, which build_layout keeps apart.  The node a c and the double line
+# (a + c)^2 have generators of one degree and weight each, in order, but
+# other loop and Borel tables, so a layout shared by shape alone would
+# give the product a wrong table.
+S2_PRIME = "gen c 2\ngen e 3\nd e = 2*c^2\n"
+NODE = "gen a 2\ngen c 2\ngen b 3\nd b = a*c\n"
+DOUBLE_LINE = "gen a 2\ngen c 2\ngen b 3\nd b = a^2 + 2*a*c + c^2\n"
 PRODUCT_CASES = (
     [pytest.param(model, id=name) for name, model in NAMED_MODELS]
     + [
@@ -611,6 +621,14 @@ PRODUCT_CASES = (
         pytest.param(support.product_model(*_RANDOM_FACTORS[i : i + k]), id=f"random-{i}-x{k}")
         for k, starts in ((2, range(0, 6, 2)), (3, range(6, 12, 3)))
         for i in starts
+    ]
+    + [
+        pytest.param(support.product_model(*map(parse_model, texts)), id=name)
+        for name, texts in (
+            ("s2*s2'", (S2, S2_PRIME)),
+            ("s2^4", (S2,) * 4),
+            ("node*double-line", (NODE, DOUBLE_LINE)),
+        )
     ]
 )
 
@@ -655,9 +673,68 @@ def test_the_route_rule_takes_the_product_route_where_it_pays():
     assert build_layout(borel_model(load_model("s2.model")), 120).factors == ()
     assert build_layout(s3xs3, 10).factors == ()  # 4 cells, 2 + 2 + 3 * 10 by factors
     # 57 cells against 11 + 11 + 3 * 12: at 2 top per extra factor, this
-    # table would take the product route, which is slower at this size
-    # (about 0.24 ms against 0.21 ms by the chain route)
+    # table would take the product route.  With each factor laid out and
+    # ranked apart, that was slower at this size (0.24-0.31 ms against
+    # 0.17-0.27 ms by the chain route); with one shared factor it is faster
+    # (0.13-0.23 ms against 0.18-0.30 ms), but the rule, calibrated on
+    # unshared factors, still takes the chain route here (timeit minima,
+    # eigen_table in process, shared 2-CPU VM)
     assert build_layout(borel_model(s3xs3), 12).factors == ()
+
+
+CP2 = "gen f 2\ngen h 5\nd h = f^3\n"
+
+
+def _borel(*texts):
+    return borel_model(support.product_model(*map(parse_model, texts)))
+
+
+# S^2 x S^2 over a closed generator t that comes first, so t is g, with c
+# of odd weight: two factors of one degree and value, generator for
+# generator, whose weight parities differ
+_T_S2_X_S2 = parse_model("gen t 2\n" + S2_X_S2)
+WEIGHTED = DgaModel(_T_S2_X_S2.algebra, _T_S2_X_S2.differential, True, (0, 0, 0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "dga, cap, factors, distinct",
+    [
+        pytest.param(_borel(S2_X_S2), 10, 2, 1, id="s2xs2-10"),
+        pytest.param(_borel(S2_X_S2), 120, 2, 1, id="s2xs2-120"),
+        pytest.param(borel_model(dict(NAMED_MODELS)["s3xs3"]), 26, 2, 1, id="s3xs3-26"),
+        pytest.param(_borel(_s2_power(3)), 36, 3, 1, id="s2^3-36"),
+        pytest.param(_borel(S2, CP2), 30, 2, 2, id="s2*cp2-30"),
+        pytest.param(_borel(S2, S2_PRIME), 10, 2, 2, id="s2*s2'-10"),
+        pytest.param(_borel(NODE, DOUBLE_LINE), 10, 2, 2, id="node*double-line-10"),
+        pytest.param(WEIGHTED, 30, 2, 2, id="weighted-s2xs2-30"),
+    ],
+)
+def test_isomorphic_factors_share_one_layout(dga, cap, factors, distinct):
+    # the factors of a power are one complex under a renaming of the
+    # generators, laid out once: one object in every place; factors of
+    # other degrees, values or weights each have their own
+    layout = build_layout(dga, cap)
+    assert len(layout.factors) == factors
+    assert len({id(f) for f in layout.factors}) == distinct
+
+
+@pytest.mark.parametrize(
+    "dga, cap, distinct",
+    [
+        pytest.param(_borel(_s2_power(4)), 40, 1, id="s2^4-borel"),
+        # g = a0 leaves b0 and (a0_bar, b0_bar) apart from three factors of one shape
+        pytest.param(loop_model(parse_model(_s2_power(4))), 24, 3, id="s2^4-loop"),
+        pytest.param(_borel(S2_X_S2, CP2), 30, 2, id="s2xs2*cp2"),
+        pytest.param(WEIGHTED, 30, 2, id="weighted-s2xs2"),
+    ],
+)
+def test_each_distinct_factor_is_ranked_once(monkeypatch, dga, cap, distinct):
+    # and the table is the one of ranking every factor (support.factor_layout)
+    unshared = support.ranked(dga, support.factor_layout(dga, cap))
+    real, ranked = cohomology._bars, []
+    monkeypatch.setattr(cohomology, "_bars", lambda layout: ranked.append(layout) or real(layout))
+    assert eigen_table(dga, cap) == unshared
+    assert len(ranked) == distinct
 
 
 GYSIN_CASES = (
