@@ -491,33 +491,41 @@ def _entry(group, code: int) -> int:
 def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
     """The first generator x with D(D(x)) != 0, with that residual, or
     None; D∘D is a derivation, so it vanishes once it does on generators.
-    D is applied twice by ``integral_columns`` on codes through the largest
-    generator degree + 2 that pack every generator (no g), so the residual
-    carries L^2 and each of its monomials is the fields of its code."""
+
+    Only the generators whose value has a term with a live factor (one of
+    nonzero value) are checked, in generator order: for any other x, each
+    term t of D(x) is a product of closed generators, so D(t) = 0 by the
+    Leibniz rule and D(D(x)) = sum c_t * D(t) = 0.  D is applied twice by
+    ``integral_columns`` on codes through the largest generator degree + 2
+    that pack every generator (no g), so the residual carries L^2 and each
+    of its monomials is the fields of its code.  The sign masks still span
+    every odd generator, closed ones too: a closed odd factor of D(x)
+    signs the Leibniz terms of the live factors after it."""
     gens = model.algebra.generators
-    top = max((x.degree for x in gens), default=0) + 2
+    values = [v.terms for v in model.differential.values()]
+    live = [k for k, v in enumerate(values) if v]
+    check = [i for i, v in enumerate(values) if any(t[k] for t in v for k in live)]
+    if not check:
+        return None
+    top = max(x.degree for x in gens) + 2
     every = range(len(gens))
     fields = _fields(model, top, every)
     deg = fields[-1]
     table = _packed_terms(model, fields, None, every)
-    values = [v.terms for v in model.differential.values()]
     square = lcm(*(c.denominator for value in values for c in value.values())) ** 2
-    for i, x in enumerate(gens):
-        if not values[i]:
-            continue
-        (once,) = integral_columns(table, [(1 << fields[i]) + ((top - x.degree) << deg)])
+    for i in check:
+        (once,) = integral_columns(table, [(1 << fields[i]) + ((top - gens[i].degree) << deg)])
         twice: dict[int, int] = {}
         for v, column in zip(once.values(), integral_columns(table, once)):
             for row, c in column.items():
                 twice[row] = twice.get(row, 0) + v * c
-        terms = {
-            tuple(code >> lo & ((1 << (hi - lo)) - 1) for lo, hi in zip(fields, fields[1:])):
-            Fraction(v, square)
-            for code, v in twice.items()
-        }
-        residual = Polynomial(model.algebra, terms)
-        if residual:
-            return x.name, residual
+        if any(twice.values()):
+            terms = {
+                tuple(code >> lo & ((1 << (hi - lo)) - 1) for lo, hi in zip(fields, fields[1:])):
+                Fraction(v, square)
+                for code, v in twice.items()
+            }
+            return gens[i].name, Polynomial(model.algebra, terms)
     return None
 
 

@@ -355,11 +355,43 @@ _KOSZUL = Derivation(
     {"a": _ALG_XYZ.gen("x"), "z": _ALG_XYZ.gen("y") * _ALG_XYZ.gen("a") * Fraction(3, 4)},
 )
 
+# the gate applies D twice only to generators whose value has a live
+# factor (one of nonzero value).  Here b and w, whose values lie in the
+# closed a and x, are skipped, and e is the first to fail, after them:
+# d^2(e) = -x*a^2 + 2/3 a^2*x, the closed odd x signing D(b) after it
+_ALG_SKIP = GradedAlgebra([("x", 3), ("a", 2), ("b", 3), ("w", 4), ("e", 5), ("h", 7)])
+_X, _A2, _B2, _W, _E = (_ALG_SKIP.gen(n) for n in ("x", "a", "b", "w", "e"))
+_AFTER_SKIPPED = Derivation(
+    _ALG_SKIP,
+    1,
+    {"b": _A2 * _A2, "w": _X * _A2, "e": _X * _B2 + _A2 * _W * Fraction(2, 3), "h": _B2 * _E},
+)
+# d^2(q) = a * D(p) = a^2*x: q's value has the closed a and the live even p
+_ALG_EVEN = GradedAlgebra([("a", 2), ("x", 3), ("p", 4), ("q", 5)])
+_EVEN_LIVE_FACTOR = Derivation(
+    _ALG_EVEN,
+    1,
+    {"p": _ALG_EVEN.gen("x") * _ALG_EVEN.gen("a"), "q": _ALG_EVEN.gen("a") * _ALG_EVEN.gen("p")},
+)
+# every value lies in the closed a and x, so no generator is checked
+_ALG_CLOSED = GradedAlgebra([("a", 2), ("x", 3), ("b", 3), ("c", 4)])
+_ALL_SKIPPED = Derivation(
+    _ALG_CLOSED,
+    1,
+    {
+        "b": _ALG_CLOSED.gen("a") * _ALG_CLOSED.gen("a") * Fraction(1, 2),
+        "c": _ALG_CLOSED.gen("a") * _ALG_CLOSED.gen("x") * -3,
+    },
+)
+
 
 @settings(max_examples=300, deadline=None)
 @given(differentials())
 @example(_POWER_OF_G)
 @example(_KOSZUL)
+@example(_AFTER_SKIPPED)
+@example(_EVEN_LIVE_FACTOR)
+@example(_ALL_SKIPPED)
 def test_square_zero_gate_matches_the_product_route(d):
     model = SimpleNamespace(algebra=d.algebra, differential=d.values)
     assert square_zero_residual(model) == check_differential(d)
@@ -368,6 +400,9 @@ def test_square_zero_gate_matches_the_product_route(d):
 @settings(max_examples=100, deadline=None)
 @given(differentials())
 @example(_POWER_OF_G)
+@example(_AFTER_SKIPPED)
+@example(_EVEN_LIVE_FACTOR)
+@example(_ALL_SKIPPED)
 def test_dga_model_refuses_what_the_product_route_refuses(d):
     violation = check_differential(d)
     if violation is None:

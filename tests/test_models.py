@@ -21,7 +21,14 @@ from loopinv.models import (
     loop_model,
     parse_model,
 )
-from support import MODELS_DIR, differential, involution_map, load_model, product_derivation
+from support import (
+    MODELS_DIR,
+    differential,
+    involution_map,
+    load_model,
+    product_derivation,
+    random_models_within_budget,
+)
 
 
 def test_parse_single_generator():
@@ -460,6 +467,53 @@ def test_pseudoisotopy_table_runs_one_square_zero_gate(monkeypatch):
     # the Borel model's gate; the base model reuses the one parse_model ran
     assert len(calls) == 1
     assert calls[0].differential is not m.differential
+
+
+def _count_packed_terms(monkeypatch):
+    """The calls to ``cohomology._packed_terms`` from now on: the gate
+    packs the values only when some generator's value has a live factor
+    (one of nonzero value)."""
+    import loopinv.cohomology
+
+    calls = []
+    pack = loopinv.cohomology._packed_terms
+
+    def counting(*args):
+        calls.append(args[0])
+        return pack(*args)
+
+    monkeypatch.setattr(loopinv.cohomology, "_packed_terms", counting)
+    return calls
+
+
+def test_the_gate_packs_no_value_when_every_value_lies_in_closed_generators(monkeypatch):
+    bench = MODELS_DIR.parent / "benchmark" / "inputs"
+    calls = _count_packed_terms(monkeypatch)
+    s2 = parse_model((MODELS_DIR / "s2.model").read_text())  # d b = a^2, a closed
+    s3xs3 = parse_model((bench / "s3xs3.model").read_text())
+    loop_model(s2)
+    loop_model(s3xs3)
+    borel_model(s3xs3)  # D x = alpha*x_bar: closed factors only
+    assert calls == []
+    # S^2's Borel D b = a^2 + alpha*b_bar has the live factor a (D a = alpha*a_bar)
+    borel_model(s2)
+    assert len(calls) == 1
+
+
+def test_the_gate_packs_random_models_only_for_their_borel_values(monkeypatch):
+    # each random value lies in closed generators, and so does every loop
+    # value; in the Borel model D c = alpha*c_bar makes each c live
+    models = random_models_within_budget(seed=25, count=12, cap=16)
+    assert any(not any(m.differential.values()) for m in models)
+    assert any(any(m.differential.values()) for m in models)
+    calls = _count_packed_terms(monkeypatch)
+    for m in models:
+        MinimalModel(m.algebra, m.differential)
+        loop_model(m)
+        assert calls == []
+        borel_model(m)
+        assert len(calls) == any(m.differential.values())
+        calls.clear()
 
 
 def test_borel_square_zero_failure_category():
