@@ -17,7 +17,8 @@ prefix, written ``--opt value`` or ``--opt=value``, and put before or after
 the positional, and its last repeat wins.  The word after ``--`` is the
 positional whatever it looks like.  ``-h``/``--help`` works per command.
 
-Exit codes: 0 success, 1 input rejected by a validator, 2 usage error
+Exit codes: 0 success, 1 input rejected by a validator (or a cap over
+``cohomology.MAX_CAP``, refused as BudgetExceeded), 2 usage error
 (``usage error: <message>``, and for a malformed argv the usage line),
 3 internal error (reported as ``internal error[<category>]: <message>``;
 no traceback is printed), 141 with no message if stdout closes early.
@@ -36,7 +37,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from .cohomology import NoInvolutionError, eigen_table
+from .cohomology import MAX_CAP, BudgetExceededError, NoInvolutionError, eigen_table
 from .curvature import enumerate_pairs
 from .models import ModelError, borel_model, loop_model, parse_model
 from .pseudoisotopy import NegativeDimensionError, pseudoisotopy_table
@@ -44,9 +45,10 @@ from .series import SeriesExprError, parse_expr
 
 SCHEMA_VERSION = 1
 # bfk builds one row per odd j up to --j-max, and series one row per
-# degree below --max-degree, so larger values are refused.
+# degree below --max-degree, so larger values are refused; a table refuses
+# a cap over the same MAX_CAP.
 J_MAX_LIMIT = 10_000
-SERIES_MAX_DEGREE = 100_000
+SERIES_MAX_DEGREE = MAX_CAP
 
 
 def _load_model(path_str: str, out_err):
@@ -156,7 +158,8 @@ def _cmd_series(args, out, err) -> int:
 
 _FORMAT = ("--format", ("table", "json"), "table", "output format")
 _SPACE = ("--space", ("base", "loop", "borel"), "borel", "the space whose cohomology is computed")
-_CAP = ("--max-degree", int, 40, "truncation cap; degrees below this are computed, minimum 4")
+_CAP = ("--max-degree", int, 40,
+        f"truncation cap; degrees below this are computed, minimum 4, at most {MAX_CAP}")
 _COMPACT = ("--assume-compact", bool, False, "attest that the model comes from a compact "
             "manifold, the only case the formulas describe")
 _MODEL = ("model", "path to a model file")
@@ -173,8 +176,7 @@ _COMMANDS = {
         ("--d", int, None, "half the sphere dimension, d >= 2"),
         ("--j-max", int, 5, f"largest odd index to enumerate, at most {J_MAX_LIMIT}"), _FORMAT]),
     "series": (_cmd_series, "expand a closed-form series expression", (
-        "expr", "e.g. '1/(1-t^4) + t^12/(1-t^12)'"), [
-        (*_CAP[:3], f"{_CAP[3]}, at most {SERIES_MAX_DEGREE}"), _FORMAT]),
+        "expr", "e.g. '1/(1-t^4) + t^12/(1-t^12)'"), [_CAP, _FORMAT]),
 }
 
 
@@ -292,7 +294,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, out.fileno())
         os.close(devnull)
         return 141
-    except (ModelError, NoInvolutionError, NegativeDimensionError, SeriesExprError) as exc:
+    except (ModelError, NoInvolutionError, NegativeDimensionError, SeriesExprError,
+            BudgetExceededError) as exc:
         category = getattr(exc, "category", type(exc).__name__)
         print(f"{category}: {exc}", file=err)
         return 1

@@ -83,6 +83,26 @@ from the table's own count table.  Factors that are one complex under a
 renaming of their generators (``_shape``), as those of a power are,
 share one layout, and ``eigen_table`` ranks it once.
 
+Pure models.  Let Y be the odd generators whose values u_y are nonzero,
+lie in the even generators and occur in no value, and C the sub-DGA on
+the other generators.  When u is a regular sequence in C, the Koszul
+complex resolves C/(u), so C (x) Lambda(Y) -> C/(u), y -> 0, is a
+quasi-isomorphism that keeps the weights and the Q[g]-module structure.
+u is regular, and so is g on C/(u), when the u_y at g = 0 lie in exactly
+|Y| generators X with H = Q[X]/(u) finite, which a Groebner basis shows
+by a pure power of each x among its leads.  With g last in a grevlex
+order, the leads of (u) are those at g = 0 (Bayer and Stillman, 1987),
+so C/(u) is free over Q[g] on the cells s w, s a standard monomial of H
+and w a monomial in the other generators.  For the Borel model of a
+positively elliptic pure model (Halperin, Finiteness in the minimal
+models of Sullivan, 1977), g is alpha and C/(u) = H (x) Lambda(x_bar) (x)
+Q[y_bar, alpha] (Vigue-Poirrier and Burghelea, 1985).  A loop or base
+table, whose g lies in X, ranks C/(u) with no g (the base table is H
+with D = 0).  ``build_layout`` takes this Koszul route (``_koszul``), for
+a table or a factor, where the count tables price it below the chain
+layout, as the one factor of a layout that keeps the table's own count
+table for ``cochain_dim``.
+
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
 """
@@ -93,7 +113,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, compress, islice
 from math import lcm
-from operator import add, itemgetter, sub
+from operator import add, ge, itemgetter, mul, sub
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from . import linalg
@@ -107,8 +127,21 @@ if TYPE_CHECKING:
 _set = object.__setattr__  # a Value's fields are set once, bypassing its __setattr__
 
 
+# The price of the Koszul route in cells of the chain layout (``_koszul``):
+# per cell of C/(u), and per degree of the cap for the Groebner basis and the
+# normal forms, measured with eigen_table on bundled, random and frontier tables.
+_PURE_COST = (3, 2)
+# The largest cap a table takes.  A table holds lists of 2 * cap ints, so a
+# larger cap is refused with BudgetExceededError before any of them is built.
+MAX_CAP = 100_000
+
+
 class NoInvolutionError(ValueError):
     category = "NoInvolution"
+
+
+class BudgetExceededError(ValueError):
+    category = "BudgetExceeded"
 
 
 class DegreeSlice(Value):
@@ -213,7 +246,10 @@ class Layout(NamedTuple):
     factors (see ``build_layout``) has its own top, g_step and counts, one
     chain layout per factor in ``factors``, whose fields are empty but for
     the factor's generators, and no fields, head, tail or terms of its
-    own; isomorphic factors (of one ``_shape``) share one object."""
+    own; isomorphic factors (of one ``_shape``) share one object.  A table
+    by the Koszul route is laid out the same way, with the chain layout of
+    C/(u) (``_koszul``) as its one factor; a factor of a product may be
+    one too."""
 
     top: int
     fields: tuple[int, ...]
@@ -237,7 +273,9 @@ def build_layout(model: DgaModel, top: int) -> Layout:
     the first are fewer than its own N; any other is one chain layout.
     The 3 top was measured: at 2 top some products of small random models
     took this route and ran slower than by the chain route.  Factors of
-    one ``_shape`` are counted and laid out once, and share the layout."""
+    one ``_shape`` are counted and laid out once, and share the layout.
+    A table, or a factor, takes the Koszul route instead where it pays
+    (``_koszul``)."""
     gens = model.algebra.generators
     closed = [i for i, (x, v) in enumerate(zip(gens, model.differential.values()))
               if x.degree % 2 == 0 and not v]
@@ -258,10 +296,18 @@ def build_layout(model: DgaModel, top: int) -> Layout:
         distinct = dict(zip(shapes, parts))  # one part per shape
         cells = {s: count(part) for s, part in distinct.items()}
         if sum(cells[s][1][-1] for s in shapes) + 3 * top * (k - 1) < total:
-            made = {s: _layout(model, top, g, part, cells[s]) for s, part in distinct.items()}
+            made = {
+                s: _koszul(model, top, g, part, cells[s]) or _layout(model, top, g, part, cells[s])
+                for s, part in distinct.items()
+            }
             factors = tuple(made[s] for s in shapes)
             return Layout(top, (), factors[0].g_step, counted[0], [], [], (), factors)
-    return _layout(model, top, g, rest, counted)
+    reduced = _koszul(model, top, g, rest, counted, True)
+    if reduced is None:
+        return _layout(model, top, g, rest, counted)
+    if g is not None and not reduced.g_step[0]:  # laid out with no g: count every monomial
+        counted = count(range(len(gens)))
+    return Layout(top, (), reduced.g_step, counted[0], [], [], (), (reduced,))
 
 
 def _layout(model: DgaModel, top: int, g: Optional[int], rest: list[int], counted, split=None):
@@ -278,7 +324,6 @@ def _layout(model: DgaModel, top: int, g: Optional[int], rest: list[int], counte
     (for a head of k >= 2 monomials, N / k + 2 top k >= 2 sqrt(2 top N)
     >= N), and a large one about a degree's worth of tail.  The head and
     the tail are each listed once."""
-    gens = model.algebra.generators
     counts, heads = counted
     fields = _fields(model, top, rest)
     deg = fields[-1]
@@ -286,18 +331,185 @@ def _layout(model: DgaModel, top: int, g: Optional[int], rest: list[int], counte
         cost = [heads[-1] // k + 2 * top * k for k in heads]
         cost[0] = heads[-1]
         split = cost.index(min(cost))
-    odd = [i for i in rest if model.weights[i] % 2]
     # a head code's weight parity is that of its odd-weight exponents
-    odd_bits = sum(1 << fields[i] for i in odd)
+    odd_bits = sum(1 << fields[i] for i in rest if model.weights[i] % 2)
     codes, _ = _codes(model, fields, rest[:split], top, ())
     head = [(c - (top << deg), top - (c >> deg), (c & odd_bits).bit_count() & 1) for c in codes]
-    tail: list[list[int]] = [[] for _ in range(2 * top)]
-    for p, codes in enumerate(_codes(model, fields, rest[split:], top, odd)):
+    return _chain(model, top, g, fields, counts, head, rest[split:], _pieces(model, fields, rest))
+
+
+def _chain(model: DgaModel, top: int, g: Optional[int], fields, counts, head, tail, pieces,
+           seeds=None):
+    """The chain layout of the given fields, count table and head: the
+    codes of the generators ``tail`` (times ``seeds``, see ``_codes``)
+    listed once as its tail, by parity and then degree, and the
+    differential packed from ``pieces``."""
+    deg = fields[-1]
+    odd = [i for i in tail if model.weights[i] % 2]
+    listed: list[list[int]] = [[] for _ in range(2 * top)]
+    for p, codes in enumerate(_codes(model, fields, tail, top, odd, seeds)):
         for code in codes:
-            tail[2 * (top - (code >> deg)) + p].append(code)
-    g_step = (gens[g].degree, model.weights[g]) if g is not None else (0, 0)
-    terms = _packed_terms(model, fields, g, rest)
-    return Layout(top, fields, g_step, counts, head, tail, terms, ())
+            listed[2 * (top - (code >> deg)) + p].append(code)
+    g_step = (model.algebra.generators[g].degree, model.weights[g]) if g is not None else (0, 0)
+    terms = _packed_terms(model, fields, g, pieces)
+    return Layout(top, fields, g_step, counts, head, listed, terms, ())
+
+
+def _koszul(model: DgaModel, top: int, g: Optional[int], part: list[int], counted, alone=False):
+    """The chain layout of C/(u) along g (see the module docstring, Pure
+    models) for the generators ``part`` and g, whose chain layout has the
+    count table and totals ``counted``, or None where the route does not
+    apply or does not pay: its g-free cells, counted from the chain
+    layout's before any Groebner basis, priced by ``_PURE_COST``, must be
+    fewer than the chain layout's.  For a whole table (``alone``)
+    whose u_y at g = 0 lie in fewer generators than Y has, C/(u) is laid
+    out with no g.  The code of a cell s w is w's plus one bit for s in
+    X[0]'s field, one bit wide per standard monomial (none for H = Q), and
+    the codes of H seed the listing.  A term of D(s w) goes through the
+    normal form of its X-part, which moves that bit: an entry whose term
+    has an X-part reads w's field only for the source whose bit it forbids
+    none of the others, and one of D(x), x in X, reads the bit itself."""
+    per_cell, per_degree = _PURE_COST
+    if per_cell + per_degree * top >= counted[1][-1]:  # the price of one cell
+        return None
+    gens = model.algebra.generators
+    values = [v.terms for v in model.differential.values()]
+    index = range(len(gens))
+    seen = set().union(*[compress(index, t) for i in part for t in values[i]])
+    ys = [i for i in part if gens[i].degree % 2 and values[i] and i not in seen]
+    u = [values[y] for y in ys]
+    if not ys or any(gens[k].degree % 2 for v in u for t in v for k in compress(index, t)):
+        return None
+    xs = sorted({k for v in u for t in v if g is None or not t[g] for k in compress(index, t)})
+    counts = list(counted[0])
+    if len(xs) != len(ys) and alone and g is not None:
+        xs = sorted({k for v in u for t in v for k in compress(index, t)})
+        if len(xs) == len(ys):  # with no g: count g's powers, not carried
+            d, w = gens[g].degree, model.weights[g] % 2
+            for i in range(2 * d, 2 * top):
+                counts[i] += counts[(i - 2 * d) ^ w]
+            part, g = sorted([*part, g]), None
+    if len(xs) != len(ys):
+        return None
+    # where u is a regular sequence, C/(u) has the g-free cells of C, less
+    # y's factor 1 + t^deg y, times 1 - t^deg u_y, of y's weight, for each y
+    for y in ys:
+        d, w = gens[y].degree, model.weights[y] % 2
+        for i in range(2 * d, 2 * top):
+            counts[i] -= counts[(i - 2 * d) ^ w]
+        lower = counts[: max(2 * (top - d - 1), 0)]
+        if w:
+            lower[::2], lower[1::2] = lower[1::2], lower[::2]
+        counts[2 * d + 2 :] = map(sub, counts[2 * d + 2 :], lower)
+    if per_cell * sum(counts) + per_degree * top >= counted[1][-1]:
+        return None
+    rest = [i for i in part if i not in xs and i not in ys]
+    # every polynomial here is homogeneous, so its lead in the grevlex order
+    # with g last is its term of least exponent of g, then of the last one, ...
+    order = itemgetter(*[g] * (g is not None), *[k for k in reversed(index) if k != g])
+    basis = _groebner([{t: _exact(c) for t, c in v.items()} for v in u], order)
+    leads = [m for m, _ in basis]
+    powers = [min((m[x] for m in leads if m[x] == sum(m)), default=0) for x in xs]
+    if not all(powers):
+        return None
+    std = [(0,) * len(gens)]
+    for x, e in zip(xs, powers):
+        std = [s[:x] + (k,) + s[x + 1 :] for s in std for k in range(e)]
+    std = [s for s in std if not any(all(map(ge, s, m)) for m in leads)]
+    wide = len(std) if len(std) > 1 else 0
+    fields = tuple(f + wide * (k > xs[0]) for k, f in enumerate(_fields(model, top, rest)))
+    deg = fields[-1]
+    bit = [1 << (fields[xs[0]] + j) if wide else 0 for j in range(len(std))]
+    degrees = [x.degree for x in gens]
+    seeds: tuple[list[int], list[int]] = ([], [])  # the codes of H, by weight parity
+    for b, s in zip(bit, std):
+        if (d := sum(map(mul, s, degrees))) < top:
+            seeds[sum(map(mul, s, model.weights)) % 2].append(b + ((top - d) << deg))
+    xpart = itemgetter(*xs)
+    notx = [int(k not in xs) for k in index]
+    where = {xpart(s): j for j, s in enumerate(std)}
+    merged: dict[tuple, object] = {}  # pieces of one entry and row summed
+    for i in rest + xs:
+        mask = (1 << (fields[i + 1] - fields[i])) - 1
+        for t, c in values[i].items():
+            r = tuple(map(mul, t, notx))  # t less its X-part
+            if notx[i] and r == t:  # t leaves s as it is
+                key = (i, t, fields[i], mask, -(1 << fields[i]), 0)
+                merged[key] = merged.get(key, 0) + c
+                continue
+            for j, s in enumerate(std):
+                if notx[i]:  # read w_i's exponent, of the source s w only
+                    read, mult = (fields[i], mask, -(1 << fields[i]) - bit[j], sum(bit) ^ bit[j]), 1
+                elif s[i]:  # s[i] (s / x_i) D(x_i), read at the bit of s
+                    read, mult = (fields[xs[0]] + j, 1, -bit[j], 0), s[i]
+                    s = s[:i] + (s[i] - 1,) + s[i + 1 :]
+                else:
+                    continue
+                shift, width, change, forbid = read
+                m = {tuple(map(add, s, map(sub, t, r))): _exact(c)}  # s times t's X-part
+                for n, a in (m if xpart(*m) in where else _normal_form(m, basis, order)).items():
+                    key = (i, tuple(map(add, r, map(mul, n, notx))), shift, width,
+                           change + bit[where[xpart(n)]], forbid)
+                    merged[key] = merged.get(key, 0) + mult * a
+    pieces = [(i, t, c, *read) for (i, t, *read), c in merged.items() if c]
+    return _chain(model, top, g, fields, counts, [(0, 0, 0)], rest, pieces, seeds)
+
+
+def _groebner(polys, order) -> list:
+    """A Groebner basis of the ideal of the homogeneous polynomials
+    ``polys`` ({exponent tuple: coefficient}), as (lead, monic polynomial)
+    pairs, where the lead is the term of least ``order``: Buchberger's
+    algorithm (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+    ch. 2), which skips a pair of coprime leads."""
+    basis: list = []
+    todo = list(polys)
+    while todo:
+        p = _normal_form(todo.pop(), basis, order) if basis else todo.pop()
+        if p:
+            lead = min(p, key=order)
+            if p[lead] != 1:
+                c = Fraction(p[lead])
+                p = {t: _exact(a / c) for t, a in p.items()}
+            for m, q in basis:
+                if any(map(min, lead, m)):
+                    both = tuple(map(max, lead, m))
+                    spoly: dict = {}
+                    _subtract(spoly, p, tuple(map(sub, both, lead)), -1)
+                    _subtract(spoly, q, tuple(map(sub, both, m)), 1)
+                    todo.append(spoly)
+            basis.append((lead, p))
+    return basis
+
+
+def _normal_form(p: dict, basis: list, order) -> dict:
+    """The remainder of the polynomial p on division by ``basis``
+    (``_groebner``): no term of it is a multiple of a lead."""
+    p, out = dict(p), {}
+    while p:
+        n = min(p, key=order)
+        for m, q in basis:
+            if all(map(ge, n, m)):
+                _subtract(p, q, tuple(map(sub, n, m)), p[n])
+                break
+        else:
+            out[n] = p.pop(n)
+    return out
+
+
+def _exact(c):
+    """A rational as an int where it is one, which computes faster."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _subtract(p: dict, q: dict, shift: tuple, f) -> None:
+    """p -= f x^shift q, in place."""
+    for t, c in q.items():
+        t = tuple(map(add, t, shift))
+        v = p.get(t, 0) - f * c
+        if v:
+            p[t] = v
+        else:
+            del p[t]
 
 
 def _factors(model: DgaModel, g: Optional[int], rest: list[int]) -> list[list[int]]:
@@ -356,17 +568,18 @@ def _counts(shape: list[tuple[int, int]], top: int) -> tuple[list[int], list[int
     return counts, totals
 
 
-def _codes(model: DgaModel, fields: tuple[int, ...], which: list[int], top: int, odd):
+def _codes(model: DgaModel, fields: tuple[int, ...], which: list[int], top: int, odd, seeds=None):
     """The codes of the monomials below degree ``top`` in the generators
     ``which``, each with top less its degree in the degree field, in two
     lists by the parity of their exponents of the generators ``odd`` (the
     first holds them all when ``odd`` is empty), each in ascending
     lexicographic order.  The codes with e factors of a generator are
     those with e - 1 that have room for one more, so no code is read
-    twice for one exponent."""
+    twice for one exponent.  ``seeds``, two lists of codes by parity,
+    multiplies them all (by default the unit alone)."""
     gens = model.algebra.generators
     deg = fields[-1]
-    even, other = [top << deg], []
+    even, other = seeds or ([top << deg], [])
     for i in reversed(which):  # the first generator varies slowest
         d = gens[i].degree
         unit = (1 << fields[i]) - (d << deg)
@@ -409,36 +622,49 @@ def _fields(model: DgaModel, top: int, keep) -> tuple[int, ...]:
     return tuple(accumulate(width, initial=0))
 
 
-def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int], which):
-    """``Layout.terms`` of the generators ``which`` for the given fields,
-    whose values lie in those generators and g.  g, even and closed, has
-    no entry, and its factors in a term change the g-free degree, not the
-    code."""
-    gens = model.algebra.generators
+def _pieces(model: DgaModel, fields: tuple[int, ...], which) -> list[tuple]:
+    """The terms of the values of the generators ``which`` as
+    ``_packed_terms`` takes them: each term c t of D(g_i) read at g_i's
+    field, and landing on the source less g_i times t."""
     values = [v.terms for v in model.differential.values()]
+    out = []
+    for i in which:
+        mask = (1 << (fields[i + 1] - fields[i])) - 1
+        out += [(i, t, c, fields[i], mask, -(1 << fields[i]), 0) for t, c in values[i].items()]
+    return out
+
+
+def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int], pieces):
+    """``Layout.terms`` for the given fields, from ``pieces``: each
+    (i, t, c, shift, mask, change, forbid) is a term of D(g_i), entered as
+    e c t for a source whose bits at (shift, mask) read e and that has no
+    bit of ``forbid``, on the row of the source plus the fields of t plus
+    ``change`` (by the Leibniz rule, e is g_i's exponent and the change
+    takes one g_i away).  g, even and closed, has no entry, and its factors
+    in a term change the g-free degree, not the code."""
+    gens = model.algebra.generators
     odd = [x.degree % 2 == 1 for x in gens]
-    scale = lcm(*(c.denominator for i in which for c in values[i].values()))
-    odd_bits = sum(1 << fields[k] for k in which if odd[k])
+    scale = lcm(*(piece[2].denominator for piece in pieces))
+    odd_bits = sum(1 << f for f, end, o in zip(fields, fields[1:], odd) if o and end > f)
     below = [(1 << f) - 1 for f in fields]  # the bits of the generators before each
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for i in which:
-        value = values[i]
-        mask = (1 << (fields[i + 1] - fields[i])) - 1
-        for t, c in value.items():
-            others = [k for k, b in enumerate(t) if b and odd[k] and k != i]
-            step = sum(b << fields[k] for k, b in enumerate(t) if k != g)
-            dropped = t[g] * gens[g].degree if g is not None else 0
-            step += ((dropped - 1) << fields[-1]) - (1 << fields[i])
-            # 1 is D's degree shift in the Leibniz sign (-1)^(shift * P[i])
-            signs = below[i] if (1 + len(others)) % 2 else 0
-            for k in others:
-                signs ^= below[k]
-            c = c.numerator * (scale // c.denominator)  # an integer, as scale clears c
-            c = -c if odd[i] and sum(k > i for k in others) % 2 else c
-            entry = (fields[i], mask, c, sum(1 << fields[k] for k in others), signs & odd_bits)
-            groups.setdefault(step, []).append(entry)
+    required: dict[int, int] = {}  # of each group, the fields its entries read
+    for i, t, c, shift, mask, change, forbid in pieces:
+        others = [k for k, b in enumerate(t) if b and odd[k] and k != i]
+        step = sum(b << fields[k] for k, b in enumerate(t) if k != g)
+        dropped = t[g] * gens[g].degree if g is not None else 0
+        step += ((dropped - 1) << fields[-1]) + change
+        # 1 is D's degree shift in the Leibniz sign (-1)^(shift * P[i])
+        signs = below[i] if (1 + len(others)) % 2 else 0
+        for k in others:
+            signs ^= below[k]
+        c = c.numerator * (scale // c.denominator)  # an integer, as scale clears c
+        c = -c if odd[i] and sum(k > i for k in others) % 2 else c
+        entry = (shift, mask, c, forbid | sum(1 << fields[k] for k in others), signs & odd_bits)
+        groups.setdefault(step, []).append(entry)
+        required[step] = required.get(step, 0) | mask << shift
     return tuple(
-        (step, sum(e[1] << e[0] for e in group), group[0][3] if len(group) == 1 else 0, group)
+        (step, required[step], group[0][3] if len(group) == 1 else 0, group)
         for step, group in sorted(groups.items())
     )
 
@@ -511,7 +737,7 @@ def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
     every = range(len(gens))
     fields = _fields(model, top, every)
     deg = fields[-1]
-    table = _packed_terms(model, fields, None, every)
+    table = _packed_terms(model, fields, None, _pieces(model, fields, every))
     square = lcm(*(c.denominator for value in values for c in value.values())) ** 2
     for i in check:
         (once,) = integral_columns(table, [(1 << fields[i]) + ((top - gens[i].degree) << deg)])
@@ -559,10 +785,11 @@ def _rank(layout: Layout) -> tuple[list[int], dict]:
     expand = partial(_column, terms)
     pivots: dict[int, dict[int, int] | int] = {}
     new = [0] * (2 * layout.top)
+    tail = layout.tail if len(layout.head) == 1 else None  # each block one list of it
     for i, count in enumerate(layout.counts):
         if count:
             before = len(pivots)
-            _reduce_block(leads, _block(layout, i >> 1, i & 1), pivots, expand)
+            _reduce_block(leads, tail[i] if tail else _block(layout, i >> 1, i & 1), pivots, expand)
             new[i] = len(pivots) - before
     return new, pivots
 
@@ -623,8 +850,13 @@ def _fold(top: int, step: int, dw: int, xs: dict, ys: dict) -> dict[tuple[int, i
     does not exist when either bar is free).  So the classes below N, which
     ``_ends`` counts, are those of the exact fold."""
     out: dict[tuple[int, int, int], int] = {}
-    ys = sorted(ys.items())
-    for (dx, px, a), m in xs.items():
+    items = sorted(ys.items())
+    if xs is ys:  # each unordered pair once, twice over off the diagonal
+        twice = [(bar, 2 * k) for bar, k in items]
+        rows = ((x, items[n : n + 1] + twice[n + 1 :]) for n, x in enumerate(items))
+    else:
+        rows = ((x, items) for x in xs.items())
+    for ((dx, px, a), m), ys in rows:
         for (dy, py, b), k in ys:
             d = dx + dy
             if d >= top:
@@ -637,6 +869,15 @@ def _fold(top: int, step: int, dw: int, xs: dict, ys: dict) -> dict[tuple[int, i
                 bar = (d, px ^ py ^ hi & dw, lo if d + lo * step <= top else top)
                 out[bar] = out.get(bar, 0) + m * k
     return out
+
+
+def _power(fold, bars: dict, k: int) -> dict:
+    """The barcode of k factors of one barcode, by squaring: ``fold`` of
+    a barcode with itself visits each unordered pair of bars once."""
+    if k == 1:
+        return bars
+    half = _power(fold, fold(bars, bars), k // 2)
+    return fold(half, bars) if k % 2 else half
 
 
 def _ends(bars: dict, top: int, step: int, dw: int) -> list[int]:
@@ -656,9 +897,12 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     an involution) the eigenspace split, for degrees 0..cap-1.  A product
     that ``build_layout`` lays out by factors is ranked factor by factor
     and its table read off the folded barcodes, each distinct factor
-    layout ranked once."""
+    layout ranked once; a table by the Koszul route ranks its one factor,
+    C/(u), as a chain layout.  A cap over MAX_CAP is refused."""
     if cap < 2:
         raise ValueError("cap must be >= 2")
+    if cap > MAX_CAP:
+        raise BudgetExceededError(f"cap {cap} is over the largest cap, {MAX_CAP}")
     layout = build_layout(model, cap)
     step, dw = layout.g_step[0], layout.g_step[1] % 2
     # block p of degree n at 2n + p: its g-free monomials, cleared ones too,
@@ -666,14 +910,16 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     # for the chain route its g-free cells less the new pivots of D on it
     # and on the block of degree n - 1; both carry on along g
     dims = list(layout.counts)
-    if layout.factors:
+    if len(layout.factors) > 1:
+        fold = partial(_fold, cap, step, dw)
+        ids = [id(f) for f in layout.factors]
         distinct = {id(f): f for f in layout.factors}
-        barcode = {i: _bars(f) for i, f in distinct.items()}
-        bars = reduce(partial(_fold, cap, step, dw), [barcode[id(f)] for f in layout.factors])
+        bars = reduce(fold, [_power(fold, _bars(f), ids.count(i)) for i, f in distinct.items()])
         betti = _ends(bars, cap, step, dw)
-    else:
-        new, _ = _rank(layout)
-        betti = list(map(sub, dims, map(add, new, [0, 0, *new])))
+    else:  # a chain layout: of the table, or of C/(u) for the Koszul route
+        chain = layout.factors[0] if layout.factors else layout
+        new, _ = _rank(chain)
+        betti = list(map(sub, chain.counts, map(add, new, [0, 0, *new])))
     slices = []
     for n in range(cap):
         i = 2 * n

@@ -180,3 +180,16 @@ def test_criterion_8_pinned_families():
     for dga in (s4, loop_model(s4)):
         ok = ok and build_layout(dga, cap).g_step[0] == 4 and any(dga.differential.values())
     _report(8, "S^4, CP^2 and CP^3 base, loop and Borel tables at cap 20", ok)
+
+
+def test_criterion_9_flag_manifold_and_grassmannian():
+    # the bundled SU(3)/T^2 and Gr_2(C^4): H*(SU(3)/T^2) = Q[a, c] / (a^2 +
+    # ac + c^2, a^2 c + a c^2) has Poincare polynomial 1 + 2t^2 + 2t^4 + t^6,
+    # and H*(Gr_2(C^4)) = Q[c1, c2] / (h3, h4), with h_k the complete
+    # homogeneous polynomials in the Chern roots, 1 + t^2 + 2t^4 + t^6 + t^8
+    ok = True
+    pinned = {"flag3.model": [1, 0, 2, 0, 2, 0, 1], "gr24.model": [1, 0, 1, 0, 2, 0, 1, 0, 1]}
+    for name, poincare in pinned.items():
+        table = eigen_table(load_model(name), 12)
+        ok = ok and [s.betti for s in table.slices] == poincare + [0] * (12 - len(poincare))
+    _report(9, "SU(3)/T^2 and Gr_2(C^4) base Poincare polynomials", ok)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import loopinv.cli
 from loopinv.cli import J_MAX_LIMIT, SERIES_MAX_DEGREE, main
+from loopinv.cohomology import MAX_CAP
 from support import MODELS_DIR
 
 D2 = str(MODELS_DIR / "sphere-bundle-d2.model")
@@ -204,6 +206,24 @@ def test_series_max_degree_above_the_bound_is_a_usage_error(capsys, fmt):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"usage error: --max-degree must be <= {SERIES_MAX_DEGREE}\n"
+
+
+@pytest.mark.parametrize("command", ["cohomology", "eigen", "pseudoisotopy"])
+@pytest.mark.parametrize("cap", [MAX_CAP + 1, 999_999_999_999])
+def test_a_cap_over_the_budget_is_refused_before_any_table_is_built(capsys, command, cap):
+    # refused with exit 1 before any list of the cap's length exists: the
+    # whole request, model parsing included, traces less than 1 MB
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, S2, "--max-degree", str(cap))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == f"BudgetExceeded: cap {cap} is over the largest cap, {MAX_CAP}\n"
+    assert peak < 1_000_000
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and f"at most {MAX_CAP}" in " ".join(out.split())
 
 
 def test_validate_good_model(capsys):

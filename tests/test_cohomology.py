@@ -13,6 +13,7 @@ from support import (
     algebra_generating_function,
     chain_basis,
     chain_block_entries,
+    chain_layout,
     decode,
     induced_involution,
     involution_eigen_dims,
@@ -20,6 +21,7 @@ from support import (
     oracle_betti,
     oracle_layout,
     per_degree_monomial_basis,
+    ranked,
 )
 
 
@@ -83,11 +85,12 @@ def test_eigen_table_builds_one_layout(borel_d2, monkeypatch):
 
 
 def test_clearing_skips_the_leads_of_the_degree_before(monkeypatch):
-    # S^2 Borel at cap 24 has 277 g-free columns: 121 are leads of pivots
-    # of the degree before and are cleared, and 13 of the 156 left add no
-    # pivot (their D is zero).  Each g-free block is ranked once, in degree
-    # order and block 0 first, and both signs occur.  Of the 143 pivots they add, 123 are
-    # apparent pivots that no reduction uses: source codes, never assembled
+    # S^2 Borel at cap 24, by the chain route, has 277 g-free columns: 121
+    # are leads of pivots of the degree before and are cleared, and 13 of
+    # the 156 left add no pivot (their D is zero).  Each g-free block is
+    # ranked once, in degree order and block 0 first, and both signs occur.
+    # Of the 143 pivots they add, 123 are apparent pivots that no reduction
+    # uses: source codes, never assembled
     dga = borel_model(load_model("s2.model"))
     layout = oracle_layout(dga, 24)
     blocks = [level[p] for level in layout.free for p in sorted(level)]
@@ -104,7 +107,7 @@ def test_clearing_skips_the_leads_of_the_degree_before(monkeypatch):
         store[:] = [pivots]
 
     monkeypatch.setattr(loopinv.cohomology, "_reduce_block", reduce_block)
-    eigen_table(dga, 24)
+    ranked(dga, chain_layout(dga, 24))
     assert sources == blocks
     assert (sum(map(len, blocks)), sum(uncleared), sum(zero)) == (277, 156, 13)
     assert {p for level in layout.free for p in level} == {0, 1}
