@@ -48,19 +48,18 @@ only up to its lead, and assembles and reduces at once one whose lead is
 a key, so the assembled pivots are those of assembling every column.
 
 This module owns the packed code format (``Layout``): bare integer
-codes with one bit field per generator and the degree on top.
-``build_layout`` counts a table's g-free codes by block (``_counts``),
-then lists once the monomials of a head of the generators other than g,
-chosen from the counts, and once the codes of the rest, the tail, by
-weight parity and then degree (``_codes``), so that ``_block`` builds a
-block's codes just before ``eigen_table`` ranks it.
-It packs the differential for those codes, grouped by row, so
-``integral_columns`` assembles each g-free column as sparse integer
-coordinates by shifts, masks and bit counts (``_entry`` reads one row,
-also for the lead search), scaled by one common nonzero integer that
-clears every denominator of the differential, for ``linalg.rank`` to
-rank exactly; no polynomial, exponent tuple or rational number is built
-per monomial or per column.
+codes with one bit field per generator and the degree on top.  ``_plan``
+counts a table's g-free codes by block (``_counts``); ``_layout`` lists
+once the monomials of a head of the generators other than g, chosen
+from the counts, and once the codes of the rest, the tail, by weight
+parity and then degree (``_codes``), so that ``_block`` builds a block's
+codes just before ``eigen_table`` ranks it.  It packs the differential
+for those codes, grouped by row, so ``integral_columns`` assembles each
+g-free column as sparse integer coordinates by shifts, masks and bit
+counts (``_entry`` reads one row, also for the lead search), scaled by
+one common nonzero integer that clears every denominator of the
+differential, for ``linalg.rank`` to rank exactly; no polynomial,
+exponent tuple or rational number is built per monomial or per column.
 ``eigen_table`` keeps the block dimensions and betti numbers of every
 degree in two flat int lists and builds one ``DegreeSlice`` per degree.
 
@@ -73,15 +72,13 @@ holds for base, loop and Borel models alike.  Each factor is free over
 the graded PID Q[g], so by the Kunneth theorem the product's cohomology
 follows from its factors' as Q[g]-modules, which are barcodes: the
 column reduction that ranks a factor along g pairs its cells
-(``_bars``).  ``build_layout`` lays a table out by factors when a rule
-read off the count tables says that pays: the factors' g-free cells plus
-3 top for each factor after the first are fewer than the table's own.
-``eigen_table`` then ranks each factor to the table's own cap, with no
-margin (``_fold`` proves it needs none), folds their barcodes
-(``_fold``), reads the table off the result and takes ``cochain_dim``
-from the table's own count table.  Factors that are one complex under a
-renaming of their generators (``_shape``), as those of a power are,
-share one layout, and ``eigen_table`` ranks it once.
+(``_bars``).  ``eigen_table`` ranks each factor to the table's own cap
+with no margin (``_fold`` proves it needs none), folds their barcodes
+and takes ``cochain_dim`` from the table's count table.  Factors that
+are one complex under a renaming of their generators (``_shape``), as
+those of a power are, share one layout, ranked once.  ``_plan`` takes
+this route where one price (``_PRICE``, ``_FOLD``) puts it below the
+whole table.
 
 Pure models.  Let Y be the odd generators whose values u_y are nonzero,
 lie in the even generators and occur in no value, and C the sub-DGA on
@@ -98,10 +95,9 @@ positively elliptic pure model (Halperin, Finiteness in the minimal
 models of Sullivan, 1977), g is alpha and C/(u) = H (x) Lambda(x_bar) (x)
 Q[y_bar, alpha] (Vigue-Poirrier and Burghelea, 1985).  A loop or base
 table, whose g lies in X, ranks C/(u) with no g (the base table is H
-with D = 0).  ``build_layout`` takes this Koszul route (``_koszul``), for
-a table or a factor, where the count tables price it below the chain
-layout, as the one factor of a layout that keeps the table's own count
-table for ``cochain_dim``.
+with D = 0).  ``_plan`` counts C/(u)'s cells from C's before any
+Groebner basis (``_pure``) and lays C/(u) out (``_koszul``), for a table
+or a factor, where the same price puts it below C.
 
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
@@ -127,10 +123,15 @@ if TYPE_CHECKING:
 _set = object.__setattr__  # a Value's fields are set once, bypassing its __setattr__
 
 
-# The price of the Koszul route in cells of the chain layout (``_koszul``):
-# per cell of C/(u), and per degree of the cap for the Groebner basis and the
-# normal forms, measured with eigen_table on bundled, random and frontier tables.
-_PURE_COST = (3, 2)
+# The price of a plan (``_plan``) in cells of the chain layout: by route, per
+# predicted cell and per layout (listing, packing, a Groebner basis), and per
+# fold of a product's factors, fitted to eigen_table's time by every route on
+# 637 bundled, random, product and frontier tables.
+_PRICE = {"chain": (1, 40), "koszul": (3, 80), "koszul-no-g": (1.6, 80)}
+_FOLD = 40
+# the price of a layout of one cell: the least of a Koszul layout, and of any
+_LEAST = (min(w + s for r, (w, s) in _PRICE.items() if r != "chain"),
+          min(w + s for w, s in _PRICE.values()))
 # The largest cap a table takes.  A table holds lists of 2 * cap ints, so a
 # larger cap is refused with BudgetExceededError before any of them is built.
 MAX_CAP = 100_000
@@ -240,16 +241,7 @@ class Layout(NamedTuple):
     of t other than g_i, and signs the odd bits whose count in a source
     fixes the term's sign.  A source without any of the required bits
     (the fields of the group's generators) or with a forbidden one (for a
-    group of one term, its others) has no entry on the group's row.
-
-    ``factors`` is () for such a chain layout.  A product laid out by
-    factors (see ``build_layout``) has its own top, g_step and counts, one
-    chain layout per factor in ``factors``, whose fields are empty but for
-    the factor's generators, and no fields, head, tail or terms of its
-    own; isomorphic factors (of one ``_shape``) share one object.  A table
-    by the Koszul route is laid out the same way, with the chain layout of
-    C/(u) (``_koszul``) as its one factor; a factor of a product may be
-    one too."""
+    group of one term, its others) has no entry on the group's row."""
 
     top: int
     fields: tuple[int, ...]
@@ -258,56 +250,69 @@ class Layout(NamedTuple):
     head: list[tuple[int, int, int]]
     tail: list[list[int]]
     terms: tuple[tuple[int, int, int, list[tuple[int, int, int, int, int]]], ...]
-    factors: tuple[Layout, ...]
 
 
-def build_layout(model: DgaModel, top: int) -> Layout:
-    """The g-free layout of a model below degree ``top`` and its packed
-    differential, where g is the even generator with zero differential of
-    lowest degree (the first one on ties), or None; without g every
-    monomial is g-free.
+def build_layout(model: DgaModel, top: int) -> tuple[list[int], list[tuple[Layout, int]]]:
+    """The table's count table and each distinct chain layout with its
+    multiplicity, as ``_plan`` prices them (``_PRICE``, ``_FOLD``); a
+    Koszul layout of u not regular falls back to its chain layout."""
+    counts, _, planned = _plan(model, top)
+    return counts, [(builds[0]() or builds[-1](), k) for _, _, k, _, builds in planned]
 
-    A table whose generators other than g fall into several factors
-    (``_factors``) is laid out factor by factor, each a chain layout
-    (``_layout``), when the factors' cells plus 3 top per factor after
-    the first are fewer than its own N; any other is one chain layout.
-    The 3 top was measured: at 2 top some products of small random models
-    took this route and ran slower than by the chain route.  Factors of
-    one ``_shape`` are counted and laid out once, and share the layout.
-    A table, or a factor, takes the Koszul route instead where it pays
-    (``_koszul``)."""
+
+def _plan(model: DgaModel, top: int):
+    """The route of a table below degree ``top``, from count tables and
+    the model's structure alone: its count table (of every monomial when
+    laid out with no g), its g (the even generator of zero differential
+    and lowest degree, the first on ties, or None), and each distinct
+    chain layout to build as (generators, route, multiplicity, predicted
+    cells, builders), the route "chain" (``_layout``), "koszul" (C/(u)
+    along g, ``_koszul``) or "koszul-no-g" (a whole table's C/(u), whose u
+    lies in g too).  The whole table and its factors (``_factors``, one
+    layout per ``_shape``), each layout by its cheaper route, are priced by
+    ``_PRICE`` and ``_FOLD``; the cheapest wins, the whole table on ties."""
     gens = model.algebra.generators
     closed = [i for i, (x, v) in enumerate(zip(gens, model.differential.values()))
               if x.degree % 2 == 0 and not v]
     g = min(closed, key=lambda i: gens[i].degree, default=None)
     rest = [i for i in range(len(gens)) if i != g]
+    tables: dict[tuple, tuple] = {}
 
-    def count(which):
-        return _counts([(gens[i].degree, model.weights[i] % 2) for i in which], top)
+    def key(part):  # the (degree, weight parity) list of its generators
+        return tuple([(gens[i].degree, model.weights[i] % 2) for i in part])
 
-    counted = count(rest)
-    total = counted[1][-1]
-    # each factor has one cell or more (its unit), so k factors cost at least
-    # k + 3 top (k - 1), and two of them 3 top + 2, before any is counted
-    parts = [] if total <= 3 * top + 2 else _factors(model, g, rest)
-    k = len(parts)
-    if k > 1 and k + 3 * top * (k - 1) < total:
-        shapes = [_shape(model, part) for part in parts]
-        distinct = dict(zip(shapes, parts))  # one part per shape
-        cells = {s: count(part) for s, part in distinct.items()}
-        if sum(cells[s][1][-1] for s in shapes) + 3 * top * (k - 1) < total:
-            made = {
-                s: _koszul(model, top, g, part, cells[s]) or _layout(model, top, g, part, cells[s])
-                for s, part in distinct.items()
-            }
-            factors = tuple(made[s] for s in shapes)
-            return Layout(top, (), factors[0].g_step, counted[0], [], [], (), factors)
-    reduced = _koszul(model, top, g, rest, counted, True)
-    if reduced is None:
-        return _layout(model, top, g, rest, counted)
-    if g is not None and not reduced.g_step[0]:  # laid out with no g: count every monomial
-        counted = count(range(len(gens)))
-    return Layout(top, (), reduced.g_step, counted[0], [], [], (), (reduced,))
+    def count(key):  # a count table, once per key
+        return tables[key] if key in tables else tables.setdefault(key, _counts(key, top))
+
+    def cheapest(part, alone=False):  # (price, count table, g, layout) of one layout of part
+        counts, totals = count(key(part))
+        chain = partial(_layout, model, top, g, part, (counts, totals))
+        best = (totals[-1] + _PRICE["chain"][1], counts, g, (part, "chain", totals[-1], (chain,)))
+        if best[0] > _LEAST[0] and (pure := _pure(model, top, g, part, counts, alone)):
+            h, whole, xs, ys, counts, cells = pure
+            if h != g:  # with no g, its chain layout is counted only if built
+                chain = lambda: _layout(model, top, h, whole, count(key(whole)))  # noqa: E731
+            builds = (partial(_koszul, model, top, h, whole, xs, ys, cells), chain)
+            route, n = "koszul" if h == g else "koszul-no-g", sum(cells)
+            if (price := _PRICE[route][0] * n + _PRICE[route][1]) < best[0]:
+                best = (price, counts, h, (whole, route, n, builds))
+        return best
+
+    price, counts, h, (part, route, n, builds) = cheapest(rest, alone=True)
+    best = (counts, h, [(part, route, 1, n, builds)])
+    if price > _LEAST[1] + _FOLD and len(parts := _factors(model, g, rest)) > 1:
+        # factors of one shape share one key: floors from keys, then counts;
+        # a product pays a fold for each factor after the first
+        lists, folds = {key(p): p for p in parts}, _FOLD * (len(parts) - 1)
+        if folds + _LEAST[1] * len(lists) < price and folds + sum(
+            min(_PRICE["chain"][1] + count(k)[1][-1], _LEAST[0]) for k in lists
+        ) < price:
+            shapes = [_shape(model, part) for part in parts]
+            made = [(cheapest(p), shapes.count(s)) for s, p in dict(zip(shapes, parts)).items()]
+            if folds + sum(c[0] for c, _ in made) < price:
+                layouts = [(p, r, k, n, b) for (_, _, _, (p, r, n, b)), k in made]
+                best = (count(key(rest))[0], g, layouts)
+    return best
 
 
 def _layout(model: DgaModel, top: int, g: Optional[int], rest: list[int], counted, split=None):
@@ -352,26 +357,14 @@ def _chain(model: DgaModel, top: int, g: Optional[int], fields, counts, head, ta
             listed[2 * (top - (code >> deg)) + p].append(code)
     g_step = (model.algebra.generators[g].degree, model.weights[g]) if g is not None else (0, 0)
     terms = _packed_terms(model, fields, g, pieces)
-    return Layout(top, fields, g_step, counts, head, listed, terms, ())
+    return Layout(top, fields, g_step, counts, head, listed, terms)
 
 
-def _koszul(model: DgaModel, top: int, g: Optional[int], part: list[int], counted, alone=False):
-    """The chain layout of C/(u) along g (see the module docstring, Pure
-    models) for the generators ``part`` and g, whose chain layout has the
-    count table and totals ``counted``, or None where the route does not
-    apply or does not pay: its g-free cells, counted from the chain
-    layout's before any Groebner basis, priced by ``_PURE_COST``, must be
-    fewer than the chain layout's.  For a whole table (``alone``)
-    whose u_y at g = 0 lie in fewer generators than Y has, C/(u) is laid
-    out with no g.  The code of a cell s w is w's plus one bit for s in
-    X[0]'s field, one bit wide per standard monomial (none for H = Q), and
-    the codes of H seed the listing.  A term of D(s w) goes through the
-    normal form of its X-part, which moves that bit: an entry whose term
-    has an X-part reads w's field only for the source whose bit it forbids
-    none of the others, and one of D(x), x in X, reads the bit itself."""
-    per_cell, per_degree = _PURE_COST
-    if per_cell + per_degree * top >= counted[1][-1]:  # the price of one cell
-        return None
+def _pure(model: DgaModel, top: int, g: Optional[int], part: list[int], counts, alone):
+    """Koszul's test (module docstring, Pure models) for the generators
+    ``part`` and g, of count table ``counts``: (g, or None for a whole
+    table, ``alone``, whose u lies in |Y| generators only with g; the
+    generators; X; Y; the table's count table; C/(u)'s), or None."""
     gens = model.algebra.generators
     values = [v.terms for v in model.differential.values()]
     index = range(len(gens))
@@ -381,33 +374,46 @@ def _koszul(model: DgaModel, top: int, g: Optional[int], part: list[int], counte
     if not ys or any(gens[k].degree % 2 for v in u for t in v for k in compress(index, t)):
         return None
     xs = sorted({k for v in u for t in v if g is None or not t[g] for k in compress(index, t)})
-    counts = list(counted[0])
     if len(xs) != len(ys) and alone and g is not None:
         xs = sorted({k for v in u for t in v for k in compress(index, t)})
         if len(xs) == len(ys):  # with no g: count g's powers, not carried
-            d, w = gens[g].degree, model.weights[g] % 2
+            counts, d, w = list(counts), gens[g].degree, model.weights[g] % 2
             for i in range(2 * d, 2 * top):
                 counts[i] += counts[(i - 2 * d) ^ w]
             part, g = sorted([*part, g]), None
     if len(xs) != len(ys):
         return None
-    # where u is a regular sequence, C/(u) has the g-free cells of C, less
-    # y's factor 1 + t^deg y, times 1 - t^deg u_y, of y's weight, for each y
+    # if u is regular, C/(u) has C's g-free cells less y's factor 1 + t^deg y,
+    # times 1 - t^deg u_y, of y's weight, for each y
+    reduced = list(counts)
     for y in ys:
         d, w = gens[y].degree, model.weights[y] % 2
         for i in range(2 * d, 2 * top):
-            counts[i] -= counts[(i - 2 * d) ^ w]
-        lower = counts[: max(2 * (top - d - 1), 0)]
+            reduced[i] -= reduced[(i - 2 * d) ^ w]
+        lower = reduced[: max(2 * (top - d - 1), 0)]
         if w:
             lower[::2], lower[1::2] = lower[1::2], lower[::2]
-        counts[2 * d + 2 :] = map(sub, counts[2 * d + 2 :], lower)
-    if per_cell * sum(counts) + per_degree * top >= counted[1][-1]:
-        return None
+        reduced[2 * d + 2 :] = map(sub, reduced[2 * d + 2 :], lower)
+    return g, part, xs, ys, counts, reduced
+
+
+def _koszul(model: DgaModel, top: int, g: Optional[int], part: list[int], xs, ys, counts):
+    """The chain layout of C/(u) for ``_pure``'s g, generators, X, Y and
+    count table of C/(u), or None where the Groebner basis shows u not
+    regular.  A cell s w's code is w's plus one bit for s in X[0]'s field,
+    one per standard monomial (none for H = Q); H's codes seed the listing.
+    A term of D(s w) goes through the normal form of its X-part, which
+    moves that bit: an entry whose term has an X-part reads w's field only
+    for the source whose bit it forbids none of the others, and one of
+    D(x), x in X, reads the bit itself."""
+    gens = model.algebra.generators
+    values = [v.terms for v in model.differential.values()]
+    index = range(len(gens))
     rest = [i for i in part if i not in xs and i not in ys]
     # every polynomial here is homogeneous, so its lead in the grevlex order
     # with g last is its term of least exponent of g, then of the last one, ...
     order = itemgetter(*[g] * (g is not None), *[k for k in reversed(index) if k != g])
-    basis = _groebner([{t: _exact(c) for t, c in v.items()} for v in u], order)
+    basis = _groebner([{t: _exact(c) for t, c in values[y].items()} for y in ys], order)
     leads = [m for m, _ in basis]
     powers = [min((m[x] for m in leads if m[x] == sum(m)), default=0) for x in xs]
     if not all(powers):
@@ -894,30 +900,24 @@ def _ends(bars: dict, top: int, step: int, dw: int) -> list[int]:
 
 def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     """Per-degree cochain dimension, betti number and (when the model has
-    an involution) the eigenspace split, for degrees 0..cap-1.  A product
-    that ``build_layout`` lays out by factors is ranked factor by factor
-    and its table read off the folded barcodes, each distinct factor
-    layout ranked once; a table by the Koszul route ranks its one factor,
-    C/(u), as a chain layout.  A cap over MAX_CAP is refused."""
+    an involution) the eigenspace split, for degrees 0..cap-1: by the chain
+    formula on ``build_layout``'s one layout of multiplicity 1, else off
+    their folded barcodes.  A cap over MAX_CAP is refused."""
     if cap < 2:
         raise ValueError("cap must be >= 2")
     if cap > MAX_CAP:
         raise BudgetExceededError(f"cap {cap} is over the largest cap, {MAX_CAP}")
-    layout = build_layout(model, cap)
-    step, dw = layout.g_step[0], layout.g_step[1] % 2
-    # block p of degree n at 2n + p: its g-free monomials, cleared ones too,
-    # and what its cohomology gains over that of its predecessor along g,
-    # for the chain route its g-free cells less the new pivots of D on it
-    # and on the block of degree n - 1; both carry on along g
-    dims = list(layout.counts)
-    if len(layout.factors) > 1:
+    counts, layouts = build_layout(model, cap)
+    step, dw = layouts[0][0].g_step[0], layouts[0][0].g_step[1] % 2
+    # block p of degree n at 2n + p: its g-free monomials, and its cohomology's gain over its
+    # predecessor's along g (by the chain formula, cells less new pivots on it and the one before)
+    dims = list(counts)
+    if len(layouts) > 1 or layouts[0][1] > 1:
         fold = partial(_fold, cap, step, dw)
-        ids = [id(f) for f in layout.factors]
-        distinct = {id(f): f for f in layout.factors}
-        bars = reduce(fold, [_power(fold, _bars(f), ids.count(i)) for i, f in distinct.items()])
+        bars = reduce(fold, [_power(fold, _bars(layout), k) for layout, k in layouts])
         betti = _ends(bars, cap, step, dw)
-    else:  # a chain layout: of the table, or of C/(u) for the Koszul route
-        chain = layout.factors[0] if layout.factors else layout
+    else:  # one chain layout: of the table, or of C/(u) for the Koszul route
+        ((chain, _),) = layouts
         new, _ = _rank(chain)
         betti = list(map(sub, chain.counts, map(add, new, [0, 0, *new])))
     slices = []

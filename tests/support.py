@@ -480,12 +480,9 @@ def enumerated_layout(model: DgaModel, top: int, split: Optional[int] = None) ->
 
 def closed_index(layout: Layout | OracleLayout) -> Optional[int]:
     """The index of g, the one generator whose field in the layout is
-    empty (in every factor of a layout by factors), or None."""
-    chains = layout.factors if isinstance(layout, Layout) and layout.factors else [layout]
-    empty = set.intersection(
-        *({i for i, (lo, hi) in enumerate(zip(c.fields, c.fields[1:])) if lo == hi} for c in chains)
-    )
-    return min(empty, default=None)
+    empty, or None."""
+    fields = layout.fields
+    return min((i for i, (lo, hi) in enumerate(zip(fields, fields[1:])) if lo == hi), default=None)
 
 
 def decode(layout: Layout | OracleLayout, code: int, degree: Optional[int] = None) -> Monomial:
@@ -585,9 +582,9 @@ def product_model(*models: MinimalModel) -> MinimalModel:
 
 
 def _g_and_counts(model: DgaModel, top: int):
-    """g by ``cohomology.build_layout``'s rule (the closed even generator
-    of lowest degree, the first on ties, or None) and a function that
-    counts a list of generators (``cohomology._counts``) below ``top``."""
+    """g by ``cohomology._plan``'s rule (the closed even generator of
+    lowest degree, the first on ties, or None) and a function that counts
+    a list of generators (``cohomology._counts``) below ``top``."""
     gens = model.algebra.generators
     values = model.differential.values()
     closed = [i for i, (x, v) in enumerate(zip(gens, values)) if x.degree % 2 == 0 and not v]
@@ -601,40 +598,69 @@ def _g_and_counts(model: DgaModel, top: int):
 
 def chain_layout(model: DgaModel, top: int, split: Optional[int] = None) -> Layout:
     """The chain layout of the whole table below ``top``, whatever
-    ``cohomology.build_layout``'s route rule says, at the given split of
-    the generators other than g (``cohomology._layout``'s own choice by
-    default)."""
+    ``cohomology._plan`` says, at the given split of the generators other
+    than g (``cohomology._layout``'s own choice by default)."""
     g, count = _g_and_counts(model, top)
     rest = [i for i in range(len(model.algebra.generators)) if i != g]
     return cohomology._layout(model, top, g, rest, count(rest), split)
 
 
-def factor_layout(model: DgaModel, top: int) -> Layout:
-    """``cohomology.build_layout``'s layout by factors
-    (``cohomology._factors``), whatever its route rule says, also for a
-    model of one factor: the table's count table and g, and one chain
-    layout per factor (none for a model of g alone).  It lays out every
-    factor, isomorphic ones too, so it stays the unshared oracle for
+def factor_layout(model: DgaModel, top: int) -> tuple[list[int], list[tuple[Layout, int]]]:
+    """The table below ``top`` laid out by factors
+    (``cohomology._factors``), whatever ``cohomology._plan`` says, also
+    for a model of one factor, as ``build_layout`` returns it: the table's
+    count table and one chain layout per factor, each of multiplicity 1
+    (one of g alone for a model with no other generator).  It lays out
+    every factor, isomorphic ones too, so it stays the unshared oracle for
     ``build_layout``'s shared factors."""
     g, count = _g_and_counts(model, top)
-    gens = model.algebra.generators
-    rest = [i for i in range(len(gens)) if i != g]
-    factors = tuple(
-        cohomology._layout(model, top, g, part, count(part))
-        for part in cohomology._factors(model, g, rest)
-    )
-    g_step = (gens[g].degree, model.weights[g]) if g is not None else (0, 0)
-    return Layout(top, (), g_step, count(rest)[0], [], [], (), factors)
+    rest = [i for i in range(len(model.algebra.generators)) if i != g]
+    parts = cohomology._factors(model, g, rest) or [rest]
+    return count(rest)[0], [(cohomology._layout(model, top, g, p, count(p)), 1) for p in parts]
 
 
-def ranked(model: DgaModel, layout: Layout) -> EigenTable:
+def product_layout(model: DgaModel, top: int) -> tuple[list[int], list[tuple[Layout, int]]]:
+    """The table below ``top`` by the product route, whatever
+    ``cohomology._plan`` says, as ``build_layout`` returns it: the table's
+    count table and one chain layout per ``cohomology._shape`` of its
+    factors, with the number of factors of that shape."""
+    g, count = _g_and_counts(model, top)
+    rest = [i for i in range(len(model.algebra.generators)) if i != g]
+    parts = cohomology._factors(model, g, rest) or [rest]
+    shapes = [cohomology._shape(model, p) for p in parts]
+    distinct = dict(zip(shapes, parts))  # one part per shape
+    layouts = [cohomology._layout(model, top, g, p, count(p)) for p in distinct.values()]
+    return count(rest)[0], list(zip(layouts, map(shapes.count, distinct)))
+
+
+def koszul_layout(model: DgaModel, top: int) -> Optional[tuple[list[int], list]]:
+    """The whole table below ``top`` by the Koszul route
+    (``cohomology._koszul``), whatever ``cohomology._plan`` says, as
+    ``build_layout`` returns it: the table's count table and the one chain
+    layout of C/(u), with no g where u lies in g too (then the count table
+    counts every monomial); None where the route does not apply or u is
+    not regular."""
+    g, count = _g_and_counts(model, top)
+    rest = [i for i in range(len(model.algebra.generators)) if i != g]
+    pure = cohomology._pure(model, top, g, rest, count(rest)[0], True)
+    if pure is None:
+        return None
+    h, whole, xs, ys, counts, reduced = pure
+    reduced_layout = cohomology._koszul(model, top, h, whole, xs, ys, reduced)
+    return None if reduced_layout is None else (counts, [(reduced_layout, 1)])
+
+
+def ranked(model: DgaModel, layout: Layout | tuple) -> EigenTable:
     """``eigen_table`` of the model at the layout's top, with
     ``cohomology.build_layout`` patched for this one call to return the
-    given layout: the table by whichever route the layout takes."""
+    given chain layout of the whole table, or (counts, layouts) as
+    ``build_layout`` returns them: the table by whichever route the
+    layout takes."""
+    table = (layout.counts, [(layout, 1)]) if isinstance(layout, Layout) else layout
     real = cohomology.build_layout
-    cohomology.build_layout = lambda model, top: layout
+    cohomology.build_layout = lambda model, top: table
     try:
-        return eigen_table(model, layout.top)
+        return eigen_table(model, table[1][0][0].top)
     finally:
         cohomology.build_layout = real
 
@@ -643,11 +669,11 @@ def folded_barcode(model: DgaModel, top: int) -> dict:
     """The barcode of a table below ``top`` by the product route: each
     factor's barcode (``cohomology._bars``), folded by
     ``cohomology._fold`` into that of Q[g] (one free bar at degree 0)."""
-    layout = factor_layout(model, top)
-    step, dw = layout.g_step[0], layout.g_step[1] % 2
+    _, layouts = factor_layout(model, top)
+    step, dw = layouts[0][0].g_step[0], layouts[0][0].g_step[1] % 2
     return functools.reduce(
         functools.partial(cohomology._fold, top, step, dw),
-        map(cohomology._bars, layout.factors),
+        [cohomology._bars(layout) for layout, _ in layouts],
         {(0, 0, top): 1},
     )
 

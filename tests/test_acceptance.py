@@ -178,7 +178,8 @@ def test_criterion_8_pinned_families():
                 ok = ok and s.betti == oracle_betti(dga, n)
     s4 = load_model("s4.model")
     for dga in (s4, loop_model(s4)):
-        ok = ok and build_layout(dga, cap).g_step[0] == 4 and any(dga.differential.values())
+        ((layout, _),) = build_layout(dga, cap)[1]
+        ok = ok and layout.g_step[0] == 4 and any(dga.differential.values())
     _report(8, "S^4, CP^2 and CP^3 base, loop and Borel tables at cap 20", ok)
 
 

@@ -138,7 +138,7 @@ def _borel_peak_kb(text, cap, whole=False):
             "gens, rest = dga.algebra.generators, list(range(1, len(dga.weights)))\n"
             "shape = [(gens[i].degree, dga.weights[i] % 2) for i in rest]\n"
             "layout = cohomology._layout(dga, cap, 0, rest, cohomology._counts(shape, cap))\n"
-            "cohomology.build_layout = lambda model, top: layout\n"
+            "cohomology.build_layout = lambda model, top: (layout.counts, [(layout, 1)])\n"
         )
     script += (
         "cohomology.eigen_table(dga, cap)\n"

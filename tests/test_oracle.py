@@ -17,7 +17,10 @@ ranked once, with the table of ranking every factor apart
 (support.factor_layout); other factors are laid out apart.  A table is
 ranked by a route of the test's choice through one seam: support.ranked,
 with the whole table's layout (support.chain_layout, as these oracles
-take it) or the factors' (support.factor_layout).
+take it), the factors' (support.factor_layout, or support.product_layout
+one per shape) or C/(u)'s (support.koszul_layout).  The plan that picks
+the route (cohomology._plan) is pinned for every bundled and benchmark
+table (tests/golden/plans.json).
 
 Every block is ranked along multiplication by the closed even generator
 g, so the models here also cover the shapes of that chain: g = alpha in
@@ -28,6 +31,7 @@ degrees."""
 
 import functools
 import importlib.util
+import json
 from math import lcm
 
 import pytest
@@ -51,8 +55,11 @@ CAP = 24
 # the bundled models but SU(3)/T^2 and Gr_2(C^4), whose Borel cochain
 # spaces outgrow the dense and monomial-by-monomial oracles below CAP
 # (thousands of monomials a degree); their own tests below check them at
-# smaller caps and against the chain route
-BUNDLED = sorted(p for p in MODELS_DIR.glob("*.model") if p.stem not in ("flag3", "gr24"))
+# smaller caps and against the chain route.  S^2 x S^2 is bundled too, and
+# MODEL_FILES holds it once, as the benchmark's input
+BUNDLED = sorted(
+    p for p in MODELS_DIR.glob("*.model") if p.stem not in ("flag3", "gr24", "s2xs2")
+)
 # those, then the benchmark's
 MODEL_FILES = BUNDLED + sorted((MODELS_DIR.parent / "benchmark" / "inputs").glob("*.model"))
 RANDOM = random_models_within_budget(seed=20240, count=20, cap=CAP)
@@ -155,8 +162,8 @@ def test_random_base_tables_match_oracle(index):
 def test_chain_shapes_match_oracle(text, g, cap):
     model = parse_model(text)
     loop, borel = loop_model(model), borel_model(model)
-    assert support.closed_index(build_layout(model, cap)) == g
-    assert support.closed_index(build_layout(borel, cap)) == 0
+    assert cohomology._plan(model, cap)[1] == g
+    assert cohomology._plan(borel, cap)[1] == 0
     for dga in (model, loop, borel):
         _assert_matches_oracle(dga, cap)
         _assert_blocks_are_scaled_derivation(dga, cap)
@@ -266,7 +273,8 @@ def test_polynomial_generator_at_field_edges(cap):
     dga = borel_model(parse_model("gen a 2\n"))
     table = eigen_table(dga, cap)
     a = dga.algebra.index("a")
-    fields = build_layout(dga, cap).fields
+    ((layout, _),) = build_layout(dga, cap)[1]
+    fields = layout.fields
     assert fields[a + 1] - fields[a] == (cap // 2).bit_length()
     for n, s in enumerate(table.slices):
         assert (s.betti, s.inv_plus, s.inv_minus) == (1, *((1, 0) if n % 4 == 0 else (0, 1))), n
@@ -542,9 +550,9 @@ def test_count_table_is_the_generating_function(model, cap):
     # monomials; times 1 / (1 - t^deg g) it counts every monomial
     model = parse_model(model) if isinstance(model, str) else model
     for dga in _spaces(model):
-        layout = build_layout(dga, cap)
-        series = [layout.counts[2 * n] + layout.counts[2 * n + 1] for n in range(cap)]
-        step = layout.g_step[0]
+        counts, layouts = build_layout(dga, cap)
+        series = [counts[2 * n] + counts[2 * n + 1] for n in range(cap)]
+        step = layouts[0][0].g_step[0]
         for n in range(step, cap if step else 0):
             series[n] += series[n - step]
         assert series == list(algebra_generating_function(dga.algebra, cap).coeffs)
@@ -645,7 +653,7 @@ def test_product_route_matches_the_chain_route(model):
     ranked = 0
     for space, dga in zip(("borel", "loop", "base"), _spaces(model)):
         for cap in PRODUCT_CAPS:
-            if sum(build_layout(dga, cap).counts) > PRODUCT_BUDGET:
+            if sum(build_layout(dga, cap)[0]) > PRODUCT_BUDGET:
                 break
             chain = support.ranked(dga, support.chain_layout(dga, cap))
             assert support.ranked(dga, support.factor_layout(dga, cap)) == chain, (space, cap)
@@ -660,32 +668,35 @@ def test_a_product_without_g_is_the_plain_kunneth_product():
     model = dict(NAMED_MODELS)["s3xs3"]
     for cap in PRODUCT_CAPS:
         layout = support.factor_layout(model, cap)
-        assert layout.g_step == (0, 0) and len(layout.factors) == 2
+        assert [factor.g_step for factor, _ in layout[1]] == [(0, 0)] * 2
         table = support.ranked(model, layout)
         assert table == support.ranked(model, support.chain_layout(model, cap))
         betti = [int(n in (0, 6)) + 2 * (n == 3) for n in range(cap)]
         assert [s.betti for s in table.slices] == betti
 
 
+def _routes(dga, cap):
+    """The plan's (route, multiplicity) for each distinct layout."""
+    return [(route, k) for _, route, k, _, _ in cohomology._plan(dga, cap)[2]]
+
+
 def test_the_route_rule_takes_the_product_route_where_it_pays():
-    # the rule reads the count tables: both multigen-betti tables and the
-    # S^2 x S^2 frontier take the product route, one factor never does,
-    # and a product whose factors are about as large as itself does not
+    # the plan reads the count tables: both multigen-betti tables and the
+    # S^2 x S^2 frontier take the product route with one shared factor,
+    # one factor never does, and a product too small to pay its set-up
+    # and fold does not
     s2xs2, s3xs3 = dict(NAMED_MODELS)["s2xs2"], dict(NAMED_MODELS)["s3xs3"]
-    assert len(build_layout(borel_model(s2xs2), 10).factors) == 2
-    assert len(build_layout(borel_model(s3xs3), 26).factors) == 2
-    assert len(build_layout(borel_model(s2xs2), 120).factors) == 2
+    assert _routes(borel_model(s2xs2), 10) == [("chain", 2)]
+    assert _routes(borel_model(s3xs3), 26) == [("chain", 2)]
+    assert _routes(borel_model(s2xs2), 120) == [("koszul", 2)]
     # S^2's Borel table takes the Koszul route: one reduced complex
-    assert len(build_layout(borel_model(load_model("s2.model")), 120).factors) == 1
-    assert build_layout(s3xs3, 10).factors == ()  # 4 cells, 2 + 2 + 3 * 10 by factors
-    # 57 cells against 11 + 11 + 3 * 12: at 2 top per extra factor, this
-    # table would take the product route.  With each factor laid out and
-    # ranked apart, that was slower at this size (0.24-0.31 ms against
-    # 0.17-0.27 ms by the chain route); with one shared factor it is faster
-    # (0.13-0.23 ms against 0.18-0.30 ms), but the rule, calibrated on
-    # unshared factors, still takes the chain route here (timeit minima,
-    # eigen_table in process, shared 2-CPU VM)
-    assert build_layout(borel_model(s3xs3), 12).factors == ()
+    assert _routes(borel_model(load_model("s2.model")), 120) == [("koszul", 1)]
+    assert _routes(s3xs3, 10) == [("chain", 1)]  # 4 cells, against 2 by factors and a fold
+    # 57 cells against one shared factor of 11: the 3 top per extra factor
+    # of the rule before the plan took the chain route here, in 0.15 ms
+    # against 0.09-0.11 ms by the shared factor (timeit minima, eigen_table
+    # in process, shared 2-CPU VM)
+    assert _routes(borel_model(s3xs3), 12) == [("chain", 2)]
 
 
 CP2 = "gen f 2\ngen h 5\nd h = f^3\n"
@@ -717,11 +728,15 @@ WEIGHTED = DgaModel(_T_S2_X_S2.algebra, _T_S2_X_S2.differential, True, (0, 0, 0,
 )
 def test_isomorphic_factors_share_one_layout(dga, cap, factors, distinct):
     # the factors of a power are one complex under a renaming of the
-    # generators, laid out once: one object in every place; factors of
-    # other degrees, values or weights each have their own
-    layout = build_layout(dga, cap)
-    assert len(layout.factors) == factors
-    assert len({id(f) for f in layout.factors}) == distinct
+    # generators, laid out once with its multiplicity; factors of other
+    # degrees, values or weights each have their own.  Where the plan takes
+    # the product route it shares them so (the weighted S^2 x S^2 takes
+    # the Koszul route whole)
+    _, layouts = support.product_layout(dga, cap)
+    assert sum(k for _, k in layouts) == factors and len(layouts) == distinct
+    planned = cohomology._plan(dga, cap)[2]
+    if sum(k for _, _, k, _, _ in planned) > 1:
+        assert [k for _, _, k, _, _ in planned] == [k for _, k in layouts]
 
 
 @pytest.mark.parametrize(
@@ -735,12 +750,14 @@ def test_isomorphic_factors_share_one_layout(dga, cap, factors, distinct):
     ],
 )
 def test_each_distinct_factor_is_ranked_once(monkeypatch, dga, cap, distinct):
-    # and the table is the one of ranking every factor (support.factor_layout)
+    # by the product route, and the table is the one of ranking every
+    # factor (support.factor_layout) and the plan's
     unshared = support.ranked(dga, support.factor_layout(dga, cap))
     real, ranked = cohomology._bars, []
     monkeypatch.setattr(cohomology, "_bars", lambda layout: ranked.append(layout) or real(layout))
-    assert eigen_table(dga, cap) == unshared
+    assert support.ranked(dga, support.product_layout(dga, cap)) == unshared
     assert len(ranked) == distinct
+    assert eigen_table(dga, cap) == unshared
 
 
 GYSIN_CASES = (
@@ -785,8 +802,8 @@ def test_a_bar_past_the_cap_changes_no_degree_below_it():
     for factors in (2, 3):
         dga = borel_model(support.product_model(*[s2] * factors))
         for cap in range(4, 31 if factors == 2 else 19):
-            short = cohomology._bars(support.factor_layout(dga, cap).factors[0])
-            long = cohomology._bars(support.factor_layout(dga, cap + 8).factors[0])
+            short = cohomology._bars(support.factor_layout(dga, cap)[1][0][0])
+            long = cohomology._bars(support.factor_layout(dga, cap + 8)[1][0][0])
             if any(a == cap and (d, p, cap + 8) not in long for d, p, a in short):
                 past.add(cap)  # a bar free at cap N that is finite at N + 8
             table = support.ranked(dga, support.factor_layout(dga, cap))
@@ -853,30 +870,32 @@ def _spy(monkeypatch, name):
 @pytest.mark.parametrize("name", KOSZUL_MODELS)
 @pytest.mark.parametrize("space", ["borel", "loop", "base"])
 @pytest.mark.parametrize("forced", [False, True], ids=["priced", "forced"])
-def test_koszul_route_matches_the_chain_route(name, space, forced, monkeypatch):
-    # by the route the count tables price, and with the Koszul route priced
-    # at nothing, so that every table it applies to takes it: the loop and
-    # base tables with no g, the base table as H with D = 0
+def test_koszul_route_matches_the_chain_route(name, space, forced):
+    # by the route the plan prices, and forced (support.koszul_layout) at
+    # every cap, on every table it applies to: the loop and base tables
+    # with no g, the base table as H with D = 0
     dga = dict(zip(("borel", "loop", "base"), _spaces(KOSZUL_MODELS[name])))[space]
     chain = support.ranked(dga, support.chain_layout(dga, KOSZUL_CAP))
-    if forced:
-        monkeypatch.setattr(cohomology, "_PURE_COST", (0, 0))
-    reduced = _spy(monkeypatch, "_koszul")
     for cap in range(2, KOSZUL_CAP + 1):
-        assert eigen_table(dga, cap).slices == chain.slices[:cap], cap
-    if forced:
-        assert any(layout is not None for layout in reduced)
+        if forced:
+            table = support.ranked(dga, support.koszul_layout(dga, cap))
+        else:
+            table = eigen_table(dga, cap)
+        assert table.slices == chain.slices[:cap], cap
+
+
 @pytest.mark.parametrize("name", ["s2", "cp2", "cp3", "flag3", "gr24"])
 def test_reduced_borel_barcode_gives_the_loop_betti_numbers(name):
     # the Gysin sequence reads the loop betti numbers off the Q[alpha]
     # barcode of C/(u), as it does off the whole Borel complex's
     model = KOSZUL_MODELS[name]
     loop = loop_model(model)
-    for cap in (36, 40):  # CP^3's Borel table takes the Koszul route from cap 36 on
-        layout = build_layout(borel_model(model), cap)
-        assert len(layout.factors) == 1 and layout.factors[0].g_step == (2, -1)
+    for cap in (36, 40):
+        assert _routes(borel_model(model), cap) == [("koszul", 1)]
+        _, ((layout, _),) = build_layout(borel_model(model), cap)
+        assert layout.g_step == (2, -1)
         betti = [s.betti for s in support.ranked(loop, support.chain_layout(loop, cap)).slices]
-        assert support.gysin_betti(cohomology._bars(layout.factors[0]), cap) == betti, cap
+        assert support.gysin_betti(cohomology._bars(layout), cap) == betti, cap
 
 
 # a2 b2 x3 y3 z4: not pure (d z = a y - b x has odd factors), and x, y
@@ -887,12 +906,10 @@ NON_PURE = "gen a 2\ngen b 2\ngen x 3\ngen y 3\ngen z 4\nd x = a^2\nd y = a*b\nd
 def test_other_models_keep_their_route_and_do_no_groebner_work(monkeypatch):
     # S^3 x S^3 (no odd generator with a value), the sphere bundles (one
     # closed generator), the non-pure model and random models with zero
-    # differential take today's route in every form; the test that turns
-    # them down counts no table and computes no Groebner basis
-    path = MODELS_DIR.parent / "benchmark" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)  # random-batch's own models, at its default seed
+    # differential take the chain or the product route in every form, and
+    # the plan that prices them builds no Koszul layout and computes no
+    # Groebner basis
+    workloads = _workloads()  # random-batch's own models, at its default seed
     batch = [parse_model(text) for text, _ in workloads.random_batch(workloads.DEFAULT_SEED)]
     zero = [m for m in random_models_within_budget(seed=25, count=12, cap=16) + batch
             if not any(m.differential.values())]
@@ -900,28 +917,149 @@ def test_other_models_keep_their_route_and_do_no_groebner_work(monkeypatch):
     models = [dict(NAMED_MODELS)["s3xs3"], parse_model(NON_PURE), *zero]
     models += [load_model(f"sphere-bundle-d{d}.model") for d in (2, 3, 4)]
     bases, forms = _spy(monkeypatch, "_groebner"), _spy(monkeypatch, "_normal_form")
-    counts, reduced, real = _spy(monkeypatch, "_counts"), [], cohomology._koszul
-
-    def koszul(*args):
-        before = len(counts)
-        reduced.append((real(*args), len(counts) - before))  # and no count table
-        return reduced[-1][0]
-
-    monkeypatch.setattr(cohomology, "_koszul", koszul)
+    reduced = _spy(monkeypatch, "_koszul")
     for model in models:
         for dga in _spaces(model):
             for cap in (12, 24, 40):
-                layout = build_layout(dga, cap)
-                assert len(layout.factors) != 1
-                if not layout.factors:
-                    assert layout == support.chain_layout(dga, cap)
-    assert reduced and set(reduced) == {(None, 0)} and not bases and not forms
+                assert {route for route, _ in _routes(dga, cap)} == {"chain"}
+                _, layouts = build_layout(dga, cap)
+                if layouts[0][1] == 1 and len(layouts) == 1:
+                    assert layouts[0][0] == support.chain_layout(dga, cap)
+    assert not reduced and not bases and not forms
     # nor does any table random-batch serves, each of its models' Borel and
-    # loop tables at its cap: the price turns them down first
+    # loop tables at its cap: the plan prices the Koszul route too high
     for model in batch:
         for dga in (borel_model(model), loop_model(model)):
             build_layout(dga, workloads.RANDOM_CAP)
-    assert not bases and not forms
+    assert not reduced and not bases and not forms
+
+
+# a2 b2 x3 y3: u = (a^2, a b) lies in |Y| = 2 generators with g = a, but
+# its Groebner basis has no pure power of b, so u is not regular
+NOT_REGULAR = "gen a 2\ngen b 2\ngen x 3\ngen y 3\nd x = a^2\nd y = a*b\n"
+
+
+def test_a_koszul_layout_whose_u_is_not_regular_falls_back_to_the_chain_route(monkeypatch):
+    # the plan prices C/(u) from the count tables, as if u were regular;
+    # the Groebner basis then shows it is not, and build_layout builds the
+    # chain layout of the same generators, with no g as the plan laid out
+    dga, cap = parse_model(NOT_REGULAR), 40
+    assert _routes(dga, cap) == [("koszul-no-g", 1)]
+    reduced = _spy(monkeypatch, "_koszul")
+    counts, ((layout, _),) = build_layout(dga, cap)
+    assert reduced == [None] and layout.g_step == (0, 0) and sum(counts) == sum(layout.counts)
+    chain = support.ranked(dga, support.chain_layout(dga, cap))
+    assert eigen_table(dga, cap) == chain
+    assert support.koszul_layout(dga, cap) is None
+
+
+def _pinned_tables():
+    """(key, dga, cap) for the tables whose plans are pinned: the base,
+    loop and Borel tables of every bundled model at caps 12, 24 and 40,
+    the s2-deep and multigen-betti tables, and random-batch's Borel and
+    loop tables at its default seed."""
+    for path in sorted(MODELS_DIR.glob("*.model")):
+        model = parse_model(path.read_text(encoding="utf-8"))
+        for space, dga in zip(("borel", "loop", "base"), _spaces(model)):
+            for cap in (12, 24, 40):
+                yield f"{path.stem}/{space}/{cap}", dga, cap
+    s2 = load_model("s2.model")
+    yield "s2-deep/borel/24", borel_model(s2), 24  # eigen, and pseudoisotopy's Borel table
+    yield "s2-deep/base/24", s2, 24  # pseudoisotopy's base table
+    for name, cap in (("s2xs2", 10), ("s3xs3", 26)):
+        model = dict(NAMED_MODELS)[name]
+        yield f"multigen-betti/{name}/borel/{cap}", borel_model(model), cap
+    workloads = _workloads()
+    for i, (text, _) in enumerate(workloads.random_batch(workloads.DEFAULT_SEED)):
+        model = parse_model(text)
+        for space, dga in (("borel", borel_model(model)), ("loop", loop_model(model))):
+            yield f"random-batch/m{i:02d}/{space}/{workloads.RANDOM_CAP}", dga, workloads.RANDOM_CAP
+
+
+def _workloads():
+    """benchmark/workloads.py, loaded by path."""
+    path = MODELS_DIR.parent / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+PLANS = MODELS_DIR.parent / "tests" / "golden" / "plans.json"
+
+
+def test_the_plan_of_every_pinned_table(monkeypatch):
+    """The route, multiplicity and predicted cells of each distinct layout
+    of every pinned table (tests/golden/plans.json), and the work the plan
+    does to find them: ``_shape`` never runs on a table of one factor, no
+    count table is computed twice (each distinct generator set is counted
+    once, and isomorphic factors share one), and a Groebner basis is
+    computed only for a table the plan sends by the Koszul route.  A table
+    whose route changes here needs an A/B that shows the new route faster;
+    the tables that changed when the plan replaced the calibrated rules are
+    listed in CHANGES.md."""
+    factors, shapes = _spy(monkeypatch, "_factors"), _spy(monkeypatch, "_shape")
+    counted, bases = [], _spy(monkeypatch, "_groebner")
+    real_counts = cohomology._counts
+    monkeypatch.setattr(
+        cohomology, "_counts", lambda key, top: counted.append(key) or real_counts(key, top)
+    )
+    plans = {}
+    for key, dga, cap in _pinned_tables():
+        del factors[:], shapes[:], counted[:], bases[:]
+        planned = cohomology._plan(dga, cap)[2]
+        plans[key] = [[route, k, cells] for _, route, k, cells, _ in planned]
+        assert not shapes or len(factors[-1]) > 1, key
+        assert len(counted) == len(set(counted)), key
+        build_layout(dga, cap)
+        assert bool(bases) == any(route != "chain" for route, _, _ in plans[key]), key
+    assert plans == json.loads(PLANS.read_text(encoding="utf-8"))
+
+
+def test_s2xs2_tables_by_kunneth_from_s2():
+    """S^2 x S^2 (models/s2xs2.model) against its closed form, read off
+    S^2's tables by the Kunneth theorem.
+
+    S^2: H*(LS^2) has one class in every degree, and its Borel cohomology
+    is H_S1(LS^2) = Q[alpha] 1 + sum over j >= 0 of Q z_(2j+1) with
+    alpha z = 0 (one class in every degree too).  The involution reverses
+    the loop and the circle, so alpha^k lies in eigenspace (-1)^k and
+    z_(2j+1) in (-1)^(j+1).
+
+    Loop: L(X x Y) = LX x LY, and the Kunneth theorem over Q convolves
+    the betti numbers: n + 1 classes in degree n.
+
+    Borel: the Borel model of a product is the tensor product over Q[alpha]
+    of the factors' (each free over Q[alpha]), so by the Kunneth theorem
+    over the PID Q[alpha] its cohomology is H (x) H + Tor(H, H), Tor
+    shifted down by one.  With H = Q[alpha] + T, T = sum Q z:
+    Q[alpha] (x) Q[alpha] gives alpha^k in degree 2k; the two
+    Q[alpha] (x) T give two classes z in each odd degree 2j+1, in
+    eigenspace (-1)^(j+1); T (x) T gives z_d z_e in degree d + e = 2k, k
+    of them for k >= 1, each in (-1)^(k+1); and Tor(T, T) gives, for each
+    such pair, a class in degree d + e + deg(alpha) - 1 = 2j+1 (j of them),
+    whose sign also takes alpha's, (-1)^j.  So degree 2k holds 1 + k
+    classes, (-1)^k once and (-1)^(k+1) k times, and degree 2j+1 holds
+    2 + j, (-1)^(j+1) twice and (-1)^j j times."""
+    cap = 60
+    s2, s2xs2 = load_model("s2.model"), load_model("s2xs2.model")
+    sign = [(1, 0), (0, 1)]  # (inv_plus, inv_minus) of one class of eigenvalue +1, -1
+    loop = eigen_table(loop_model(s2), cap).slices
+    assert [s.betti for s in loop] == [1] * cap
+    borel = [(s.inv_plus, s.inv_minus) for s in eigen_table(borel_model(s2), cap).slices]
+    assert borel == [sign[n // 2 % 2] if n % 2 == 0 else sign[(n // 2 + 1) % 2] for n in range(cap)]
+    loop = eigen_table(loop_model(s2xs2), cap).slices
+    assert [s.betti for s in loop] == [n + 1 for n in range(cap)]
+    want = []
+    for n in range(cap):
+        m = n // 2
+        # (count, sign) of each kind of class in degree n
+        kinds = [(1, m % 2), (m, (m + 1) % 2)] if n % 2 == 0 else [(2, (m + 1) % 2), (m, m % 2)]
+        plus = sum(count for count, odd in kinds if not odd)
+        minus = sum(count for count, odd in kinds if odd)
+        want.append((plus + minus, plus, minus))
+    borel = eigen_table(borel_model(s2xs2), cap).slices
+    assert [(s.betti, s.inv_plus, s.inv_minus) for s in borel] == want
 
 
 def test_a_barcode_folded_with_itself_visits_each_pair_once():
@@ -929,7 +1067,7 @@ def test_a_barcode_folded_with_itself_visits_each_pair_once():
     # once (twice over off the diagonal), and _power folds by squaring:
     # both give the barcodes of folding distinct copies one at a time
     cap = 40
-    bars = cohomology._bars(support.factor_layout(borel_model(KOSZUL_MODELS["s2"]), cap).factors[0])
+    bars = cohomology._bars(support.factor_layout(borel_model(KOSZUL_MODELS["s2"]), cap)[1][0][0])
     fold = functools.partial(cohomology._fold, cap, 2, 1)
     assert fold(bars, bars) == fold(bars, dict(bars))
     one_by_one = bars
