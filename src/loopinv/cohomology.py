@@ -13,7 +13,7 @@ elimination never mixes columns of different weights, whose rows are
 disjoint, so ranking a block whole costs no more than weight by weight.
 
 The ranks are taken along multiplication by g, the model's closed even
-generator of lowest degree, which ``build_layout`` picks (alpha in a
+generator of lowest degree, which ``_plan`` picks (alpha in a
 Borel model).  Since D(g m) = g D(m), multiplication by g is an
 injective chain map, and the columns of block p in degree n that carry a
 factor g are g times the columns of its predecessor, the block p -
@@ -77,8 +77,7 @@ with no margin (``_fold`` proves it needs none), folds their barcodes
 and takes ``cochain_dim`` from the table's count table.  Factors that
 are one complex under a renaming of their generators (``_shape``), as
 those of a power are, share one layout, ranked once.  ``_plan`` takes
-this route where one price (``_PRICE``, ``_FOLD``) puts it below the
-whole table.
+this route where its price (``_PRICE``, ``_FOLD``) is the least.
 
 Pure models.  Let Y be the odd generators whose values u_y are nonzero,
 lie in the even generators and occur in no value, and C the sub-DGA on
@@ -95,9 +94,9 @@ positively elliptic pure model (Halperin, Finiteness in the minimal
 models of Sullivan, 1977), g is alpha and C/(u) = H (x) Lambda(x_bar) (x)
 Q[y_bar, alpha] (Vigue-Poirrier and Burghelea, 1985).  A loop or base
 table, whose g lies in X, ranks C/(u) with no g (the base table is H
-with D = 0).  ``_plan`` counts C/(u)'s cells from C's before any
-Groebner basis (``_pure``) and lays C/(u) out (``_koszul``), for a table
-or a factor, where the same price puts it below C.
+with D = 0).  ``_pure`` counts C/(u)'s cells from C's before any
+Groebner basis, and ``_koszul`` lays C/(u) out, for a table or a
+factor, where ``_plan``'s price puts it below C.
 
 Degrees at or beyond the cap are never extrapolated: a table computed
 with cap N answers for degrees 0..N-1 only.
@@ -123,15 +122,11 @@ if TYPE_CHECKING:
 _set = object.__setattr__  # a Value's fields are set once, bypassing its __setattr__
 
 
-# The price of a plan (``_plan``) in cells of the chain layout: by route, per
-# predicted cell and per layout (listing, packing, a Groebner basis), and per
-# fold of a product's factors, fitted to eigen_table's time by every route on
-# 637 bundled, random, product and frontier tables.
+# The price of a plan (``_plan``) in chain layout cells: by route, per predicted
+# cell and per layout (listing, packing, a Groebner basis), fitted on 637 tables.
 _PRICE = {"chain": (1, 40), "koszul": (3, 80), "koszul-no-g": (1.6, 80)}
-_FOLD = 40
-# the price of a layout of one cell: the least of a Koszul layout, and of any
-_LEAST = (min(w + s for r, (w, s) in _PRICE.items() if r != "chain"),
-          min(w + s for w, s in _PRICE.values()))
+_LEAST = tuple(map(min, *[p for r, p in _PRICE.items() if r != "chain"]))  # of a Koszul route
+_FOLD = 3  # per fold of a product's factors, per degree of the cap: barcodes grow with it
 # The largest cap a table takes.  A table holds lists of 2 * cap ints, so a
 # larger cap is refused with BudgetExceededError before any of them is built.
 MAX_CAP = 100_000
@@ -253,24 +248,31 @@ class Layout(NamedTuple):
 
 
 def build_layout(model: DgaModel, top: int) -> tuple[list[int], list[tuple[Layout, int]]]:
-    """The table's count table and each distinct chain layout with its
-    multiplicity, as ``_plan`` prices them (``_PRICE``, ``_FOLD``); a
-    Koszul layout of u not regular falls back to its chain layout."""
-    counts, _, planned = _plan(model, top)
-    return counts, [(builds[0]() or builds[-1](), k) for _, _, k, _, builds in planned]
+    """The count table and distinct chain layouts (with multiplicity) of
+    the table's cheapest plan by one price (``_plan``); a Koszul layout of
+    u not regular falls back to the chain layout it was priced against."""
+    counts, g, planned = _plan(model, top)
+    layouts = []
+    for part, _, k, _, counted, pure in planned:
+        if not (layout := pure and _koszul(model, top, *pure)):
+            layout = _layout(model, top, g, part, counted)
+            counts = counted[0] if pure and pure[0] != g else counts  # a whole table, along g
+        layouts.append((layout, k))
+    return counts, layouts
 
 
 def _plan(model: DgaModel, top: int):
     """The route of a table below degree ``top``, from count tables and
-    the model's structure alone: its count table (of every monomial when
-    laid out with no g), its g (the even generator of zero differential
-    and lowest degree, the first on ties, or None), and each distinct
-    chain layout to build as (generators, route, multiplicity, predicted
-    cells, builders), the route "chain" (``_layout``), "koszul" (C/(u)
-    along g, ``_koszul``) or "koszul-no-g" (a whole table's C/(u), whose u
-    lies in g too).  The whole table and its factors (``_factors``, one
-    layout per ``_shape``), each layout by its cheaper route, are priced by
-    ``_PRICE`` and ``_FOLD``; the cheapest wins, the whole table on ties."""
+    the model's structure alone: the table's count table (of every
+    monomial when laid out with no g), g (the first closed even generator
+    of lowest degree, or None) and each distinct layout as (generators,
+    route, multiplicity, predicted cells, chain count table and totals,
+    ``_koszul``'s arguments or None), the route "chain", "koszul" (C/(u)
+    along g) or "koszul-no-g" (a whole table's C/(u), its u in g too).
+    The whole table and its factors, each layout by its cheaper route, are
+    priced by ``_PRICE`` and ``_FOLD``: the cheapest wins, on ties the
+    whole chain layout, then the product.  ``_pure`` runs only where the
+    least cells of C/(u) could win: one, or each factor's, the unit once."""
     gens = model.algebra.generators
     closed = [i for i, (x, v) in enumerate(zip(gens, model.differential.values()))
               if x.degree % 2 == 0 and not v]
@@ -278,41 +280,38 @@ def _plan(model: DgaModel, top: int):
     rest = [i for i in range(len(gens)) if i != g]
     tables: dict[tuple, tuple] = {}
 
-    def key(part):  # the (degree, weight parity) list of its generators
-        return tuple([(gens[i].degree, model.weights[i] % 2) for i in part])
+    def chain(part):  # part's chain layout as a plan: (price, count table, [layout])
+        key = tuple([(gens[i].degree, model.weights[i] % 2) for i in part])
+        counted = tables[key] if key in tables else tables.setdefault(key, _counts(key, top))
+        n = counted[1][-1]
+        return n + _PRICE["chain"][1], counted[0], [(part, "chain", 1, n, counted, None)]
 
-    def count(key):  # a count table, once per key
-        return tables[key] if key in tables else tables.setdefault(key, _counts(key, top))
+    def koszul(part, counted, alone=False):  # the same of its C/(u), () without Y, or None
+        if not (pure := _pure(model, top, g, part, counted[0], alone)):
+            return pure
+        h, whole, xs, ys, counts, reduced = pure
+        route, n = "koszul" if h == g else "koszul-no-g", sum(reduced)
+        return (_PRICE[route][0] * n + _PRICE[route][1], counts,
+                [(part, route, 1, n, counted, (h, whole, xs, ys, reduced))])
 
-    def cheapest(part, alone=False):  # (price, count table, g, layout) of one layout of part
-        counts, totals = count(key(part))
-        chain = partial(_layout, model, top, g, part, (counts, totals))
-        best = (totals[-1] + _PRICE["chain"][1], counts, g, (part, "chain", totals[-1], (chain,)))
-        if best[0] > _LEAST[0] and (pure := _pure(model, top, g, part, counts, alone)):
-            h, whole, xs, ys, counts, cells = pure
-            if h != g:  # with no g, its chain layout is counted only if built
-                chain = lambda: _layout(model, top, h, whole, count(key(whole)))  # noqa: E731
-            builds = (partial(_koszul, model, top, h, whole, xs, ys, cells), chain)
-            route, n = "koszul" if h == g else "koszul-no-g", sum(cells)
-            if (price := _PRICE[route][0] * n + _PRICE[route][1]) < best[0]:
-                best = (price, counts, h, (whole, route, n, builds))
-        return best
-
-    price, counts, h, (part, route, n, builds) = cheapest(rest, alone=True)
-    best = (counts, h, [(part, route, 1, n, builds)])
-    if price > _LEAST[1] + _FOLD and len(parts := _factors(model, g, rest)) > 1:
-        # factors of one shape share one key: floors from keys, then counts;
-        # a product pays a fold for each factor after the first
-        lists, folds = {key(p): p for p in parts}, _FOLD * (len(parts) - 1)
-        if folds + _LEAST[1] * len(lists) < price and folds + sum(
-            min(_PRICE["chain"][1] + count(k)[1][-1], _LEAST[0]) for k in lists
-        ) < price:
-            shapes = [_shape(model, part) for part in parts]
-            made = [(cheapest(p), shapes.count(s)) for s, p in dict(zip(shapes, parts)).items()]
-            if folds + sum(c[0] for c, _ in made) < price:
-                layouts = [(p, r, k, n, b) for (_, _, _, (p, r, n, b)), k in made]
-                best = (count(key(rest))[0], g, layouts)
-    return best
+    best = whole = chain(rest)
+    least = 1  # the least cells of the whole table's C/(u)
+    room = 1 + (whole[0] - sum(_PRICE["chain"])) / (_FOLD * top)  # k < room factors may pay
+    if room > 2 and 1 < len(parts := _factors(model, g, rest)) < room:
+        shapes = [_shape(model, part) for part in parts]
+        price, layouts = _FOLD * top * (len(parts) - 1), []
+        for s, part in dict(zip(shapes, parts)).items():
+            plan, k = chain(part), shapes.count(s)
+            reduced = koszul(part, plan[2][0][4]) if plan[0] > sum(_LEAST) else None
+            least += k * ((reduced or plan)[2][0][3] if reduced is not None else 1) - k
+            plan = min(plan, reduced or plan, key=itemgetter(0))
+            price += plan[0]
+            layouts.append((*plan[2][0][:2], k, *plan[2][0][3:]))
+        if price < best[0]:
+            best = (price, whole[1], layouts)
+    if best[0] > _LEAST[0] * least + _LEAST[1] and (reduced := koszul(rest, whole[2][0][4], True)):
+        best = min(best, reduced, key=itemgetter(0))
+    return best[1], g, best[2]
 
 
 def _layout(model: DgaModel, top: int, g: Optional[int], rest: list[int], counted, split=None):
@@ -361,10 +360,10 @@ def _chain(model: DgaModel, top: int, g: Optional[int], fields, counts, head, ta
 
 
 def _pure(model: DgaModel, top: int, g: Optional[int], part: list[int], counts, alone):
-    """Koszul's test (module docstring, Pure models) for the generators
-    ``part`` and g, of count table ``counts``: (g, or None for a whole
-    table, ``alone``, whose u lies in |Y| generators only with g; the
-    generators; X; Y; the table's count table; C/(u)'s), or None."""
+    """Koszul's test for the generators ``part`` and g, of count table
+    ``counts``: (g, or None for a whole table, ``alone``, whose u lies in
+    |Y| generators only with g; the generators; X; Y; the table's count
+    table; C/(u)'s), () if Y is empty, or None (module docstring)."""
     gens = model.algebra.generators
     values = [v.terms for v in model.differential.values()]
     index = range(len(gens))
@@ -372,7 +371,7 @@ def _pure(model: DgaModel, top: int, g: Optional[int], part: list[int], counts, 
     ys = [i for i in part if gens[i].degree % 2 and values[i] and i not in seen]
     u = [values[y] for y in ys]
     if not ys or any(gens[k].degree % 2 for v in u for t in v for k in compress(index, t)):
-        return None
+        return None if ys else ()
     xs = sorted({k for v in u for t in v if g is None or not t[g] for k in compress(index, t)})
     if len(xs) != len(ys) and alone and g is not None:
         xs = sorted({k for v in u for t in v for k in compress(index, t)})

@@ -643,7 +643,7 @@ def koszul_layout(model: DgaModel, top: int) -> Optional[tuple[list[int], list]]
     g, count = _g_and_counts(model, top)
     rest = [i for i in range(len(model.algebra.generators)) if i != g]
     pure = cohomology._pure(model, top, g, rest, count(rest)[0], True)
-    if pure is None:
+    if not pure:
         return None
     h, whole, xs, ys, counts, reduced = pure
     reduced_layout = cohomology._koszul(model, top, h, whole, xs, ys, reduced)

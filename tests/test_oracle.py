@@ -677,7 +677,7 @@ def test_a_product_without_g_is_the_plain_kunneth_product():
 
 def _routes(dga, cap):
     """The plan's (route, multiplicity) for each distinct layout."""
-    return [(route, k) for _, route, k, _, _ in cohomology._plan(dga, cap)[2]]
+    return [(route, k) for _, route, k, *_ in cohomology._plan(dga, cap)[2]]
 
 
 def test_the_route_rule_takes_the_product_route_where_it_pays():
@@ -714,50 +714,72 @@ WEIGHTED = DgaModel(_T_S2_X_S2.algebra, _T_S2_X_S2.differential, True, (0, 0, 0,
 
 
 @pytest.mark.parametrize(
-    "dga, cap, factors, distinct",
+    "dga, cap, factors, distinct, routes",
     [
-        pytest.param(_borel(S2_X_S2), 10, 2, 1, id="s2xs2-10"),
-        pytest.param(_borel(S2_X_S2), 120, 2, 1, id="s2xs2-120"),
-        pytest.param(borel_model(dict(NAMED_MODELS)["s3xs3"]), 26, 2, 1, id="s3xs3-26"),
-        pytest.param(_borel(_s2_power(3)), 36, 3, 1, id="s2^3-36"),
-        pytest.param(_borel(S2, CP2), 30, 2, 2, id="s2*cp2-30"),
-        pytest.param(_borel(S2, S2_PRIME), 10, 2, 2, id="s2*s2'-10"),
-        pytest.param(_borel(NODE, DOUBLE_LINE), 10, 2, 2, id="node*double-line-10"),
-        pytest.param(WEIGHTED, 30, 2, 2, id="weighted-s2xs2-30"),
+        pytest.param(_borel(S2_X_S2), 10, 2, 1, [("chain", 2)], id="s2xs2-10"),
+        pytest.param(_borel(S2_X_S2), 120, 2, 1, [("koszul", 2)], id="s2xs2-120"),
+        pytest.param(
+            borel_model(dict(NAMED_MODELS)["s3xs3"]), 26, 2, 1, [("chain", 2)], id="s3xs3-26"
+        ),
+        pytest.param(_borel(_s2_power(3)), 36, 3, 1, [("koszul", 3)], id="s2^3-36"),
+        pytest.param(
+            _borel(S2, CP2), 30, 2, 2, [("koszul", 1), ("koszul", 1)], id="s2*cp2-30"
+        ),
+        pytest.param(
+            _borel(S2, S2_PRIME), 10, 2, 2, [("chain", 1), ("chain", 1)], id="s2*s2'-10"
+        ),
+        pytest.param(
+            _borel(NODE, DOUBLE_LINE), 10, 2, 2, [("chain", 1), ("chain", 1)],
+            id="node*double-line-10",
+        ),
+        # C/(u) of the whole table has 4 cells: the plan takes it, not the factors
+        pytest.param(WEIGHTED, 30, 2, 2, [("koszul", 1)], id="weighted-s2xs2-30"),
     ],
 )
-def test_isomorphic_factors_share_one_layout(dga, cap, factors, distinct):
+def test_isomorphic_factors_share_one_layout(dga, cap, factors, distinct, routes):
     # the factors of a power are one complex under a renaming of the
     # generators, laid out once with its multiplicity; factors of other
-    # degrees, values or weights each have their own.  Where the plan takes
-    # the product route it shares them so (the weighted S^2 x S^2 takes
-    # the Koszul route whole)
+    # degrees, values or weights each have their own.  The plan's routes
+    # are pinned; where it takes the product route, build_layout shares the
+    # factors so, and support.product_layout does in every case
     _, layouts = support.product_layout(dga, cap)
     assert sum(k for _, k in layouts) == factors and len(layouts) == distinct
-    planned = cohomology._plan(dga, cap)[2]
-    if sum(k for _, _, k, _, _ in planned) > 1:
-        assert [k for _, _, k, _, _ in planned] == [k for _, k in layouts]
+    assert _routes(dga, cap) == routes
+    if sum(k for _, k in routes) > 1:
+        _, built = build_layout(dga, cap)
+        assert [k for _, k in built] == [k for _, k in layouts]
+        assert len({id(layout) for layout, _ in built}) == distinct
 
 
 @pytest.mark.parametrize(
-    "dga, cap, distinct",
+    "dga, cap, distinct, routes",
     [
-        pytest.param(_borel(_s2_power(4)), 40, 1, id="s2^4-borel"),
+        pytest.param(_borel(_s2_power(4)), 40, 1, [("koszul", 4)], id="s2^4-borel"),
         # g = a0 leaves b0 and (a0_bar, b0_bar) apart from three factors of one shape
-        pytest.param(loop_model(parse_model(_s2_power(4))), 24, 3, id="s2^4-loop"),
-        pytest.param(_borel(S2_X_S2, CP2), 30, 2, id="s2xs2*cp2"),
-        pytest.param(WEIGHTED, 30, 2, id="weighted-s2xs2"),
+        pytest.param(
+            loop_model(parse_model(_s2_power(4))), 24, 3,
+            [("chain", 1), ("chain", 1), ("koszul", 3)], id="s2^4-loop",
+        ),
+        pytest.param(
+            _borel(S2_X_S2, CP2), 30, 2, [("koszul", 2), ("koszul", 1)], id="s2xs2*cp2"
+        ),
+        pytest.param(WEIGHTED, 30, 2, [("koszul", 1)], id="weighted-s2xs2"),
     ],
 )
-def test_each_distinct_factor_is_ranked_once(monkeypatch, dga, cap, distinct):
-    # by the product route, and the table is the one of ranking every
-    # factor (support.factor_layout) and the plan's
+def test_each_distinct_factor_is_ranked_once(monkeypatch, dga, cap, distinct, routes):
+    # eigen_table ranks each distinct layout of the plan's product route
+    # once (none for a whole table), and support.product_layout each
+    # distinct factor once; both give the table of ranking every factor
+    # (support.factor_layout)
     unshared = support.ranked(dga, support.factor_layout(dga, cap))
+    assert _routes(dga, cap) == routes
     real, ranked = cohomology._bars, []
     monkeypatch.setattr(cohomology, "_bars", lambda layout: ranked.append(layout) or real(layout))
+    assert eigen_table(dga, cap) == unshared
+    assert len(ranked) == (len(routes) if sum(k for _, k in routes) > 1 else 0)
+    del ranked[:]
     assert support.ranked(dga, support.product_layout(dga, cap)) == unshared
     assert len(ranked) == distinct
-    assert eigen_table(dga, cap) == unshared
 
 
 GYSIN_CASES = (
@@ -940,14 +962,16 @@ NOT_REGULAR = "gen a 2\ngen b 2\ngen x 3\ngen y 3\nd x = a^2\nd y = a*b\n"
 
 
 def test_a_koszul_layout_whose_u_is_not_regular_falls_back_to_the_chain_route(monkeypatch):
-    # the plan prices C/(u) from the count tables, as if u were regular;
-    # the Groebner basis then shows it is not, and build_layout builds the
-    # chain layout of the same generators, with no g as the plan laid out
+    # the plan prices C/(u) with no g from the count tables, as if u were
+    # regular; the Groebner basis then shows it is not, and build_layout
+    # builds the chain layout the plan priced against it: along g, with its
+    # 75 g-free cells (743 with g's powers)
     dga, cap = parse_model(NOT_REGULAR), 40
     assert _routes(dga, cap) == [("koszul-no-g", 1)]
     reduced = _spy(monkeypatch, "_koszul")
     counts, ((layout, _),) = build_layout(dga, cap)
-    assert reduced == [None] and layout.g_step == (0, 0) and sum(counts) == sum(layout.counts)
+    assert reduced == [None] and layout.g_step == support.chain_layout(dga, cap).g_step != (0, 0)
+    assert counts == layout.counts and sum(counts) == 75
     chain = support.ranked(dga, support.chain_layout(dga, cap))
     assert eigen_table(dga, cap) == chain
     assert support.koszul_layout(dga, cap) is None
@@ -1008,7 +1032,7 @@ def test_the_plan_of_every_pinned_table(monkeypatch):
     for key, dga, cap in _pinned_tables():
         del factors[:], shapes[:], counted[:], bases[:]
         planned = cohomology._plan(dga, cap)[2]
-        plans[key] = [[route, k, cells] for _, route, k, cells, _ in planned]
+        plans[key] = [[route, k, cells] for _, route, k, cells, *_ in planned]
         assert not shapes or len(factors[-1]) > 1, key
         assert len(counted) == len(set(counted)), key
         build_layout(dga, cap)
