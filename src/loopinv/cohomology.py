@@ -286,8 +286,8 @@ def _plan(model: DgaModel, top: int):
         n = counted[1][-1]
         return n + _PRICE["chain"][1], counted[0], [(part, "chain", 1, n, counted, None)]
 
-    def koszul(part, counted, alone=False):  # the same of its C/(u), () without Y, or None
-        if not (pure := _pure(model, top, g, part, counted[0], alone)):
+    def koszul(part, counted):  # the same of its C/(u), () without Y, or None
+        if not (pure := _pure(model, top, g, part, counted[0])):
             return pure
         h, whole, xs, ys, counts, reduced = pure
         route, n = "koszul" if h == g else "koszul-no-g", sum(reduced)
@@ -309,7 +309,7 @@ def _plan(model: DgaModel, top: int):
             layouts.append((*plan[2][0][:2], k, *plan[2][0][3:]))
         if price < best[0]:
             best = (price, whole[1], layouts)
-    if best[0] > _LEAST[0] * least + _LEAST[1] and (reduced := koszul(rest, whole[2][0][4], True)):
+    if best[0] > _LEAST[0] * least + _LEAST[1] and (reduced := koszul(rest, whole[2][0][4])):
         best = min(best, reduced, key=itemgetter(0))
     return best[1], g, best[2]
 
@@ -359,11 +359,12 @@ def _chain(model: DgaModel, top: int, g: Optional[int], fields, counts, head, ta
     return Layout(top, fields, g_step, counts, head, listed, terms)
 
 
-def _pure(model: DgaModel, top: int, g: Optional[int], part: list[int], counts, alone):
+def _pure(model: DgaModel, top: int, g: Optional[int], part: list[int], counts):
     """Koszul's test for the generators ``part`` and g, of count table
-    ``counts``: (g, or None for a whole table, ``alone``, whose u lies in
-    |Y| generators only with g; the generators; X; Y; the table's count
-    table; C/(u)'s), () if Y is empty, or None (module docstring)."""
+    ``counts``: (g, or None for the whole table, ``part`` every generator
+    but g, whose u lies in |Y| generators only with g; the generators; X;
+    Y; the table's count table; C/(u)'s), () if Y is empty, or None
+    (module docstring)."""
     gens = model.algebra.generators
     values = [v.terms for v in model.differential.values()]
     index = range(len(gens))
@@ -373,7 +374,7 @@ def _pure(model: DgaModel, top: int, g: Optional[int], part: list[int], counts, 
     if not ys or any(gens[k].degree % 2 for v in u for t in v for k in compress(index, t)):
         return None if ys else ()
     xs = sorted({k for v in u for t in v if g is None or not t[g] for k in compress(index, t)})
-    if len(xs) != len(ys) and alone and g is not None:
+    if len(xs) != len(ys) and g is not None and len(part) == len(gens) - 1:
         xs = sorted({k for v in u for t in v for k in compress(index, t)})
         if len(xs) == len(ys):  # with no g: count g's powers, not carried
             counts, d, w = list(counts), gens[g].degree, model.weights[g] % 2
@@ -609,11 +610,8 @@ def _codes(model: DgaModel, fields: tuple[int, ...], which: list[int], top: int,
 def _block(layout: Layout, n: int, p: int) -> list[int]:
     """The codes of the g-free monomials of block p of degree n < top, in
     basis order: each head monomial's offset on the tail's codes of the
-    remaining degree and parity.  With the unit alone as head, the tail's
-    own list."""
+    remaining degree and parity."""
     head, tail = layout.head, layout.tail
-    if len(head) == 1:
-        return tail[2 * n + p]
     return [hc + tc for hc, dh, ph in head if dh <= n for tc in tail[2 * (n - dh) + (p ^ ph)]]
 
 

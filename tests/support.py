@@ -642,7 +642,7 @@ def koszul_layout(model: DgaModel, top: int) -> Optional[tuple[list[int], list]]
     not regular."""
     g, count = _g_and_counts(model, top)
     rest = [i for i in range(len(model.algebra.generators)) if i != g]
-    pure = cohomology._pure(model, top, g, rest, count(rest)[0], True)
+    pure = cohomology._pure(model, top, g, rest, count(rest)[0])
     if not pure:
         return None
     h, whole, xs, ys, counts, reduced = pure

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopinv.cli
+from loopinv import cohomology
 from loopinv.cli import J_MAX_LIMIT, SERIES_MAX_DEGREE, main
 from loopinv.cohomology import MAX_CAP
 from support import MODELS_DIR
@@ -236,8 +238,8 @@ def test_validate_good_model(capsys):
 def test_validate_square_nonzero(capsys, tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_text("gen a 2\ngen b 3\ngen c 4\nd b = a^2\nd c = a*b\n")
-    code, _, err = run(capsys, "validate", str(bad))
-    assert code == 1
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (1, "")
     assert err == "NotSquareZero: d^2(c) = a^3 != 0\n"
 
 
@@ -486,8 +488,9 @@ def test_importing_the_cli_loads_no_argparse_gettext_locale_dataclasses_or_inspe
 
 
 # Golden bytes: (case, argv, exit code, stderr), with stdout in
-# tests/golden/<case>.out (empty when there is no such file).  Paths are
-# relative to the repository root, as the JSON payloads echo them.
+# tests/golden/<case>.out (empty when there is no such file), or for a
+# case of DIGESTS its md5.  Paths are relative to the repository root, as
+# the JSON payloads echo them.
 REPO_ROOT = MODELS_DIR.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _COMPACT_NOTE = (
@@ -554,15 +557,148 @@ GOLDEN = [
         1,
         "NoInvolution: space 'loop' carries no involution; use --space borel\n",
     ),
+    # factors out of order, read with the Koszul sign: d z = -7/2*x*y
+    ("validate-koszul-sign", ["validate", "tests/golden/koszul-sign.model"], 0, ""),
 ]
+# Cases that exit 0 with an empty stderr, kept by the md5 of their stdout:
+# {case: (argv, md5, plans)}.  ``plans`` is, for each table the command
+# ranks (an eigen table's Borel table; pseudoisotopy's Borel, then base
+# table), its plan (``cohomology._plan``) as (route, multiplicity) per
+# distinct layout, with "chain+head" for a chain layout whose head lists
+# more than one monomial; None pins the bytes alone.  Between them the
+# frontier rows take every route, and each route must print the bytes the
+# chain route printed.
+S2XS2, FLAG3 = "benchmark/inputs/s2xs2.model", "models/flag3.model"
+S2CUBE = "tests/golden/s2cube.model"  # (S^2)^3
+DIGESTS = {
+    "eigen-s2xs2-60": (["eigen", S2XS2, "--max-degree", "60"], "5b3fecbd0453206787bf7eee2be3063d",
+                       [[("koszul", 2)]]),
+    # the product route with one Koszul factor
+    "eigen-s2cube-22": (["eigen", S2CUBE, "--max-degree", "22"], "81684f62f845a48c4e20df90091216f8",
+                        [[("koszul", 3)]]),
+    # the product route with one shared factor
+    "eigen-s3xs3-24": (["eigen", "benchmark/inputs/s3xs3.model", "--max-degree", "24"],
+                       "9c1ff277977a20f11587af4f198dd868", [[("chain", 2)]]),
+    "borel-s2xs2-10": (["cohomology", S2XS2, "--space", "borel", "--max-degree", "10"],
+                       "5f7454707dc24b13e95509a5a4fa0145", [[("chain", 2)]]),
+    "eigen-s2xs2-120": (["eigen", S2XS2, "--max-degree", "120"], "59f135824b35435a6cfa3f078b9eb673",
+                        [[("koszul", 2)]]),
+    "eigen-s2cube-36": (["eigen", S2CUBE, "--max-degree", "36"], "ca0da830311344a029a9b4c214f899f3",
+                        [[("koszul", 3)]]),
+    # S^2 x S^2' (d e = 2*c^2): its factors laid out apart, S^2 x S^2's bytes
+    "eigen-s2s2prime-60": (["eigen", "tests/golden/s2s2prime.model", "--max-degree", "60"],
+                           "5b3fecbd0453206787bf7eee2be3063d", [[("koszul", 1), ("koszul", 1)]]),
+    # (S^2)^4: one factor layout, ranked once
+    "eigen-s2fourth-40": (["eigen", "tests/golden/s2fourth.model", "--max-degree", "40"],
+                          "92eee6248fd62980041055fd9ab023bb", [[("koszul", 4)]]),
+    # SU(3)/T^2 and Gr_2(C^4), pure and not products
+    "eigen-flag3-60": (["eigen", FLAG3, "--max-degree", "60"], "e87bee7bae18e80d0ae55a1bf6866b73",
+                       [[("koszul", 1)]]),
+    "eigen-flag3-100": (["eigen", FLAG3, "--max-degree", "100"], "0ff32960ad4c529e62d2e4a4fde51eb1",
+                        [[("koszul", 1)]]),
+    "pseudoisotopy-gr24-40": (
+        ["pseudoisotopy", "models/gr24.model", "--max-degree", "40", "--assume-compact"],
+        "6982f95942f9cb7a21676bb7539d4566",
+        [[("koszul", 1)], [("chain", 1)]],
+    ),
+    # a2 b2 x3 y3 z4, d x = a^2, d y = a*b, d z = a*y - b*x: not pure
+    "eigen-nonpure-30": (["eigen", "tests/golden/nonpure.model", "--max-degree", "30"],
+                         "e6fea6343c42462b66975d3da2f336b4", [[("chain+head", 1)]]),
+    "loop-flag3-24": (["cohomology", FLAG3, "--space", "loop", "--max-degree", "24"],
+                      "065343cd41f142b8a5bd6035b5d8bae7", [[("koszul-no-g", 1)]]),
+    "eigen-s2": (["eigen", "models/s2.model"], "2758f22b9fde996daefca6424c6c641c", None),
+    "eigen-s2-json": (["eigen", "models/s2.model", "--format", "json"],
+                      "6ce94c3f354907924111173cfd66f286", None),
+    "eigen-s2-60": (["eigen", "models/s2.model", "--max-degree", "60"],
+                    "e7abb71470f8355d1b4521382521304c", None),
+    "eigen-s2-200": (["eigen", "models/s2.model", "--max-degree", "200"],
+                     "2ca098b2b228039167bb4b827a61b8df", None),
+    "eigen-s2xs2-30": (["eigen", S2XS2, "--max-degree", "30"], "6dee2c98ebdc1df3214b4c2d601ec78f", None),
+    "base-s2-12": (["cohomology", "models/s2.model", "--space", "base", "--max-degree", "12"],
+                   "1bc0726648b1c18e376ead75b6db3559", None),
+    "loop-s2-40": (["cohomology", "models/s2.model", "--space", "loop", "--max-degree", "40"],
+                   "f550a28453e22dc2c510268064b04895", None),
+    "loop-s4-40": (["cohomology", "models/s4.model", "--space", "loop", "--max-degree", "40"],
+                   "6edcacef467f061dde70ca3c6922dd52", None),
+    "borel-s2xs2-20": (["cohomology", S2XS2, "--space", "borel", "--max-degree", "20"],
+                       "302bb94102a5645895afc62e58e627b5", None),
+    "pseudoisotopy-s2-40": (
+        ["pseudoisotopy", "models/s2.model", "--max-degree", "40", "--assume-compact"],
+        "bb1f81d4bed7a25f92bd19ca98c3fc8e",
+        None,
+    ),
+    "pseudoisotopy-s3xs3-30": (
+        ["pseudoisotopy", "benchmark/inputs/s3xs3.model", "--max-degree", "30", "--assume-compact"],
+        "605529e1d94f2cf77f0cfe319aeb91ca",
+        None,
+    ),
+    "series-default-json": (["series", "1/(1-t^4)", "--format", "json"],
+                            "81332f3318b0655d748f47618a78db9e", None),
+    # every bundled and benchmark model validates (models/s2.model: validate-table)
+    **{
+        f"validate-{path.removesuffix('.model').replace('/', '-')}": (["validate", path], md5, None)
+        for path, md5 in [
+            ("benchmark/inputs/s2xs2.model", "0549b5b8142889d7f78a65924ef4ac7a"),
+            ("benchmark/inputs/s3xs3.model", "779ea51a57a9ac27a655b265c3170e08"),
+            ("models/cp2.model", "fc56af5e4f619ad43727ac79f76314d1"),
+            ("models/cp3.model", "7d737f0aef73a6268dbad0bcca24468f"),
+            ("models/flag3.model", "45c8d7ec56542f93ba4b882cec5020c9"),
+            ("models/gr24.model", "fdfce9e47f39fe680cac3aa205409a6f"),
+            ("models/point.model", "c1526c4335d44537021e54bc85c6d22d"),
+            ("models/s2xs2.model", "0549b5b8142889d7f78a65924ef4ac7a"),
+            ("models/s4.model", "f5b8c83b7b2ffc1f4eae2d69dfb38e13"),
+            ("models/sphere-bundle-d2.model", "c0d0a33d12829a5e9d2bdbdbc8b21671"),
+            ("models/sphere-bundle-d3.model", "19760e8f6408eaa1ad4e590818c8d36c"),
+            ("models/sphere-bundle-d4.model", "68c83e9eb2004fb42a8061d21d424605"),
+        ]
+    },
+}
+GOLDEN += [(case, argv, 0, "") for case, (argv, _, _) in DIGESTS.items()]
+
+
+def _spy_plans(monkeypatch) -> list:
+    """The plan of each table ranked from now on, as in ``DIGESTS``."""
+    plans = []
+    real_plan, real_build = cohomology._plan, cohomology.build_layout
+
+    def plan(model, top):
+        planned = real_plan(model, top)
+        plans.append([(route, k) for _, route, k, *_ in planned[2]])
+        return planned
+
+    def build(model, top):
+        counts, layouts = real_build(model, top)
+        plans[-1] = [
+            ("chain+head" if route == "chain" and len(layout.head) > 1 else route, k)
+            for (route, k), (layout, _) in zip(plans[-1], layouts)
+        ]
+        return counts, layouts
+
+    monkeypatch.setattr(cohomology, "_plan", plan)
+    monkeypatch.setattr(cohomology, "build_layout", build)
+    return plans
 
 
 @pytest.mark.parametrize("case, argv, code, err", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_bytes(capsys, monkeypatch, case, argv, code, err):
     monkeypatch.chdir(REPO_ROOT)
-    path = GOLDEN_DIR / f"{case}.out"
-    out = path.read_text(encoding="utf-8") if path.exists() else ""
-    assert run(capsys, *argv) == (code, out, err)
+    _, md5, plans = DIGESTS.get(case, (argv, None, None))
+    spied = _spy_plans(monkeypatch) if plans else None
+    got = run(capsys, *argv)
+    if md5:
+        got = (got[0], hashlib.md5(got[1].encode("utf-8")).hexdigest(), got[2])
+        out = md5
+    else:
+        path = GOLDEN_DIR / f"{case}.out"
+        out = path.read_text(encoding="utf-8") if path.exists() else ""
+    assert got == (code, out, err)
+    assert spied == plans
+
+
+def test_golden_bytes_validate_every_bundled_and_benchmark_model():
+    patterns = ("models/*.model", "benchmark/inputs/*.model")
+    models = {p.relative_to(REPO_ROOT).as_posix() for g in patterns for p in REPO_ROOT.glob(g)}
+    assert models <= {argv[1] for _, argv, code, _ in GOLDEN if argv[0] == "validate" and not code}
 
 
 # Model texts for the DSL fuzz: well-formed statements, shuffled DSL
