@@ -68,20 +68,40 @@ def _load_model(path_str: str, out_err):
     return model
 
 
-def _write(args, out, payload: dict, rows: list[dict], headers: list[str], err=None, note=""):
-    """Write ``payload`` as versioned JSON, or ``note`` (if any) on ``err``
-    and ``rows`` as a right-aligned table with one column per header
-    (``-`` for a missing value)."""
+def _write(args, out, payload: dict, columns: dict, key="", err=None, note=""):
+    """Write ``payload`` as versioned JSON, with ``columns`` ({header: a
+    column, or None for a missing one}) under ``key`` (if any) as one object
+    per row, or ``note`` (if any) on ``err`` and ``columns`` as a
+    right-aligned table (``-`` for a missing value).
+
+    The JSON is the bytes of ``json.dumps(payload, indent=2)``, written by
+    one %-template per row.  Only a nested payload value goes through the
+    indent encoder (pure Python: CPython's C encoder takes no indent), and
+    is indented two spaces deeper, which is exact as a JSON string holds no
+    raw newline; a scalar prints the same with no indent."""
+    present = [column for column in columns.values() if column is not None]
+    count = len(present[0]) if present else 0
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
-        out.write(json.dumps(payload, indent=2) + "\n")
+        texts = {
+            name: json.dumps(value, indent=2 if isinstance(value, (dict, list)) else None)
+            .replace("\n", "\n  ")
+            for name, value in payload.items()
+        }
+        if key:
+            fields = [f"      {json.dumps(h)}: {'%s' if c is not None else 'null'}"
+                      for h, c in columns.items()]
+            row = "    {\n" + ",\n".join(fields) + "\n    }"
+            rows = ",\n".join([row] * count) % tuple(chain.from_iterable(zip(*present)))
+            texts[key] = f"[\n{rows}\n  ]" if count else "[]"
+        out.write("{\n" + ",\n".join(f"  {json.dumps(k)}: {v}" for k, v in texts.items()) + "\n}\n")
         return 0
     if note:
         err.write(note)
-    columns = [[h, *["-" if row[h] is None else str(row[h]) for row in rows]] for h in headers]
+    cells = [[h, *(["-"] * count if c is None else map(str, c))] for h, c in columns.items()]
     # one %-format for the whole table, each line right-aligning every cell to its column
-    line = "  ".join(f"%{max(map(len, column))}s" for column in columns) + "\n"
-    out.write(line * (len(rows) + 1) % tuple(chain.from_iterable(zip(*columns))))
+    line = "  ".join(f"%{max(map(len, column))}s" for column in cells) + "\n"
+    out.write(line * (count + 1) % tuple(chain.from_iterable(zip(*cells))))
     return 0
 
 
@@ -97,7 +117,7 @@ def _cmd_validate(args, out, err) -> int:
             out.write(f"  d {g.name} = {diffs[g.name]}\n")
         return 0
     generators = [{"name": g.name, "degree": g.degree} for g in gens]
-    return _write(args, out, {"ok": True, "generators": generators, "differential": diffs}, [], [])
+    return _write(args, out, {"ok": True, "generators": generators, "differential": diffs}, {})
 
 
 def _cmd_degrees(args, out, err) -> int:
@@ -109,51 +129,52 @@ def _cmd_degrees(args, out, err) -> int:
     if want_eigen and not space.involution:
         raise NoInvolutionError(f"space '{args.space}' carries no involution; use --space borel")
     cap = args.max_degree
-    degrees = [
-        {
-            "n": s.degree,
-            "dim": s.cochain_dim,
-            "betti": s.betti,
-            "inv_plus": s.inv_plus if want_eigen else None,
-            "inv_minus": s.inv_minus if want_eigen else None,
-        }
-        for s in eigen_table(space, cap).slices
-    ]
-    payload = {"model": args.model, "space": args.space, "max_degree": cap, "degrees": degrees}
-    return _write(args, out, payload, degrees, ["n", "dim", "betti", "inv_plus", "inv_minus"])
+    table = eigen_table(space, cap)
+    columns = {
+        "n": range(cap),
+        "dim": table.cochain_dim,
+        "betti": table.betti,
+        "inv_plus": table.inv_plus if want_eigen else None,
+        "inv_minus": table.inv_minus if want_eigen else None,
+    }
+    payload = {"model": args.model, "space": args.space, "max_degree": cap}
+    return _write(args, out, payload, columns, "degrees")
 
 
 def _cmd_pseudoisotopy(args, out, err) -> int:
     model = _load_model(args.model, err)
     table = pseudoisotopy_table(model, args.max_degree)
-    headers = ["i", "invP_plus", "invP_minus", "invA_plus", "invA_minus"]
-    rows = [{h: getattr(r, h) for h in headers} for r in table.rows]
+    columns = {
+        "i": range(table.reliable_max_i + 1),
+        "invP_plus": table.invP_plus,
+        "invP_minus": table.invP_minus,
+        "invA_plus": table.invA_plus,
+        "invA_minus": table.invA_minus,
+    }
     payload = {
         "model": args.model,
         "max_degree": args.max_degree,
         "reliable_max_i": table.reliable_max_i,
         "compact_attested": bool(args.assume_compact),
-        "rows": rows,
     }
     note = "" if args.assume_compact else (
         "note: results assume the model comes from a simply-connected "
         "compact manifold (pass --assume-compact to silence)\n"
     )
-    return _write(args, out, payload, rows, headers, err, note)
+    return _write(args, out, payload, columns, "rows", err, note)
 
 
 def _cmd_bfk(args, out, err) -> int:
-    rows = [{"j": p.j, "i": p.i, "m_min": p.m_min} for p in enumerate_pairs(args.d, args.j_max)]
-    payload = {"d": args.d, "j_max": args.j_max, "rows": rows}
-    return _write(args, out, payload, rows, ["j", "i", "m_min"])
+    pairs = enumerate_pairs(args.d, args.j_max)
+    columns = {h: [getattr(p, h) for p in pairs] for h in ("j", "i", "m_min")}
+    return _write(args, out, {"d": args.d, "j_max": args.j_max}, columns, "rows")
 
 
 def _cmd_series(args, out, err) -> int:
     expr = parse_expr(args.expr)
     coeffs = expr.expand(args.max_degree).coeffs
     payload = {"expr": str(expr), "max_degree": args.max_degree, "coeffs": list(coeffs)}
-    rows = [{"n": n, "coeff": c} for n, c in enumerate(coeffs)]
-    return _write(args, out, payload, rows, ["n", "coeff"])
+    return _write(args, out, payload, {"n": range(len(coeffs)), "coeff": coeffs})
 
 
 _FORMAT = ("--format", ("table", "json"), "table", "output format")

@@ -61,7 +61,9 @@ one common nonzero integer that clears every denominator of the
 differential, for ``linalg.rank`` to rank exactly; no polynomial,
 exponent tuple or rational number is built per monomial or per column.
 ``eigen_table`` keeps the block dimensions and betti numbers of every
-degree in two flat int lists and builds one ``DegreeSlice`` per degree.
+degree in two flat int lists, carries them along g, and hands their sums
+and eigen halves to ``EigenTable`` as its columns: no object is built
+per degree.
 
 Products.  The generators other than g fall into the connected
 components of the graph with an edge x - y wherever y appears in D(x)
@@ -169,39 +171,69 @@ class DegreeSlice(Value):
 
 
 class EigenTable(Value):
-    """Slices for degrees 0..cap-1."""
+    """Degrees 0..cap-1 as columns, one entry per degree: the cochain
+    dimensions, the betti numbers and the eigenspace split, whose two
+    columns are both None for a table without an involution.  The columns
+    are checked in bulk; at the first degree that fails, the error is its
+    ``DegreeSlice``'s.  ``slices`` and ``slice(n)`` build those row views
+    on demand."""
 
-    __slots__ = _fields = ("cap", "slices")
+    __slots__ = _fields = ("cap", "cochain_dim", "betti", "inv_plus", "inv_minus")
 
-    def __init__(self, cap: int, slices: tuple[DegreeSlice, ...]):
-        if len(slices) != cap:
+    def __init__(
+        self,
+        cap: int,
+        cochain_dim: Iterable[int],
+        betti: Iterable[int],
+        inv_plus: Optional[Iterable[int]] = None,
+        inv_minus: Optional[Iterable[int]] = None,
+    ):
+        if (inv_plus is None) != (inv_minus is None):
+            raise ValueError("eigen data must be all-or-nothing")
+        eigen = () if inv_plus is None else (tuple(inv_plus), tuple(inv_minus))
+        columns = (tuple(cochain_dim), tuple(betti), *eigen)
+        if any(len(column) != cap for column in columns):
             raise ValueError("need one slice per degree 0..cap-1")
-        for n, s in enumerate(slices):
-            if s.degree != n:
-                raise ValueError("slices must be contiguous from degree 0")
-        super().__init__(cap, slices)
+        dims, betti = columns[:2]
+        ok = min(betti, default=0) >= 0 and all(map(ge, dims, betti))
+        if eigen and ok:
+            plus, minus = eigen
+            ok = min(plus, default=0) >= 0 and min(minus, default=0) >= 0
+            ok = ok and tuple(map(add, plus, minus)) == betti
+        if not ok:
+            for row in zip(range(cap), *columns):
+                DegreeSlice(*row)  # raises the first failing degree's error
+        super().__init__(cap, dims, betti, *(eigen or (None, None)))
+
+    @property
+    def slices(self) -> tuple[DegreeSlice, ...]:
+        return tuple(map(DegreeSlice, range(self.cap), *self._columns()))
 
     def slice(self, degree: int) -> DegreeSlice:
         if not 0 <= degree < self.cap:
             raise IndexError(f"degree {degree} outside the table's range 0..{self.cap - 1}")
-        return self.slices[degree]
+        return DegreeSlice(degree, *[column[degree] for column in self._columns()])
+
+    def _columns(self) -> tuple:
+        eigen = (self.inv_plus, self.inv_minus) if self.has_eigen_data else ()
+        return (self.cochain_dim, self.betti, *eigen)
 
     @property
     def has_eigen_data(self) -> bool:
-        return bool(self.slices) and self.slices[0].inv_plus is not None
+        return self.inv_plus is not None
 
     def betti_series(self) -> TruncatedSeries:
-        return TruncatedSeries(s.betti for s in self.slices)
+        return TruncatedSeries(self.betti)
 
     def inv_plus_series(self) -> TruncatedSeries:
         if not self.has_eigen_data:
             raise NoInvolutionError("table has no eigenspace data")
-        return TruncatedSeries(s.inv_plus for s in self.slices)
+        return TruncatedSeries(self.inv_plus)
 
     def inv_minus_series(self) -> TruncatedSeries:
         if not self.has_eigen_data:
             raise NoInvolutionError("table has no eigenspace data")
-        return TruncatedSeries(s.inv_minus for s in self.slices)
+        return TruncatedSeries(self.inv_minus)
 
 
 class Layout(NamedTuple):
@@ -897,9 +929,10 @@ def _ends(bars: dict, top: int, step: int, dw: int) -> list[int]:
 
 def eigen_table(model: DgaModel, cap: int) -> EigenTable:
     """Per-degree cochain dimension, betti number and (when the model has
-    an involution) the eigenspace split, for degrees 0..cap-1: by the chain
-    formula on ``build_layout``'s one layout of multiplicity 1, else off
-    their folded barcodes.  A cap over MAX_CAP is refused."""
+    an involution) the eigenspace split, for degrees 0..cap-1, as the
+    table's columns: by the chain formula on ``build_layout``'s one layout
+    of multiplicity 1, else off their folded barcodes.  A cap over MAX_CAP
+    is refused."""
     if cap < 2:
         raise ValueError("cap must be >= 2")
     if cap > MAX_CAP:
@@ -917,16 +950,11 @@ def eigen_table(model: DgaModel, cap: int) -> EigenTable:
         ((chain, _),) = layouts
         new, _ = _rank(chain)
         betti = list(map(sub, chain.counts, map(add, new, [0, 0, *new])))
-    slices = []
-    for n in range(cap):
-        i = 2 * n
-        if step and n >= step:
-            j = (i - 2 * step) ^ dw  # the predecessor of block 0; j ^ 1 is that of block 1
+    if step:  # carry along g: each block adds its predecessor's
+        for i in range(2 * step, 2 * cap):
+            j = (i - 2 * step) ^ dw
             dims[i] += dims[j]
-            dims[i + 1] += dims[j ^ 1]
             betti[i] += betti[j]
-            betti[i + 1] += betti[j ^ 1]
-        plus, minus = betti[i], betti[i + 1]
-        eigen = (plus, minus) if model.involution else ()
-        slices.append(DegreeSlice(n, dims[i] + dims[i + 1], plus + minus, *eigen))
-    return EigenTable(cap, tuple(slices))
+    plus, minus = betti[::2], betti[1::2]
+    eigen = (plus, minus) if model.involution else ()
+    return EigenTable(cap, map(add, dims[::2], dims[1::2]), map(add, plus, minus), *eigen)

@@ -27,7 +27,9 @@ responsibility; the tables are meaningless for models of open manifolds.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from operator import add, sub
+from typing import Iterable, Sequence
 
 from .algebra import Value
 from .cohomology import eigen_table
@@ -70,25 +72,51 @@ class PseudoisotopyRow(Value):
 
 
 class PseudoisotopyTable(Value):
-    __slots__ = _fields = ("cap", "rows")
+    """Rows i = 0..cap-3 as columns, one entry per row: the Inv+ and Inv-
+    dimensions of pi_i P and of pi_{i+2} A.  The columns are checked in
+    bulk; at the first row that fails, the error is its
+    ``PseudoisotopyRow``'s.  ``rows`` and ``row(i)`` build those row views
+    on demand."""
 
-    def __init__(self, cap: int, rows: tuple[PseudoisotopyRow, ...]):
-        super().__init__(cap, rows)
+    __slots__ = _fields = ("cap", "invP_plus", "invP_minus", "invA_plus", "invA_minus")
+
+    def __init__(
+        self,
+        cap: int,
+        invP_plus: Iterable[int],
+        invP_minus: Iterable[int],
+        invA_plus: Iterable[int],
+        invA_minus: Iterable[int],
+    ):
+        columns = tuple(map(tuple, (invP_plus, invP_minus, invA_plus, invA_minus)))
+        if any(len(column) != cap - 2 for column in columns):
+            raise ValueError("need one row per i 0..cap-3")
+        if min(chain(*columns), default=0) < 0 or columns[0] != columns[3]:
+            for row in zip(range(cap - 2), *columns):
+                PseudoisotopyRow(*row)  # raises the first failing row's error
+        super().__init__(cap, *columns)
 
     @property
     def reliable_max_i(self) -> int:
         return self.cap - 3
 
+    @property
+    def rows(self) -> tuple[PseudoisotopyRow, ...]:
+        return tuple(map(PseudoisotopyRow, range(self.cap - 2), *self._columns()))
+
     def row(self, i: int) -> PseudoisotopyRow:
         if not 0 <= i <= self.reliable_max_i:
             raise IndexError(f"i={i} outside the reliable range 0..{self.reliable_max_i}")
-        return self.rows[i]
+        return PseudoisotopyRow(i, *[column[i] for column in self._columns()])
+
+    def _columns(self) -> tuple:
+        return self.invP_plus, self.invP_minus, self.invA_plus, self.invA_minus
 
     def inv_plus_series(self) -> TruncatedSeries:
-        return TruncatedSeries(r.invP_plus for r in self.rows)
+        return TruncatedSeries(self.invP_plus)
 
     def inv_minus_series(self) -> TruncatedSeries:
-        return TruncatedSeries(r.invP_minus for r in self.rows)
+        return TruncatedSeries(self.invP_minus)
 
     def total_dimension(self, i: int) -> int:
         r = self.row(i)
@@ -100,21 +128,19 @@ def _assemble_rows(
     rel_minus: Sequence[int],
     betti_base: Sequence[int],
     cap: int,
-) -> tuple[PseudoisotopyRow, ...]:
-    """Rows for i = 0..cap-3 from the reduced eigenspace dimensions (per
+) -> PseudoisotopyTable:
+    """The table for i = 0..cap-3 from the reduced eigenspace dimensions (per
     degree 0..cap-1) and the base-model betti numbers."""
-    rows = []
-    for i in range(cap - 2):
-        plus_p = k_theory_correction(i) + rel_plus[i + 1]
-        plus_a = rel_minus[i + 1]
-        minus_p = plus_a - betti_base[i + 2]
-        if minus_p < 0:
-            raise NegativeDimensionError(
-                f"dim Inv- pi_{i} P = {minus_p} < 0; the model violates the "
-                "hypotheses of the dimension formulas (is it a compact manifold?)"
-            )
-        rows.append(PseudoisotopyRow(i, plus_p, minus_p, plus_a, plus_p))
-    return tuple(rows)
+    plus_p = list(map(add, map(k_theory_correction, range(cap - 2)), rel_plus[1 : cap - 1]))
+    plus_a = rel_minus[1 : cap - 1]
+    minus_p = list(map(sub, plus_a, betti_base[2:cap]))
+    if min(minus_p, default=0) < 0:
+        i = next(i for i, m in enumerate(minus_p) if m < 0)
+        raise NegativeDimensionError(
+            f"dim Inv- pi_{i} P = {minus_p[i]} < 0; the model violates the "
+            "hypotheses of the dimension formulas (is it a compact manifold?)"
+        )
+    return PseudoisotopyTable(cap, plus_p, minus_p, plus_a, plus_p)
 
 
 def pseudoisotopy_table(model: MinimalModel, cap: int) -> PseudoisotopyTable:
@@ -122,25 +148,19 @@ def pseudoisotopy_table(model: MinimalModel, cap: int) -> PseudoisotopyTable:
 
     Builds the Borel model, splits its cohomology under the loop-reversal
     involution, forms the reduced eigenspaces by subtracting the
-    one-point table degree by degree, and applies the dimension formulas
-    together with the base model's betti numbers.
+    one-point table's columns, and applies the dimension formulas
+    together with the base model's betti numbers, column by column.
     """
     if cap < 3:
         raise ValueError("cap must be >= 3 for at least one reliable row")
     absolute = eigen_table(borel_model(model), cap)
-    rel_plus = []
-    rel_minus = []
-    for n in range(cap):
-        point_plus, point_minus = _point_split(n)
-        p = absolute.slice(n).inv_plus - point_plus
-        q = absolute.slice(n).inv_minus - point_minus
-        if p < 0 or q < 0:
-            raise NegativeDimensionError(
-                f"reduced eigenspace dimension negative at degree {n}; the "
-                "one-point table failed to split off"
-            )
-        rel_plus.append(p)
-        rel_minus.append(q)
-    betti_base = [s.betti for s in eigen_table(model, cap).slices]
-    return PseudoisotopyTable(cap, _assemble_rows(rel_plus, rel_minus, betti_base, cap))
-
+    point_plus, point_minus = zip(*map(_point_split, range(cap)))
+    rel_plus = list(map(sub, absolute.inv_plus, point_plus))
+    rel_minus = list(map(sub, absolute.inv_minus, point_minus))
+    if min(rel_plus) < 0 or min(rel_minus) < 0:
+        n = next(n for n in range(cap) if rel_plus[n] < 0 or rel_minus[n] < 0)
+        raise NegativeDimensionError(
+            f"reduced eigenspace dimension negative at degree {n}; the "
+            "one-point table failed to split off"
+        )
+    return _assemble_rows(rel_plus, rel_minus, eigen_table(model, cap).betti, cap)

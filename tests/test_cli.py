@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import loopinv.cli
 from loopinv import cohomology
 from loopinv.cli import J_MAX_LIMIT, SERIES_MAX_DEGREE, main
-from loopinv.cohomology import MAX_CAP
+from loopinv.cohomology import MAX_CAP, DegreeSlice, eigen_table
+from loopinv.models import borel_model, parse_model
+from loopinv.pseudoisotopy import PseudoisotopyRow, pseudoisotopy_table
 from support import MODELS_DIR
 
 D2 = str(MODELS_DIR / "sphere-bundle-d2.model")
@@ -699,6 +701,86 @@ def test_golden_bytes_validate_every_bundled_and_benchmark_model():
     patterns = ("models/*.model", "benchmark/inputs/*.model")
     models = {p.relative_to(REPO_ROOT).as_posix() for g in patterns for p in REPO_ROOT.glob(g)}
     assert models <= {argv[1] for _, argv, code, _ in GOLDEN if argv[0] == "validate" and not code}
+
+
+# The CLI writes its JSON by templates; json.dumps(payload, indent=2) is the oracle.
+JSON_GOLDEN = [(case, argv) for case, argv, code, _ in GOLDEN if "json" in argv and not code]
+
+
+@pytest.mark.parametrize("case, argv", JSON_GOLDEN, ids=[case for case, _ in JSON_GOLDEN])
+def test_json_is_json_dumps_with_indent_2(capsys, monkeypatch, case, argv):
+    monkeypatch.chdir(REPO_ROOT)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["eigen", "cohomology", "pseudoisotopy"])
+def test_json_escapes_the_model_path(capsys, tmp_path, command):
+    # the payload echoes the path: a quote, a backslash and a non-ASCII letter are escaped
+    path = tmp_path / 'a"b\\cé' / "s2.model"
+    path.parent.mkdir()
+    path.write_bytes(Path(S2).read_bytes())
+    code, out, _ = run(capsys, command, str(path), "--max-degree", "8", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert json.loads(out)["model"] == str(path)
+    assert f'"model": {json.dumps(str(path))},' in out and "é" not in out
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's ``workloads`` and ``check`` modules, read from
+    ``benchmark/`` (nothing there is written)."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    import check
+    import workloads
+
+    return workloads, check
+
+
+def test_table_requests_build_no_row_objects(capsys, monkeypatch, bench):
+    # s2-deep and multigen-betti print their tables from the columns: no
+    # DegreeSlice or PseudoisotopyRow is built, only asked-for row views
+    workloads, _ = bench
+    built = []
+    for cls in (DegreeSlice, PseudoisotopyRow):
+        real = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, real=real: built.append(a) or real(self, *a))
+    monkeypatch.chdir(REPO_ROOT)
+    for argv, _ in workloads.FIXED["s2-deep"] + workloads.FIXED["multigen-betti"]:
+        assert run(capsys, *argv)[0] == 0
+    assert built == []
+    s2 = parse_model(Path(S2).read_text(encoding="utf-8"))
+    table, pt = eigen_table(borel_model(s2), 24), pseudoisotopy_table(s2, 24)
+    assert [table.slice(n) for n in range(24)] == list(table.slices)
+    assert [pt.row(i) for i in range(22)] == list(pt.rows)
+    assert len(built) == 2 * (24 + 22)
+
+
+def test_benchmark_requests_print_their_recorded_digests(capsys, monkeypatch, tmp_path, bench):
+    # every request of s2-deep, multigen-betti and random-batch at its recorded
+    # seed, served through main, prints the stdout whose digest
+    # benchmark/digests.json holds; random-batch's models are written to tmp_path
+    workloads, check = bench
+    recorded = json.loads((REPO_ROOT / "benchmark" / "digests.json").read_text(encoding="utf-8"))
+    requests = {name: [argv for argv, _ in workloads.FIXED[name]] for name in workloads.FIXED}
+    seed = workloads.DEFAULT_SEED
+    batch = requests[f"random-batch@{seed}"] = []
+    for i, (text, _) in enumerate(workloads.random_batch(seed)):
+        path = tmp_path / f"m{i:02d}.model"
+        path.write_text(text, encoding="utf-8")
+        cap = str(workloads.RANDOM_CAP)
+        batch += [["eigen", str(path), "--max-degree", cap],
+                  ["cohomology", str(path), "--space", "loop", "--max-degree", cap]]
+    assert sorted(requests) == sorted(recorded)
+    monkeypatch.chdir(REPO_ROOT)
+    for name, argvs in requests.items():
+        got = []
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            got.append((code, check.digest(out)))
+        assert got == [(0, digest) for digest in recorded[name]], name
 
 
 # Model texts for the DSL fuzz: well-formed statements, shuffled DSL

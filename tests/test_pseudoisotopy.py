@@ -110,7 +110,7 @@ def test_assemble_rows_flags_negative_minus():
 
 
 def test_assemble_rows_happy_path():
-    rows = _assemble_rows([0, 1, 2, 0], [0, 3, 1, 0], [1, 0, 1, 0], 4)
+    rows = _assemble_rows([0, 1, 2, 0], [0, 3, 1, 0], [1, 0, 1, 0], 4).rows
     assert rows[0] == PseudoisotopyRow(0, 1, 2, 3, 1)
     assert rows[1] == PseudoisotopyRow(1, 2, 1, 1, 2)
 

@@ -43,11 +43,10 @@ VALUES = {
         "betti",
     ),
     "EigenTable": (
-        lambda: EigenTable(1, (DegreeSlice(0, 1, 1),)),
-        lambda: EigenTable(1, (DegreeSlice(0, 1, 0),)),
-        "EigenTable(cap=1, slices=(DegreeSlice(degree=0, cochain_dim=1, betti=1, "
-        "inv_plus=None, inv_minus=None),))",
-        "slices",
+        lambda: EigenTable(1, [1], [1]),
+        lambda: EigenTable(1, [1], [0]),
+        "EigenTable(cap=1, cochain_dim=(1,), betti=(1,), inv_plus=None, inv_minus=None)",
+        "betti",
     ),
     "DgaModel": (
         lambda: DgaModel(ALG, {"b": A * A}, True, (2, 4)),
@@ -68,10 +67,10 @@ VALUES = {
         "invP_plus",
     ),
     "PseudoisotopyTable": (
-        lambda: PseudoisotopyTable(3, (PseudoisotopyRow(0, 1, 0, 0, 1),)),
-        lambda: PseudoisotopyTable(4, (PseudoisotopyRow(0, 1, 0, 0, 1),)),
-        f"PseudoisotopyTable(cap=3, rows=({ROW},))",
-        "rows",
+        lambda: PseudoisotopyTable(3, [1], [0], [0], [1]),
+        lambda: PseudoisotopyTable(4, [1, 0], [0, 0], [0, 0], [1, 0]),
+        "PseudoisotopyTable(cap=3, invP_plus=(1,), invP_minus=(0,), invA_plus=(0,), invA_minus=(1,))",
+        "invP_plus",
     ),
     "TruncatedSeries": (
         lambda: TruncatedSeries([1, 0, 1]),
@@ -165,6 +164,11 @@ def test_minimal_model_never_equals_a_dga_model():
     assert DgaModel(ALG, {"b": A * A}) != x
 
 
+def _lone_eigen_column():
+    # a split is all or nothing: one eigen column without the other is refused
+    return EigenTable(2, [1, 1], [1, 1], [1, 0])
+
+
 def _not_square_zero():
     alg = GradedAlgebra([("a", 2), ("b", 3), ("c", 4)])
     a, b = alg.gen("a"), alg.gen("b")
@@ -179,8 +183,15 @@ def _not_square_zero():
         (lambda: DegreeSlice(0, 2, 1, 1, 1), ValueError, "eigen split 1+1 != betti 1 at degree 0"),
         (lambda: DegreeSlice(0, 5, 2, -1, 3), ValueError, "negative eigen split -1+3 at degree 0"),
         (lambda: DegreeSlice(3, 5, 2, 3, -1), ValueError, "negative eigen split 3+-1 at degree 3"),
-        (lambda: EigenTable(2, (DegreeSlice(0, 1, 1),)), ValueError, "need one slice per degree 0..cap-1"),
-        (lambda: EigenTable(1, (DegreeSlice(1, 1, 1),)), ValueError, "slices must be contiguous from degree 0"),
+        (lambda: EigenTable(2, [1], [1]), ValueError, "need one slice per degree 0..cap-1"),
+        (_lone_eigen_column, ValueError, "eigen data must be all-or-nothing"),
+        # the columns are checked in bulk, with the first failing degree's DegreeSlice error
+        (lambda: EigenTable(2, [1, 1], [1, 2]), ValueError, "betti 2 out of range at degree 1"),
+        (
+            lambda: EigenTable(3, [1, 0, 1], [1, 0, 1], [1, 0, 0], [0, 0, 2]),
+            ValueError,
+            "eigen split 0+2 != betti 1 at degree 2",
+        ),
         (lambda: DgaModel(ALG, {"c": A}), KeyError, "\"unknown generator 'c'\""),
         (
             lambda: DgaModel(ALG, {"b": OTHER.gen("a") * OTHER.gen("a")}),
@@ -202,6 +213,18 @@ def _not_square_zero():
         ),
         (lambda: PseudoisotopyRow(0, 1, -1, 0, 1), NegativeDimensionError, "negative dimension in row i=0"),
         (lambda: PseudoisotopyRow(0, 1, 0, 0, 2), ValueError, "row i=0: invP_plus must equal invA_minus"),
+        (lambda: PseudoisotopyTable(10, [1], [0], [0], [1]), ValueError, "need one row per i 0..cap-3"),
+        # the columns are checked in bulk, with the first failing row's PseudoisotopyRow error
+        (
+            lambda: PseudoisotopyTable(4, [1, 0], [0, -1], [0, 0], [1, 0]),
+            NegativeDimensionError,
+            "negative dimension in row i=1",
+        ),
+        (
+            lambda: PseudoisotopyTable(4, [1, 1], [0, 0], [0, 0], [1, 0]),
+            ValueError,
+            "row i=1: invP_plus must equal invA_minus",
+        ),
         (lambda: TruncatedSeries(["x"]), ValueError, "invalid literal for int() with base 10: 'x'"),
         (lambda: ExprTerm(1, -1), SeriesExprError, "numerator power must be >= 0"),
         (lambda: ExprTerm(1, 0, 0), SeriesExprError, "denominator period must be >= 1"),
