@@ -16,6 +16,8 @@ the one other derivation, is written out in ``models._free_loop``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 Monomial = tuple[int, ...]
@@ -65,23 +67,24 @@ class GradedAlgebra:
     """Lambda(g_1, ..., g_l): polynomial on even generators tensor
     exterior on odd generators."""
 
-    __slots__ = ("generators", "_index", "_degrees", "_odd")
+    __slots__ = ("generators", "_index", "_degrees", "_odd", "_zero")
 
     def __init__(self, generators: Iterable):
-        gens = []
-        for g in generators:
-            name, degree = g
+        names, degrees = [], []
+        for name, degree in generators:
             if not isinstance(name, str) or not name:
                 raise ValueError(f"generator name must be a nonempty string, got {name!r}")
             if degree < 1:
                 raise ValueError(f"generator {name} has degree {degree}; degrees must be >= 1")
-            gens.append(Generator(name, int(degree)))
-        self.generators = tuple(gens)
-        self._index = {g.name: i for i, g in enumerate(self.generators)}
-        if len(self._index) != len(self.generators):
+            names.append(name)
+            degrees.append(int(degree))
+        self.generators = tuple(map(Generator, names, degrees))
+        self._index = dict(zip(names, range(len(names))))
+        if len(self._index) != len(names):
             raise ValueError("generator names must be unique")
-        self._degrees = tuple(g.degree for g in self.generators)
-        self._odd = tuple(g.degree % 2 == 1 for g in self.generators)
+        self._degrees = tuple(degrees)
+        self._odd = tuple(d % 2 == 1 for d in degrees)
+        self._zero = Polynomial(self, {})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedAlgebra) and self.generators == other.generators
@@ -95,7 +98,7 @@ class GradedAlgebra:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.generators)
+        return tuple(self._index)
 
     def index(self, name: str) -> int:
         try:
@@ -107,7 +110,7 @@ class GradedAlgebra:
         return self._degrees[self.index(name)]
 
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self._degrees))
+        return sum(map(mul, mono, self._degrees))
 
     def unit_monomial(self) -> Monomial:
         return (0,) * len(self.generators)
@@ -144,39 +147,46 @@ class GradedAlgebra:
     # -- polynomial constructors ------------------------------------
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return self._zero
 
     def unit(self) -> "Polynomial":
-        return Polynomial(self, {self.unit_monomial(): Fraction(1)})
+        return Polynomial(self, {self.unit_monomial(): 1})
 
     def gen(self, name: str) -> "Polynomial":
         i = self.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(self.generators)))
-        return Polynomial(self, {mono: Fraction(1)})
+        return Polynomial(self, {mono: 1})
 
     def poly(self, terms: Mapping[Monomial, Scalar]) -> "Polynomial":
         return Polynomial(self, dict(terms))
 
 
+def _exact(c: Scalar) -> Scalar:
+    """A rational as an int where it is one, which computes faster."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class Polynomial:
     """Finite Q-linear combination of monomials of one algebra.
 
-    ``terms`` maps monomials to nonzero Fractions; treat it as immutable.
+    ``terms`` maps monomials to nonzero coefficients, each an int where
+    it is integral, else a Fraction; treat it as immutable.
     """
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: GradedAlgebra, terms: Mapping[Monomial, Scalar]):
-        clean: dict[Monomial, Fraction] = {}
-        width = len(algebra.generators)
-        for mono, coeff in terms.items():
-            c = Fraction(coeff)
+        clean: dict[Monomial, Scalar] = {}
+        width, odd = len(algebra.generators), algebra._odd
+        for mono, c in terms.items():
+            if type(c) is not int:
+                c = _exact(c if isinstance(c, Fraction) else Fraction(c))
             if not c:
                 continue
             if len(mono) != width:
                 raise ValueError(f"monomial {mono} has wrong width for {algebra!r}")
             mono = tuple(mono)
-            if any(e > 1 and algebra._odd[i] for i, e in enumerate(mono)):
+            if max(compress(mono, odd), default=0) > 1:
                 continue  # squares of odd generators vanish
             clean[mono] = c
         self.algebra = algebra
@@ -188,12 +198,12 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
-            and self.algebra == other.algebra
+            and (self.algebra is other.algebra or self.algebra == other.algebra)
             and self.terms == other.terms
         )
 
     def _require_same_algebra(self, other: "Polynomial") -> None:
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise ValueError("polynomials live in different algebras")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -215,7 +225,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_algebra(other)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         mult = self.algebra.multiply_monomials
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -231,22 +241,21 @@ class Polynomial:
         return Polynomial(self.algebra, acc)
 
     def scale(self, scalar: Scalar) -> "Polynomial":
-        c = Fraction(scalar)
+        c = scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar)
         if not c:
             return self.algebra.zero()
         return Polynomial(self.algebra, {m: c * v for m, v in self.terms.items()})
 
     def degrees(self) -> set[int]:
-        return {self.algebra.monomial_degree(m) for m in self.terms}
+        degrees = self.algebra._degrees
+        return {sum(map(mul, m, degrees)) for m in self.terms}
 
     def is_homogeneous_of(self, degree: int) -> bool:
         """True when every term has the given degree (vacuously for 0)."""
-        return all(self.algebra.monomial_degree(m) == degree for m in self.terms)
+        return self.degrees() <= {degree}
 
     def min_word_length(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return min(sum(m) for m in self.terms)
+        return min(map(sum, self.terms), default=None)
 
     def __str__(self) -> str:
         if not self.terms:

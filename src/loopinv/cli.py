@@ -56,8 +56,9 @@ def _load_model(path_str: str, out_err):
     if not path_str:  # Path("") would be the current directory
         raise ValueError("cannot read model file '': the path is empty")
     path = Path(path_str)
-    try:
-        text = path.read_text(encoding="utf-8")
+    try:  # bytes, decoded: no text layer, and splitlines reads every line ending
+        with open(path, "rb", buffering=0) as file:
+            text = file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read model file {path}: {exc}") from None
     with warnings.catch_warnings(record=True) as caught:
@@ -75,16 +76,19 @@ def _write(args, out, payload: dict, columns: dict, key="", err=None, note=""):
     right-aligned table (``-`` for a missing value).
 
     The JSON is the bytes of ``json.dumps(payload, indent=2)``, written by
-    one %-template per row.  Only a nested payload value goes through the
-    indent encoder (pure Python: CPython's C encoder takes no indent), and
-    is indented two spaces deeper, which is exact as a JSON string holds no
-    raw newline; a scalar prints the same with no indent."""
+    one %-template per row, and a tuple of ints in the payload by one
+    %-template per entry.  Only another nested payload value goes through
+    the indent encoder (pure Python: CPython's C encoder takes no indent),
+    and is indented two spaces deeper, which is exact as a JSON string holds
+    no raw newline; a scalar prints the same with no indent."""
     present = [column for column in columns.values() if column is not None]
     count = len(present[0]) if present else 0
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
         texts = {
-            name: json.dumps(value, indent=2 if isinstance(value, (dict, list)) else None)
+            name: ("[\n" + ",\n".join(["    %s"] * len(value)) + "\n  ]" if value else "[]") % value
+            if isinstance(value, tuple)
+            else json.dumps(value, indent=2 if isinstance(value, (dict, list)) else None)
             .replace("\n", "\n  ")
             for name, value in payload.items()
         }
@@ -173,7 +177,7 @@ def _cmd_bfk(args, out, err) -> int:
 def _cmd_series(args, out, err) -> int:
     expr = parse_expr(args.expr)
     coeffs = expr.expand(args.max_degree).coeffs
-    payload = {"expr": str(expr), "max_degree": args.max_degree, "coeffs": list(coeffs)}
+    payload = {"expr": str(expr), "max_degree": args.max_degree, "coeffs": coeffs}
     return _write(args, out, payload, {"n": range(len(coeffs)), "coeff": coeffs})
 
 

@@ -108,13 +108,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, islice, repeat
 from math import lcm
-from operator import add, ge, itemgetter, mul, sub
+from operator import add, ge, itemgetter, lshift, mul, sub, xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from . import linalg
-from .algebra import Polynomial, Value
+from .algebra import Polynomial, Value, _exact
 from .series import TruncatedSeries
 
 if TYPE_CHECKING:
@@ -445,7 +445,7 @@ def _koszul(model: DgaModel, top: int, g: Optional[int], part: list[int], xs, ys
     # every polynomial here is homogeneous, so its lead in the grevlex order
     # with g last is its term of least exponent of g, then of the last one, ...
     order = itemgetter(*[g] * (g is not None), *[k for k in reversed(index) if k != g])
-    basis = _groebner([{t: _exact(c) for t, c in values[y].items()} for y in ys], order)
+    basis = _groebner([values[y] for y in ys], order)
     leads = [m for m, _ in basis]
     powers = [min((m[x] for m in leads if m[x] == sum(m)), default=0) for x in xs]
     if not all(powers):
@@ -484,7 +484,7 @@ def _koszul(model: DgaModel, top: int, g: Optional[int], part: list[int], xs, ys
                 else:
                     continue
                 shift, width, change, forbid = read
-                m = {tuple(map(add, s, map(sub, t, r))): _exact(c)}  # s times t's X-part
+                m = {tuple(map(add, s, map(sub, t, r))): c}  # s times t's X-part
                 for n, a in (m if xpart(*m) in where else _normal_form(m, basis, order)).items():
                     key = (i, tuple(map(add, r, map(mul, n, notx))), shift, width,
                            change + bit[where[xpart(n)]], forbid)
@@ -532,11 +532,6 @@ def _normal_form(p: dict, basis: list, order) -> dict:
         else:
             out[n] = p.pop(n)
     return out
-
-
-def _exact(c):
-    """A rational as an int where it is one, which computes faster."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _subtract(p: dict, q: dict, shift: tuple, f) -> None:
@@ -662,11 +657,11 @@ def _pieces(model: DgaModel, fields: tuple[int, ...], which) -> list[tuple]:
     ``_packed_terms`` takes them: each term c t of D(g_i) read at g_i's
     field, and landing on the source less g_i times t."""
     values = [v.terms for v in model.differential.values()]
-    out = []
-    for i in which:
-        mask = (1 << (fields[i + 1] - fields[i])) - 1
-        out += [(i, t, c, fields[i], mask, -(1 << fields[i]), 0) for t, c in values[i].items()]
-    return out
+    return [
+        (i, t, c, fields[i], (1 << (fields[i + 1] - fields[i])) - 1, -(1 << fields[i]), 0)
+        for i in which
+        for t, c in values[i].items()
+    ]
 
 
 def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int], pieces):
@@ -677,31 +672,31 @@ def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int], pi
     ``change`` (by the Leibniz rule, e is g_i's exponent and the change
     takes one g_i away).  g, even and closed, has no entry, and its factors
     in a term change the g-free degree, not the code."""
-    gens = model.algebra.generators
-    odd = [x.degree % 2 == 1 for x in gens]
-    scale = lcm(*(piece[2].denominator for piece in pieces))
+    gens, odd = model.algebra.generators, model.algebra._odd
+    scale = lcm(*[piece[2].denominator for piece in pieces])
     odd_bits = sum(1 << f for f, end, o in zip(fields, fields[1:], odd) if o and end > f)
     below = [(1 << f) - 1 for f in fields]  # the bits of the generators before each
+    # a factor of g is read off its empty field and raises the degree field
+    g_step = 0 if g is None else (gens[g].degree << fields[-1]) - (1 << fields[g])
     groups: dict[int, list[tuple[int, ...]]] = {}
     required: dict[int, int] = {}  # of each group, the fields its entries read
     for i, t, c, shift, mask, change, forbid in pieces:
-        others = [k for k, b in enumerate(t) if b and odd[k] and k != i]
-        step = sum(b << fields[k] for k, b in enumerate(t) if k != g)
-        dropped = t[g] * gens[g].degree if g is not None else 0
-        step += ((dropped - 1) << fields[-1]) + change
+        others = list(map(mul, t, odd))  # t's odd factors but g_i, as 0 or 1 each
+        others[i] = 0
+        step = sum(map(lshift, t, fields)) + (-1 << fields[-1]) + change
+        if g_step:
+            step += t[g] * g_step
         # 1 is D's degree shift in the Leibniz sign (-1)^(shift * P[i])
-        signs = below[i] if (1 + len(others)) % 2 else 0
-        for k in others:
-            signs ^= below[k]
+        signs = reduce(xor, compress(below, others), below[i] if (1 + sum(others)) % 2 else 0)
         c = c.numerator * (scale // c.denominator)  # an integer, as scale clears c
-        c = -c if odd[i] and sum(k > i for k in others) % 2 else c
-        entry = (shift, mask, c, forbid | sum(1 << fields[k] for k in others), signs & odd_bits)
+        c = -c if odd[i] and sum(others[i:]) % 2 else c
+        entry = (shift, mask, c, forbid | sum(map(lshift, others, fields)), signs & odd_bits)
         groups.setdefault(step, []).append(entry)
         required[step] = required.get(step, 0) | mask << shift
-    return tuple(
+    return tuple([
         (step, required[step], group[0][3] if len(group) == 1 else 0, group)
         for step, group in sorted(groups.items())
-    )
+    ])
 
 
 def integral_columns(table, sources: Iterable[int]) -> list[dict[int, int]]:
@@ -764,16 +759,15 @@ def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
     signs the Leibniz terms of the live factors after it."""
     gens = model.algebra.generators
     values = [v.terms for v in model.differential.values()]
-    live = [k for k, v in enumerate(values) if v]
-    check = [i for i, v in enumerate(values) if any(t[k] for t in v for k in live)]
+    live = list(map(bool, values))  # check the values with a term with a live factor
+    check = [i for i, v in enumerate(values) if any(map(any, map(compress, v, repeat(live))))]
     if not check:
         return None
-    top = max(x.degree for x in gens) + 2
+    top = max(model.algebra._degrees) + 2
     every = range(len(gens))
     fields = _fields(model, top, every)
     deg = fields[-1]
     table = _packed_terms(model, fields, None, _pieces(model, fields, every))
-    square = lcm(*(c.denominator for value in values for c in value.values())) ** 2
     for i in check:
         (once,) = integral_columns(table, [(1 << fields[i]) + ((top - gens[i].degree) << deg)])
         twice: dict[int, int] = {}
@@ -781,6 +775,7 @@ def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
             for row, c in column.items():
                 twice[row] = twice.get(row, 0) + v * c
         if any(twice.values()):
+            square = lcm(*[c.denominator for value in values for c in value.values()]) ** 2
             terms = {
                 tuple(code >> lo & ((1 << (hi - lo)) - 1) for lo, hi in zip(fields, fields[1:])):
                 Fraction(v, square)

@@ -39,10 +39,12 @@ from __future__ import annotations
 import re
 import warnings
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .algebra import GradedAlgebra, Polynomial, Value
+from .algebra import GradedAlgebra, Polynomial, Scalar, Value
 from .cohomology import square_zero_residual
 
 
@@ -112,18 +114,19 @@ class DgaModel(Value):
     ):
         for name, value in differential.items():
             target = algebra.degree_of(name) + 1
-            if value.algebra != algebra:
+            if value.algebra is not algebra and value.algebra != algebra:
                 raise ValueError(f"value for {name} lives in a different algebra")
             if not value.is_homogeneous_of(target):
                 raise ValueError(
                     f"value for {name} must be homogeneous of degree {target}, got {value}"
                 )
-        d = MappingProxyType({x: differential.get(x) or algebra.zero() for x in algebra.names})
+        d = dict.fromkeys(algebra.names, algebra.zero())
+        d.update(differential)  # every generator, in generator order
         gens = algebra.generators
         weights = tuple(weights) or (0,) * len(gens)
         if len(weights) != len(gens):
             raise ValueError(f"need {len(gens)} generator weights, got {len(weights)}")
-        super().__init__(algebra, d, involution, weights)
+        super().__init__(algebra, MappingProxyType(d), involution, weights)
         violation = square_zero_residual(self)
         if violation is not None:
             name, residual = violation
@@ -134,7 +137,7 @@ class DgaModel(Value):
             raise NotSquareZeroError(message)
         for g, weight, value in zip(gens, weights, d.values()):
             for mono in value.terms:
-                w = sum(e * x for e, x in zip(mono, weights))
+                w = sum(map(mul, mono, weights))
                 if w != weight:
                     raise InvolutionIncompatibleError(
                         f"differential of {g.name} (weight {weight}) has the term "
@@ -178,21 +181,15 @@ class MinimalModel(DgaModel):
 
 
 _NAME_RE = r"[A-Za-z_][A-Za-z0-9_]*"
-_TOKEN_RE = re.compile(
-    rf"(?P<ws>\s+)|(?P<name>{_NAME_RE})|(?P<int>[0-9]+)|(?P<op>[\^*/+\-=])|(?P<bad>.)"
-)
+# every character but whitespace starts a token, or is the first bad one
+_TOKEN_RE = re.compile(rf"(?P<name>{_NAME_RE})|(?P<int>[0-9]+)|(?P<op>[\^*/+\-=])")
+_BAD_RE = re.compile(r"[^\sA-Za-z0-9_^*/+\-=]")
 
 
 def _tokenize(body: str, line_no: int) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(body):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ModelSyntaxError(f"unexpected character {m.group()!r}", line_no, m.start() + 1)
-        tokens.append((kind, m.group(), m.start() + 1))
-    return tokens
+    if bad := _BAD_RE.search(body):
+        raise ModelSyntaxError(f"unexpected character {bad.group()!r}", line_no, bad.start() + 1)
+    return [(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(body)]
 
 
 def _int(token: tuple[str, str, int], line_no: int) -> int:
@@ -207,9 +204,10 @@ def _int(token: tuple[str, str, int], line_no: int) -> int:
 
 
 def _parse_value(algebra: GradedAlgebra, tokens, line_no: int) -> Polynomial:
-    """The value of a d line, read in one pass.  A term is one exponent tuple
-    and one Fraction; ``multiply_monomials`` multiplies each factor in with
-    its Koszul sign, or gives None (so 0) for a repeated odd factor.  The
+    """The value of a d line, read in one pass.  A term is one exponent list
+    and one coefficient, an int unless a ``/`` makes it a Fraction.  Each
+    factor is multiplied in with its Koszul sign: an odd one moves left past
+    the odd factors after it, and makes the term 0 if it repeats one.  The
     terms sum into one dict, whose Polynomial drops odd squares."""
     last = tokens[-1]
     tokens = [*tokens, ("end", "", last[2] + len(last[1]))]
@@ -234,33 +232,35 @@ def _parse_value(algebra: GradedAlgebra, tokens, line_no: int) -> Polynomial:
             raise ModelSyntaxError(error, line_no, tok[2])
         return value
 
-    width = len(algebra.generators)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    width, odd = len(algebra.generators), algebra._odd
+    terms: dict[tuple[int, ...], Scalar] = {}
     op = tokens[0][1] if tokens[0][1] in ("+", "-") else ""
     pos = len(op)
     while True:
-        coeff = Fraction(-1 if op == "-" else 1)
+        coeff = -1 if op == "-" else 1
         if tokens[pos][1] in ("+", "-") and tokens[pos + 1][0] == "int":  # as in "a + -2*b"
             coeff = -coeff if tokens[pos][1] == "-" else coeff
             pos += 1
         has_coeff = tokens[pos][0] == "int"
         if has_coeff:
             coeff *= _int(take("int"), line_no)
-            coeff /= posint("/", "zero denominator")
+            if (den := posint("/", "zero denominator")) != 1:
+                coeff = Fraction(coeff, den)
         more = not has_coeff or tokens[pos][1] == "*"  # else a bare rational term
         pos += has_coeff and more
-        mono = (0,) * width
+        exponents = [0] * width
         while more:
             tok = take("name")
             try:
                 i = algebra.index(tok[1])
             except KeyError:
                 raise ModelSyntaxError(f"unknown generator {tok[1]!r}", line_no, tok[2]) from None
-            factor = (0,) * i + (posint("^", "exponent must be >= 1"),) + (0,) * (width - i - 1)
-            sign, mono = algebra.multiply_monomials(mono, factor) or (0, mono)
-            coeff *= sign
+            if odd[i]:
+                coeff *= 0 if exponents[i] else (-1) ** sum(compress(exponents[i + 1 :], odd[i + 1 :]))
+            exponents[i] += posint("^", "exponent must be >= 1")
             more = tokens[pos][1] == "*"
             pos += more
+        mono = tuple(exponents)
         tok = tokens[pos]
         if not has_coeff and tok[0] in ("name", "int"):
             raise ModelSyntaxError(f"missing '*' before {tok[1]!r}", line_no, tok[2])
@@ -362,15 +362,6 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return name
 
 
-def _barred_names(model: MinimalModel) -> dict[str, str]:
-    taken = set(model.algebra.names)
-    bars: dict[str, str] = {}
-    for g in model.algebra.generators:
-        bar = _fresh_name(g.name + "_bar", taken | set(bars.values()))
-        bars[g.name] = bar
-    return bars
-
-
 def _free_loop(model: MinimalModel, equivariant: bool) -> DgaModel:
     """The loop model, or with ``equivariant`` the Borel model, of a
     minimal model: generators [alpha,] v_1, v_1_bar, v_2, v_2_bar, ...
@@ -386,30 +377,33 @@ def _free_loop(model: MinimalModel, equivariant: bool) -> DgaModel:
     weights are -1 on alpha, 0 on v and +1 on v_bar; the Borel involution
     acts by (-1)^weight, which is -1 on alpha and on every v_bar."""
     base = model.algebra.generators
-    bars = _barred_names(model)
-    head = []
-    if equivariant:
-        head = [(_fresh_name("alpha", set(model.algebra.names) | set(bars.values())), 2)]
-    gens = head + [p for g in base for p in ((g.name, g.degree), (bars[g.name], g.degree - 1))]
-    algebra = GradedAlgebra(gens)
-    pad = (0,) * len(head)
+    taken = set(model.algebra.names)
+    gens = []  # v_1, v_1_bar, v_2, v_2_bar, ...
+    for g in base:
+        taken.add(bar := _fresh_name(g.name + "_bar", taken))
+        gens += [g, (bar, g.degree - 1)]
+    head = [(_fresh_name("alpha", taken), 2)] if equivariant else []
+    algebra = GradedAlgebra(head + gens)
+    names = algebra.names[len(head) :]
+    lift = [0] * len(algebra.generators)
+    degrees, index = model.algebra._degrees, range(len(base))
     values: dict[str, Polynomial] = {}
-    for k, (g, value) in enumerate(zip(base, model.differential.values())):
-        dv, s_dv = {}, {}
+    for k, value in enumerate(model.differential.values()):
+        dv, dbar = {}, {}  # D(v) and D(v_bar) = -s(d(v))
         for mono, c in value.terms.items():
-            lifted = pad + tuple(x for e in mono for x in (e, 0))
-            dv[lifted] = c
+            lift[len(head) :: 2] = mono
+            dv[lifted := tuple(lift)] = c
             before = 0  # the degree of the factors before v_j
-            for j, (e, v) in enumerate(zip(mono, base)):
-                if e:
-                    i = len(pad) + 2 * j  # v_j's position; v_j_bar sits at i + 1
-                    term = lifted[:i] + (e - 1, 1) + lifted[i + 2 :]
-                    s_dv[term] = s_dv.get(term, 0) + (-1) ** before * (1 if v.degree % 2 else e) * c
-                    before += e * v.degree
-        values[bars[g.name]] = Polynomial(algebra, {m: -c for m, c in s_dv.items()})
+            for j in compress(index, mono):
+                e, d = mono[j], degrees[j]
+                i = len(head) + 2 * j  # v_j's position; v_j_bar sits at i + 1
+                term = lifted[:i] + (e - 1, 1) + lifted[i + 2 :]
+                dbar[term] = dbar.get(term, 0) - (-c if before % 2 else c) * (1 if d % 2 else e)
+                before += e * d
+        values[names[2 * k + 1]] = Polynomial(algebra, dbar)
         if equivariant:  # + alpha * v_bar, with v_bar at position 2k + 2
-            dv[tuple(int(j in (0, 2 * k + 2)) for j in range(len(gens)))] = 1
-        values[g.name] = Polynomial(algebra, dv)
+            dv[(1,) + (0,) * (2 * k + 1) + (1,) + (0,) * (len(gens) - 2 * k - 2)] = 1
+        values[names[2 * k]] = Polynomial(algebra, dv)
     if not equivariant:
         return DgaModel(algebra, values, False, (0, 1) * len(base))
     try:

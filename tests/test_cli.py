@@ -489,6 +489,38 @@ def test_importing_the_cli_loads_no_argparse_gettext_locale_dataclasses_or_inspe
     assert not added & {"argparse", "gettext", "locale", "dataclasses", "inspect"}, sorted(added)
 
 
+def test_serving_requests_imports_no_module_after_the_cli():
+    # a module imported lazily would be imported inside the first timed request
+    src = str(Path(loopinv.cli.__file__).resolve().parents[1])
+    requests = [
+        ["eigen", "models/s2.model", "--max-degree", "24", "--format", "json"],
+        ["pseudoisotopy", "models/s2.model", "--max-degree", "24"],
+        ["cohomology", "benchmark/inputs/s2xs2.model", "--space", "borel", "--max-degree", "10"],
+        ["cohomology", "models/s2.model", "--space", "loop", "--max-degree", "12"],
+    ]
+    script = (
+        f"import contextlib, io, sys; sys.path.insert(0, {src!r}); import loopinv.cli\n"
+        "before = set(sys.modules)\n"
+        f"for argv in {requests!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert loopinv.cli.main(argv) == 0, argv\n"
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True,
+                          cwd=REPO_ROOT, check=True)
+    assert proc.stdout == "\n"
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_line_endings_read_as_lf(capsys, tmp_path, ending):
+    # the model is read as bytes and decoded; splitlines reads every line ending
+    twin = tmp_path / "twin.model"
+    twin.write_bytes(Path(D2).read_bytes().replace(b"\n", ending))
+    assert ending in twin.read_bytes()
+    for argv in (["validate"], ["eigen", "--max-degree", "16"]):
+        assert run(capsys, *argv, str(twin)) == run(capsys, *argv, D2)
+
+
 # Golden bytes: (case, argv, exit code, stderr), with stdout in
 # tests/golden/<case>.out (empty when there is no such file), or for a
 # case of DIGESTS its md5.  Paths are relative to the repository root, as
@@ -636,6 +668,9 @@ DIGESTS = {
     ),
     "series-default-json": (["series", "1/(1-t^4)", "--format", "json"],
                             "81332f3318b0655d748f47618a78db9e", None),
+    # 100000 coefficients, written by one %-template per entry
+    "series-json-100000": (["series", "1/(1-t^4) + t^12/(1-t^12)", "--max-degree", "100000",
+                            "--format", "json"], "46e0d1ebb494fb171a0697b3a0f75ac7", None),
     # every bundled and benchmark model validates (models/s2.model: validate-table)
     **{
         f"validate-{path.removesuffix('.model').replace('/', '-')}": (["validate", path], md5, None)

@@ -233,7 +233,7 @@ def test_parse_matches_library_arithmetic(case):
 
 
 def test_parse_builds_no_polynomial_per_token(monkeypatch):
-    # the reader keeps a term as one exponent tuple and one Fraction, and
+    # the reader keeps a term as one exponent tuple and one coefficient, and
     # builds one Polynomial per d line, so it needs no Polynomial arithmetic
     inputs = sorted(MODELS_DIR.glob("*.model")) + sorted(
         (MODELS_DIR.parent / "benchmark" / "inputs").glob("*.model")
@@ -514,6 +514,66 @@ def test_the_gate_packs_random_models_only_for_their_borel_values(monkeypatch):
         borel_model(m)
         assert len(calls) == any(m.differential.values())
         calls.clear()
+
+
+def _in_normal_form(model) -> bool:
+    """Every coefficient an int, or a Fraction that is not one."""
+    coeffs = [c for value in model.differential.values() for c in value.terms.values()]
+    return all(type(c) is int or type(c) is Fraction and c.denominator > 1 for c in coeffs)
+
+
+BUNDLED = sorted(MODELS_DIR.glob("*.model")) + sorted(
+    (MODELS_DIR.parent / "benchmark" / "inputs").glob("*.model")
+)
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_bundled_coefficients_are_in_normal_form(path):
+    m = parse_model(path.read_text(encoding="utf-8"))
+    assert all(_in_normal_form(x) for x in (m, loop_model(m), borel_model(m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d_line_bodies())
+def test_rational_coefficients_are_in_normal_form(case):
+    body, value = case
+    m = parse_model("".join(f"gen {g} {d}\n" for g, d in BODY_GENS) + f"d w = {body}\n")
+    assert all(_in_normal_form(x) for x in (m, loop_model(m), borel_model(m)))
+    assert _in_normal_form(MinimalModel(BODY_ALG, {"w": value}))
+
+
+def test_an_integral_fraction_is_held_as_an_int():
+    alg = GradedAlgebra([("a", 2), ("y", 3)])
+    p = Polynomial(alg, {(1, 0): Fraction(4, 2), (0, 1): Fraction(-3, 6), (2, 0): 2.0})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(-1, 2), (2, 0): 2}
+    assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+    assert type(p.scale(Fraction(1, 2)).terms[(1, 0)]) is int
+    m = parse_model("gen x 3\ngen y 3\ngen z 5\nd z = 4/2*x*y + 1/2*x*y - 1/2*y*x\n")
+    assert m.differential["z"].terms == {(1, 1, 0): 3}
+    assert type(m.differential["z"].terms[(1, 1, 0)]) is int
+
+
+def test_integral_models_build_no_fraction(monkeypatch, tmp_path):
+    # S^2, S^2 x S^2, S^3 x S^3 and random-batch's models at seed 1729, read
+    # from files, parsed, and built into loop and Borel models
+    bench = MODELS_DIR.parent / "benchmark"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    paths = [MODELS_DIR / "s2.model", bench / "inputs" / "s2xs2.model", bench / "inputs" / "s3xs3.model"]
+    for i, (text, _) in enumerate(workloads.random_batch(1729)):
+        paths.append(tmp_path / f"m{i:02d}.model")
+        paths[-1].write_text(text, encoding="utf-8")
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+    assert Fraction(1, 2) and built == [(1, 2)]
+    built.clear()
+    for path in paths:
+        m = parse_model(path.read_text(encoding="utf-8"))
+        loop_model(m)
+        borel_model(m)
+    assert built == []
 
 
 def test_borel_square_zero_failure_category():
