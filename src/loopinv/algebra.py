@@ -5,6 +5,9 @@ order (declaration order is canonical order).  Odd-degree generators are
 exterior: their exponents never exceed one and their squares vanish.
 Reordering a product into canonical order accumulates the Koszul sign,
 one factor of -1 for every transposition of two odd generators.
+Coefficients are exact: a ``Polynomial`` holds each as an int where it
+is integral and as a Fraction only where it is not, so integral models
+compute on ints.
 
 A model's differential is its values on generators (``models.DgaModel``).
 The package applies the Leibniz rule with these signs in one place, on

@@ -85,13 +85,14 @@ def _write(args, out, payload: dict, columns: dict, key="", err=None, note=""):
     count = len(present[0]) if present else 0
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
-        texts = {
-            name: ("[\n" + ",\n".join(["    %s"] * len(value)) + "\n  ]" if value else "[]") % value
-            if isinstance(value, tuple)
-            else json.dumps(value, indent=2 if isinstance(value, (dict, list)) else None)
-            .replace("\n", "\n  ")
-            for name, value in payload.items()
-        }
+        texts = {}
+        for name, value in payload.items():
+            if isinstance(value, tuple):
+                lines = ",\n".join(["    %s"] * len(value))
+                texts[name] = (f"[\n{lines}\n  ]" if value else "[]") % value
+            else:
+                indent = 2 if isinstance(value, (dict, list)) else None
+                texts[name] = json.dumps(value, indent=indent).replace("\n", "\n  ")
         if key:
             fields = [f"      {json.dumps(h)}: {'%s' if c is not None else 'null'}"
                       for h, c in columns.items()]

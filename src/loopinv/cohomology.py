@@ -676,6 +676,7 @@ def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int], pi
     scale = lcm(*[piece[2].denominator for piece in pieces])
     odd_bits = sum(1 << f for f, end, o in zip(fields, fields[1:], odd) if o and end > f)
     below = [(1 << f) - 1 for f in fields]  # the bits of the generators before each
+    down = -1 << fields[-1]  # D raises the degree by one, so the degree field falls
     # a factor of g is read off its empty field and raises the degree field
     g_step = 0 if g is None else (gens[g].degree << fields[-1]) - (1 << fields[g])
     groups: dict[int, list[tuple[int, ...]]] = {}
@@ -683,7 +684,7 @@ def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int], pi
     for i, t, c, shift, mask, change, forbid in pieces:
         others = list(map(mul, t, odd))  # t's odd factors but g_i, as 0 or 1 each
         others[i] = 0
-        step = sum(map(lshift, t, fields)) + (-1 << fields[-1]) + change
+        step = sum(map(lshift, t, fields)) + down + change
         if g_step:
             step += t[g] * g_step
         # 1 is D's degree shift in the Leibniz sign (-1)^(shift * P[i])

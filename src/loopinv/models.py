@@ -12,7 +12,9 @@ term ::= [sign] rational ['*' factors] | factors, factors ::= factor ('*'
 factor)*, factor ::= name ['^' posint] and rational ::= int ['/' posint].
 Tokens may be spaced apart.  A bare rational term passes the degree check
 only as 0.  Factors come in any order, with the Koszul sign, and an odd
-square or a repeated odd factor is zero.
+square or a repeated odd factor is zero.  A coefficient is read as an int,
+and a ``/`` whose denominator is not 1 makes it a Fraction, so an
+integral model and its loop and Borel models hold ints only.
 
 A model is a ``DgaModel``, whose differential is the read-only mapping of
 its generator values.  From a minimal model (all generator degrees >= 2,
