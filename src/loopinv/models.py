@@ -257,8 +257,9 @@ def _parse_value(algebra: GradedAlgebra, tokens, line_no: int) -> Polynomial:
                 i = algebra.index(tok[1])
             except KeyError:
                 raise ModelSyntaxError(f"unknown generator {tok[1]!r}", line_no, tok[2]) from None
-            if odd[i]:
-                coeff *= 0 if exponents[i] else (-1) ** sum(compress(exponents[i + 1 :], odd[i + 1 :]))
+            if odd[i]:  # past the odd factors after it, or 0 if it repeats
+                after = sum(compress(exponents[i + 1 :], odd[i + 1 :]))
+                coeff *= 0 if exponents[i] else (-1) ** after
             exponents[i] += posint("^", "exponent must be >= 1")
             more = tokens[pos][1] == "*"
             pos += more

@@ -233,7 +233,7 @@ def test_parse_matches_library_arithmetic(case):
 
 
 def test_parse_builds_no_polynomial_per_token(monkeypatch):
-    # the reader keeps a term as one exponent tuple and one coefficient, and
+    # the reader keeps a term as one exponent list and one coefficient, and
     # builds one Polynomial per d line, so it needs no Polynomial arithmetic
     inputs = sorted(MODELS_DIR.glob("*.model")) + sorted(
         (MODELS_DIR.parent / "benchmark" / "inputs").glob("*.model")
@@ -560,7 +560,7 @@ def test_integral_models_build_no_fraction(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(bench))
     import workloads
 
-    paths = [MODELS_DIR / "s2.model", bench / "inputs" / "s2xs2.model", bench / "inputs" / "s3xs3.model"]
+    paths = [MODELS_DIR / "s2.model", *(bench / "inputs" / f"{n}.model" for n in ("s2xs2", "s3xs3"))]
     for i, (text, _) in enumerate(workloads.random_batch(1729)):
         paths.append(tmp_path / f"m{i:02d}.model")
         paths[-1].write_text(text, encoding="utf-8")
