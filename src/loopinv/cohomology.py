@@ -121,9 +121,6 @@ if TYPE_CHECKING:
     from .models import DgaModel
 
 
-_set = object.__setattr__  # a Value's fields are set once, bypassing its __setattr__
-
-
 # The price of a plan (``_plan``) in chain layout cells: by route, per predicted
 # cell and per layout (listing, packing, a Groebner basis), fitted on 637 tables.
 _PRICE = {"chain": (1, 40), "koszul": (3, 80), "koszul-no-g": (1.6, 80)}
@@ -163,11 +160,7 @@ class DegreeSlice(Value):
             raise ValueError(
                 f"eigen split {inv_plus}+{inv_minus} != betti {betti} at degree {degree}"
             )
-        _set(self, "degree", degree)
-        _set(self, "cochain_dim", cochain_dim)
-        _set(self, "betti", betti)
-        _set(self, "inv_plus", inv_plus)
-        _set(self, "inv_minus", inv_minus)
+        super().__init__(degree, cochain_dim, betti, inv_plus, inv_minus)
 
 
 class EigenTable(Value):

@@ -25,8 +25,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Value
-from .models import MinimalModel
-from .pseudoisotopy import pseudoisotopy_table
 
 
 class InvariantViolationError(ValueError):
@@ -39,7 +37,8 @@ class KernelBoundInputs(Value):
     dim_P, dim_inv_plus, dim_inv_minus describe pi_i of the stable
     pseudoisotopy space of the boundary of E and its eigenspace split;
     dim_diff is dim pi_i of the diffeomorphism group of E x D^m rel
-    boundary.  These are caller-supplied facts, not derived here.
+    boundary.  These are caller-supplied facts, not derived here, and
+    none of the five dimensions may be negative.
     """
 
     __slots__ = _fields = (
@@ -56,12 +55,16 @@ class KernelBoundInputs(Value):
         dim_inv_minus: int,
         dim_diff: int = 0,
     ):
+        dims = (dim_boundary, dim_P, dim_inv_plus, dim_inv_minus, dim_diff)
+        for name, dim in zip(self._fields[2:], dims):
+            if dim < 0:
+                raise InvariantViolationError(f"{name} must be >= 0, got {dim}")
         if dim_inv_plus + dim_inv_minus != dim_P:
             raise InvariantViolationError(
                 f"eigenspace dimensions {dim_inv_plus}+{dim_inv_minus} "
                 f"do not add up to dim_P = {dim_P}"
             )
-        super().__init__(i, m, dim_boundary, dim_P, dim_inv_plus, dim_inv_minus, dim_diff)
+        super().__init__(i, m, *dims)
 
 
 class KernelBoundResult(Value):
@@ -140,18 +143,3 @@ def enumerate_pairs(d: int, j_max: int) -> list[CurvaturePair]:
         m_min = start + (residue - start) % 4
         pairs.append(CurvaturePair(j, i, m_min, i + 1))
     return pairs
-
-
-def eigen_condition_from_model(
-    model: MinimalModel, i: int, total_dim_parity: int, cap: Optional[int] = None
-) -> bool:
-    """Check the eigenspace inequality dim_P/2 <= dim Inv^eps pi_i P
-    directly from a minimal model, with eps = + for even total dimension
-    (parity 0) and eps = - for odd (parity 1)."""
-    if cap is None:
-        cap = i + 3
-    table = pseudoisotopy_table(model, cap)
-    row = table.row(i)
-    half = Fraction(row.invP_plus + row.invP_minus, 2)
-    side = row.invP_plus if total_dim_parity % 2 == 0 else row.invP_minus
-    return half <= side

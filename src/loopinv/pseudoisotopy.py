@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 from .algebra import Value
 from .cohomology import eigen_table
 from .models import MinimalModel, borel_model
-from .series import TruncatedSeries
 
 
 class NegativeDimensionError(ValueError):
@@ -111,16 +110,6 @@ class PseudoisotopyTable(Value):
 
     def _columns(self) -> tuple:
         return self.invP_plus, self.invP_minus, self.invA_plus, self.invA_minus
-
-    def inv_plus_series(self) -> TruncatedSeries:
-        return TruncatedSeries(self.invP_plus)
-
-    def inv_minus_series(self) -> TruncatedSeries:
-        return TruncatedSeries(self.invP_minus)
-
-    def total_dimension(self, i: int) -> int:
-        r = self.row(i)
-        return r.invP_plus + r.invP_minus
 
 
 def _assemble_rows(

@@ -1,11 +1,9 @@
 """Truncated Poincare series and closed-form series expressions.
 
 A TruncatedSeries stores integer coefficients for degrees 0..cap-1 and
-stores nothing else: every arithmetic operation shrinks the stored range
-to whatever remains reliable, so a coefficient you can read is a
-coefficient you can trust.  Closed forms are sums of terms c*t^a and
-c*t^a/(1-t^b); the module only expands and compares them, it never
-infers a closed form from a truncation.
+stores nothing else.  Closed forms are sums of terms c*t^a and
+c*t^a/(1-t^b); the module only expands them, it never infers a closed
+form from a truncation.
 """
 
 from __future__ import annotations
@@ -27,33 +25,6 @@ class TruncatedSeries(Value):
 
     def __init__(self, coeffs: Iterable[int]):
         super().__init__(tuple(int(c) for c in coeffs))
-
-    @property
-    def cap(self) -> int:
-        """Coefficients are known for degrees 0..cap-1."""
-        return len(self.coeffs)
-
-    def __getitem__(self, degree: int) -> int:
-        if not 0 <= degree < len(self.coeffs):
-            raise IndexError(
-                f"degree {degree} is outside the reliable range 0..{len(self.coeffs) - 1}"
-            )
-        return self.coeffs[degree]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n]))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries(a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n]))
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by t^k.  k > 0 zero-fills below degree k; k < 0 drops
-        the lowest coefficients and shortens the reliable range."""
-        if k >= 0:
-            return TruncatedSeries((0,) * k + self.coeffs)
-        return TruncatedSeries(self.coeffs[-k:])
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
@@ -91,18 +62,6 @@ class RationalExpr(Value):
     @classmethod
     def zero(cls) -> "RationalExpr":
         return cls(())
-
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "RationalExpr":
-        return cls((ExprTerm(coeff, power, None),))
-
-    @classmethod
-    def geometric(cls, power: int, period: int, coeff: int = 1) -> "RationalExpr":
-        """coeff * t^power / (1 - t^period)."""
-        return cls((ExprTerm(coeff, power, period),))
-
-    def __add__(self, other: "RationalExpr") -> "RationalExpr":
-        return RationalExpr(self.terms + other.terms)
 
     def expand(self, cap: int) -> TruncatedSeries:
         if cap < 1:
@@ -144,7 +103,7 @@ def _int(digits: str) -> int:
 
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>[0-9]+)\*?)?"
+    r"^(?:(?P<coeff>[0-9]+)(?:\*(?=t))?)?"
     r"(?:t(?:\^(?P<power>[0-9]+))?)?"
     r"(?P<den>/\(1-t(?:\^(?P<period>[0-9]+))?\))?$"
 )
@@ -188,11 +147,3 @@ def parse_expr(text: str) -> RationalExpr:
         period = _int(period_s) if period_s is not None else (1 if m.group("den") else None)
         terms.append(ExprTerm(sgn * coeff, power, period))
     return RationalExpr(terms)
-
-
-def equals_expr(s: TruncatedSeries, e: RationalExpr) -> bool:
-    """True iff the expansion of e matches s on s's whole reliable range."""
-    if s.cap == 0:
-        return True
-    return e.expand(s.cap).coeffs == s.coeffs
-

@@ -25,7 +25,7 @@ from loopinv.cohomology import (
 )
 from loopinv.linalg import rank as sparse_rank
 from loopinv.models import DgaModel, MinimalModel, loop_model, parse_model
-from loopinv.series import TruncatedSeries
+from loopinv.series import parse_expr
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 Vector = tuple[Fraction, ...]
@@ -413,7 +413,7 @@ def cochain_matrix(model: DgaModel, n: int, block: Optional[int] = None) -> QMat
     return QMatrix.from_columns(cols, rows=len(target))
 
 
-def algebra_generating_function(algebra, cap: int) -> TruncatedSeries:
+def algebra_generating_function(algebra, cap: int) -> tuple[int, ...]:
     """Expansion of prod_even 1/(1-t^deg) * prod_odd (1+t^deg): the
     coefficient at n equals the number of degree-n monomials."""
     if cap < 1:
@@ -428,7 +428,13 @@ def algebra_generating_function(algebra, cap: int) -> TruncatedSeries:
         else:
             for n in range(cap - 1, d - 1, -1):
                 coeffs[n] += coeffs[n - d]
-    return TruncatedSeries(coeffs)
+    return tuple(coeffs)
+
+
+def closed_form(text: str, cap: int) -> tuple[int, ...]:
+    """Coefficients 0..cap-1 of a closed form written as the ``series``
+    command reads it, e.g. ``"t^3/(1-t^4) + t^11/(1-t^12)"``."""
+    return parse_expr(text).expand(cap).coeffs
 
 
 class OracleLayout(NamedTuple):
@@ -1134,6 +1140,6 @@ def random_models_within_budget(
             borel_gens.append((g.name, g.degree))
             borel_gens.append((g.name + "_bar", g.degree - 1))
         gf = algebra_generating_function(GradedAlgebra(borel_gens), cap + 1)
-        if max(gf.coeffs) <= max_cochain_dim:
+        if max(gf) <= max_cochain_dim:
             out.append(model)
     return out

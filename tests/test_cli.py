@@ -593,6 +593,22 @@ GOLDEN = [
     ),
     # factors out of order, read with the Koszul sign: d z = -7/2*x*y
     ("validate-koszul-sign", ["validate", "tests/golden/koszul-sign.model"], 0, ""),
+    # a `*` stands only before t
+    ("series-star-alone", ["series", "2*"], 1, "SeriesSyntax: cannot parse series term '2*'\n"),
+    (
+        "series-star-before-denominator",
+        ["series", "2*/(1-t^2)"],
+        1,
+        "SeriesSyntax: cannot parse series term '2*/(1-t^2)'\n",
+    ),
+    # the first bad line is reported: line 4 is not homogeneous, line 5 lacks a `*`
+    (
+        "validate-first-error",
+        ["validate", "tests/golden/first-error.model"],
+        1,
+        "DegreeMismatch: line 4: d(b) = a is not homogeneous of degree 4 (= degree(b) + 1); "
+        "term degrees are [2]\n",
+    ),
 ]
 # Cases that exit 0 with an empty stderr, kept by the md5 of their stdout:
 # {case: (argv, md5, plans)}.  ``plans`` is, for each table the command

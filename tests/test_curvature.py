@@ -6,10 +6,10 @@ from loopinv.curvature import (
     CurvaturePair,
     InvariantViolationError,
     KernelBoundInputs,
-    eigen_condition_from_model,
     enumerate_pairs,
     kernel_lower_bound,
 )
+from loopinv.pseudoisotopy import pseudoisotopy_table
 from support import load_model
 
 # hypothesis data for the d=2 instance: the boundary is 7-dimensional,
@@ -126,45 +126,42 @@ def test_enumerate_invariants(d, j_max):
 # the eigenspace condition computed from the model pipeline
 
 
+def _bound_from_row(table, i, m, dim_boundary):
+    """The kernel bound on row i of a pseudoisotopy table, with dim_diff 0."""
+    row = table.row(i)
+    dim_p = row.invP_plus + row.invP_minus
+    return kernel_lower_bound(
+        KernelBoundInputs(i, m, dim_boundary, dim_p, row.invP_plus, row.invP_minus)
+    )
+
+
 def test_eigen_condition_d2_degree_seventeen():
-    model = load_model("sphere-bundle-d2.model")
-    assert eigen_condition_from_model(model, 17, total_dim_parity=1)
-    assert not eigen_condition_from_model(model, 17, total_dim_parity=0)
+    # dim_boundary + m = 63 reads the inequality against Inv-, 64 against Inv+
+    table = pseudoisotopy_table(load_model("sphere-bundle-d2.model"), 20)
+    assert _bound_from_row(table, 17, 56, 7).applicable
+    failed = _bound_from_row(table, 17, 57, 7).failed_hypothesis
+    assert failed.startswith("eigenspace inequality") and failed.endswith("(total dimension even)")
 
 
 def test_eigen_condition_d2_degree_three():
-    model = load_model("sphere-bundle-d2.model")
-    assert eigen_condition_from_model(model, 3, total_dim_parity=0)
+    table = pseudoisotopy_table(load_model("sphere-bundle-d2.model"), 6)
+    assert _bound_from_row(table, 3, 9, 7).applicable  # dim_boundary + m = 16, even
 
 
 @pytest.mark.parametrize("d", [2, 3, 4], ids=lambda d: f"d{d}")
 def test_enumeration_agrees_with_pipeline(d):
     """The closed-form enumeration and the computed pipeline certify the
-    same degrees: at every enumerated (i, m_min) the eigenspace condition
-    holds with the parity of dim_boundary + m_min, and the kernel bound
-    with the externally supplied one-dimensional pseudoisotopy datum is
-    positive.  The bundled model of the unit tangent bundle of S^{2d}
-    goes through the model route, so every bfk pair up to j = 5 is
-    checked for d = 2, 3, 4."""
+    same degrees: at every enumerated (i, m_min) the computed
+    pseudoisotopy row is one-dimensional, and the kernel bound on it
+    applies (so the eigenspace inequality holds with the parity of
+    dim_boundary + m_min) and is positive.  The bundled model of the unit
+    tangent bundle of S^{2d} goes through the model route, so every bfk
+    pair up to j = 5 is checked for d = 2, 3, 4."""
     model = load_model(f"sphere-bundle-d{d}.model")
     pairs = enumerate_pairs(d, 5)
-    from loopinv.pseudoisotopy import pseudoisotopy_table
-
     table = pseudoisotopy_table(model, max(p.i for p in pairs) + 3)
-    dim_boundary = 4 * d - 1
     for p in pairs:
-        parity = (dim_boundary + p.m_min) % 2
-        assert eigen_condition_from_model(model, p.i, parity, cap=table.cap)
         row = table.row(p.i)
         assert row.invP_plus + row.invP_minus == 1
-        inp = KernelBoundInputs(
-            i=p.i,
-            m=p.m_min,
-            dim_boundary=dim_boundary,
-            dim_P=1,
-            dim_inv_plus=row.invP_plus,
-            dim_inv_minus=row.invP_minus,
-            dim_diff=0,
-        )
-        result = kernel_lower_bound(inp)
+        result = _bound_from_row(table, p.i, p.m_min, 4 * d - 1)
         assert result.applicable and result.nontrivial_kernel

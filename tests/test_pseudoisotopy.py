@@ -10,8 +10,7 @@ from loopinv.pseudoisotopy import (
     k_theory_correction,
     pseudoisotopy_table,
 )
-from loopinv.series import RationalExpr, equals_expr
-from support import load_model, sphere_bundle_model
+from support import closed_form, load_model, sphere_bundle_model
 
 
 def test_k_theory_correction_pattern():
@@ -56,17 +55,8 @@ def test_d2_minus_spot_values(table_d2):
 
 
 def test_d2_closed_forms(table_d2):
-    assert equals_expr(
-        table_d2.inv_plus_series(),
-        RationalExpr.geometric(3, 4) + RationalExpr.geometric(11, 12),
-    )
-    assert equals_expr(table_d2.inv_minus_series(), RationalExpr.geometric(17, 12))
-
-
-def test_total_dimension(table_d2):
-    assert table_d2.total_dimension(17) == 1  # 0 plus + 1 minus
-    assert table_d2.total_dimension(3) == 1
-    assert table_d2.total_dimension(0) == 0
+    assert table_d2.invP_plus == closed_form("t^3/(1-t^4) + t^11/(1-t^12)", 22)
+    assert table_d2.invP_minus == closed_form("t^17/(1-t^12)", 22)
 
 
 def test_internal_identities(table_d2):
@@ -82,11 +72,8 @@ def test_three_sphere_family_closed_forms():
     # so the closed forms specialize to 2t^3/(1-t^4) and t^5/(1-t^4)
     alg_model = parse_model("gen x 3\n")
     table = pseudoisotopy_table(alg_model, 16)
-    assert equals_expr(
-        table.inv_plus_series(),
-        RationalExpr.geometric(3, 4, coeff=2),
-    )
-    assert equals_expr(table.inv_minus_series(), RationalExpr.geometric(5, 4))
+    assert table.invP_plus == closed_form("2*t^3/(1-t^4)", 14)
+    assert table.invP_minus == closed_form("t^5/(1-t^4)", 14)
 
 
 def test_sphere_bundle_builder_agrees_with_file():

@@ -233,6 +233,32 @@ def _not_square_zero():
             InvariantViolationError,
             "eigenspace dimensions 0+1 do not add up to dim_P = 2",
         ),
+        # a negative dimension is refused, also where the split adds up
+        (
+            lambda: KernelBoundInputs(**{**KBI, "dim_boundary": -1}),
+            InvariantViolationError,
+            "dim_boundary must be >= 0, got -1",
+        ),
+        (
+            lambda: KernelBoundInputs(**{**KBI, "dim_P": -1, "dim_inv_minus": -1}),
+            InvariantViolationError,
+            "dim_P must be >= 0, got -1",
+        ),
+        (
+            lambda: KernelBoundInputs(**{**KBI, "dim_inv_plus": -1, "dim_inv_minus": 2}),
+            InvariantViolationError,
+            "dim_inv_plus must be >= 0, got -1",
+        ),
+        (
+            lambda: KernelBoundInputs(**{**KBI, "dim_P": 0, "dim_inv_plus": 1, "dim_inv_minus": -1}),
+            InvariantViolationError,
+            "dim_inv_minus must be >= 0, got -1",
+        ),
+        (
+            lambda: KernelBoundInputs(**{**KBI, "dim_P": 0, "dim_inv_minus": 0, "dim_diff": -1}),
+            InvariantViolationError,
+            "dim_diff must be >= 0, got -1",
+        ),
     ],
 )
 def test_invalid_values_are_refused(build, error, message):
