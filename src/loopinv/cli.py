@@ -21,7 +21,8 @@ Exit codes: 0 success, 1 input rejected by a validator (or a cap over
 ``cohomology.MAX_CAP``, refused as BudgetExceeded), 2 usage error
 (``usage error: <message>``, and for a malformed argv the usage line),
 3 internal error (reported as ``internal error[<category>]: <message>``;
-no traceback is printed), 141 with no message if stdout closes early.
+no traceback is printed), 141 with no message if stdout closes early,
+130 with no message on Ctrl-C (SIGINT).
 JSON output is stable and versioned via a top-level schema_version field;
 table and JSON outputs always encode the same numbers.
 """
@@ -320,6 +321,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, out.fileno())
         os.close(devnull)
         return 141
+    except KeyboardInterrupt:  # Ctrl-C
+        return 130
     except (ModelError, NoInvolutionError, NegativeDimensionError, SeriesExprError,
             BudgetExceededError) as exc:
         category = getattr(exc, "category", type(exc).__name__)

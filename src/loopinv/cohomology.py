@@ -49,21 +49,22 @@ a key, so the assembled pivots are those of assembling every column.
 
 This module owns the packed code format (``Layout``): bare integer
 codes with one bit field per generator and the degree on top.  ``_plan``
-counts a table's g-free codes by block (``_counts``); ``_layout`` lists
-once the monomials of a head of the generators other than g, chosen
-from the counts, and once the codes of the rest, the tail, by weight
-parity and then degree (``_codes``), so that ``_block`` builds a block's
-codes just before ``eigen_table`` ranks it.  It packs the differential
-for those codes, grouped by row, so ``integral_columns`` assembles each
-g-free column as sparse integer coordinates by shifts, masks and bit
-counts (``_entry`` reads one row, also for the lead search), scaled by
-one common nonzero integer that clears every denominator of the
-differential, for ``linalg.rank`` to rank exactly; no polynomial,
-exponent tuple or rational number is built per monomial or per column.
-``eigen_table`` keeps the block dimensions and betti numbers of every
-degree in two flat int lists, carries them along g, and hands their sums
-and eigen halves to ``EigenTable`` as its columns: no object is built
-per degree.
+counts a table's g-free codes by block (``_counts``).  One builder,
+``_layout``, lays out C/(u) (see Pure models), and C is the case with
+no relations.  It lists once the monomials of a head of the generators
+other than g, chosen from the counts (``_split``), and once the codes of
+the rest, the tail, by weight parity and then degree (``_codes``), so
+that ``_block`` builds a block's codes just before ``eigen_table`` ranks
+it.  It packs the differential for those codes, grouped by row, so
+``integral_columns`` assembles each g-free column as sparse integer
+coordinates by shifts, masks and bit counts (``_entry`` reads one row,
+also for the lead search), scaled by one common nonzero integer that
+clears every denominator of the differential, for ``linalg.rank`` to
+rank exactly; no polynomial, exponent tuple or rational number is built
+per monomial or per column.  ``eigen_table`` keeps the block dimensions
+and betti numbers of every degree in two flat int lists, carries them
+along g, and hands their sums and eigen halves to ``EigenTable`` as its
+columns: no object is built per degree.
 
 Products.  The generators other than g fall into the connected
 components of the graph with an edge x - y wherever y appears in D(x)
@@ -97,7 +98,7 @@ models of Sullivan, 1977), g is alpha and C/(u) = H (x) Lambda(x_bar) (x)
 Q[y_bar, alpha] (Vigue-Poirrier and Burghelea, 1985).  A loop or base
 table, whose g lies in X, ranks C/(u) with no g (the base table is H
 with D = 0).  ``_pure`` counts C/(u)'s cells from C's before any
-Groebner basis, and ``_koszul`` lays C/(u) out, for a table or a
+Groebner basis, and ``_layout`` lays C/(u) out, for a table or a
 factor, where ``_plan``'s price puts it below C.
 
 Degrees at or beyond the cap are never extrapolated: a table computed
@@ -279,8 +280,8 @@ def build_layout(model: DgaModel, top: int) -> tuple[list[int], list[tuple[Layou
     counts, g, planned = _plan(model, top)
     layouts = []
     for part, _, k, _, counted, pure in planned:
-        if not (layout := pure and _koszul(model, top, *pure)):
-            layout = _layout(model, top, g, part, counted)
+        if not (layout := pure and _layout(model, top, *pure)):
+            layout = _layout(model, top, g, part, [], [], counted[0], _split(counted[1], top))
             counts = counted[0] if pure and pure[0] != g else counts  # a whole table, along g
         layouts.append((layout, k))
     return counts, layouts
@@ -292,8 +293,8 @@ def _plan(model: DgaModel, top: int):
     monomial when laid out with no g), g (the first closed even generator
     of lowest degree, or None) and each distinct layout as (generators,
     route, multiplicity, predicted cells, chain count table and totals,
-    ``_koszul``'s arguments or None), the route "chain", "koszul" (C/(u)
-    along g) or "koszul-no-g" (a whole table's C/(u), its u in g too).
+    C/(u)'s ``_layout`` arguments or None), the route "chain", "koszul"
+    (C/(u) along g) or "koszul-no-g" (a whole table's C/(u), its u in g too).
     The whole table and its factors, each layout by its cheaper route, are
     priced by ``_PRICE`` and ``_FOLD``: the cheapest wins, on ties the
     whole chain layout, then the product.  ``_pure`` runs only where the
@@ -339,51 +340,6 @@ def _plan(model: DgaModel, top: int):
     return best[1], g, best[2]
 
 
-def _layout(model: DgaModel, top: int, g: Optional[int], rest: list[int], counted, split=None):
-    """The chain layout of g and the generators ``rest``, from their count
-    table and totals (``_counts``); any other generator has an empty
-    field, as g has.
-
-    The head is the first ``split`` generators of ``rest``.  By default
-    the split is read off the count table: of N g-free monomials in all,
-    a head of k monomials leaves at least N / k to the tail and has each
-    of its entries visited once per block, twice per degree, so the split
-    is the one of least N / k + 2 top k, or of N alone without a head,
-    where nothing is visited.  A table of N <= 8 top thus takes no head
-    (for a head of k >= 2 monomials, N / k + 2 top k >= 2 sqrt(2 top N)
-    >= N), and a large one about a degree's worth of tail.  The head and
-    the tail are each listed once."""
-    counts, heads = counted
-    fields = _fields(model, top, rest)
-    deg = fields[-1]
-    if split is None:
-        cost = [heads[-1] // k + 2 * top * k for k in heads]
-        cost[0] = heads[-1]
-        split = cost.index(min(cost))
-    # a head code's weight parity is that of its odd-weight exponents
-    odd_bits = sum(1 << fields[i] for i in rest if model.weights[i] % 2)
-    codes, _ = _codes(model, fields, rest[:split], top, ())
-    head = [(c - (top << deg), top - (c >> deg), (c & odd_bits).bit_count() & 1) for c in codes]
-    return _chain(model, top, g, fields, counts, head, rest[split:], _pieces(model, fields, rest))
-
-
-def _chain(model: DgaModel, top: int, g: Optional[int], fields, counts, head, tail, pieces,
-           seeds=None):
-    """The chain layout of the given fields, count table and head: the
-    codes of the generators ``tail`` (times ``seeds``, see ``_codes``)
-    listed once as its tail, by parity and then degree, and the
-    differential packed from ``pieces``."""
-    deg = fields[-1]
-    odd = [i for i in tail if model.weights[i] % 2]
-    listed: list[list[int]] = [[] for _ in range(2 * top)]
-    for p, codes in enumerate(_codes(model, fields, tail, top, odd, seeds)):
-        for code in codes:
-            listed[2 * (top - (code >> deg)) + p].append(code)
-    g_step = (model.algebra.generators[g].degree, model.weights[g]) if g is not None else (0, 0)
-    terms = _packed_terms(model, fields, g, pieces)
-    return Layout(top, fields, g_step, counts, head, listed, terms)
-
-
 def _pure(model: DgaModel, top: int, g: Optional[int], part: list[int], counts):
     """Koszul's test for the generators ``part`` and g, of count table
     ``counts``: (g, or None for the whole table, ``part`` every generator
@@ -422,43 +378,65 @@ def _pure(model: DgaModel, top: int, g: Optional[int], part: list[int], counts):
     return g, part, xs, ys, counts, reduced
 
 
-def _koszul(model: DgaModel, top: int, g: Optional[int], part: list[int], xs, ys, counts):
-    """The chain layout of C/(u) for ``_pure``'s g, generators, X, Y and
-    count table of C/(u), or None where the Groebner basis shows u not
-    regular.  A cell s w's code is w's plus one bit for s in X[0]'s field,
-    one per standard monomial (none for H = Q); H's codes seed the listing.
-    A term of D(s w) goes through the normal form of its X-part, which
-    moves that bit: an entry whose term has an X-part reads w's field only
-    for the source whose bit it forbids none of the others, and one of
-    D(x), x in X, reads the bit itself."""
+def _split(totals: list[int], top: int) -> int:
+    """The number of generators in a chain layout's head, from the
+    numbers of monomials in the first k generators (``_counts``): of N
+    g-free monomials in all, a head of k monomials leaves at least N / k
+    to the tail and has each of its entries visited once per block, twice
+    per degree, so the split is the one of least N / k + 2 top k, or of N
+    alone without a head, where nothing is visited.  A table of N <= 8 top
+    thus takes no head (for a head of k >= 2 monomials, N / k + 2 top k >=
+    2 sqrt(2 top N) >= N), and a large one about a degree's worth of tail."""
+    cost = [totals[-1] // k + 2 * top * k for k in totals]
+    cost[0] = totals[-1]
+    return cost.index(min(cost))
+
+
+def _layout(model: DgaModel, top: int, g: Optional[int], part: list[int], xs, ys, counts,
+            split=0):
+    """The chain layout of C/(u) for g, the generators ``part``, X, Y and
+    count table ``counts`` (``_pure``), or None where the Groebner basis
+    shows u not regular; C is C/(u) with no relations, X and Y empty.
+    Any other generator has an empty field, as g has.
+
+    The generators of ``part`` outside X and Y split into a head, the
+    first ``split``, and a tail, each listed once, the tail's codes seeded
+    by H's (``_codes``).  A cell s w's code is w's plus one bit for s in
+    X[0]'s field, one per standard monomial (none for H = Q).  A term of
+    D(s w) goes through the normal form of its X-part, which moves that
+    bit: an entry whose term has an X-part reads w's field only for the
+    source whose bit it forbids none of the others, and one of D(x), x in
+    X, reads the bit itself."""
     gens = model.algebra.generators
     values = [v.terms for v in model.differential.values()]
     index = range(len(gens))
     rest = [i for i in part if i not in xs and i not in ys]
-    # every polynomial here is homogeneous, so its lead in the grevlex order
-    # with g last is its term of least exponent of g, then of the last one, ...
-    order = itemgetter(*[g] * (g is not None), *[k for k in reversed(index) if k != g])
-    basis = _groebner([values[y] for y in ys], order)
-    leads = [m for m, _ in basis]
-    powers = [min((m[x] for m in leads if m[x] == sum(m)), default=0) for x in xs]
-    if not all(powers):
-        return None
-    std = [(0,) * len(gens)]
-    for x, e in zip(xs, powers):
-        std = [s[:x] + (k,) + s[x + 1 :] for s in std for k in range(e)]
-    std = [s for s in std if not any(all(map(ge, s, m)) for m in leads)]
-    wide = len(std) if len(std) > 1 else 0
-    fields = tuple(f + wide * (k > xs[0]) for k, f in enumerate(_fields(model, top, rest)))
+    fields = _fields(model, top, rest)
+    std, bit, seeds = [(0,) * len(gens)], [0], None  # H's standard monomials, bits and codes
+    if ys:
+        # every polynomial here is homogeneous, so its lead in the grevlex order
+        # with g last is its term of least exponent of g, then of the last one, ...
+        order = itemgetter(*[g] * (g is not None), *[k for k in reversed(index) if k != g])
+        basis = _groebner([values[y] for y in ys], order)
+        leads = [m for m, _ in basis]
+        powers = [min((m[x] for m in leads if m[x] == sum(m)), default=0) for x in xs]
+        if not all(powers):
+            return None
+        for x, e in zip(xs, powers):
+            std = [s[:x] + (k,) + s[x + 1 :] for s in std for k in range(e)]
+        std = [s for s in std if not any(all(map(ge, s, m)) for m in leads)]
+        xpart = itemgetter(*xs)
+        where = {xpart(s): j for j, s in enumerate(std)}
+        if len(std) > 1:
+            fields = tuple(f + len(std) * (k > xs[0]) for k, f in enumerate(fields))
+            bit = [1 << (fields[xs[0]] + j) for j in range(len(std))]
+        degrees = [x.degree for x in gens]
+        seeds = ([], [])  # by weight parity
+        for b, s in zip(bit, std):
+            if (d := sum(map(mul, s, degrees))) < top:
+                seeds[sum(map(mul, s, model.weights)) % 2].append(b + ((top - d) << fields[-1]))
     deg = fields[-1]
-    bit = [1 << (fields[xs[0]] + j) if wide else 0 for j in range(len(std))]
-    degrees = [x.degree for x in gens]
-    seeds: tuple[list[int], list[int]] = ([], [])  # the codes of H, by weight parity
-    for b, s in zip(bit, std):
-        if (d := sum(map(mul, s, degrees))) < top:
-            seeds[sum(map(mul, s, model.weights)) % 2].append(b + ((top - d) << deg))
-    xpart = itemgetter(*xs)
     notx = [int(k not in xs) for k in index]
-    where = {xpart(s): j for j, s in enumerate(std)}
     merged: dict[tuple, object] = {}  # pieces of one entry and row summed
     for i in rest + xs:
         mask = (1 << (fields[i + 1] - fields[i])) - 1
@@ -483,7 +461,19 @@ def _koszul(model: DgaModel, top: int, g: Optional[int], part: list[int], xs, ys
                            change + bit[where[xpart(n)]], forbid)
                     merged[key] = merged.get(key, 0) + mult * a
     pieces = [(i, t, c, *read) for (i, t, *read), c in merged.items() if c]
-    return _chain(model, top, g, fields, counts, [(0, 0, 0)], rest, pieces, seeds)
+    # a head code's weight parity is that of its odd-weight exponents
+    odd_bits = sum(1 << fields[i] for i in rest if model.weights[i] % 2)
+    codes, _ = _codes(model, fields, rest[:split], top, ())
+    head = [(c - (top << deg), top - (c >> deg), (c & odd_bits).bit_count() & 1) for c in codes]
+    tail = rest[split:]
+    listed: list[list[int]] = [[] for _ in range(2 * top)]
+    odd = [i for i in tail if model.weights[i] % 2]
+    for p, codes in enumerate(_codes(model, fields, tail, top, odd, seeds)):
+        for code in codes:
+            listed[2 * (top - (code >> deg)) + p].append(code)
+    g_step = (gens[g].degree, model.weights[g]) if g is not None else (0, 0)
+    terms = _packed_terms(model, fields, g, pieces)
+    return Layout(top, fields, g_step, counts, head, listed, terms)
 
 
 def _groebner(polys, order) -> list:
@@ -645,18 +635,6 @@ def _fields(model: DgaModel, top: int, keep) -> tuple[int, ...]:
     return tuple(accumulate(width, initial=0))
 
 
-def _pieces(model: DgaModel, fields: tuple[int, ...], which) -> list[tuple]:
-    """The terms of the values of the generators ``which`` as
-    ``_packed_terms`` takes them: each term c t of D(g_i) read at g_i's
-    field, and landing on the source less g_i times t."""
-    values = [v.terms for v in model.differential.values()]
-    return [
-        (i, t, c, fields[i], (1 << (fields[i + 1] - fields[i])) - 1, -(1 << fields[i]), 0)
-        for i in which
-        for t, c in values[i].items()
-    ]
-
-
 def _packed_terms(model: DgaModel, fields: tuple[int, ...], g: Optional[int], pieces):
     """``Layout.terms`` for the given fields, from ``pieces``: each
     (i, t, c, shift, mask, change, forbid) is a term of D(g_i), entered as
@@ -761,7 +739,9 @@ def square_zero_residual(model: DgaModel) -> Optional[tuple[str, Polynomial]]:
     every = range(len(gens))
     fields = _fields(model, top, every)
     deg = fields[-1]
-    table = _packed_terms(model, fields, None, _pieces(model, fields, every))
+    pieces = [(i, t, c, fields[i], (1 << (fields[i + 1] - fields[i])) - 1, -(1 << fields[i]), 0)
+              for i in every for t, c in values[i].items()]
+    table = _packed_terms(model, fields, None, pieces)
     for i in check:
         (once,) = integral_columns(table, [(1 << fields[i]) + ((top - gens[i].degree) << deg)])
         twice: dict[int, int] = {}

@@ -602,13 +602,21 @@ def _g_and_counts(model: DgaModel, top: int):
     return g, count
 
 
+def _chain_part(model: DgaModel, top: int, g, part: list[int], counted, split=None) -> Layout:
+    """``cohomology._layout`` of g and the generators ``part`` with no
+    relations (X and Y empty), from their count table and totals, at the
+    given split (``cohomology._split``'s by default)."""
+    split = cohomology._split(counted[1], top) if split is None else split
+    return cohomology._layout(model, top, g, part, [], [], counted[0], split)
+
+
 def chain_layout(model: DgaModel, top: int, split: Optional[int] = None) -> Layout:
     """The chain layout of the whole table below ``top``, whatever
     ``cohomology._plan`` says, at the given split of the generators other
-    than g (``cohomology._layout``'s own choice by default)."""
+    than g (``cohomology._split``'s by default)."""
     g, count = _g_and_counts(model, top)
     rest = [i for i in range(len(model.algebra.generators)) if i != g]
-    return cohomology._layout(model, top, g, rest, count(rest), split)
+    return _chain_part(model, top, g, rest, count(rest), split)
 
 
 def factor_layout(model: DgaModel, top: int) -> tuple[list[int], list[tuple[Layout, int]]]:
@@ -622,7 +630,7 @@ def factor_layout(model: DgaModel, top: int) -> tuple[list[int], list[tuple[Layo
     g, count = _g_and_counts(model, top)
     rest = [i for i in range(len(model.algebra.generators)) if i != g]
     parts = cohomology._factors(model, g, rest) or [rest]
-    return count(rest)[0], [(cohomology._layout(model, top, g, p, count(p)), 1) for p in parts]
+    return count(rest)[0], [(_chain_part(model, top, g, p, count(p)), 1) for p in parts]
 
 
 def product_layout(model: DgaModel, top: int) -> tuple[list[int], list[tuple[Layout, int]]]:
@@ -635,13 +643,13 @@ def product_layout(model: DgaModel, top: int) -> tuple[list[int], list[tuple[Lay
     parts = cohomology._factors(model, g, rest) or [rest]
     shapes = [cohomology._shape(model, p) for p in parts]
     distinct = dict(zip(shapes, parts))  # one part per shape
-    layouts = [cohomology._layout(model, top, g, p, count(p)) for p in distinct.values()]
+    layouts = [_chain_part(model, top, g, p, count(p)) for p in distinct.values()]
     return count(rest)[0], list(zip(layouts, map(shapes.count, distinct)))
 
 
 def koszul_layout(model: DgaModel, top: int) -> Optional[tuple[list[int], list]]:
     """The whole table below ``top`` by the Koszul route
-    (``cohomology._koszul``), whatever ``cohomology._plan`` says, as
+    (``cohomology._layout`` of C/(u)), whatever ``cohomology._plan`` says, as
     ``build_layout`` returns it: the table's count table and the one chain
     layout of C/(u), with no g where u lies in g too (then the count table
     counts every monomial); None where the route does not apply or u is
@@ -652,7 +660,7 @@ def koszul_layout(model: DgaModel, top: int) -> Optional[tuple[list[int], list]]
     if not pure:
         return None
     h, whole, xs, ys, counts, reduced = pure
-    reduced_layout = cohomology._koszul(model, top, h, whole, xs, ys, reduced)
+    reduced_layout = cohomology._layout(model, top, h, whole, xs, ys, reduced)
     return None if reduced_layout is None else (counts, [(reduced_layout, 1)])
 
 

@@ -474,6 +474,21 @@ def test_closed_stdout_exits_141_and_prints_nothing(argv):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def test_ctrl_c_exits_130_and_prints_nothing():
+    # the table's computation is interrupted as by Ctrl-C: SIGINT raises
+    # KeyboardInterrupt inside the command, which main turns into 128 + SIGINT
+    src = str(Path(loopinv.cli.__file__).resolve().parents[1])
+    script = (
+        f"import signal, sys; sys.path.insert(0, {src!r}); import loopinv.cli as c\n"
+        "c.eigen_table = lambda model, cap: signal.raise_signal(signal.SIGINT)\n"
+        "sys.exit(c.main())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script, "eigen", S2, "--max-degree", "24"], capture_output=True
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (130, b"", b"")
+
+
 def test_importing_the_cli_loads_no_argparse_gettext_locale_dataclasses_or_inspect():
     src = str(Path(loopinv.cli.__file__).resolve().parents[1])
 

@@ -138,7 +138,9 @@ def _borel_peak_kb(text, cap, whole=False):
         script += (
             "gens, rest = dga.algebra.generators, list(range(1, len(dga.weights)))\n"
             "shape = [(gens[i].degree, dga.weights[i] % 2) for i in rest]\n"
-            "layout = cohomology._layout(dga, cap, 0, rest, cohomology._counts(shape, cap))\n"
+            "counts, totals = cohomology._counts(shape, cap)\n"
+            "split = cohomology._split(totals, cap)\n"
+            "layout = cohomology._layout(dga, cap, 0, rest, [], [], counts, split)\n"
             "cohomology.build_layout = lambda model, top: (layout.counts, [(layout, 1)])\n"
         )
     script += (

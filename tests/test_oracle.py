@@ -865,7 +865,7 @@ def test_grassmannian_tables_match_oracle(space):
     _assert_blocks_at_every_split(dga, 10)
 
 
-# The Koszul route (cohomology._koszul) against the chain route: pure
+# The Koszul route (cohomology._layout of C/(u)) against the chain route: pure
 # models whose values form a regular sequence, and products of them.
 # Every table at every cap up to KOSZUL_CAP is the chain route's table at
 # KOSZUL_CAP cut to the cap (a table never extrapolates past its cap).
@@ -877,11 +877,14 @@ KOSZUL_MODELS["s2xs2"] = support.product_model(KOSZUL_MODELS["s2"], KOSZUL_MODEL
 KOSZUL_MODELS["cp2xs2"] = support.product_model(KOSZUL_MODELS["cp2"], KOSZUL_MODELS["s2"])
 
 
-def _spy(monkeypatch, name):
-    """The results of each call of ``cohomology.<name>`` from now on."""
+def _spy(monkeypatch, name, calls=None):
+    """The results of each call of ``cohomology.<name>`` from now on, and
+    the positional arguments of each in ``calls`` if given."""
     real, seen = getattr(cohomology, name), []
 
     def spy(*args, **kwargs):
+        if calls is not None:
+            calls.append(args)
         seen.append(real(*args, **kwargs))
         return seen[-1]
 
@@ -929,8 +932,8 @@ def test_other_models_keep_their_route_and_do_no_groebner_work(monkeypatch):
     # S^3 x S^3 (no odd generator with a value), the sphere bundles (one
     # closed generator), the non-pure model and random models with zero
     # differential take the chain or the product route in every form, and
-    # the plan that prices them builds no Koszul layout and computes no
-    # Groebner basis
+    # the plan that prices them lays out no C/(u) with relations (every
+    # ``_layout`` call has Y empty) and computes no Groebner basis
     workloads = _workloads()  # random-batch's own models, at its default seed
     batch = [parse_model(text) for text, _ in workloads.random_batch(workloads.DEFAULT_SEED)]
     zero = [m for m in random_models_within_budget(seed=25, count=12, cap=16) + batch
@@ -939,7 +942,8 @@ def test_other_models_keep_their_route_and_do_no_groebner_work(monkeypatch):
     models = [dict(NAMED_MODELS)["s3xs3"], parse_model(NON_PURE), *zero]
     models += [load_model(f"sphere-bundle-d{d}.model") for d in (2, 3, 4)]
     bases, forms = _spy(monkeypatch, "_groebner"), _spy(monkeypatch, "_normal_form")
-    reduced = _spy(monkeypatch, "_koszul")
+    laid: list[tuple] = []
+    _spy(monkeypatch, "_layout", laid)
     for model in models:
         for dga in _spaces(model):
             for cap in (12, 24, 40):
@@ -947,13 +951,13 @@ def test_other_models_keep_their_route_and_do_no_groebner_work(monkeypatch):
                 _, layouts = build_layout(dga, cap)
                 if layouts[0][1] == 1 and len(layouts) == 1:
                     assert layouts[0][0] == support.chain_layout(dga, cap)
-    assert not reduced and not bases and not forms
+    assert laid and not any(args[5] for args in laid) and not bases and not forms
     # nor does any table random-batch serves, each of its models' Borel and
     # loop tables at its cap: the plan prices the Koszul route too high
     for model in batch:
         for dga in (borel_model(model), loop_model(model)):
             build_layout(dga, workloads.RANDOM_CAP)
-    assert not reduced and not bases and not forms
+    assert not any(args[5] for args in laid) and not bases and not forms
 
 
 # a2 b2 x3 y3: u = (a^2, a b) lies in |Y| = 2 generators with g = a, but
@@ -968,9 +972,9 @@ def test_a_koszul_layout_whose_u_is_not_regular_falls_back_to_the_chain_route(mo
     # 75 g-free cells (743 with g's powers)
     dga, cap = parse_model(NOT_REGULAR), 40
     assert _routes(dga, cap) == [("koszul-no-g", 1)]
-    reduced = _spy(monkeypatch, "_koszul")
+    laid = _spy(monkeypatch, "_layout")  # the Koszul attempt, then the chain fallback
     counts, ((layout, _),) = build_layout(dga, cap)
-    assert reduced == [None] and layout.g_step == support.chain_layout(dga, cap).g_step != (0, 0)
+    assert laid == [None, layout] and layout.g_step == support.chain_layout(dga, cap).g_step != (0, 0)
     assert counts == layout.counts and sum(counts) == 75
     chain = support.ranked(dga, support.chain_layout(dga, cap))
     assert eigen_table(dga, cap) == chain
