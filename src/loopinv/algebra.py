@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 Monomial = tuple[int, ...]
@@ -115,28 +115,14 @@ class GradedAlgebra:
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(map(mul, mono, self._degrees))
 
-    def unit_monomial(self) -> Monomial:
-        return (0,) * len(self.generators)
-
     def multiply_monomials(self, m1: Monomial, m2: Monomial) -> Optional[tuple[int, Monomial]]:
         """(koszul sign, product monomial), or None when an odd generator
-        repeats and the product is zero."""
-        odd = self._odd
-        n = len(m1)
-        # suffix[j] = number of odd factors of m1 at indices >= j
-        suffix = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + (1 if odd[i] and m1[i] else 0)
-        # Each odd factor of m2 moves left past the odd factors of m1
-        # sitting at strictly larger generator indices.
-        sign_exp = 0
-        for j, b in enumerate(m2):
-            if b and odd[j]:
-                if m1[j]:
-                    return None
-                sign_exp += suffix[j + 1]
-        prod = tuple(a + b for a, b in zip(m1, m2))
-        return (-1 if sign_exp % 2 else 1, prod)
+        repeats and the product is zero: each odd factor of m2 moves left
+        past the odd factors of m1 after it."""
+        o1, o2 = [*compress(m1, self._odd)], [*compress(m2, self._odd)]
+        return None if any(map(mul, o1, o2)) else (
+            (-1) ** sum(b * sum(o1[k + 1 :]) for k, b in enumerate(o2)), tuple(map(add, m1, m2))
+        )
 
     def monomial_str(self, mono: Monomial) -> str:
         parts = []
@@ -153,7 +139,7 @@ class GradedAlgebra:
         return self._zero
 
     def unit(self) -> "Polynomial":
-        return Polynomial(self, {self.unit_monomial(): 1})
+        return Polynomial(self, {(0,) * len(self.generators): 1})
 
     def gen(self, name: str) -> "Polynomial":
         i = self.index(name)
@@ -215,11 +201,7 @@ class Polynomial:
         self._require_same_algebra(other)
         acc = dict(self.terms)
         for mono, c in other.terms.items():
-            s = acc.get(mono, 0) + c
-            if s:
-                acc[mono] = s
-            else:
-                acc.pop(mono, None)
+            acc[mono] = acc.get(mono, 0) + c
         return Polynomial(self.algebra, acc)
 
     def __mul__(self, other) -> "Polynomial":
@@ -233,20 +215,13 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 hit = mult(m1, m2)
-                if hit is None:
-                    continue
-                sign, mono = hit
-                s = acc.get(mono, 0) + sign * c1 * c2
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
+                if hit is not None:
+                    sign, mono = hit
+                    acc[mono] = acc.get(mono, 0) + sign * c1 * c2
         return Polynomial(self.algebra, acc)
 
     def scale(self, scalar: Scalar) -> "Polynomial":
         c = scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar)
-        if not c:
-            return self.algebra.zero()
         return Polynomial(self.algebra, {m: c * v for m, v in self.terms.items()})
 
     def degrees(self) -> set[int]:

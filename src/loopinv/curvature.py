@@ -87,31 +87,23 @@ def kernel_lower_bound(inp: KernelBoundInputs) -> KernelBoundResult:
         return KernelBoundResult(False, None, "m must be >= 0")
     if inp.i < 1:
         return KernelBoundResult(False, None, "i must be >= 1")
-    needed = max(3 * inp.i + 7, 2 * inp.i + 9)
-    if inp.dim_boundary + inp.m < needed:
+    needed, total = max(3 * inp.i + 7, 2 * inp.i + 9), inp.dim_boundary + inp.m
+    if total < needed:
         return KernelBoundResult(
             False,
             None,
-            f"dimension hypothesis: dim_boundary + m = {inp.dim_boundary + inp.m} "
-            f"< max(3i+7, 2i+9) = {needed}",
+            f"dimension hypothesis: dim_boundary + m = {total} < max(3i+7, 2i+9) = {needed}",
         )
     half = Fraction(inp.dim_P, 2)
-    if (inp.dim_boundary + inp.m) % 2 == 0:
-        if half > inp.dim_inv_plus:
-            return KernelBoundResult(
-                False,
-                None,
-                f"eigenspace inequality: dim_P/2 = {half} > dim_inv_plus = "
-                f"{inp.dim_inv_plus} (total dimension even)",
-            )
-    else:
-        if half > inp.dim_inv_minus:
-            return KernelBoundResult(
-                False,
-                None,
-                f"eigenspace inequality: dim_P/2 = {half} > dim_inv_minus = "
-                f"{inp.dim_inv_minus} (total dimension odd)",
-            )
+    even = total % 2 == 0
+    sign, dim = ("plus", inp.dim_inv_plus) if even else ("minus", inp.dim_inv_minus)
+    if half > dim:
+        return KernelBoundResult(
+            False,
+            None,
+            f"eigenspace inequality: dim_P/2 = {half} > dim_inv_{sign} = {dim} "
+            f"(total dimension {'even' if even else 'odd'})",
+        )
     return KernelBoundResult(True, half - inp.dim_diff, None)
 
 

@@ -210,7 +210,8 @@ def _parse_value(algebra: GradedAlgebra, tokens, line_no: int) -> Polynomial:
     and one coefficient, an int unless a ``/`` makes it a Fraction.  Each
     factor is multiplied in with its Koszul sign: an odd one moves left past
     the odd factors after it, and makes the term 0 if it repeats one.  The
-    terms sum into one dict, whose Polynomial drops odd squares."""
+    terms sum into one dict, whose Polynomial drops zero sums and odd
+    squares."""
     last = tokens[-1]
     tokens = [*tokens, ("end", "", last[2] + len(last[1]))]
 
@@ -267,11 +268,7 @@ def _parse_value(algebra: GradedAlgebra, tokens, line_no: int) -> Polynomial:
         tok = tokens[pos]
         if not has_coeff and tok[0] in ("name", "int"):
             raise ModelSyntaxError(f"missing '*' before {tok[1]!r}", line_no, tok[2])
-        c = terms.get(mono, 0) + coeff
-        if c:
-            terms[mono] = c
-        else:
-            terms.pop(mono, None)
+        terms[mono] = terms.get(mono, 0) + coeff
         op = tok[1]
         if op not in ("+", "-"):
             take("end")  # anything else is an unexpected token

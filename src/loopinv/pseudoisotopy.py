@@ -16,20 +16,21 @@ integers contributes one class in those degrees).
 
 The reduced eigenspaces are obtained by subtracting the one-point table
 from the Borel-model table degree by degree; the one-point Borel model is
-Lambda(alpha) with zero differential and T(alpha) = -alpha, so its table
-is the closed form of ``_point_split``.  Homology dimensions are
-read off the cohomology of the corresponding model (finite-type duality
-over Q).  Everything is exact; a row is only reported when every input it
-needs lies inside the computed range, which caps the table at
-i <= cap - 3.  Compactness of the underlying manifold is the caller's
-responsibility; the tables are meaningless for models of open manifolds.
+Lambda(alpha) with zero differential and T(alpha) = -alpha, so its class
+alpha^(n/2) lies in Inv+ for n = 0 mod 4 and in Inv- for n = 2 mod 4.
+Homology dimensions are read off the cohomology of the corresponding
+model (finite-type duality over Q).  Everything is exact; a row is only
+reported when every input it needs lies inside the computed range, which
+caps the table at i <= cap - 3.  Compactness of the underlying manifold is
+the caller's responsibility; the tables are meaningless for models of open
+manifolds.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import add, sub
-from typing import Iterable, Sequence
+from operator import sub
+from typing import Iterable
 
 from .algebra import Value
 from .cohomology import eigen_table
@@ -41,19 +42,6 @@ class NegativeDimensionError(ValueError):
     the minimal model of a simply-connected compact manifold."""
 
     category = "NegativeDimension"
-
-
-def _point_split(n: int) -> tuple[int, int]:
-    """(inv_plus, inv_minus) of the one-point Borel table in degree n: the
-    class alpha^(n/2) has sign (-1)^(n/2)."""
-    return int(n % 4 == 0), int(n % 4 == 2)
-
-
-def k_theory_correction(i: int) -> int:
-    """1 if i = 3 mod 4, else 0."""
-    if i < 0:
-        raise ValueError("defined for i >= 0 only")
-    return 1 if i % 4 == 3 else 0
 
 
 class PseudoisotopyRow(Value):
@@ -112,26 +100,6 @@ class PseudoisotopyTable(Value):
         return self.invP_plus, self.invP_minus, self.invA_plus, self.invA_minus
 
 
-def _assemble_rows(
-    rel_plus: Sequence[int],
-    rel_minus: Sequence[int],
-    betti_base: Sequence[int],
-    cap: int,
-) -> PseudoisotopyTable:
-    """The table for i = 0..cap-3 from the reduced eigenspace dimensions (per
-    degree 0..cap-1) and the base-model betti numbers."""
-    plus_p = list(map(add, map(k_theory_correction, range(cap - 2)), rel_plus[1 : cap - 1]))
-    plus_a = rel_minus[1 : cap - 1]
-    minus_p = list(map(sub, plus_a, betti_base[2:cap]))
-    if min(minus_p, default=0) < 0:
-        i = next(i for i, m in enumerate(minus_p) if m < 0)
-        raise NegativeDimensionError(
-            f"dim Inv- pi_{i} P = {minus_p[i]} < 0; the model violates the "
-            "hypotheses of the dimension formulas (is it a compact manifold?)"
-        )
-    return PseudoisotopyTable(cap, plus_p, minus_p, plus_a, plus_p)
-
-
 def pseudoisotopy_table(model: MinimalModel, cap: int) -> PseudoisotopyTable:
     """Eigenspace dimension table for degrees 0..cap-3.
 
@@ -143,13 +111,21 @@ def pseudoisotopy_table(model: MinimalModel, cap: int) -> PseudoisotopyTable:
     if cap < 3:
         raise ValueError("cap must be >= 3 for at least one reliable row")
     absolute = eigen_table(borel_model(model), cap)
-    point_plus, point_minus = zip(*map(_point_split, range(cap)))
-    rel_plus = list(map(sub, absolute.inv_plus, point_plus))
-    rel_minus = list(map(sub, absolute.inv_minus, point_minus))
+    rel_plus = [dim - (n % 4 == 0) for n, dim in enumerate(absolute.inv_plus)]
+    rel_minus = [dim - (n % 4 == 2) for n, dim in enumerate(absolute.inv_minus)]
     if min(rel_plus) < 0 or min(rel_minus) < 0:
         n = next(n for n in range(cap) if rel_plus[n] < 0 or rel_minus[n] < 0)
         raise NegativeDimensionError(
             f"reduced eigenspace dimension negative at degree {n}; the "
             "one-point table failed to split off"
         )
-    return _assemble_rows(rel_plus, rel_minus, eigen_table(model, cap).betti, cap)
+    plus_p = [(i % 4 == 3) + rel_plus[i + 1] for i in range(cap - 2)]
+    plus_a = rel_minus[1 : cap - 1]
+    minus_p = list(map(sub, plus_a, eigen_table(model, cap).betti[2:cap]))
+    if min(minus_p) < 0:
+        i = next(i for i, m in enumerate(minus_p) if m < 0)
+        raise NegativeDimensionError(
+            f"dim Inv- pi_{i} P = {minus_p[i]} < 0; the model violates the "
+            "hypotheses of the dimension formulas (is it a compact manifold?)"
+        )
+    return PseudoisotopyTable(cap, plus_p, minus_p, plus_a, plus_p)

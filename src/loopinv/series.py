@@ -77,15 +77,10 @@ class RationalExpr(Value):
         return TruncatedSeries(coeffs)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        out = ""
-        for i, term in enumerate(self.terms):
-            if i == 0:
-                out = ("-" if term.coeff < 0 else "") + str(term)
-            else:
-                out += (" - " if term.coeff < 0 else " + ") + str(term)
-        return out
+        return "".join(
+            ((" - " if t.coeff < 0 else " + ") if i else "-" * (t.coeff < 0)) + str(t)
+            for i, t in enumerate(self.terms)
+        ) or "0"
 
 
 # A coefficient is a sum of fewer than 10^300 parsed numbers, so with at

@@ -608,6 +608,19 @@ GOLDEN = [
     ),
     # factors out of order, read with the Koszul sign: d z = -7/2*x*y
     ("validate-koszul-sign", ["validate", "tests/golden/koszul-sign.model"], 0, ""),
+    (
+        "bfk-negative-j-max",
+        ["bfk", "--d", "2", "--j-max", "-1"],
+        2,
+        "usage error: j_max must be >= 0\n",
+    ),
+    # a denominator needs a numerator: a coefficient, t or both
+    (
+        "series-bare-denominator",
+        ["series", "/(1-t)"],
+        1,
+        "SeriesSyntax: cannot parse series term '/(1-t)'\n",
+    ),
     # a `*` stands only before t
     ("series-star-alone", ["series", "2*"], 1, "SeriesSyntax: cannot parse series term '2*'\n"),
     (

@@ -276,6 +276,12 @@ def test_eigen_table_without_involution_has_no_split():
         table.inv_plus_series()
 
 
+def test_eigen_table_without_involution_has_no_minus_series():
+    table = eigen_table(load_model("s2.model"), 6)
+    with pytest.raises(NoInvolutionError, match="^table has no eigenspace data$"):
+        table.inv_minus_series()
+
+
 def test_betti_series_bounded_by_generating_function(borel_d2):
     table = eigen_table(borel_d2, 20)
     gf = algebra_generating_function(borel_d2.algebra, 20)

@@ -33,7 +33,9 @@ def test_bound_not_applicable_small_dimension():
     result = kernel_lower_bound(inp)
     assert not result.applicable
     assert result.bound is None
-    assert "dimension hypothesis" in result.failed_hypothesis
+    assert result.failed_hypothesis == (
+        "dimension hypothesis: dim_boundary + m = 5 < max(3i+7, 2i+9) = 11"
+    )
 
 
 def test_bound_not_applicable_negative_m():
@@ -53,8 +55,22 @@ def test_bound_not_applicable_wrong_parity():
     )
     result = kernel_lower_bound(inp)
     assert not result.applicable
-    assert "eigenspace inequality" in result.failed_hypothesis
-    assert "even" in result.failed_hypothesis
+    assert result.failed_hypothesis == (
+        "eigenspace inequality: dim_P/2 = 1/2 > dim_inv_plus = 0 (total dimension even)"
+    )
+
+
+def test_bound_not_applicable_odd_parity():
+    # D2_CASE with the eigenspaces swapped: total dimension 63 is odd but the minus part is 0
+    inp = KernelBoundInputs(
+        i=17, m=56, dim_boundary=7, dim_P=1, dim_inv_plus=1, dim_inv_minus=0
+    )
+    result = kernel_lower_bound(inp)
+    assert not result.applicable
+    assert result.bound is None
+    assert result.failed_hypothesis == (
+        "eigenspace inequality: dim_P/2 = 1/2 > dim_inv_minus = 0 (total dimension odd)"
+    )
 
 
 def test_bound_m_too_small():

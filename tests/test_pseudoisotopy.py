@@ -1,32 +1,30 @@
+from operator import add
+
 import pytest
 
-from loopinv.cohomology import eigen_table
+from loopinv import pseudoisotopy
+from loopinv.cohomology import EigenTable, eigen_table
 from loopinv.models import borel_model, parse_model
-from loopinv.pseudoisotopy import (
-    NegativeDimensionError,
-    PseudoisotopyRow,
-    _assemble_rows,
-    _point_split,
-    k_theory_correction,
-    pseudoisotopy_table,
-)
+from loopinv.pseudoisotopy import NegativeDimensionError, PseudoisotopyRow, pseudoisotopy_table
 from support import closed_form, load_model, sphere_bundle_model
 
-
-def test_k_theory_correction_pattern():
-    assert k_theory_correction(3) == 1
-    assert k_theory_correction(0) == 0
-    assert k_theory_correction(7) == 1
-    assert [k_theory_correction(i) for i in range(8)] == [0, 0, 0, 1, 0, 0, 0, 1]
-    with pytest.raises(ValueError):
-        k_theory_correction(-1)
+POINT = parse_model("")
 
 
-def test_point_split_is_the_computed_point_table():
+def test_point_invP_plus_is_the_k_theory_correction():
+    # the point's reduced eigenspaces are 0, so Inv+ pi_i P is delta(i) alone
+    for cap in range(3, 41):
+        table = pseudoisotopy_table(POINT, cap)
+        assert table.invP_plus == tuple(int(i % 4 == 3) for i in range(cap - 2)), cap
+        assert table.invP_minus == table.invA_plus == (0,) * (cap - 2), cap
+
+
+def test_point_borel_table_is_its_closed_form():
+    # Lambda(alpha) with T(alpha) = -alpha: alpha^(n/2) has sign (-1)^(n/2)
     for cap in range(2, 41):
-        table = eigen_table(borel_model(parse_model("")), cap)
-        split = [(s.inv_plus, s.inv_minus) for s in table.slices]
-        assert split == [_point_split(n) for n in range(cap)], f"cap {cap}"
+        table = eigen_table(borel_model(POINT), cap)
+        assert table.inv_plus == tuple(int(n % 4 == 0) for n in range(cap)), cap
+        assert table.inv_minus == tuple(int(n % 4 == 2) for n in range(cap)), cap
 
 
 @pytest.fixture(scope="module")
@@ -87,19 +85,53 @@ def test_rows_reject_negative_dimensions():
         PseudoisotopyRow(0, 1, -1, 0, 1)
 
 
-def test_assemble_rows_flags_negative_minus():
-    # rel_minus(1) = 0 but betti(2) = 1 forces a negative entry at i = 0
-    rel_plus = [0, 0, 0, 0]
-    rel_minus = [0, 0, 0, 0]
-    betti_base = [1, 0, 1, 0]
-    with pytest.raises(NegativeDimensionError):
-        _assemble_rows(rel_plus, rel_minus, betti_base, 4)
+def _crafted(monkeypatch, borel_plus, borel_minus, betti_base):
+    """Make ``pseudoisotopy_table`` read a Borel table with the given
+    eigenspace columns, then a base table with the given betti numbers;
+    the tables it asks for are listed in the returned list."""
+    betti = [*map(add, borel_plus, borel_minus)]
+    tables = [
+        EigenTable(len(betti), betti, betti, borel_plus, borel_minus),
+        EigenTable(len(betti_base), betti_base, betti_base),
+    ]
+    asked = []
+
+    def fake(model, cap):
+        asked.append(tables[len(asked)])
+        return asked[-1]
+
+    monkeypatch.setattr(pseudoisotopy, "eigen_table", fake)
+    return asked
 
 
-def test_assemble_rows_happy_path():
-    rows = _assemble_rows([0, 1, 2, 0], [0, 3, 1, 0], [1, 0, 1, 0], 4).rows
-    assert rows[0] == PseudoisotopyRow(0, 1, 2, 3, 1)
-    assert rows[1] == PseudoisotopyRow(1, 2, 1, 1, 2)
+def test_columns_from_crafted_tables(monkeypatch):
+    # rel+ = (0, 1, 2, 0) and rel- = (0, 3, 1, 0) after the point's (1, 0, 0, 0) and (0, 0, 1, 0)
+    _crafted(monkeypatch, [1, 1, 2, 0], [0, 3, 2, 0], [1, 0, 1, 0])
+    rows = pseudoisotopy_table(POINT, 4).rows
+    assert rows == (PseudoisotopyRow(0, 1, 2, 3, 1), PseudoisotopyRow(1, 2, 1, 1, 2))
+
+
+def test_a_negative_minus_column_is_refused(monkeypatch):
+    # rel-(1) = 0 but dim H_2 = 1 forces a negative entry at i = 0
+    _crafted(monkeypatch, [1, 0, 0, 0], [0, 0, 1, 0], [1, 0, 1, 0])
+    with pytest.raises(NegativeDimensionError) as raised:
+        pseudoisotopy_table(POINT, 4)
+    assert str(raised.value) == (
+        "dim Inv- pi_0 P = -1 < 0; the model violates the hypotheses of the dimension "
+        "formulas (is it a compact manifold?)"
+    )
+
+
+def test_a_negative_reduced_eigenspace_is_refused_before_the_base_table(monkeypatch):
+    # the point's class alpha in degree 2 is missing from Inv-
+    asked = _crafted(monkeypatch, [1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0])
+    with pytest.raises(NegativeDimensionError) as raised:
+        pseudoisotopy_table(POINT, 4)
+    assert str(raised.value) == (
+        "reduced eigenspace dimension negative at degree 2; the one-point table "
+        "failed to split off"
+    )
+    assert len(asked) == 1
 
 
 def test_cap_too_small_rejected():

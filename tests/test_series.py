@@ -93,6 +93,8 @@ def test_parse_round_trip_through_str():
     e = parse_expr("t^3/(1-t^4) + t^11/(1-t^12) - 2*t^5")
     assert parse_expr(str(e)) == e
     assert str(parse_expr("t/(1-t)")) == "t/(1-t^1)"  # the period is always written
+    assert str(parse_expr("-2*t^3/(1-t^4) + 1 - t")) == "-2*t^3/(1-t^4) + 1 - t"
+    assert str(parse_expr("0")) == "0"
 
 
 @given(
